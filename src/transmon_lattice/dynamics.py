@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .device import DeviceSpec, TransmonParams
 from .errors import (
@@ -348,7 +347,7 @@ def _drive_matrix(tone: DriveTone, sites: Sequence[str], levels: int) -> np.ndar
     if tone.target not in sites:
         raise UnknownQubitError(tone.target)
     site = list(sites).index(tone.target)
-    a = _embed(destroy(levels), site, len(sites), levels).toarray()
+    a = _embed(destroy(levels), site, len(sites), levels)
     return a.conj().T  # raising operator
 
 
@@ -400,12 +399,17 @@ def _segment_edges(
     return np.array(sorted(edges))
 
 
-def _static_states(h: np.ndarray, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-2 pi i H t) psi for Hermitian H over many times at once."""
+def _static_states(
+    h: np.ndarray, psi: np.ndarray, *time_sets: np.ndarray
+) -> list[np.ndarray]:
+    """exp(-2 pi i H t) psi for Hermitian H, one (len(times), dim) array
+    per array of times, all from a single diagonalization."""
     energies, basis = np.linalg.eigh(h)
     coeffs = basis.conj().T @ psi
-    phases = np.exp(-2j * np.pi * np.outer(times, energies)) * coeffs
-    return phases @ basis.T
+    return [
+        (np.exp(-2j * np.pi * np.outer(times, energies)) * coeffs) @ basis.T
+        for times in time_sets
+    ]
 
 
 ENVELOPE_SLICES = 24  # piecewise-constant resolution for ramp segments
@@ -441,9 +445,10 @@ def _propagate_sliced(
         for term in terms:
             term.add_to(h, 0.5 * (a + b))
         inside = (t_eval > a + 1e-15) & (t_eval <= b + 1e-15)
+        states, end = _static_states(h, psi, t_eval[inside] - a, np.array([b - a]))
         if inside.any():
-            states_out[inside] = _static_states(h, psi, t_eval[inside] - a)
-        psi = _static_states(h, psi, np.array([b - a]))[0]
+            states_out[inside] = states
+        psi = end[0]
     return psi, states_out
 
 
@@ -466,7 +471,8 @@ def evolve(
     (a matrix in the frame, e.g. a jitter term) is added verbatim.
     Piecewise-static configurations propagate by exact diagonalization;
     anything time-dependent integrates with an adaptive Dormand-Prince
-    scheme and raises :class:`StiffnessError` on failure.
+    scheme (the one path that imports scipy) and raises
+    :class:`StiffnessError` on failure.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) < 0):
@@ -480,7 +486,7 @@ def evolve(
     frames = resolve_frame(h0.sites, frame, device)
     labels = np.array(h0.basis_labels(), dtype=float)
     freqs = np.array([frames[s] for s in h0.sites])
-    static, coupling_terms = _split_by_frame(h0.to_dense(), labels, freqs)
+    static, coupling_terms = _split_by_frame(h0.matrix, labels, freqs)
     if extra_static is not None:
         static = static + extra_static
     terms = coupling_terms + _drive_terms(
@@ -507,9 +513,12 @@ def _run_closed(static, terms, psi0, t_grid, rtol, atol) -> np.ndarray:
             h_seg = static.copy()
             for term in active:
                 term.add_to(h_seg, mid)
+            states, end = _static_states(
+                h_seg, psi, inside - left, np.array([right - left])
+            )
             if inside.size:
-                out[sel] = _static_states(h_seg, psi, inside - left)
-            psi = _static_states(h_seg, psi, np.array([right - left]))[0]
+                out[sel] = states
+            psi = end[0]
         elif _envelope_only(active):
             psi, states = _propagate_sliced(static, active, psi, left, right, inside)
             if inside.size:
@@ -526,6 +535,8 @@ def _run_closed(static, terms, psi0, t_grid, rtol, atol) -> np.ndarray:
 
 
 def _integrate_closed(static, terms, psi, left, right, t_eval, rtol, atol):
+    from scipy.integrate import solve_ivp  # only the adaptive path needs scipy
+
     fastest = max([abs(t.nu) for t in terms] + [1e-9])
 
     def rhs(t, y):
@@ -567,10 +578,10 @@ def _collapse_operators(
     for k, label in enumerate(sites):
         g1 = noise.rate("relaxation", label)
         if g1 > 0:
-            ops.append((g1, _embed(destroy(levels), k, n_sites, levels).toarray()))
+            ops.append((g1, _embed(destroy(levels), k, n_sites, levels)))
         gphi = noise.rate("dephasing", label)
         if gphi > 0:
-            ops.append((2.0 * gphi, _embed(number(levels), k, n_sites, levels).toarray()))
+            ops.append((2.0 * gphi, _embed(number(levels), k, n_sites, levels)))
     return ops
 
 
@@ -644,7 +655,7 @@ def evolve_open(
     frames = resolve_frame(h0.sites, frame, device)
     labels = np.array(h0.basis_labels(), dtype=float)
     freqs = np.array([frames[s] for s in h0.sites])
-    static, coupling_terms = _split_by_frame(h0.to_dense(), labels, freqs)
+    static, coupling_terms = _split_by_frame(h0.matrix, labels, freqs)
     if extra_static is not None:
         static = static + extra_static
     terms = coupling_terms + _drive_terms(
@@ -686,6 +697,8 @@ def evolve_open(
 
 
 def _integrate_open(static, terms, collapse, rho, left, right, t_eval, rtol, atol):
+    from scipy.integrate import solve_ivp  # only the adaptive path needs scipy
+
     dim = rho.shape[0]
     fastest = max([abs(t.nu) for t in terms] + [1e-9])
     csum = sum(rate * (op.conj().T @ op) for rate, op in collapse) if collapse else None
@@ -735,7 +748,7 @@ def stark_shift(
     delta = params.omega - drive_freq
     occ = np.arange(levels, dtype=float)
     h = np.diag((delta + 0.5 * params.alpha * (occ - 1.0)) * occ).astype(complex)
-    a = destroy(levels).toarray()
+    a = destroy(levels)
     h += 0.5 * amplitude * (a + a.conj().T)
     energies, basis = np.linalg.eigh(h)
     weights = np.abs(basis) ** 2
@@ -805,16 +818,10 @@ def apply_site_gate(
     state: np.ndarray, gate: np.ndarray, site: int, n_sites: int, levels: int
 ) -> np.ndarray:
     """Apply a single-site gate to a state vector or density matrix."""
-    full = _embed_dense(gate, site, n_sites, levels)
+    full = _embed(gate, site, n_sites, levels)
     if state.ndim == 1:
         return full @ state
     return full @ state @ full.conj().T
-
-
-def _embed_dense(op: np.ndarray, site: int, n_sites: int, levels: int) -> np.ndarray:
-    left = np.eye(levels**site)
-    right = np.eye(levels ** (n_sites - site - 1))
-    return np.kron(np.kron(left, op), right).astype(complex)
 
 
 def site_populations(
@@ -891,7 +898,7 @@ def _jitter_term(
     for k, label in enumerate(sites):
         df = offsets_mhz.get(label, 0.0)
         if df:
-            term += df * _embed(number(levels), k, len(sites), levels).toarray()
+            term += df * _embed(number(levels), k, len(sites), levels)
     return term
 
 

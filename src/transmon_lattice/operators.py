@@ -4,15 +4,19 @@ Operators live on a tensor product of d-level sites.  Basis ordering is
 little-endian in the subset list order: the occupation of the *last*
 listed qubit varies fastest, i.e. basis index = sum_k n_k d^(m-1-k).
 This ordering is frozen; file outputs rely on it.
+
+Operators are dense complex arrays.  The builders write matrix elements
+by index arithmetic on the occupation table (``basis_occupations``):
+a term that changes the occupation of site k by s moves the basis index
+by s * d^(m-1-k), so every term is a handful of O(dim) writes into one
+dim x dim array.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .device import DeviceSpec, TransmonParams, Pair, pair_key
 from .errors import (
@@ -61,59 +65,109 @@ class SubsetSelection:
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """A sparse complex operator on a subset's tensor-product space."""
+    """A dense complex operator on a subset's tensor-product space.
 
-    matrix: sparse.csr_matrix
+    ``matrix`` is held as a read-only view, so writing to it raises; a
+    complex ndarray passed in is not copied.
+    """
+
+    matrix: np.ndarray
     sites: tuple[str, ...]
     levels: int
+
+    def __post_init__(self):
+        view = np.asarray(self.matrix, dtype=complex).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "matrix", view)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        return np.asarray(self.matrix.todense(), dtype=complex)
+        """A writable copy of the matrix."""
+        return self.matrix.copy()
 
     def basis_labels(self) -> list[tuple[int, ...]]:
         """Occupation tuple for every basis index, in index order."""
-        return list(product(range(self.levels), repeat=len(self.sites)))
+        occupations = basis_occupations(len(self.sites), self.levels)
+        return [tuple(row) for row in occupations.tolist()]
 
     def hermiticity_defect(self) -> float:
         """Max-norm of H - H^dagger; exactly 0.0 for the builders here."""
-        defect = self.matrix - self.matrix.getH()
-        return 0.0 if defect.nnz == 0 else float(np.abs(defect.data).max())
+        return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
     def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
         if self.sites != other.sites or self.levels != other.levels:
             raise ValueError("operators act on different spaces")
-        return LatticeOperator(
-            (self.matrix + other.matrix).tocsr(), self.sites, self.levels
-        )
+        return LatticeOperator(self.matrix + other.matrix, self.sites, self.levels)
 
     def scaled(self, factor: complex) -> "LatticeOperator":
-        return LatticeOperator((factor * self.matrix).tocsr(), self.sites, self.levels)
+        return LatticeOperator(factor * self.matrix, self.sites, self.levels)
 
 
-def destroy(d: int) -> sparse.csr_matrix:
+def basis_occupations(n_sites: int, d: int) -> np.ndarray:
+    """Occupation table: row b holds the occupation of every site in
+    basis state b (int array of shape (d^n_sites, n_sites))."""
+    return np.indices((d,) * n_sites).reshape(n_sites, d**n_sites).T
+
+
+def _stride(site: int, n_sites: int, d: int) -> int:
+    """Basis-index step of one quantum on ``site``."""
+    return d ** (n_sites - site - 1)
+
+
+def destroy(d: int) -> np.ndarray:
     """Lowering operator with the standard sqrt(k) ladder factors."""
     if d < 2:
         raise DimensionError(f"need at least 2 levels, got {d}")
-    return sparse.diags(np.sqrt(np.arange(1, d)), offsets=1, format="csr").astype(
-        complex
-    )
+    return np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
 
 
-def number(d: int) -> sparse.csr_matrix:
+def number(d: int) -> np.ndarray:
     if d < 2:
         raise DimensionError(f"need at least 2 levels, got {d}")
-    return sparse.diags(np.arange(d, dtype=float), format="csr").astype(complex)
+    return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
-def _embed(op: sparse.spmatrix, site: int, n_sites: int, d: int) -> sparse.csr_matrix:
-    """kron-embed a single-site operator at position ``site``."""
-    left = sparse.identity(d**site, format="csr", dtype=complex)
-    right = sparse.identity(d ** (n_sites - site - 1), format="csr", dtype=complex)
-    return sparse.kron(sparse.kron(left, op), right, format="csr")
+def _embed(op: np.ndarray, site: int, n_sites: int, d: int) -> np.ndarray:
+    """Embed a single-site d x d operator at position ``site``.
+
+    Element (r, c) is op[n_site(r), n_site(c)] when r and c agree on
+    every other site: from column c, the reachable rows are c with the
+    site's occupation replaced by 0..d-1.
+    """
+    dim = d**n_sites
+    stride = _stride(site, n_sites, d)
+    occ = basis_occupations(n_sites, d)[:, site]
+    cols = np.arange(dim)
+    rows = (cols - occ * stride)[:, None] + np.arange(d) * stride
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows, cols[:, None]] = op[:, occ].T
+    return out
+
+
+def _site_energies(params: TransmonParams, d: int) -> np.ndarray:
+    """Duffing ladder (omega + alpha/2 (k-1)) k for k = 0..d-1, in MHz."""
+    k = np.arange(d, dtype=float)
+    return (params.omega + 0.5 * params.alpha * (k - 1.0)) * k
+
+
+def _hop_elements(
+    i: int, j: int, subset: SubsetSelection
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero elements of a_i^dag a_j: (rows, cols, values).
+
+    From every basis state with a quantum on j and room on i, one
+    quantum moves j -> i with amplitude sqrt(n_i + 1) sqrt(n_j).
+    """
+    d, n = subset.levels, len(subset.qubits)
+    occ = basis_occupations(n, d)
+    n_i, n_j = occ[:, i], occ[:, j]
+    cols = np.flatnonzero((n_i < d - 1) & (n_j > 0))
+    rows = cols + _stride(i, n, d) - _stride(j, n, d)
+    ladder = np.sqrt(np.arange(d, dtype=float))
+    return rows, cols, ladder[n_i[cols] + 1] * ladder[n_j[cols]]
 
 
 def site_hamiltonian(params: TransmonParams, d: int) -> LatticeOperator:
@@ -121,10 +175,8 @@ def site_hamiltonian(params: TransmonParams, d: int) -> LatticeOperator:
     occupation k, in MHz."""
     if d < 2:
         raise DimensionError(f"need at least 2 levels, got {d}")
-    k = np.arange(d, dtype=float)
-    diag = (params.omega + 0.5 * params.alpha * (k - 1.0)) * k
     return LatticeOperator(
-        sparse.diags(diag, format="csr").astype(complex), (params.label,), d
+        np.diag(_site_energies(params, d)).astype(complex), (params.label,), d
     )
 
 
@@ -137,37 +189,34 @@ def lowering_operator(label: str, subset: SubsetSelection) -> LatticeOperator:
 
 def number_operator(label: str, subset: SubsetSelection) -> LatticeOperator:
     site = subset.index_of(label)
-    mat = _embed(number(subset.levels), site, len(subset.qubits), subset.levels)
-    return LatticeOperator(mat, subset.qubits, subset.levels)
+    occ = basis_occupations(len(subset.qubits), subset.levels)[:, site]
+    return LatticeOperator(np.diag(occ.astype(complex)), subset.qubits, subset.levels)
 
 
 def total_excitation(subset: SubsetSelection) -> LatticeOperator:
-    total = sparse.csr_matrix((subset.dim, subset.dim), dtype=complex)
-    for k in range(len(subset.qubits)):
-        total = total + _embed(number(subset.levels), k, len(subset.qubits), subset.levels)
-    return LatticeOperator(total.tocsr(), subset.qubits, subset.levels)
+    total = basis_occupations(len(subset.qubits), subset.levels).sum(axis=1)
+    return LatticeOperator(np.diag(total.astype(complex)), subset.qubits, subset.levels)
 
 
 def exchange_operator(i: str, j: str, subset: SubsetSelection) -> LatticeOperator:
     """Hermitian hopping term a_i^dag a_j + a_i a_j^dag on the subset."""
     if i == j:
         raise ValueError("exchange needs two distinct qubits")
-    d, n = subset.levels, len(subset.qubits)
-    a_i = _embed(destroy(d), subset.index_of(i), n, d)
-    a_j = _embed(destroy(d), subset.index_of(j), n, d)
-    hop = a_i.getH() @ a_j
-    return LatticeOperator((hop + hop.getH()).tocsr(), subset.qubits, subset.levels)
+    rows, cols, values = _hop_elements(subset.index_of(i), subset.index_of(j), subset)
+    mat = np.zeros((subset.dim, subset.dim), dtype=complex)
+    mat[rows, cols] = values
+    mat[cols, rows] = values
+    return LatticeOperator(mat, subset.qubits, subset.levels)
 
 
-def _site_term_matrix(device: DeviceSpec, subset: SubsetSelection) -> sparse.csr_matrix:
-    d, n = subset.levels, len(subset.qubits)
-    total = sparse.csr_matrix((subset.dim, subset.dim), dtype=complex)
+def _site_term_matrix(device: DeviceSpec, subset: SubsetSelection) -> np.ndarray:
+    """Sum of the on-site Duffing terms, added site by site in subset
+    order."""
+    occ = basis_occupations(len(subset.qubits), subset.levels)
+    total = np.zeros(subset.dim)
     for k, label in enumerate(subset.qubits):
-        params = device.qubit(label)
-        occ = np.arange(d, dtype=float)
-        diag = (params.omega + 0.5 * params.alpha * (occ - 1.0)) * occ
-        total = total + _embed(sparse.diags(diag).astype(complex), k, n, d)
-    return total.tocsr()
+        total = total + _site_energies(device.qubit(label), subset.levels)[occ[:, k]]
+    return np.diag(total.astype(complex))
 
 
 def assemble_hamiltonian(
@@ -204,5 +253,9 @@ def assemble_hamiltonian(
 
     for (a, b), j in sorted(pairs.items()):
         if j != 0.0:
-            total = total + j * exchange_operator(a, b, subset).matrix
-    return LatticeOperator(total.tocsr(), subset.qubits, subset.levels)
+            rows, cols, values = _hop_elements(
+                subset.index_of(a), subset.index_of(b), subset
+            )
+            total[rows, cols] += j * values
+            total[cols, rows] += j * values
+    return LatticeOperator(total, subset.qubits, subset.levels)

@@ -51,7 +51,7 @@ def diagonalize(op: LatticeOperator) -> DressedSpectrum:
     defect = op.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise ContractViolation(f"operator is not Hermitian (defect {defect:.3e})")
-    energies, states = np.linalg.eigh(op.to_dense())
+    energies, states = np.linalg.eigh(op.matrix)
     return DressedSpectrum(energies, states, op.sites, op.levels)
 
 

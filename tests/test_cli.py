@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transmon_lattice
 from transmon_lattice.cli import main
 
 
@@ -218,3 +223,20 @@ def test_calibrate_cz_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["calibration"]["tau_g"] == pytest.approx(5.0, rel=0.01)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside the adaptive-ODE path, so CLI startup
+    # does not pay for it
+    src = str(Path(transmon_lattice.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    code = (
+        "import sys, transmon_lattice.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"

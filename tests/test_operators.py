@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
+from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams, pair_key
 from transmon_lattice.errors import (
     DimensionError,
     ResourceLimitError,
@@ -9,6 +9,7 @@ from transmon_lattice.errors import (
 )
 from transmon_lattice.operators import (
     SubsetSelection,
+    _embed,
     assemble_hamiltonian,
     exchange_operator,
     site_hamiltonian,
@@ -164,3 +165,78 @@ def test_subset_rejects_duplicates_and_single_level():
         SubsetSelection(("A", "A"), 3)
     with pytest.raises(DimensionError):
         SubsetSelection(("A",), 1)
+
+
+# ------------------------------------------- kron reference for assembly
+
+def _square_device():
+    """2x2 grid (Q0 Q1 / Q2 Q3): four nearest-neighbor edges plus
+    long-range residuals on both diagonals."""
+    qubits = tuple(
+        TransmonParams.from_frequency(f"Q{i}", 4800.0 + 37.0 * i, -200.0 + 3.0 * i, 50, 40, 60)
+        for i in range(4)
+    )
+    couplings = CouplingGraph(
+        nn={("Q0", "Q1"): 0.5, ("Q0", "Q2"): 0.61, ("Q1", "Q3"): 0.45, ("Q2", "Q3"): 0.4},
+        lr={("Q0", "Q3"): 0.05, ("Q1", "Q2"): 0.03},
+    )
+    return DeviceSpec(2, 2, qubits, couplings=couplings)
+
+
+def _kron_site(op, site, n_sites, d):
+    full = np.eye(1)
+    for k in range(n_sites):
+        full = np.kron(full, op if k == site else np.eye(d))
+    return full
+
+
+def _kron_reference(device, qubits, d, couplings):
+    """Duffing sites plus J (a_p^dag a_q + h.c.), built from np.kron of
+    ladder matrices."""
+    n = len(qubits)
+    lower = [_kron_site(np.diag(np.sqrt(np.arange(1.0, d)), k=1), k, n, d) for k in range(n)]
+    h = np.zeros((d**n, d**n))
+    for k, label in enumerate(qubits):
+        q = device.qubit(label)
+        occ = lower[k].T @ lower[k]
+        h += q.omega * occ + 0.5 * q.alpha * occ @ (occ - np.eye(d**n))
+    for (p, q), j in couplings.items():
+        hop = lower[qubits.index(p)].T @ lower[qubits.index(q)]
+        h += j * (hop + hop.T)
+    return h
+
+
+@pytest.mark.parametrize("mode", ["nearest", "long_range", "override"])
+@pytest.mark.parametrize("levels", [2, 3, 4])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_assembly_matches_kron_reference(n_sites, levels, mode):
+    dev = _square_device()
+    qubits = ("Q1", "Q2", "Q0")[:n_sites]  # not in label order
+    overrides = {("Q0", "Q1"): 0.77, ("Q1", "Q2"): 0.2} if mode == "override" else None
+    h = assemble_hamiltonian(
+        dev,
+        SubsetSelection(qubits, levels),
+        include_long_range=mode != "nearest",
+        j_overrides=overrides,
+    )
+    couplings = {}
+    for a, b in {pair_key(a, b) for a in qubits for b in qubits if a != b}:
+        j = dev.couplings.j(a, b)
+        if mode != "nearest":
+            j += dev.couplings.j_long(a, b)
+        couplings[(a, b)] = (overrides or {}).get((a, b), j)
+    ref = _kron_reference(dev, qubits, levels, couplings)
+    assert h.matrix.dtype == complex
+    assert np.max(np.abs(h.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert h.hermiticity_defect() == 0.0
+    with pytest.raises(ValueError):
+        h.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n_sites, levels", [(1, 3), (2, 2), (3, 3), (3, 4)])
+def test_embed_matches_kron(n_sites, levels):
+    rng = np.random.default_rng(n_sites * 10 + levels)
+    op = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
+    for site in range(n_sites):
+        ref = _kron_site(op, site, n_sites, levels)
+        assert np.array_equal(_embed(op, site, n_sites, levels), ref)

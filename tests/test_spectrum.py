@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
 from transmon_lattice.errors import (
@@ -42,7 +41,7 @@ def _operator(matrix, sites=("A",), levels=None):
     matrix = np.asarray(matrix, dtype=complex)
     if levels is None:
         levels = matrix.shape[0]
-    return LatticeOperator(sparse.csr_matrix(matrix), tuple(sites), levels)
+    return LatticeOperator(matrix, tuple(sites), levels)
 
 
 def test_diagonalize_diagonal_input():
