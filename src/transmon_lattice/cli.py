@@ -395,6 +395,8 @@ def _cmd_calibrate_cz(args) -> dict:
 def _cmd_rb(args) -> dict:
     device = _device_from(args)
     qubits = tuple(x.strip() for x in args.qubits.split(","))
+    for label in qubits:  # on the device even when --epc replaces its noise model
+        device.qubit(label)
     model = NoiseChannel.from_epc(args.epc) if args.epc is not None else device
     outcomes = run_rb(
         model,

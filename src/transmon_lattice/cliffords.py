@@ -149,6 +149,25 @@ def inverse_index(u: np.ndarray) -> int:
     return best
 
 
+@lru_cache(maxsize=1)
+def clifford_products() -> np.ndarray:
+    """Read-only 24x24 multiplication table: entry ``[a, b]`` is the
+    index of C_a C_b (C_b acts first)."""
+    mats = _clifford_stack()
+    table = np.array([[clifford_index(a @ b) for b in mats] for a in mats], dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=1)
+def clifford_inverses() -> np.ndarray:
+    """Read-only table: entry ``[a]`` is the index of the inverse of C_a."""
+    identity = clifford_index(np.eye(2))
+    table = np.argmax(clifford_products() == identity, axis=0).astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
 # ------------------------------------------------------------ two-qubit group
 
 TWO_QUBIT_GROUP_SIZE = 11520

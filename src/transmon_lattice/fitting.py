@@ -124,7 +124,7 @@ def levenberg_marquardt(
             if lam > 1e14:
                 break
         if not accepted:
-            converged = np.max(np.abs(grad)) <= 1e4 * gradient_tol * scale
+            converged = bool(np.max(np.abs(grad)) <= 1e4 * gradient_tol * scale)
             if not converged:
                 flags.append("stalled")
             break

@@ -16,9 +16,11 @@ import numpy as np
 
 from .cliffords import (
     MEAN_GATES_PER_CLIFFORD,
-    CliffordElement,
+    clifford_index,
+    clifford_inverses,
+    clifford_products,
     clifford_table,
-    inverse_index,
+    compose_gates,
     two_qubit_clifford_matrices,
     two_qubit_inverse_index,
 )
@@ -135,50 +137,6 @@ class RbOutcome:
         }
 
 
-def _depolarize_single(rho: np.ndarray, p: float) -> np.ndarray:
-    return (1.0 - p) * rho + p * 0.5 * np.trace(rho) * np.eye(2)
-
-
-def _apply_clifford_1q(
-    rho: np.ndarray, element: CliffordElement, noise: NoiseChannel
-) -> np.ndarray:
-    if noise.over_rotation:
-        u = np.eye(2, dtype=complex)
-        from .cliffords import gate_unitary
-
-        for kind, angle in element.gates:
-            if kind == "x":
-                u = gate_unitary((kind, angle * (1.0 + noise.over_rotation))) @ u
-            else:
-                u = gate_unitary((kind, angle)) @ u
-    else:
-        u = element.unitary
-    rho = u @ rho @ u.conj().T
-    if noise.depolarizing:
-        if noise.granularity == "clifford":
-            rho = _depolarize_single(rho, noise.depolarizing)
-        else:
-            for _ in range(element.physical_gate_count):
-                rho = _depolarize_single(rho, noise.depolarizing)
-    return rho
-
-
-def _rb_single_survival(
-    element_ids: np.ndarray, noise: NoiseChannel
-) -> float:
-    table = clifford_table()
-    rho = np.zeros((2, 2), dtype=complex)
-    rho[0, 0] = 1.0
-    u_total = np.eye(2, dtype=complex)
-    for idx in element_ids:
-        element = table[idx]
-        rho = _apply_clifford_1q(rho, element, noise)
-        u_total = element.unitary @ u_total
-    inverse = table[inverse_index(u_total)]
-    rho = _apply_clifford_1q(rho, inverse, noise)
-    return float(np.real(rho[0, 0]))
-
-
 def _sample_survival(
     probability: float, shots: int, rng: np.random.Generator
 ) -> float:
@@ -231,14 +189,8 @@ def sequence_gate_list(
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, 101, qubit_position, sequence, length_position])
     )
-    ids = rng.integers(0, 24, length)
-    gates: list[tuple[str, float]] = []
-    u_total = np.eye(2, dtype=complex)
-    for idx in ids:
-        gates.extend(table[idx].gates)
-        u_total = table[idx].unitary @ u_total
-    gates.extend(table[inverse_index(u_total)].gates)
-    return gates
+    slots = _closed_sequences([rng], [length], 1)
+    return [gate for idx in slots[0, 0, : length + 1] for gate in table[idx].gates]
 
 
 def run_rb(
@@ -261,27 +213,27 @@ def run_rb(
     Deterministic for a fixed seed.
     """
     lengths = tuple(int(m) for m in lengths)
+    if not lengths or lengths[0] < 0:
+        raise ValueError("lengths must be a non-empty list of non-negative integers")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("lengths must be strictly ascending")
+    if n_sequences < 1:
+        raise ValueError(f"n_sequences must be at least 1, got {n_sequences}")
     qubits = tuple(qubits)
+    repeated = sorted({q for q in qubits if qubits.count(q) > 1})
+    if repeated:
+        raise ValueError(f"qubit labels repeat: {', '.join(repeated)}")
     channels = _resolve_channels(model, qubits, gate_time_ns)
     if simultaneous and len(qubits) > 1:
-        return _run_rb_simultaneous(
-            channels, qubits, n_sequences, lengths, shots, seed
+        registers = [(qubits, (seed, 202))]
+    else:
+        registers = [((q,), (seed, 101, qi)) for qi, q in enumerate(qubits)]
+    per_sequence = {}
+    for register, entropy in registers:
+        per_sequence.update(
+            _run_register(channels, register, entropy, n_sequences, lengths, shots)
         )
-    outcomes = {}
-    for qi, qubit in enumerate(qubits):
-        per_sequence = np.empty((n_sequences, len(lengths)))
-        for s in range(n_sequences):
-            for li, m in enumerate(lengths):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, 101, qi, s, li])
-                )
-                ids = rng.integers(0, 24, m)
-                survival = _rb_single_survival(ids, channels[qubit])
-                per_sequence[s, li] = _sample_survival(survival, shots, rng)
-        outcomes[qubit] = _fit_outcome(qubit, lengths, per_sequence)
-    return outcomes
+    return {q: _fit_outcome(q, lengths, per_sequence[q]) for q in qubits}
 
 
 def _resolve_channels(model, qubits, gate_time_ns) -> dict[str, NoiseChannel]:
@@ -309,90 +261,159 @@ def _zz_pairs_for(
     return phases
 
 
-def _run_rb_simultaneous(
+# ------------------------------------------------------- lockstep engine
+#
+# Every (sequence, length) job of a register is one density matrix in a
+# (B, d, d) stack.  Jobs are ordered by length, so the jobs still running
+# at slot t are a contiguous suffix of the stack.
+
+
+def _run_register(
     channels: Mapping[str, NoiseChannel],
-    qubits: Sequence[str],
+    register: Sequence[str],
+    entropy: tuple[int, ...],
     n_sequences: int,
     lengths: Sequence[int],
     shots: int,
-    seed: int,
-) -> dict[str, RbOutcome]:
-    n_q = len(qubits)
-    dim = 2**n_q
-    table = clifford_table()
-    zz_phases = _zz_pairs_for(channels, qubits)
-    zz_diag = np.ones(dim, dtype=complex)
-    for (i, j), phi in zz_phases.items():
-        for basis in range(dim):
-            if (basis >> (n_q - 1 - i)) & 1 and (basis >> (n_q - 1 - j)) & 1:
-                zz_diag[basis] *= np.exp(-1j * phi)
+) -> dict[str, np.ndarray]:
+    """Per-sequence survivals of every qubit of one register (one qubit
+    for individual RB, all of them for simultaneous RB).
 
-    per_sequence = {q: np.empty((n_sequences, len(lengths))) for q in qubits}
-    for s in range(n_sequences):
-        for li, m in enumerate(lengths):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 202, s, li]))
-            ids = rng.integers(0, 24, (n_q, m))
-            rho = np.zeros((dim, dim), dtype=complex)
-            rho[0, 0] = 1.0
-            u_totals = [np.eye(2, dtype=complex) for _ in range(n_q)]
-            for step in range(m):
-                slot = np.array([1.0 + 0j])
-                for k in range(n_q):
-                    element = table[ids[k, step]]
-                    u_totals[k] = element.unitary @ u_totals[k]
-                    slot = np.kron(slot, element.unitary)
-                slot_mat = slot.reshape(dim, dim)
-                rho = slot_mat @ rho @ slot_mat.conj().T
-                if zz_phases:
-                    rho = (zz_diag[:, None] * rho) * zz_diag.conj()[None, :]
-                for k, q in enumerate(qubits):
-                    rho = _depolarize_site(rho, k, n_q, channels[q].depolarizing,
-                                           channels[q].granularity,
-                                           table[ids[k, step]].physical_gate_count)
-            # per-qubit inverses in one final slot
-            slot = np.array([1.0 + 0j])
-            inv_counts = []
-            for k in range(n_q):
-                inverse = table[inverse_index(u_totals[k])]
-                inv_counts.append(inverse.physical_gate_count)
-                slot = np.kron(slot, inverse.unitary)
-            slot_mat = slot.reshape(dim, dim)
-            rho = slot_mat @ rho @ slot_mat.conj().T
-            if zz_phases:
-                rho = (zz_diag[:, None] * rho) * zz_diag.conj()[None, :]
-            for k, q in enumerate(qubits):
-                rho = _depolarize_site(rho, k, n_q, channels[q].depolarizing,
-                                       channels[q].granularity, inv_counts[k])
-            probs = np.real(np.diag(rho))
-            for k, q in enumerate(qubits):
-                p_ground = 0.0
-                for basis in range(dim):
-                    if not (basis >> (n_q - 1 - k)) & 1:
-                        p_ground += probs[basis]
-                per_sequence[q][s, li] = _sample_survival(p_ground, shots, rng)
-    return {q: _fit_outcome(q, lengths, per_sequence[q]) for q in qubits}
+    Job (s, li) draws its Clifford ids, then its shot counts, from
+    ``SeedSequence([*entropy, s, li])``.
+    """
+    jobs = [(s, li) for li in range(len(lengths)) for s in range(n_sequences)]
+    rngs = [np.random.default_rng(np.random.SeedSequence([*entropy, s, li])) for s, li in jobs]
+    job_lengths = np.array([lengths[li] for _, li in jobs])
+    ground = _lockstep(
+        _closed_sequences(rngs, job_lengths, len(register)),
+        job_lengths,
+        np.array([_slot_unitaries(channels[q]) for q in register]),
+        np.array([_slot_depolarizing(channels[q]) for q in register]),
+        _zz_phase_factor(_zz_pairs_for(channels, register), len(register)),
+    )
+    per_sequence = {q: np.empty((n_sequences, len(lengths))) for q in register}
+    for j, (rng, (s, li)) in enumerate(zip(rngs, jobs)):
+        for k, q in enumerate(register):
+            per_sequence[q][s, li] = _sample_survival(ground[j, k], shots, rng)
+    return per_sequence
 
 
-def _depolarize_site(
-    rho: np.ndarray, site: int, n_q: int, p: float, granularity: str, gate_count: int
+def _closed_sequences(
+    rngs: Sequence[np.random.Generator], lengths: Sequence[int], n_sites: int
 ) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    applications = 1 if granularity == "clifford" else gate_count
-    dims = (2,) * n_q
-    for _ in range(applications):
-        shaped = rho.reshape(dims + dims)
-        traced = np.trace(shaped, axis1=site, axis2=n_q + site)
-        expanded = np.zeros_like(shaped)
-        idx_id = [slice(None)] * (2 * n_q)
-        # rebuild I/2 (x) tr_site(rho) in place
-        for a in range(2):
-            idx = list(idx_id)
-            idx[site] = a
-            idx[n_q + site] = a
-            expanded[tuple(idx)] = 0.5 * traced
-        rho = (1.0 - p) * rho + p * expanded.reshape(rho.shape)
+    """Draw job j's (n_sites, lengths[j]) Clifford ids from rngs[j] into
+    int8 slots of shape (B, n_sites, max length + 1).  Each sequence is
+    followed by the Clifford that inverts it; later slots hold the
+    identity."""
+    products, inverses = clifford_products(), clifford_inverses()
+    identity = clifford_index(np.eye(2))
+    slots = np.full((len(rngs), n_sites, max(lengths) + 1), identity, np.int8)
+    for j, (rng, m) in enumerate(zip(rngs, lengths)):
+        slots[j, :, :m] = rng.integers(0, 24, (n_sites, m))
+    running = np.full((len(rngs), n_sites), identity, np.int8)
+    for t in range(max(lengths)):
+        running = products[slots[:, :, t], running]
+    slots[np.arange(len(rngs)), :, lengths] = inverses[running]
+    return slots
+
+
+def _slot_unitaries(channel: NoiseChannel) -> np.ndarray:
+    """The 24 Clifford unitaries as ``channel`` plays them: every X
+    pulse over-rotated by (1 + over_rotation)."""
+    scale = 1.0 + channel.over_rotation
+    return np.array([
+        compose_gates([
+            (kind, angle * scale if kind == "x" else angle) for kind, angle in e.gates
+        ])
+        for e in clifford_table()
+    ])
+
+
+def _slot_depolarizing(channel: NoiseChannel) -> np.ndarray:
+    """Depolarizing probability of each of the 24 Clifford slots: the
+    channel applied once per Clifford, or once per physical pulse."""
+    if channel.granularity == "clifford":
+        pulses = np.ones(24)
+    else:
+        pulses = np.array([e.physical_gate_count for e in clifford_table()])
+    return 1.0 - (1.0 - channel.depolarizing) ** pulses
+
+
+def _zz_phase_factor(
+    phases: Mapping[tuple[int, int], float], n_sites: int
+) -> Optional[np.ndarray]:
+    """(d, d) elementwise factor of the slot ZZ evolution on a density
+    matrix, or None without ZZ.  Site 0 is the most significant bit."""
+    if not phases:
+        return None
+    bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+    diag = np.ones(2**n_sites, dtype=complex)
+    for (i, j), phi in phases.items():
+        diag[(bits[:, i] & bits[:, j]).astype(bool)] *= np.exp(-1j * phi)
+    return diag[:, None] * diag.conj()[None, :]
+
+
+def _engine_step(
+    rho: np.ndarray,
+    unitaries: np.ndarray,
+    zz_factor: Optional[np.ndarray],
+    depolarizing: np.ndarray,
+) -> np.ndarray:
+    """One Clifford slot on a (b, d, d) stack of n-site density matrices:
+    the per-site unitaries (b, n, 2, 2), the ZZ factor, then per-site
+    depolarizing with probabilities (b, n)."""
+    b, n = depolarizing.shape
+    u = unitaries[:, 0]
+    for k in range(1, n):
+        dim = 2 * u.shape[1]  # kron of the first k sites with site k
+        u = (u[:, :, None, :, None] * unitaries[:, k, None, :, None, :]).reshape(b, dim, dim)
+    rho = u @ rho @ u.conj().transpose(0, 2, 1)
+    if zz_factor is not None:
+        rho *= zz_factor
+    for k in range(n):
+        # rho -> (1 - q) rho + q (I/2 (x) tr_k rho), on the site-k index pair
+        left, right = 2**k, 2 ** (n - 1 - k)
+        view = rho.reshape(b, left, 2, right, left, 2, right)
+        q = depolarizing[:, k].reshape(b, 1, 1, 1, 1)
+        mixed = 0.5 * q * (view[:, :, 0, :, :, 0] + view[:, :, 1, :, :, 1])
+        view *= (1.0 - q)[..., None, None]
+        view[:, :, 0, :, :, 0] += mixed
+        view[:, :, 1, :, :, 1] += mixed
     return rho
+
+
+def _lockstep(
+    slots: np.ndarray,
+    lengths: np.ndarray,
+    unitaries: np.ndarray,
+    depolarizing: np.ndarray,
+    zz_factor: Optional[np.ndarray],
+) -> np.ndarray:
+    """Run closed Clifford sequences from the ground state and return
+    each site's ground-state population, shape (B, n_sites).
+
+    ``slots`` come from :func:`_closed_sequences`: job j plays
+    slots[j, :, 0..lengths[j]], and ``lengths`` must be ascending.
+    ``unitaries`` (n, 24, 2, 2) and ``depolarizing`` (n, 24) are the
+    per-site slot tables.
+    """
+    n_jobs, n_sites, _ = slots.shape
+    sites = np.arange(n_sites)
+    rho = np.zeros((n_jobs, 2**n_sites, 2**n_sites), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    starts = np.searchsorted(lengths, np.arange(lengths[-1] + 1))
+    for t, start in enumerate(starts):
+        ids = slots[start:, :, t]
+        rho[start:] = _engine_step(
+            rho[start:], unitaries[sites, ids], zz_factor, depolarizing[sites, ids]
+        )
+    populations = np.real(np.diagonal(rho, axis1=1, axis2=2))
+    populations = populations.reshape((n_jobs,) + (2,) * n_sites)
+    return np.stack([
+        np.take(populations, 0, axis=k + 1).reshape(n_jobs, -1).sum(axis=1)
+        for k in range(n_sites)
+    ], axis=1)
 
 
 # ------------------------------------------------------- two-qubit RB / CZ

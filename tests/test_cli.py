@@ -157,6 +157,41 @@ def test_rb_command_with_injected_epc(capsys):
     assert payload["outcomes"]["Q1"]["epc"] == pytest.approx(1e-3, rel=0.05)
 
 
+def _rb_config_error(args, capsys) -> str:
+    code, out, err = run_cli(["rb", "--seed", "1", *args], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    return error["message"]
+
+
+def test_rb_rejects_zero_sequences(capsys):
+    message = _rb_config_error(
+        ["--qubits", "Q1", "--sequences", "0", "--lengths", "2,4,8"], capsys
+    )
+    assert "n_sequences" in message
+
+
+def test_rb_rejects_negative_lengths(capsys):
+    message = _rb_config_error(["--qubits", "Q1", "--lengths=-5,2,10"], capsys)
+    assert "non-negative" in message
+
+
+def test_rb_rejects_duplicate_labels(capsys):
+    message = _rb_config_error(
+        ["--qubits", "Q1,Q1", "--simultaneous", "--lengths", "2,4,8"], capsys
+    )
+    assert "Q1" in message
+
+
+def test_rb_rejects_label_off_device_with_injected_epc(capsys):
+    message = _rb_config_error(
+        ["--qubits", "Q1,Q99", "--epc", "1e-3", "--lengths", "2,4,8"], capsys
+    )
+    assert "Q99" in message
+
+
 def test_tomography_command(capsys):
     code, out, _ = run_cli(
         ["tomography", "--state", "bell", "--seed", "4"], capsys

@@ -7,6 +7,8 @@ from transmon_lattice.cliffords import (
     TWO_QUBIT_GROUP_SIZE,
     canonical_key,
     clifford_index,
+    clifford_inverses,
+    clifford_products,
     clifford_table,
     compose_gates,
     inverse_index,
@@ -39,10 +41,13 @@ def test_decomposition_unitaries_match_elements():
 
 def test_group_closure():
     table = clifford_table()
+    products = clifford_products()
     for a in table:
         for b in table:
             idx = clifford_index(b.unitary @ a.unitary)
             assert 0 <= idx < 24
+            assert products[b.index, a.index] == idx
+        assert clifford_inverses()[a.index] == inverse_index(a.unitary)
 
 
 def test_physical_gate_accounting():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,14 @@ def test_rb_decay_exact_recovery():
     s = 0.5 * 0.9988**m + 0.5
     fit = fit_rb_decay(m, s)
     assert fit.params["p"] == pytest.approx(0.9988, abs=1e-4)
+
+
+def test_rb_decay_stalled_fit_serializes():
+    # all-NaN survivals stall the fit in its gradient-stop branch
+    m = np.array([2.0, 25.0, 50.0, 100.0])
+    fit = fit_rb_decay(m, np.full(len(m), np.nan))
+    assert fit.converged is False
+    assert json.loads(json.dumps(fit.to_dict()))["converged"] is False
 
 
 def test_rb_decay_two_qubit_asymptote_seed():
