@@ -61,6 +61,7 @@ from .rb import NoiseChannel, run_rb
 from .sizzle import (
     SizzleConfig,
     calibrate_cz,
+    default_widths,
     hamiltonian_tomography_pulsewidth,
     sweep_drive_landscape,
     sweep_relative_phase,
@@ -181,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=10.0)
     p.add_argument("--ratio", type=float, default=1.0)
     p.add_argument("--dphi", type=float, default=0.0)
-    p.add_argument("--widths", type=_grid, default="0:3:25")
+    p.add_argument("--widths", type=_grid, default=None,
+                   help="Stark widths (us); default 0:3:25 less widths too short for --rise")
+    p.add_argument("--rise", type=float, default=0.0,
+                   help="Blackman ramp of each Stark half-pulse (ns); 0 = rectangular")
     p.add_argument("--freqs", type=_grid, help="landscape frequency grid")
     p.add_argument("--amplitudes", type=_grid, help="landscape amplitude grid")
 
@@ -192,6 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=10.0)
     p.add_argument("--ratio", type=float, default=1.0)
     p.add_argument("--target-phase", type=float, default=math.pi)
+    p.add_argument("--rise", type=float, default=0.0,
+                   help="Blackman ramp of each Stark half-pulse (ns); 0 = rectangular")
     p.add_argument("--nu-tilde-khz", type=float, default=None,
                    help="skip measurement and calibrate from this rate")
 
@@ -341,7 +347,12 @@ def _sizzle_config(args, device) -> SizzleConfig:
         omega_target=args.amplitude,
         ratio=args.ratio,
         dphi=args.dphi,
+        rise=args.rise,
     )
+
+
+def _widths(args) -> np.ndarray:
+    return default_widths(args.rise) if args.widths is None else args.widths
 
 
 def _cmd_sizzle(args) -> dict:
@@ -350,7 +361,7 @@ def _cmd_sizzle(args) -> dict:
     if args.mode == "tomography":
         config = _sizzle_config(args, device)
         nu, record = hamiltonian_tomography_pulsewidth(
-            device, config, args.widths, seed=args.seed, levels=levels
+            device, config, _widths(args), seed=args.seed, levels=levels
         )
         payload = record_to_dict(record)
         payload["nu_tilde_khz"] = nu
@@ -359,7 +370,7 @@ def _cmd_sizzle(args) -> dict:
         config = _sizzle_config(args, device)
         dphis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
         record = sweep_relative_phase(
-            device, config, dphis, args.widths, seed=args.seed, levels=levels
+            device, config, dphis, _widths(args), seed=args.seed, levels=levels
         )
         from .sizzle import fit_phase_modulation
 
@@ -370,6 +381,8 @@ def _cmd_sizzle(args) -> dict:
         return payload
     if args.freqs is None or args.amplitudes is None:
         raise ValueError("landscape mode needs --freqs and --amplitudes")
+    if args.rise:
+        raise ValueError("landscape mode drives rectangular pulses; drop --rise")
     record = sweep_drive_landscape(
         device, args.pair, args.freqs, args.amplitudes, seed=args.seed, levels=levels
     )
@@ -379,7 +392,11 @@ def _cmd_sizzle(args) -> dict:
 def _cmd_calibrate_cz(args) -> dict:
     device = _device_from(args)
     config = SizzleConfig(
-        pair=args.pair, freq=args.freq, omega_target=args.amplitude, ratio=args.ratio
+        pair=args.pair,
+        freq=args.freq,
+        omega_target=args.amplitude,
+        ratio=args.ratio,
+        rise=args.rise,
     )
     calibration = calibrate_cz(
         device,
@@ -402,7 +419,7 @@ def _cmd_rb(args) -> dict:
         model,
         qubits,
         n_sequences=args.sequences,
-        lengths=[int(m) for m in args.lengths],
+        lengths=args.lengths,
         shots=args.shots,
         seed=args.seed,
         simultaneous=args.simultaneous,

@@ -215,14 +215,14 @@ class DeviceSpec:
         for q in self.qubits:
             if q.label == label:
                 return q
-        raise UnknownQubitError(label)
+        raise UnknownQubitError(label, self.labels())
 
     def position(self, label: str) -> tuple[int, int]:
         """(row, col) of a qubit in the grid."""
         for idx, q in enumerate(self.qubits):
             if q.label == label:
                 return divmod(idx, self.cols)
-        raise UnknownQubitError(label)
+        raise UnknownQubitError(label, self.labels())
 
     def grid_edges(self) -> set[Pair]:
         """All nearest-neighbor edges of the grid, as canonical pairs."""

@@ -249,7 +249,7 @@ def resolve_frame(
     if isinstance(frame, Mapping):
         missing = [s for s in sites if s not in frame]
         if missing:
-            raise UnknownQubitError(missing[0])
+            raise UnknownQubitError(missing[0], tuple(frame))
         return {s: float(frame[s]) for s in sites}
     return {s: float(frame) for s in sites}
 
@@ -319,33 +319,31 @@ def _split_by_frame(
     frequency.  The zero bucket, minus the frame term f.n on the
     diagonal, is the static part.
     """
-    dim = h_abs.shape[0]
     static = np.zeros_like(h_abs)
-    buckets: dict[float, np.ndarray] = {}
     rows, cols = np.nonzero(h_abs)
-    for r, c in zip(rows, cols):
-        nu = float(frame_freqs @ (labels[r] - labels[c]))
-        if abs(nu) < tol:
-            static[r, c] = h_abs[r, c]
-        elif nu > 0:
-            key = round(nu, 9)
-            if key not in buckets:
-                buckets[key] = np.zeros_like(h_abs)
-            buckets[key][r, c] = h_abs[r, c]
-        # nu < 0 entries are the Hermitian partners of the nu > 0 bucket
+    nus = (labels[rows] - labels[cols]) @ frame_freqs
+    in_static = np.abs(nus) < tol
+    static[rows[in_static], cols[in_static]] = h_abs[rows[in_static], cols[in_static]]
+    # nu < 0 entries are the Hermitian partners of the nu > 0 bucket
+    rotating = ~in_static & (nus > 0)
+    rows, cols = rows[rotating], cols[rotating]
+    distinct, which = np.unique(nus[rotating], return_inverse=True)
+    keys = np.array([round(float(nu), 9) for nu in distinct])[which]
     static -= np.diag(labels @ frame_freqs)
-    terms = [
+    terms = []
+    for key in sorted(set(keys.tolist())):
+        hit = keys == key
+        mat = np.zeros_like(h_abs)
+        mat[rows[hit], cols[hit]] = h_abs[rows[hit], cols[hit]]
         # element phase is exp(+2 pi i nu t); in the M exp(-i(...)) convention
         # that is nu_term = -nu with M holding the +nu bucket
-        _RotatingTerm(matrix=mat, nu=-nu, phase=0.0, tone=None)
-        for nu, mat in sorted(buckets.items())
-    ]
+        terms.append(_RotatingTerm(matrix=mat, nu=-key, phase=0.0, tone=None))
     return static, terms
 
 
 def _drive_matrix(tone: DriveTone, sites: Sequence[str], levels: int) -> np.ndarray:
     if tone.target not in sites:
-        raise UnknownQubitError(tone.target)
+        raise UnknownQubitError(tone.target, sites)
     site = list(sites).index(tone.target)
     a = _embed(destroy(levels), site, len(sites), levels)
     return a.conj().T  # raising operator
@@ -399,17 +397,14 @@ def _segment_edges(
     return np.array(sorted(edges))
 
 
-def _static_states(
-    h: np.ndarray, psi: np.ndarray, *time_sets: np.ndarray
-) -> list[np.ndarray]:
-    """exp(-2 pi i H t) psi for Hermitian H, one (len(times), dim) array
-    per array of times, all from a single diagonalization."""
+def _static_propagators(h: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i H t) for Hermitian H, or a stack of them with shape
+    (..., dim, dim), at every t: shape (..., len(times), dim, dim), from
+    one (stacked) diagonalization."""
     energies, basis = np.linalg.eigh(h)
-    coeffs = basis.conj().T @ psi
-    return [
-        (np.exp(-2j * np.pi * np.outer(times, energies)) * coeffs) @ basis.T
-        for times in time_sets
-    ]
+    phases = np.exp(-2j * np.pi * (times[:, None] * energies[..., None, :]))
+    basis = basis[..., None, :, :]
+    return (basis * phases[..., None, :]) @ np.swapaxes(basis.conj(), -1, -2)
 
 
 ENVELOPE_SLICES = 24  # piecewise-constant resolution for ramp segments
@@ -433,9 +428,11 @@ def _propagate_sliced(
     """Exact stepping through an envelope ramp approximated as
     piecewise-constant over fine slices (midpoint amplitude).
 
-    Returns (state at ``right``, states at the ``t_eval`` points, which
-    must lie within [left, right])."""
-    states_out = np.empty((len(t_eval), len(psi)), dtype=complex)
+    ``psi`` is a state vector or a matrix whose columns are states (the
+    identity gives the ramp's propagator).  Returns (``psi`` carried to
+    ``right``, its values at the ``t_eval`` points, which must lie
+    within [left, right])."""
+    states_out = np.empty((len(t_eval), *psi.shape), dtype=complex)
     at_left = np.abs(t_eval - left) <= 1e-15
     if at_left.any():
         states_out[at_left] = psi
@@ -445,10 +442,9 @@ def _propagate_sliced(
         for term in terms:
             term.add_to(h, 0.5 * (a + b))
         inside = (t_eval > a + 1e-15) & (t_eval <= b + 1e-15)
-        states, end = _static_states(h, psi, t_eval[inside] - a, np.array([b - a]))
-        if inside.any():
-            states_out[inside] = states
-        psi = end[0]
+        moved = _static_propagators(h, np.append(t_eval[inside] - a, b - a)) @ psi
+        states_out[inside] = moved[:-1]
+        psi = moved[-1]
     return psi, states_out
 
 
@@ -513,12 +509,9 @@ def _run_closed(static, terms, psi0, t_grid, rtol, atol) -> np.ndarray:
             h_seg = static.copy()
             for term in active:
                 term.add_to(h_seg, mid)
-            states, end = _static_states(
-                h_seg, psi, inside - left, np.array([right - left])
-            )
-            if inside.size:
-                out[sel] = states
-            psi = end[0]
+            moved = _static_propagators(h_seg, np.append(inside - left, right - left)) @ psi
+            out[sel] = moved[:-1]
+            psi = moved[-1]
         elif _envelope_only(active):
             psi, states = _propagate_sliced(static, active, psi, left, right, inside)
             if inside.size:

@@ -19,7 +19,22 @@ class SchemaError(ValueError):
 
 
 class UnknownQubitError(KeyError):
-    """A qubit label is not present in the device or subset."""
+    """A qubit label is not present in the device or subset.
+
+    ``known`` lists the labels that are present.  A plain ``KeyError``
+    prints only the quoted label; this one says what went wrong.
+    """
+
+    def __init__(self, label: str, known=()):
+        self.label = label
+        self.known = tuple(known)
+        super().__init__(label)
+
+    def __str__(self) -> str:
+        message = f"unknown qubit {self.label!r}"
+        if self.known:
+            message += f"; known qubits: {', '.join(self.known)}"
+        return message
 
 
 class DimensionError(ValueError):

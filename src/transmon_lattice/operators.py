@@ -56,7 +56,7 @@ class SubsetSelection:
         try:
             return self.qubits.index(label)
         except ValueError:
-            raise UnknownQubitError(label) from None
+            raise UnknownQubitError(label, self.qubits) from None
 
     def validate_against(self, device: DeviceSpec) -> None:
         for label in self.qubits:

@@ -212,6 +212,9 @@ def run_rb(
     between slot gates; otherwise qubits run individually.
     Deterministic for a fixed seed.
     """
+    fractional = [m for m in lengths if not float(m).is_integer()]
+    if fractional:
+        raise ValueError(f"lengths must be integers, got {fractional[0]}")
     lengths = tuple(int(m) for m in lengths)
     if not lengths or lengths[0] < 0:
         raise ValueError("lengths must be a non-empty list of non-negative integers")
@@ -219,6 +222,8 @@ def run_rb(
         raise ValueError("lengths must be strictly ascending")
     if n_sequences < 1:
         raise ValueError(f"n_sequences must be at least 1, got {n_sequences}")
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative (0 = exact), got {shots}")
     qubits = tuple(qubits)
     repeated = sorted({q for q in qubits if qubits.count(q) > 1})
     if repeated:

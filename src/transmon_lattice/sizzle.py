@@ -29,14 +29,19 @@ from .dynamics import (
     DriveTone,
     ExperimentRecord,
     NoiseSpec,
+    _drive_terms,
+    _propagate_sliced,
+    _split_by_frame,
+    _static_propagators,
     evolve,
     evolve_open,
+    resolve_frame,
     rotation_gate,
     site_coherence,
     site_populations,
 )
 from .errors import AliasingError, NearPoleError, UncalibratableError
-from .operators import SubsetSelection, assemble_hamiltonian
+from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 from .spectrum import zz_exact
 
 DRIVE_POLE_GUARD = 5.0  # MHz, validity guard on drive detunings
@@ -64,6 +69,8 @@ class SizzleConfig:
             raise ValueError("amplitude ratio must be positive")
         if self.omega_target < 0:
             raise ValueError("target amplitude must be non-negative")
+        if not self.rise >= 0:
+            raise ValueError(f"rise {self.rise} ns must be non-negative")
 
     @property
     def control(self) -> str:
@@ -240,49 +247,137 @@ def sizzle_zz_predicted_for(
 
 
 # ----------------------------------------------------- echoed Stark sequence
+#
+# The sequence is [Stark(width/2), pi x pi, Stark(width/2), pi x pi] with
+# ideal instantaneous pi pulses.  In the shared drive frame the exchange
+# coupling and the flat top of both tones are static, so a closed system
+# needs one diagonalization per drive configuration for every width.
 
-def _echoed_sequence_state(
+
+def _checked_widths(widths: Sequence[float], rise: float) -> np.ndarray:
+    widths = np.asarray(widths, dtype=float)
+    bad = widths[~np.isfinite(widths) | (widths < 0)]
+    if bad.size:
+        raise ValueError(f"width {bad[0]} us must be finite and non-negative")
+    min_width = 4.0 * rise * 1e-3
+    too_short = widths[(widths > 0) & (widths < min_width)]
+    if too_short.size:
+        raise ValueError(
+            f"width {too_short[0]:.4f} us cannot fit two ramped half-pulses "
+            f"with rise {rise} ns; use widths >= {min_width:.3f} us"
+        )
+    return widths
+
+
+def default_widths(rise: float) -> np.ndarray:
+    """The 25-point 0-3 us tomography grid, less the nonzero widths too
+    short for two half-pulses with ``rise`` ns ramps."""
+    grid = np.linspace(0.0, 3.0, 25)
+    return grid[(grid == 0.0) | (grid >= 4.0 * rise * 1e-3)]
+
+
+def _pi_pi(levels: int) -> np.ndarray:
+    pi = rotation_gate(math.pi, 0.0, levels)
+    return np.kron(pi, pi)
+
+
+def _echo_maps(
+    h0: LatticeOperator,
+    device: DeviceSpec,
+    configs: Sequence[SizzleConfig],
+    widths: Sequence[float],
+) -> np.ndarray:
+    """Echo unitaries E(w) = PiPi U(w/2) PiPi U(w/2), shape
+    (len(configs), len(widths), dim, dim).
+
+    The configs share the pair, drive frequency and rise of the first.
+    U(t) comes from one stacked diagonalization of the flat-top
+    Hamiltonians; a Blackman ramp adds U_down U_flat(t - 2 rise) U_up,
+    where the width-independent ramp propagators follow the sliced
+    midpoint rule of :func:`dynamics.evolve`.
+    """
+    rise_us = configs[0].rise * 1e-3
+    widths = _checked_widths(widths, configs[0].rise)
+    frames = resolve_frame(h0.sites, configs[0].freq, device)
+    labels = np.array(h0.basis_labels(), dtype=float)
+    # a common frame leaves the exchange terms static: nothing rotates
+    static, _ = _split_by_frame(
+        h0.matrix, labels, np.array([frames[s] for s in h0.sites])
+    )
+    # reference tones: ramps on [0, rise] and [3 rise, 4 rise], flat between
+    duration = 4.0 * rise_us if rise_us > 0 else 1.0
+    drives = [
+        _drive_terms(
+            _config_tones(device, config, duration), h0.sites, h0.levels, frames,
+            device, rwa=True,
+        )
+        for config in configs
+    ]
+    flat = np.array([static] * len(configs))
+    for h, terms in zip(flat, drives):
+        for term in terms:
+            term.add_to(h, 0.5 * duration)
+    halves = _static_propagators(flat, 0.5 * widths - 2.0 * rise_us)
+    if rise_us > 0:
+        eye = np.eye(h0.dim, dtype=complex)
+        for k, terms in enumerate(drives):
+            up, _ = _propagate_sliced(static, terms, eye, 0.0, rise_us, np.empty(0))
+            down, _ = _propagate_sliced(
+                static, terms, eye, duration - rise_us, duration, np.empty(0)
+            )
+            halves[k] = down @ halves[k] @ up
+    halves[:, widths == 0.0] = np.eye(h0.dim)
+    pi_pi = _pi_pi(h0.levels)
+    return pi_pi @ halves @ pi_pi @ halves
+
+
+def _echoed_density_matrix(
+    h0: LatticeOperator,
     device: DeviceSpec,
     config: SizzleConfig,
-    psi0: np.ndarray,
+    rho: np.ndarray,
     width: float,
-    levels: int,
-    noise: Optional[NoiseSpec] = None,
-):
-    """Run [Stark(width/2), pi x pi, Stark(width/2), pi x pi] from psi0.
-
-    The pi pulses are ideal and instantaneous; the Stark halves evolve
-    in the shared drive frame (static Hamiltonian for rectangular
-    envelopes).  Returns the final state vector (or density matrix when
-    Lindblad noise is active).
-    """
-    subset = SubsetSelection(config.pair, levels)
-    h0 = assemble_hamiltonian(device, subset)
-    pi_pi = np.kron(
-        rotation_gate(math.pi, 0.0, levels), rotation_gate(math.pi, 0.0, levels)
-    )
-    open_system = noise is not None and noise.has_lindblad(config.pair)
-    state = np.outer(psi0, psi0.conj()) if open_system else psi0.copy()
+    noise: NoiseSpec,
+) -> np.ndarray:
+    """The echoed sequence under Lindblad noise, one width at a time."""
+    pi_pi = _pi_pi(h0.levels)
     if width == 0.0:
-        state = pi_pi @ state @ pi_pi.conj().T if open_system else pi_pi @ state
-        state = pi_pi @ state @ pi_pi.conj().T if open_system else pi_pi @ state
-        return state
+        rho = pi_pi @ rho @ pi_pi.conj().T
+        return pi_pi @ rho @ pi_pi.conj().T
     half = width / 2.0
     tones = _config_tones(device, config, half)
-    grid = np.array([half])
     for _ in range(2):
-        if open_system:
-            state = evolve_open(
-                h0, tones, state, noise, grid, device=device, frame=config.freq
-            )[0]
-            state = pi_pi @ state @ pi_pi.conj().T
-        else:
-            state = evolve(h0, tones, state, grid, device=device, frame=config.freq)[0]
-            state = pi_pi @ state
-    return state
+        rho = evolve_open(
+            h0, tones, rho, noise, np.array([half]), device=device, frame=config.freq
+        )[0]
+        rho = pi_pi @ rho @ pi_pi.conj().T
+    return rho
 
 
-def _prepared_state(config: SizzleConfig, control_state: int, levels: int) -> np.ndarray:
+def _echoed_states(
+    h0: LatticeOperator,
+    device: DeviceSpec,
+    configs: Sequence[SizzleConfig],
+    widths: Sequence[float],
+    psis: Sequence[np.ndarray],
+    noise: Optional[NoiseSpec],
+):
+    """Final states indexed [config][width][initial state]: vectors for
+    a closed system, density matrices under Lindblad noise."""
+    if noise is not None and noise.has_lindblad(configs[0].pair):
+        rhos = [np.outer(psi, psi.conj()) for psi in psis]
+        return [
+            [
+                [_echoed_density_matrix(h0, device, c, rho, w, noise) for rho in rhos]
+                for w in widths
+            ]
+            for c in configs
+        ]
+    maps = _echo_maps(h0, device, configs, widths)
+    return np.swapaxes(maps @ np.stack(psis, axis=-1), -1, -2)
+
+
+def _prepared_state(control_state: int, levels: int) -> np.ndarray:
     ctrl = np.zeros(levels, dtype=complex)
     ctrl[control_state] = 1.0
     tgt = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
@@ -311,25 +406,17 @@ def hamiltonian_tomography_pulsewidth(
     the differential phase.
     """
     config.validate_against(device)
-    widths = np.asarray(widths, dtype=float)
     if len(widths) < 3:
         raise ValueError("need at least 3 widths")
-    min_width = 4.0 * config.rise * 1e-3
-    too_short = widths[(widths > 0) & (widths < min_width)]
-    if too_short.size:
-        raise ValueError(
-            f"width {too_short[0]:.4f} us cannot fit two ramped half-pulses "
-            f"with rise {config.rise} ns; use widths >= {min_width:.3f} us"
-        )
+    widths = _checked_widths(widths, config.rise)
+    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
+    psis = [_prepared_state(control_state, levels) for control_state in (0, 1)]
+    states = _echoed_states(h0, device, [config], widths, psis, noise)[0]
     phases = {0: np.empty(len(widths)), 1: np.empty(len(widths))}
     expect = {key: np.empty(len(widths)) for key in ("x0", "y0", "x1", "y1")}
     for control_state in (0, 1):
-        psi0 = _prepared_state(config, control_state, levels)
-        for i, width in enumerate(widths):
-            state = _echoed_sequence_state(
-                device, config, psi0, float(width), levels, noise
-            )
-            coh = site_coherence(state, 1, 2, levels)
+        for i in range(len(widths)):
+            coh = site_coherence(states[i][control_state], 1, 2, levels)
             phases[control_state][i] = math.atan2(coh.imag, coh.real)
             expect[f"x{control_state}"][i] = 2.0 * coh.real
             expect[f"y{control_state}"][i] = 2.0 * coh.imag
@@ -386,14 +473,13 @@ def sizzle_phase_table(
     and ``target_phase`` vanish for an ideal pulse while
     ``conditional_phase`` accumulates 2 pi nu_tilde width.
     """
+    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
+    echo = _echo_maps(h0, device, [config], [width])[0, 0]
     phases = {}
     leakage = 0.0
     for c in (0, 1):
         for t in (0, 1):
-            psi0 = np.zeros(levels**2, dtype=complex)
-            psi0[c * levels + t] = 1.0
-            state = _echoed_sequence_state(device, config, psi0, width, levels)
-            amp = state[c * levels + t]
+            amp = echo[c * levels + t, c * levels + t]
             leakage = max(leakage, 1.0 - abs(amp) ** 2)
             phases[(c, t)] = math.atan2(amp.imag, amp.real)
 
@@ -522,22 +608,25 @@ def sweep_drive_landscape(
     diff_phase = np.full(shape, np.nan)
     control_response = np.full(shape, np.nan)
     flagged = np.zeros(shape, dtype=bool)
+    h0 = assemble_hamiltonian(device, SubsetSelection(pair, levels))
+    psis = [_prepared_state(control_state, levels) for control_state in (0, 1)]
 
     for i, freq in enumerate(freqs):
         if landscape_flags(device, pair, float(freq), guard):
             flagged[i, :] = True
             continue
-        for k, amp in enumerate(amplitudes):
-            config = SizzleConfig(
-                pair=pair, freq=float(freq), omega_target=float(amp), ratio=ratio
-            )
+        if not len(amplitudes):
+            continue
+        configs = [
+            SizzleConfig(pair=pair, freq=float(freq), omega_target=float(amp), ratio=ratio)
+            for amp in amplitudes
+        ]
+        row = _echoed_states(h0, device, configs, [width], psis, noise)
+        for k in range(len(amplitudes)):
             phases = {}
             response = 0.0
             for control_state in (0, 1):
-                psi0 = _prepared_state(config, control_state, levels)
-                state = _echoed_sequence_state(
-                    device, config, psi0, width, levels, noise
-                )
+                state = row[k][0][control_state]
                 coh = site_coherence(state, 1, 2, levels)
                 phases[control_state] = math.atan2(coh.imag, coh.real)
                 pops = site_populations(state, 0, 2, levels)
@@ -645,9 +734,7 @@ def calibrate_cz(
     measured = nu_tilde_khz
     if measured is None:
         if widths is None:
-            grid = np.linspace(0.0, 3.0, 25)
-            min_width = 4.0 * config.rise * 1e-3
-            widths = grid[(grid == 0.0) | (grid >= min_width)]
+            widths = default_widths(config.rise)
         measured, _ = hamiltonian_tomography_pulsewidth(
             device, config, widths, noise=noise, seed=seed, levels=levels
         )
@@ -659,10 +746,8 @@ def calibrate_cz(
 
     counts = tuple(int(n) for n in verify_counts)
     signed_target = math.copysign(target_phase, measured)
-    phases = []
     if nu_tilde_khz is None:
-        for n in counts:
-            phases.append(_repeated_gate_phase(device, config, tau_g, n, levels, noise))
+        phases = _repeated_gate_phases(device, config, tau_g, counts, levels, noise)
     else:
         # externally supplied rate: verify against the implied ideal
         # conditional-phase generator
@@ -695,21 +780,34 @@ def calibrate_cz(
     )
 
 
-def _repeated_gate_phase(
+def _repeated_gate_phases(
     device: DeviceSpec,
     config: SizzleConfig,
     tau_g: float,
-    n_gates: int,
+    counts: Sequence[int],
     levels: int,
     noise: Optional[NoiseSpec],
-) -> float:
-    """Differential target phase after n_gates echoed Stark pulses."""
-    phases = {}
-    for control_state in (0, 1):
-        state = _prepared_state(config, control_state, levels)
-        for _ in range(n_gates):
-            state = _echoed_sequence_state(
-                device, config, state, tau_g, levels, noise
-            )
-        phases[control_state] = _target_phase(state, levels)
-    return math.remainder(phases[1] - phases[0], 2 * math.pi)
+) -> list[float]:
+    """Differential target phase after n echoed Stark pulses of width
+    tau_g, for every n in ``counts``."""
+    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
+    states = [_prepared_state(control_state, levels) for control_state in (0, 1)]
+    if noise is not None and noise.has_lindblad(config.pair):
+        states = [np.outer(psi, psi.conj()) for psi in states]
+
+        def gate(rho):
+            return _echoed_density_matrix(h0, device, config, rho, tau_g, noise)
+    else:
+        echo = _echo_maps(h0, device, [config], [tau_g])[0, 0]
+
+        def gate(psi):
+            return echo @ psi
+    phase_after = {}
+    for n in range(max(counts) + 1):
+        if n:
+            states = [gate(state) for state in states]
+        phase_after[n] = math.remainder(
+            _target_phase(states[1], levels) - _target_phase(states[0], levels),
+            2 * math.pi,
+        )
+    return [phase_after[n] for n in counts]

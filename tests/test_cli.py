@@ -189,7 +189,77 @@ def test_rb_rejects_label_off_device_with_injected_epc(capsys):
     message = _rb_config_error(
         ["--qubits", "Q1,Q99", "--epc", "1e-3", "--lengths", "2,4,8"], capsys
     )
-    assert "Q99" in message
+    assert message.startswith("unknown qubit 'Q99'; known qubits: Q1, Q2")
+
+
+def test_rb_rejects_negative_shots(capsys):
+    message = _rb_config_error(
+        ["--qubits", "Q1", "--epc", "1e-3", "--shots", "-5", "--lengths", "2,4,8"],
+        capsys,
+    )
+    assert "-5" in message
+
+
+def test_rb_rejects_fractional_lengths(capsys):
+    message = _rb_config_error(
+        ["--qubits", "Q1", "--epc", "1e-3", "--lengths", "2.7,10,20"], capsys
+    )
+    assert "2.7" in message
+
+
+def test_unknown_qubit_message_names_label_and_device(capsys):
+    code, out, err = run_cli(["zz", "--pair", "Q2,Q99"], capsys)
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("unknown qubit 'Q99'; known qubits: Q1, Q2")
+    assert "Q16" in message
+
+
+def test_sizzle_rejects_negative_widths(capsys):
+    code, out, err = run_cli(
+        [
+            "sizzle", "--mode", "tomography", "--pair", "Q2,Q7",
+            "--widths=-1:1:5", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert "-1.0" in error["message"]
+
+
+def test_sizzle_rise_drops_widths_too_short_for_the_ramps(capsys):
+    code, out, _ = run_cli(
+        [
+            "sizzle", "--mode", "tomography", "--pair", "Q2,Q7", "--rise", "50",
+            "--levels", "3", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["rise"] == 50.0
+    widths = payload["axes"][0]["values"]
+    assert widths[0] == 0.0 and min(widths[1:]) >= 0.2 and len(widths) == 24
+
+
+def test_calibrate_cz_readme_example_with_rise(capsys):
+    # the README example at the default --levels 4 misses the 1% gate with
+    # rectangular edges; a 50 ns Blackman ramp brings it inside
+    code, out, _ = run_cli(
+        [
+            "calibrate-cz", "--pair", "Q2,Q7", "--freq", "5028.5",
+            "--amplitude", "10", "--seed", "7", "--rise", "50",
+        ],
+        capsys,
+    )
+    assert code == 0
+    calibration = json.loads(out)["calibration"]
+    assert calibration["rise"] == 50.0
+    assert calibration["residual"] <= 0.01
 
 
 def test_tomography_command(capsys):

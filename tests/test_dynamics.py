@@ -386,3 +386,48 @@ def test_swap_chevron_damps_under_lindblad():
     late_clean = clean.data["p_partner"][0, 60:].max()
     late_noisy = noisy.data["p_partner"][0, 60:].max()
     assert late_noisy < late_clean
+
+
+def _split_by_frame_loop(h_abs, labels, frame_freqs, tol=1e-9):
+    """Element-by-element frame split: the specification of _split_by_frame."""
+    static = np.zeros_like(h_abs)
+    buckets = {}
+    rows, cols = np.nonzero(h_abs)
+    for r, c in zip(rows, cols):
+        nu = float(frame_freqs @ (labels[r] - labels[c]))
+        if abs(nu) < tol:
+            static[r, c] = h_abs[r, c]
+        elif nu > 0:
+            key = round(nu, 9)
+            buckets.setdefault(key, np.zeros_like(h_abs))[r, c] = h_abs[r, c]
+    static -= np.diag(labels @ frame_freqs)
+    return static, [(-nu, mat) for nu, mat in sorted(buckets.items())]
+
+
+@pytest.mark.parametrize(
+    "sites, levels, frame",
+    [
+        (("Q2", "Q3"), 3, "swap"),  # common frame at the Stark drive
+        (("Q2",), 2, "qubit"),  # Ramsey
+        (("Q2",), 3, "qubit"),
+        (("Q2", "Q7"), 4, 5028.5),  # sizzle drive frame
+        (("Q2", "Q7"), 4, "qubit"),  # rotating exchange term
+        (("Q2", "Q3", "Q6"), 3, "qubit"),  # several rotating buckets
+        (("Q2", "Q3"), 3, "lab"),
+    ],
+)
+def test_split_by_frame_matches_elementwise_loop(device, sites, levels, frame):
+    from transmon_lattice.dynamics import _split_by_frame, resolve_frame
+
+    h0 = assemble_hamiltonian(device, SubsetSelection(sites, levels))
+    if frame == "swap":
+        frame = device.qubit(sites[0]).omega - 60.0
+    frames = resolve_frame(h0.sites, frame, device)
+    labels = np.array(h0.basis_labels(), dtype=float)
+    freqs = np.array([frames[s] for s in h0.sites])
+    static, terms = _split_by_frame(h0.matrix, labels, freqs)
+    ref_static, ref_terms = _split_by_frame_loop(h0.matrix, labels, freqs)
+    assert np.array_equal(static, ref_static)
+    assert [t.nu for t in terms] == [nu for nu, _ in ref_terms]
+    for term, (_, mat) in zip(terms, ref_terms):
+        assert np.array_equal(term.matrix, mat)

@@ -3,9 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from transmon_lattice.dynamics import (
+    DriveTone,
+    NoiseSpec,
+    evolve,
+    rotation_gate,
+    site_coherence,
+)
 from transmon_lattice.errors import AliasingError, NearPoleError, UncalibratableError
+from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.sizzle import (
     SizzleConfig,
+    _echo_maps,
+    _prepared_state,
+    _repeated_gate_phases,
     calibrate_cz,
     cz_unitary,
     fit_phase_modulation,
@@ -219,3 +230,131 @@ def test_default_amplitude_ratio_near_unity(device):
     # the calibrated amplitude itself is near the two-level value
     amp = calibrate_x_pi_amplitude(device, "Q2", duration=0.05)
     assert amp == pytest.approx(10.0, rel=0.05)
+
+
+# ------------------------------------------- echo maps against evolve()
+
+
+def _reference_echo(device, config, psi, width, levels):
+    """[Stark(w/2), pi x pi, Stark(w/2), pi x pi] from two evolve() calls
+    per sequence, with the tones built here from the config."""
+    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
+    pi = rotation_gate(math.pi, 0.0, levels)
+    pi_pi = np.kron(pi, pi)
+    envelope = "blackman" if config.rise > 0 else "rectangular"
+    tones = [
+        DriveTone(
+            target=label,
+            amplitude=amplitude,
+            detuning=config.freq - device.qubit(label).omega,
+            phase=phase,
+            envelope=envelope,
+            rise=config.rise,
+            duration=width / 2.0,
+        )
+        for label, amplitude, phase in (
+            (config.control, config.omega_control, config.dphi),
+            (config.target, config.omega_target, 0.0),
+        )
+    ] if width > 0 else []
+    for _ in range(2):
+        if width > 0:
+            psi = evolve(
+                h0, tones, psi, [width / 2.0], device=device, frame=config.freq
+            )[0]
+        psi = pi_pi @ psi
+    return psi
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+@pytest.mark.parametrize("rise", [0.0, 50.0])
+def test_echo_maps_match_evolve_reference(device, levels, rise):
+    config = _config(amplitude=12.0, dphi=0.7, rise=rise)
+    widths = np.array([0.0, 0.2, 0.45, 1.3])  # 0.2 us leaves no flat top at 50 ns
+    h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
+    maps = _echo_maps(h0, device, [config], widths)
+    assert maps.shape == (1, len(widths), levels**2, levels**2)
+    rng = np.random.default_rng(5)
+    psis = rng.normal(size=(2, levels**2)) + 1j * rng.normal(size=(2, levels**2))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    for echo, width in zip(maps[0], widths):
+        for psi in psis:
+            reference = _reference_echo(device, config, psi, width, levels)
+            assert np.max(np.abs(echo @ psi - reference)) <= 1e-12
+
+
+def test_echo_maps_stack_configs(device):
+    configs = [_config(amplitude=amp, rise=0.0) for amp in (0.0, 4.0, 9.0)]
+    h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, 3))
+    stacked = _echo_maps(h0, device, configs, [0.5, 1.5])
+    for config, maps in zip(configs, stacked):
+        assert np.max(np.abs(maps - _echo_maps(h0, device, [config], [0.5, 1.5])[0])) <= 1e-13
+
+
+def test_echo_maps_reject_bad_widths(device):
+    h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, 3))
+    for widths in ([0.5, -0.1], [0.5, math.nan], [0.5, math.inf]):
+        with pytest.raises(ValueError, match="width"):
+            _echo_maps(h0, device, [_config(rise=0.0)], widths)
+    with pytest.raises(ValueError, match="ramped"):
+        _echo_maps(h0, device, [_config(rise=50.0)], [0.1])
+
+
+def test_repeated_gate_phases_match_sequential_echoes(device):
+    levels = 3
+    config = _config(amplitude=10.0, rise=50.0)
+    tau_g, counts = 0.6, (1, 2, 3, 5)
+    phases = _repeated_gate_phases(device, config, tau_g, counts, levels, None)
+    for n, phase in zip(counts, phases):
+        target_phases = []
+        for control_state in (0, 1):
+            psi = _prepared_state(control_state, levels)
+            for _ in range(n):
+                psi = _reference_echo(device, config, psi, tau_g, levels)
+            coh = site_coherence(psi, 1, 2, levels)
+            target_phases.append(math.atan2(coh.imag, coh.real))
+        expected = target_phases[1] - target_phases[0]
+        assert abs(math.remainder(phase - expected, 2 * math.pi)) <= 1e-12
+
+
+# rates recorded from the per-width evolve() implementation of the echo
+FROZEN_RATES_KHZ = {
+    (3, 0.0): 14.230792551882733,
+    (3, 50.0): 13.828383436572516,
+    (4, 0.0): 14.27738342042288,
+    (4, 50.0): 13.866482376509282,
+}
+
+
+@pytest.mark.parametrize("levels, rise", sorted(FROZEN_RATES_KHZ))
+def test_tomography_rates_frozen(device, levels, rise):
+    nu, _ = hamiltonian_tomography_pulsewidth(
+        device, _config(amplitude=10.0, rise=rise), np.linspace(0.45, 3.0, 18),
+        levels=levels,
+    )
+    assert nu == pytest.approx(FROZEN_RATES_KHZ[(levels, rise)], rel=1e-10)
+
+
+def test_lindblad_tomography_frozen(device):
+    # the open-system echo still runs evolve_open per width
+    nu, record = hamiltonian_tomography_pulsewidth(
+        device, _config(amplitude=10.0, rise=0.0), np.linspace(0.0, 1.5, 4),
+        noise=NoiseSpec.from_device(device), levels=3,
+    )
+    assert nu == pytest.approx(13.645238378495375, rel=1e-12)
+    # dephasing shrinks the target coherence below its closed-system value
+    assert np.hypot(record.data["x_control0"][-1], record.data["y_control0"][-1]) < 0.999
+
+
+def test_repeated_gate_phases_under_lindblad(device):
+    levels, tau_g = 3, 0.5
+    config = _config(amplitude=10.0, rise=0.0)
+    noise = NoiseSpec.from_device(device)
+    one, two = _repeated_gate_phases(device, config, tau_g, (1, 2), levels, noise)
+    _, record = hamiltonian_tomography_pulsewidth(
+        device, config, [tau_g, 1.0, 1.5], noise=noise, levels=levels
+    )
+    assert one == pytest.approx(
+        math.remainder(record.data["differential_phase"][0], 2 * math.pi), abs=1e-12
+    )
+    assert math.isfinite(two) and two != one
