@@ -424,10 +424,25 @@ def _cmd_rb(args) -> dict:
         seed=args.seed,
         simultaneous=args.simultaneous,
     )
+    if args.plot:
+        write_svg_plot(
+            args.plot,
+            outcomes[qubits[0]].lengths,
+            {q: outcome.survivals for q, outcome in outcomes.items()},
+            title="randomized benchmarking",
+            xlabel="sequence length (Cliffords)",
+            ylabel="mean survival",
+        )
     return {
         "command": "rb",
         "simultaneous": args.simultaneous,
         "outcomes": {q: outcome.to_dict() for q, outcome in outcomes.items()},
+        "table": (
+            "length",
+            "cliffords",
+            outcomes[qubits[0]].lengths,
+            {f"survival_{q}": outcome.survivals for q, outcome in outcomes.items()},
+        ),
     }
 
 
@@ -494,6 +509,17 @@ def _cmd_report(args) -> dict:
     return payload
 
 
+def _table(payload: dict) -> Optional[tuple]:
+    """(axis name, axis units, axis values, columns) of the CSV table of a
+    result: a record's first axis, or the ``table`` a handler gives a
+    result that is not a record; None when there is neither."""
+    if "axes" in payload:
+        axis = payload["axes"][0]
+        columns = {k: v for k, v in payload["data"].items() if np.ndim(v) == 1}
+        return axis["name"], axis["units"], axis["values"], columns
+    return payload.get("table")
+
+
 _HANDLERS = {
     "spectrum": _cmd_spectrum,
     "zz": _cmd_zz,
@@ -523,17 +549,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail("resource", str(exc), 4)
     except _CONFIG_ERRORS as exc:
         return _fail("config", str(exc), 2)
-    if getattr(args, "format", "structured") == "table" and "axes" in payload:
-        axis = payload["axes"][0]
-        columns = {
-            k: v for k, v in payload["data"].items() if np.ndim(v) == 1
-        }
-        if args.out:
-            write_table(args.out, axis["name"], axis["units"], axis["values"], columns)
-        else:
-            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    _emit(args, payload)
+    table = _table(payload) if args.format == "table" else None
+    payload.pop("table", None)
+    if table is not None and args.out:
+        write_table(args.out, *table)
+    else:
+        _emit(args, payload)
     return 0
 
 

@@ -95,15 +95,45 @@ def _xy_decompositions() -> list[list[GateSpec]]:
 
 
 @lru_cache(maxsize=1)
+def _decomposition_steps() -> tuple[tuple[GateSpec, ...], np.ndarray]:
+    """The distinct gates of the 24 decompositions, and the (24, depth)
+    indices of each decomposition's gates into them, padded at the end
+    with the idle gate (index 0)."""
+    decompositions = _xy_decompositions()
+    gates = tuple(dict.fromkeys([("i", 0.0)] + [g for d in decompositions for g in d]))
+    position = {g: i for i, g in enumerate(gates)}
+    depth = max(len(d) for d in decompositions)
+    steps = np.array([[position[g] for g in d] + [0] * (depth - len(d)) for d in decompositions])
+    return gates, steps
+
+
+@lru_cache(maxsize=8)
+def clifford_unitaries(x_scale: float) -> np.ndarray:
+    """Read-only (24, 2, 2) unitaries of the table's decompositions with
+    every X pulse's angle scaled by ``x_scale`` (1 + over-rotation),
+    built as one stacked product per gate position."""
+    gates, steps = _decomposition_steps()
+    played = np.array([
+        gate_unitary((kind, angle * x_scale if kind == "x" else angle)) for kind, angle in gates
+    ])[steps]
+    u = played[:, 0]
+    for k in range(1, steps.shape[1]):
+        u = played[:, k] @ u
+    u.flags.writeable = False
+    return u
+
+
+@lru_cache(maxsize=1)
 def clifford_table() -> tuple[CliffordElement, ...]:
     """The 24 single-qubit Cliffords with hardware decompositions."""
-    elements = []
-    for index, gates in enumerate(_xy_decompositions()):
-        elements.append(
-            CliffordElement(index, tuple(gates), compose_gates(gates))
-        )
-    keys = {canonical_key(e.unitary) for e in elements}
-    if len(keys) != 24:
+    unitaries = clifford_unitaries(1.0)
+    elements = [
+        CliffordElement(index, tuple(gates), unitaries[index])
+        for index, gates in enumerate(_xy_decompositions())
+    ]
+    # |tr(C_a^dagger C_b)| reaches 2 only when C_a = C_b up to phase
+    overlaps = np.abs(np.einsum("aji,bji->ab", unitaries.conj(), unitaries))
+    if np.count_nonzero(overlaps > 2.0 - 1e-6) != 24:
         raise AssertionError("single-qubit Clifford table is degenerate")
     return tuple(elements)
 
@@ -152,20 +182,55 @@ def inverse_index(u: np.ndarray) -> int:
 @lru_cache(maxsize=1)
 def clifford_products() -> np.ndarray:
     """Read-only 24x24 multiplication table: entry ``[a, b]`` is the
-    index of C_a C_b (C_b acts first)."""
+    index of C_a C_b (C_b acts first), the k maximizing
+    |tr(C_k^dagger C_a C_b)|."""
     mats = _clifford_stack()
-    table = np.array([[clifford_index(a @ b) for b in mats] for a in mats], dtype=np.int8)
+    products = (mats[:, None] @ mats[None, :]).reshape(24 * 24, 4)
+    traces = np.abs(products @ mats.reshape(24, 4).conj().T).reshape(24, 24, 24)
+    table = np.argmax(traces, axis=2).astype(np.int8)
+    if np.take_along_axis(traces, table[..., None], axis=2).min() < 2.0 - 1e-6:
+        raise AssertionError("single-qubit Clifford products leave the table")
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=1)
+def clifford_identity() -> int:
+    """Index of the identity Clifford."""
+    return clifford_index(np.eye(2))
+
+
+@lru_cache(maxsize=1)
 def clifford_inverses() -> np.ndarray:
     """Read-only table: entry ``[a]`` is the index of the inverse of C_a."""
-    identity = clifford_index(np.eye(2))
-    table = np.argmax(clifford_products() == identity, axis=0).astype(np.int8)
+    table = np.argmax(clifford_products() == clifford_identity(), axis=0).astype(np.int8)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=1)
+def _pair_products() -> np.ndarray:
+    """Flat 256x256 uint8 product table: entry [256 b + a] is the index
+    of C_b C_a, so two neighbouring uint8 ids (a first) read as one
+    little-endian uint16 index it."""
+    table = np.zeros((256, 256), np.uint8)
+    table[:24, :24] = clifford_products()
+    return table.reshape(-1)
+
+
+def sequence_inverses(ids: np.ndarray) -> np.ndarray:
+    """Index of the Clifford that inverts each sequence along the last
+    axis of ``ids`` (the first id acts first).  The sequences are padded
+    with the identity to a power-of-two length, and neighbouring pairs
+    are multiplied through the product table, halving them each round,
+    so a length-m sequence takes log2(m) table lookups."""
+    ids = np.asarray(ids)
+    width = 1 << max(ids.shape[-1] - 1, 0).bit_length()
+    x = np.full(ids.shape[:-1] + (width,), clifford_identity(), np.uint8)
+    x[..., : ids.shape[-1]] = ids
+    while x.shape[-1] > 1:
+        x = _pair_products().take(x.view("<u2"))
+    return clifford_inverses()[x[..., 0]]
 
 
 # ------------------------------------------------------------ two-qubit group

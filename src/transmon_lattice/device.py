@@ -217,13 +217,6 @@ class DeviceSpec:
                 return q
         raise UnknownQubitError(label, self.labels())
 
-    def position(self, label: str) -> tuple[int, int]:
-        """(row, col) of a qubit in the grid."""
-        for idx, q in enumerate(self.qubits):
-            if q.label == label:
-                return divmod(idx, self.cols)
-        raise UnknownQubitError(label, self.labels())
-
     def grid_edges(self) -> set[Pair]:
         """All nearest-neighbor edges of the grid, as canonical pairs."""
         edges: set[Pair] = set()
@@ -239,16 +232,6 @@ class DeviceSpec:
     def nn_pairs(self) -> tuple[Pair, ...]:
         """Coupled nearest-neighbor pairs, sorted for determinism."""
         return tuple(sorted(self.couplings.nn))
-
-    def neighbors(self, label: str) -> tuple[str, ...]:
-        self.qubit(label)
-        out = []
-        for a, b in self.couplings.nn:
-            if a == label:
-                out.append(b)
-            elif b == label:
-                out.append(a)
-        return tuple(sorted(out))
 
 
 def detuning(device: DeviceSpec, i: str, j: str) -> float:

@@ -176,11 +176,6 @@ class NoiseSpec:
         )
 
 
-def pure_dephasing_rate(t1: float, t2: float) -> float:
-    """1/Tphi from a total coherence time: 1/T2 - 1/(2 T1), clipped at 0."""
-    return max(1.0 / t2 - 0.5 / t1, 0.0)
-
-
 # ------------------------------------------------------------------- records
 
 @dataclass(frozen=True)
@@ -805,16 +800,6 @@ def rotation_gate(theta: float, axis_phase: float, levels: int) -> np.ndarray:
     u[0, 1] = -1j * s * np.exp(-1j * axis_phase)
     u[1, 0] = -1j * s * np.exp(1j * axis_phase)
     return u
-
-
-def apply_site_gate(
-    state: np.ndarray, gate: np.ndarray, site: int, n_sites: int, levels: int
-) -> np.ndarray:
-    """Apply a single-site gate to a state vector or density matrix."""
-    full = _embed(gate, site, n_sites, levels)
-    if state.ndim == 1:
-        return full @ state
-    return full @ state @ full.conj().T
 
 
 def site_populations(

@@ -34,9 +34,6 @@ class FitResult:
     iterations: int
     flags: tuple[str, ...] = ()
 
-    def param_array(self, names: Sequence[str]) -> np.ndarray:
-        return np.array([self.params[n] for n in names])
-
     def to_dict(self) -> dict:
         return {
             "model": self.model,

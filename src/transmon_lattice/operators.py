@@ -97,14 +97,6 @@ class LatticeOperator:
         """Max-norm of H - H^dagger; exactly 0.0 for the builders here."""
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
-    def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
-        if self.sites != other.sites or self.levels != other.levels:
-            raise ValueError("operators act on different spaces")
-        return LatticeOperator(self.matrix + other.matrix, self.sites, self.levels)
-
-    def scaled(self, factor: complex) -> "LatticeOperator":
-        return LatticeOperator(factor * self.matrix, self.sites, self.levels)
-
 
 def basis_occupations(n_sites: int, d: int) -> np.ndarray:
     """Occupation table: row b holds the occupation of every site in
@@ -178,19 +170,6 @@ def site_hamiltonian(params: TransmonParams, d: int) -> LatticeOperator:
     return LatticeOperator(
         np.diag(_site_energies(params, d)).astype(complex), (params.label,), d
     )
-
-
-def lowering_operator(label: str, subset: SubsetSelection) -> LatticeOperator:
-    """a_label embedded in the subset space."""
-    site = subset.index_of(label)
-    mat = _embed(destroy(subset.levels), site, len(subset.qubits), subset.levels)
-    return LatticeOperator(mat, subset.qubits, subset.levels)
-
-
-def number_operator(label: str, subset: SubsetSelection) -> LatticeOperator:
-    site = subset.index_of(label)
-    occ = basis_occupations(len(subset.qubits), subset.levels)[:, site]
-    return LatticeOperator(np.diag(occ.astype(complex)), subset.qubits, subset.levels)
 
 
 def total_excitation(subset: SubsetSelection) -> LatticeOperator:

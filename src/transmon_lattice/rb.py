@@ -1,10 +1,11 @@
 """Randomized benchmarking: individual, simultaneous, and two-qubit
 interleaved, with EPC/EPG extraction and the coherence-limited bound.
 
-The benchmarking simulator is gate-level: Cliffords act as unitaries on
-density matrices with injected noise channels (depolarizing, coherent
-over-rotation, always-on ZZ phases between neighbors).  Survival decays
-fit A p^m + B; EPC = (1 - p)(d - 1)/d.
+The benchmarking simulator is gate-level: Cliffords and the injected
+noise channels (depolarizing, coherent over-rotation, always-on ZZ
+phases between neighbors) act as Pauli transfer matrices on single- and
+simultaneous-RB states, and as unitaries on two-qubit density matrices
+in interleaved RB.  Survival decays fit A p^m + B; EPC = (1 - p)(d - 1)/d.
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ import numpy as np
 
 from .cliffords import (
     MEAN_GATES_PER_CLIFFORD,
-    clifford_index,
-    clifford_inverses,
-    clifford_products,
+    clifford_identity,
     clifford_table,
-    compose_gates,
+    clifford_unitaries,
+    sequence_inverses,
     two_qubit_clifford_matrices,
     two_qubit_inverse_index,
 )
@@ -268,9 +268,13 @@ def _zz_pairs_for(
 
 # ------------------------------------------------------- lockstep engine
 #
-# Every (sequence, length) job of a register is one density matrix in a
-# (B, d, d) stack.  Jobs are ordered by length, so the jobs still running
-# at slot t are a contiguous suffix of the stack.
+# Every (sequence, length) job of a register is one real Pauli vector
+# x[a_0, ..., a_{n-1}] = tr(rho P_a0 (x) ... (x) P_a(n-1)) over
+# P = (I, X, Y, Z), held flat in a (B, 4**n) stack, and every channel is
+# a real transfer matrix on it.  Jobs are ordered by length, so the jobs
+# still running at slot t are a contiguous suffix of the stack.
+
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _run_register(
@@ -293,9 +297,9 @@ def _run_register(
     ground = _lockstep(
         _closed_sequences(rngs, job_lengths, len(register)),
         job_lengths,
-        np.array([_slot_unitaries(channels[q]) for q in register]),
+        np.array([_slot_transfers(channels[q]) for q in register]),
         np.array([_slot_depolarizing(channels[q]) for q in register]),
-        _zz_phase_factor(_zz_pairs_for(channels, register), len(register)),
+        _zz_transfer(_zz_pairs_for(channels, register), len(register)),
     )
     per_sequence = {q: np.empty((n_sequences, len(lengths))) for q in register}
     for j, (rng, (s, li)) in enumerate(zip(rngs, jobs)):
@@ -311,28 +315,13 @@ def _closed_sequences(
     int8 slots of shape (B, n_sites, max length + 1).  Each sequence is
     followed by the Clifford that inverts it; later slots hold the
     identity."""
-    products, inverses = clifford_products(), clifford_inverses()
-    identity = clifford_index(np.eye(2))
-    slots = np.full((len(rngs), n_sites, max(lengths) + 1), identity, np.int8)
+    lengths = np.asarray(lengths)
+    slots = np.full((len(rngs), n_sites, max(lengths) + 1), clifford_identity(), np.int8)
     for j, (rng, m) in enumerate(zip(rngs, lengths)):
         slots[j, :, :m] = rng.integers(0, 24, (n_sites, m))
-    running = np.full((len(rngs), n_sites), identity, np.int8)
-    for t in range(max(lengths)):
-        running = products[slots[:, :, t], running]
-    slots[np.arange(len(rngs)), :, lengths] = inverses[running]
+    # slots past a sequence hold the identity, so every product runs to the max length
+    slots[np.arange(len(rngs)), :, lengths] = sequence_inverses(slots[:, :, :-1])
     return slots
-
-
-def _slot_unitaries(channel: NoiseChannel) -> np.ndarray:
-    """The 24 Clifford unitaries as ``channel`` plays them: every X
-    pulse over-rotated by (1 + over_rotation)."""
-    scale = 1.0 + channel.over_rotation
-    return np.array([
-        compose_gates([
-            (kind, angle * scale if kind == "x" else angle) for kind, angle in e.gates
-        ])
-        for e in clifford_table()
-    ])
 
 
 def _slot_depolarizing(channel: NoiseChannel) -> np.ndarray:
@@ -345,80 +334,91 @@ def _slot_depolarizing(channel: NoiseChannel) -> np.ndarray:
     return 1.0 - (1.0 - channel.depolarizing) ** pulses
 
 
-def _zz_phase_factor(
+def _slot_transfers(channel: NoiseChannel) -> np.ndarray:
+    """(25, 24, 4, 4) table of one site's slot transfer matrices: entry
+    [prev, cur] applies the depolarizing of Clifford ``prev`` (from the
+    slot before; prev = 24 on the first slot), then Clifford ``cur`` as
+    ``channel`` plays it, every X pulse over-rotated.  A slot's
+    depolarizing comes right after its ZZ, so it can ride with the next
+    slot's Clifford unchanged."""
+    u = clifford_unitaries(1.0 + channel.over_rotation)
+    # R[c, a, b] = tr(P_a U_c P_b U_c^dagger) / 2
+    rotations = 0.5 * np.einsum("aij,cjk,bkl,cil->cab", _PAULIS, u, _PAULIS, u.conj()).real
+    keep = np.ones((25, 4))
+    keep[:24, 1:] = (1.0 - _slot_depolarizing(channel))[:, None]
+    return rotations[None] * keep[:, None, None, :]
+
+
+def _zz_transfer(
     phases: Mapping[tuple[int, int], float], n_sites: int
 ) -> Optional[np.ndarray]:
-    """(d, d) elementwise factor of the slot ZZ evolution on a density
-    matrix, or None without ZZ.  Site 0 is the most significant bit."""
+    """Transposed (4**n, 4**n) transfer matrix of the slot ZZ evolution
+    V on n-site Pauli vectors (site 0 is the most significant bit and
+    Pauli digit), or None without ZZ: entry [b, a] is
+    tr(P_a V P_b V^dagger) / 2**n.  Built with einsum, which calls no
+    BLAS (a threaded GEMM here would wake a second thread)."""
     if not phases:
         return None
-    bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-    diag = np.ones(2**n_sites, dtype=complex)
-    for (i, j), phi in phases.items():
-        diag[(bits[:, i] & bits[:, j]).astype(bool)] *= np.exp(-1j * phi)
-    return diag[:, None] * diag.conj()[None, :]
+    dim = 2**n_sites
+    bits = (np.arange(dim)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+    v = np.exp(-1j * sum(phi * bits[:, i] * bits[:, j] for (i, j), phi in phases.items()))
+    strings = np.ones((1, 1, 1))
+    for _ in range(n_sites):
+        strings = np.einsum("aij,bkl->abikjl", strings, _PAULIS).reshape(
+            4 * len(strings), 2 * len(strings[0]), -1
+        )
+    conjugated = v[:, None] * strings * v.conj()  # V P_b V^dagger
+    return np.einsum("bij,aji->ba", conjugated, strings).real / dim
 
 
-def _engine_step(
-    rho: np.ndarray,
-    unitaries: np.ndarray,
-    zz_factor: Optional[np.ndarray],
-    depolarizing: np.ndarray,
+def _slot_step(
+    x: np.ndarray, transfers: np.ndarray, zz: Optional[np.ndarray]
 ) -> np.ndarray:
-    """One Clifford slot on a (b, d, d) stack of n-site density matrices:
-    the per-site unitaries (b, n, 2, 2), the ZZ factor, then per-site
-    depolarizing with probabilities (b, n)."""
-    b, n = depolarizing.shape
-    u = unitaries[:, 0]
-    for k in range(1, n):
-        dim = 2 * u.shape[1]  # kron of the first k sites with site k
-        u = (u[:, :, None, :, None] * unitaries[:, k, None, :, None, :]).reshape(b, dim, dim)
-    rho = u @ rho @ u.conj().transpose(0, 2, 1)
-    if zz_factor is not None:
-        rho *= zz_factor
+    """One Clifford slot on a (b, 4**n) stack of Pauli vectors: site k's
+    (b, 4, 4) transfer matrices ``transfers[:, k]``, then the transposed
+    ZZ transfer matrix from :func:`_zz_transfer`."""
+    b, n = transfers.shape[:2]
     for k in range(n):
-        # rho -> (1 - q) rho + q (I/2 (x) tr_k rho), on the site-k index pair
-        left, right = 2**k, 2 ** (n - 1 - k)
-        view = rho.reshape(b, left, 2, right, left, 2, right)
-        q = depolarizing[:, k].reshape(b, 1, 1, 1, 1)
-        mixed = 0.5 * q * (view[:, :, 0, :, :, 0] + view[:, :, 1, :, :, 1])
-        view *= (1.0 - q)[..., None, None]
-        view[:, :, 0, :, :, 0] += mixed
-        view[:, :, 1, :, :, 1] += mixed
-    return rho
+        # site k is the leading digit; the product moves it to the end,
+        # so after all n sites the digits are back in order
+        x = x.reshape(b, 4, -1).transpose(0, 2, 1) @ transfers[:, k].transpose(0, 2, 1)
+    x = x.reshape(b, -1)
+    return x if zz is None else x @ zz
 
 
 def _lockstep(
     slots: np.ndarray,
     lengths: np.ndarray,
-    unitaries: np.ndarray,
+    transfers: np.ndarray,
     depolarizing: np.ndarray,
-    zz_factor: Optional[np.ndarray],
+    zz: Optional[np.ndarray],
 ) -> np.ndarray:
     """Run closed Clifford sequences from the ground state and return
     each site's ground-state population, shape (B, n_sites).
 
     ``slots`` come from :func:`_closed_sequences`: job j plays
     slots[j, :, 0..lengths[j]], and ``lengths`` must be ascending.
-    ``unitaries`` (n, 24, 2, 2) and ``depolarizing`` (n, 24) are the
-    per-site slot tables.
+    ``transfers`` (n, 25, 24, 4, 4) from :func:`_slot_transfers` and
+    ``depolarizing`` (n, 24) are the per-site slot tables, and ``zz``
+    comes from :func:`_zz_transfer`.  Each slot plays the Cliffords,
+    then ZZ, then depolarizing; the last slot's depolarizing is applied
+    at readout, where it scales <Z_k>.
     """
     n_jobs, n_sites, _ = slots.shape
     sites = np.arange(n_sites)
-    rho = np.zeros((n_jobs, 2**n_sites, 2**n_sites), dtype=complex)
-    rho[:, 0, 0] = 1.0
+    ground = np.zeros((4,) * n_sites)
+    ground[np.ix_(*[(0, 3)] * n_sites)] = 1.0  # |0><0| = (I + Z) / 2 on every site
+    x = np.tile(ground.reshape(-1), (n_jobs, 1))
+    previous = np.full((n_jobs, n_sites), 24, np.int8)
     starts = np.searchsorted(lengths, np.arange(lengths[-1] + 1))
     for t, start in enumerate(starts):
-        ids = slots[start:, :, t]
-        rho[start:] = _engine_step(
-            rho[start:], unitaries[sites, ids], zz_factor, depolarizing[sites, ids]
+        x[start:] = _slot_step(
+            x[start:], transfers[sites, previous[start:], slots[start:, :, t]], zz
         )
-    populations = np.real(np.diagonal(rho, axis1=1, axis2=2))
-    populations = populations.reshape((n_jobs,) + (2,) * n_sites)
-    return np.stack([
-        np.take(populations, 0, axis=k + 1).reshape(n_jobs, -1).sum(axis=1)
-        for k in range(n_sites)
-    ], axis=1)
+        previous = slots[:, :, t]
+    z = x[:, 3 * 4 ** sites[::-1]]
+    last = slots[np.arange(n_jobs), :, lengths]
+    return 0.5 * (1.0 + (1.0 - depolarizing[sites, last]) * z)
 
 
 # ------------------------------------------------------- two-qubit RB / CZ

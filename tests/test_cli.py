@@ -157,6 +157,43 @@ def test_rb_command_with_injected_epc(capsys):
     assert payload["outcomes"]["Q1"]["epc"] == pytest.approx(1e-3, rel=0.05)
 
 
+def test_rb_emits_plot(tmp_path, capsys):
+    code, out, _ = run_cli(
+        [
+            "rb", "--qubits", "Q1,Q2", "--epc", "1e-3", "--seed", "7",
+            "--sequences", "2", "--lengths", "2,10,50",
+            "--plot", str(tmp_path / "rb.svg"),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["command"] == "rb"
+    svg = (tmp_path / "rb.svg").read_text()
+    assert svg.startswith("<svg")
+    assert svg.count("<polyline") == 2
+    assert ">Q1</text>" in svg and ">Q2</text>" in svg
+
+
+def test_rb_table_format_output(tmp_path, capsys):
+    args = [
+        "rb", "--qubits", "Q1,Q2", "--epc", "1e-3", "--seed", "7",
+        "--sequences", "2", "--lengths", "2,10,50",
+    ]
+    code, out, _ = run_cli(
+        args + ["--format", "table", "--out", str(tmp_path / "rb.csv")], capsys
+    )
+    assert code == 0
+    assert out == ""
+    lines = (tmp_path / "rb.csv").read_text().strip().splitlines()
+    assert lines[0] == "length[cliffords],survival_Q1,survival_Q2"
+    _, structured, _ = run_cli(args, capsys)
+    outcomes = json.loads(structured)["outcomes"]
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [2.0, 10.0, 50.0]
+    for column, q in ((1, "Q1"), (2, "Q2")):
+        assert [row[column] for row in rows] == outcomes[q]["survivals"]
+
+
 def _rb_config_error(args, capsys) -> str:
     code, out, err = run_cli(["rb", "--seed", "1", *args], capsys)
     assert code == 2
@@ -345,3 +382,35 @@ def test_cli_import_loads_no_scipy():
         timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _readme_commands() -> list[str]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [line.strip() for line in block.splitlines() if line.startswith("tlattice ")]
+
+
+def test_readme_commands_run_as_documented(tmp_path):
+    # every README command, verbatim, as a real process; the README says
+    # that its calibrate-cz example exits 3 (physics)
+    commands = _readme_commands()
+    assert len(commands) == 11
+    t = np.linspace(0.0, 300.0, 41)
+    (tmp_path / "trace.csv").write_text(
+        "delay_us,p_excited\n"
+        + "".join(f"{a},{0.05 + 0.9 * np.exp(-a / 71.0)}\n" for a in t)
+    )
+    src = str(Path(transmon_lattice.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    for line in commands:
+        result = subprocess.run(
+            [sys.executable, "-m", "transmon_lattice.cli", *line.split()[1:]],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        if line.startswith("tlattice calibrate-cz"):
+            assert result.returncode == 3, line
+            assert json.loads(result.stderr)["error"]["category"] == "physics"
+        else:
+            assert result.returncode == 0, (line, result.stderr)
+            assert isinstance(json.loads(result.stdout), dict), line
