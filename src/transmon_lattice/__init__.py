@@ -3,28 +3,40 @@ fixed-frequency transmon qubits.
 
 Subpackages by role: ``device`` (parameters and circuit relations),
 ``operators`` (subset Hamiltonians), ``spectrum`` (dressed spectra and
-ZZ), ``dynamics`` (driven evolution and measurement protocols),
+ZZ), ``dynamics`` (driven evolution), ``protocols`` (T1, Ramsey, echo,
+swap and AC-Stark measurements), ``records`` (result records),
 ``sizzle`` (Stark-boosted ZZ and CZ calibration), ``cliffords``/``rb``
 (randomized benchmarking), ``tomography`` (state reconstruction),
 ``fitting`` (least-squares models), ``fileio``/``cli`` (formats and the
 command line).
+
+The names below load their module on first access (PEP 562), so
+importing the package alone loads no submodule.
 """
 
 __version__ = "0.1.0"
 
-from .device import (
-    CouplingGraph,
-    DeviceSpec,
-    ResonatorParams,
-    TransmonParams,
-    detuning,
-    ej_from_omega,
-    j_from_circuit,
-    omega_from_ej_ec,
-    straddling_check,
-)
-from .dynamics import DriveTone, ExperimentRecord, NoiseSpec
-from .fitting import FitResult
-from .fileio import load_bundled_device, load_device, save_device, stats
-from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
-from .spectrum import ZZReport, j_from_zz, zz_exact, zz_perturbative
+_EXPORTS = {
+    "device": (
+        "CouplingGraph", "DeviceSpec", "ResonatorParams", "TransmonParams", "detuning",
+        "ej_from_omega", "j_from_circuit", "omega_from_ej_ec", "straddling_check",
+    ),
+    "dynamics": ("DriveTone", "NoiseSpec"),
+    "records": ("ExperimentRecord",),
+    "fitting": ("FitResult",),
+    "fileio": ("load_bundled_device", "load_device", "save_device", "stats"),
+    "operators": ("LatticeOperator", "SubsetSelection", "assemble_hamiltonian"),
+    "spectrum": ("ZZReport", "j_from_zz", "zz_exact", "zz_perturbative"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -3,8 +3,11 @@
 Every stochastic subcommand requires --seed; results are written as
 self-describing JSON records (config + seed + schema version embedded)
 so that re-running the embedded config reproduces the payload exactly.
-Optional --plot emits an SVG next to the result.  Exit codes: 0 on
-success, otherwise a machine-readable error category is printed to
+Each handler imports the modules it runs, so a command loads only those.
+--plot writes an SVG for dynamics, sweep --kind acstark and rb, and
+--format table writes the CSV table of a sweep or an RB run; either
+option on a command without that output is a config error.  Exit codes:
+0 on success, otherwise a machine-readable error category is printed to
 stderr as JSON ("config" = 2, "physics" = 3, "resource" = 4).
 """
 from __future__ import annotations
@@ -20,16 +23,6 @@ import numpy as np
 
 from . import __version__
 from .device import DeviceSpec, straddling_check
-from .dynamics import (
-    NoiseSpec,
-    protocol_acstark_ramsey,
-    protocol_echo,
-    protocol_ramsey,
-    protocol_swap,
-    protocol_t1,
-    extract_anticrossing,
-    swap_resonance,
-)
 from .errors import (
     AliasingError,
     ContractViolation,
@@ -54,27 +47,6 @@ from .fileio import (
     summary_discrepancies,
     write_svg_plot,
     write_table,
-)
-from .fitting import FIT_FUNCTIONS
-from .operators import SubsetSelection, assemble_hamiltonian
-from .rb import NoiseChannel, run_rb
-from .sizzle import (
-    SizzleConfig,
-    calibrate_cz,
-    default_widths,
-    hamiltonian_tomography_pulsewidth,
-    sweep_drive_landscape,
-    sweep_relative_phase,
-)
-from .spectrum import diagonalize, zz_report
-from .tomography import (
-    BELL_TARGET,
-    bell_state,
-    bell_state_noisy,
-    fidelity,
-    ghz_state,
-    ghz_state_noisy,
-    state_tomography,
 )
 
 _CONFIG_ERRORS = (SchemaError, UnknownQubitError, ValueError, KeyError, OSError)
@@ -127,6 +99,11 @@ def _grid(spec: str) -> np.ndarray:
         start, stop, count = spec.split(":")
         return np.linspace(float(start), float(stop), int(count))
     return np.array(_float_list(spec))
+
+
+# sorted(fitting.FIT_FUNCTIONS), spelled out so that the parser does not
+# import the fitting module
+_FIT_MODELS = ("anticrossing", "damped_cos", "exp_decay", "rb_decay")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a CSV table (axis,value columns)")
     common(p)
-    p.add_argument("--model", choices=sorted(FIT_FUNCTIONS), required=True)
+    p.add_argument("--model", choices=_FIT_MODELS, required=True)
     p.add_argument("--input", required=True)
 
     p = sub.add_parser("stats", help="column statistics of a device file")
@@ -234,6 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_spectrum(args) -> dict:
+    from .operators import SubsetSelection, assemble_hamiltonian
+    from .spectrum import diagonalize
+
     device = _device_from(args)
     labels = tuple(x.strip() for x in args.qubits.split(","))
     subset = SubsetSelection(labels, args.levels)
@@ -248,6 +228,8 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_zz(args) -> dict:
+    from .spectrum import zz_report
+
     device = _device_from(args)
     report = zz_report(device, args.pair, levels=args.levels)
     return {
@@ -261,6 +243,9 @@ def _cmd_zz(args) -> dict:
 
 
 def _cmd_dynamics(args) -> dict:
+    from .fitting import FIT_FUNCTIONS
+    from .protocols import protocol_echo, protocol_ramsey, protocol_t1
+
     device = _device_from(args)
     kwargs = dict(shots=args.shots, seed=args.seed, levels=max(2, min(args.levels, 3)))
     if args.protocol == "t1":
@@ -289,6 +274,11 @@ def _cmd_dynamics(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
+    from .dynamics import NoiseSpec
+    from .protocols import (
+        extract_anticrossing, protocol_acstark_ramsey, protocol_swap, swap_resonance,
+    )
+
     device = _device_from(args)
     if args.kind == "swap":
         record = protocol_swap(
@@ -336,44 +326,39 @@ def _cmd_sweep(args) -> dict:
     return payload
 
 
-def _sizzle_config(args, device) -> SizzleConfig:
-    freq = args.freq
-    if freq is None:
-        top = max(device.qubit(q).omega for q in args.pair)
-        freq = top + 100.0
-    return SizzleConfig(
-        pair=args.pair,
-        freq=freq,
-        omega_target=args.amplitude,
-        ratio=args.ratio,
-        dphi=args.dphi,
-        rise=args.rise,
+def _cmd_sizzle(args) -> dict:
+    from .sizzle import (
+        SizzleConfig, default_widths, fit_phase_modulation, hamiltonian_tomography_pulsewidth,
+        sweep_drive_landscape, sweep_relative_phase,
     )
 
-
-def _widths(args) -> np.ndarray:
-    return default_widths(args.rise) if args.widths is None else args.widths
-
-
-def _cmd_sizzle(args) -> dict:
     device = _device_from(args)
     levels = min(args.levels, 4)
+    if args.mode in ("tomography", "phase"):
+        freq = args.freq
+        if freq is None:
+            freq = max(device.qubit(q).omega for q in args.pair) + 100.0
+        config = SizzleConfig(
+            pair=args.pair,
+            freq=freq,
+            omega_target=args.amplitude,
+            ratio=args.ratio,
+            dphi=args.dphi,
+            rise=args.rise,
+        )
+        widths = default_widths(args.rise) if args.widths is None else args.widths
     if args.mode == "tomography":
-        config = _sizzle_config(args, device)
         nu, record = hamiltonian_tomography_pulsewidth(
-            device, config, _widths(args), seed=args.seed, levels=levels
+            device, config, widths, seed=args.seed, levels=levels
         )
         payload = record_to_dict(record)
         payload["nu_tilde_khz"] = nu
         return payload
     if args.mode == "phase":
-        config = _sizzle_config(args, device)
         dphis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
         record = sweep_relative_phase(
-            device, config, dphis, _widths(args), seed=args.seed, levels=levels
+            device, config, dphis, widths, seed=args.seed, levels=levels
         )
-        from .sizzle import fit_phase_modulation
-
         payload = record_to_dict(record)
         payload["modulation"] = fit_phase_modulation(
             np.asarray(record.axis("dphi")), record.data["nu_tilde_khz"]
@@ -390,6 +375,8 @@ def _cmd_sizzle(args) -> dict:
 
 
 def _cmd_calibrate_cz(args) -> dict:
+    from .sizzle import SizzleConfig, calibrate_cz
+
     device = _device_from(args)
     config = SizzleConfig(
         pair=args.pair,
@@ -410,6 +397,8 @@ def _cmd_calibrate_cz(args) -> dict:
 
 
 def _cmd_rb(args) -> dict:
+    from .rb import NoiseChannel, run_rb
+
     device = _device_from(args)
     qubits = tuple(x.strip() for x in args.qubits.split(","))
     for label in qubits:  # on the device even when --epc replaces its noise model
@@ -447,6 +436,11 @@ def _cmd_rb(args) -> dict:
 
 
 def _cmd_tomography(args) -> dict:
+    from .tomography import (
+        BELL_TARGET, bell_state, bell_state_noisy, fidelity, ghz_state, ghz_state_noisy,
+        state_tomography,
+    )
+
     if args.state == "bell":
         target = BELL_TARGET
         n = 2
@@ -477,6 +471,8 @@ def _cmd_tomography(args) -> dict:
 
 
 def _cmd_fit(args) -> dict:
+    from .fitting import FIT_FUNCTIONS
+
     rows = Path(args.input).read_text().strip().splitlines()
     data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
     fit = FIT_FUNCTIONS[args.model](data[:, 0], data[:, 1])
@@ -541,6 +537,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = f"sweep --kind {args.kind}" if args.command == "sweep" else args.command
+    if args.plot and command not in ("dynamics", "sweep --kind acstark", "rb"):
+        return _fail(
+            "config",
+            f"{command} writes no plot; --plot works with dynamics, sweep --kind acstark and rb",
+            2,
+        )
     try:
         payload = _HANDLERS[args.command](args)
     except _PHYSICS_ERRORS as exc:
@@ -551,6 +554,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail("config", str(exc), 2)
     table = _table(payload) if args.format == "table" else None
     payload.pop("table", None)
+    if args.format == "table" and table is None:
+        return _fail("config", f"{args.command} has no table; drop --format table", 2)
     if table is not None and args.out:
         write_table(args.out, *table)
     else:

@@ -260,6 +260,13 @@ def _seq_unitary(seq) -> np.ndarray:
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
+def cz_unitary(target_phase: float = math.pi) -> np.ndarray:
+    """Ideal conditional-phase unitary on two 2-level qubits."""
+    u = np.eye(4, dtype=complex)
+    u[3, 3] = np.exp(1j * target_phase)
+    return u
+
+
 def _kron2(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     return np.kron(u0, u1)
 

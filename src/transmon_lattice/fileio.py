@@ -24,8 +24,8 @@ from .device import (
     TransmonParams,
     pair_key,
 )
-from .dynamics import AxisSpec, ExperimentRecord
 from .errors import SchemaError
+from .records import AxisSpec, ExperimentRecord
 
 SCHEMA_VERSION = 1
 BUNDLED_DEVICE = "device_4x4.json"

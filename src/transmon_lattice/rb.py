@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .cliffords import (
     clifford_identity,
     clifford_table,
     clifford_unitaries,
+    cz_unitary,
     sequence_inverses,
     two_qubit_clifford_matrices,
     two_qubit_inverse_index,
@@ -27,8 +28,10 @@ from .cliffords import (
 from .device import DeviceSpec, pair_key
 from .errors import ContractViolation
 from .fitting import FitResult, fit_rb_decay
-from .sizzle import CzCalibration, cz_unitary
 from .spectrum import zz_perturbative
+
+if TYPE_CHECKING:
+    from .sizzle import CzCalibration
 
 DEFAULT_LENGTHS = (2, 25, 50, 100, 250, 500, 750, 1000)
 DEFAULT_LENGTHS_2Q = (2, 4, 8, 16, 32, 64)
@@ -451,7 +454,7 @@ def run_interleaved_rb_cz(
     """
     phase = (
         calibration_or_phase.conditional_phase()
-        if isinstance(calibration_or_phase, CzCalibration)
+        if hasattr(calibration_or_phase, "conditional_phase")
         else float(calibration_or_phase)
     )
     gate = cz_unitary(phase)

@@ -25,9 +25,7 @@ import numpy as np
 
 from .device import DeviceSpec
 from .dynamics import (
-    AxisSpec,
     DriveTone,
-    ExperimentRecord,
     NoiseSpec,
     _drive_terms,
     _propagate_sliced,
@@ -42,6 +40,7 @@ from .dynamics import (
 )
 from .errors import AliasingError, NearPoleError, UncalibratableError
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
+from .records import AxisSpec, ExperimentRecord
 from .spectrum import zz_exact
 
 DRIVE_POLE_GUARD = 5.0  # MHz, validity guard on drive detunings
@@ -702,13 +701,6 @@ def gate_duration(target_phase: float, nu_tilde_khz: float) -> float:
     if nu_tilde_khz == 0:
         raise UncalibratableError("zero interaction rate")
     return target_phase / (2.0 * math.pi * abs(nu_tilde_khz) * 1e-3)
-
-
-def cz_unitary(target_phase: float = math.pi) -> np.ndarray:
-    """Ideal conditional-phase unitary on two 2-level qubits."""
-    u = np.eye(4, dtype=complex)
-    u[3, 3] = np.exp(1j * target_phase)
-    return u
 
 
 def calibrate_cz(

@@ -8,14 +8,7 @@ import pytest
 
 from transmon_lattice.cliffords import MEAN_GATES_PER_CLIFFORD
 from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
-from transmon_lattice.dynamics import (
-    NoiseSpec,
-    extract_anticrossing,
-    protocol_acstark_ramsey,
-    protocol_swap,
-    stark_amplitude_for_shift,
-    swap_resonance,
-)
+from transmon_lattice.dynamics import NoiseSpec
 from transmon_lattice.fileio import load_bundled_device, stats, summary_discrepancies
 from transmon_lattice.fitting import (
     MODELS,
@@ -23,6 +16,13 @@ from transmon_lattice.fitting import (
     fit_damped_cos,
     fit_exp_decay,
     fit_rb_decay,
+)
+from transmon_lattice.protocols import (
+    extract_anticrossing,
+    protocol_acstark_ramsey,
+    protocol_swap,
+    stark_amplitude_for_shift,
+    swap_resonance,
 )
 from transmon_lattice.rb import DEFAULT_LENGTHS, NoiseChannel, clg, epc_to_epg, run_rb
 from transmon_lattice.sizzle import (

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -15,6 +16,13 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env() -> dict:
+    """The environment of a subprocess that imports this checkout's package."""
+    src = str(Path(transmon_lattice.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
 
 
 def test_zz_command(capsys):
@@ -142,6 +150,41 @@ def test_table_format_output(tmp_path, capsys):
     lines = (tmp_path / "t1.csv").read_text().strip().splitlines()
     assert lines[0].startswith("delay[us]")
     assert len(lines) == 12
+
+
+def test_table_format_on_a_result_without_a_table_is_a_config_error(tmp_path, capsys):
+    for line, name in (("zz --pair Q2,Q3", "z.csv"), ("stats --column alpha", "s.csv")):
+        out_path = tmp_path / name
+        code, out, err = run_cli(
+            line.split() + ["--format", "table", "--out", str(out_path)], capsys
+        )
+        assert code == 2, line
+        assert json.loads(err)["error"]["category"] == "config"
+        assert out == "" and not out_path.exists()
+
+
+def test_plot_on_a_command_that_writes_no_plot_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    from transmon_lattice import cli
+
+    def no_work(args):
+        raise AssertionError("the handler ran")
+
+    for line in (
+        "zz --pair Q2,Q3",
+        "sizzle --mode tomography --pair Q2,Q7 --seed 1",
+        "sweep --kind swap --pair Q2,Q3 --amplitudes 25 --seed 1",
+        "calibrate-cz --pair Q2,Q7 --freq 5028.5 --seed 1",
+    ):
+        monkeypatch.setitem(cli._HANDLERS, line.split()[0], no_work)
+        svg = tmp_path / "plot.svg"
+        code, out, err = run_cli(line.split() + ["--plot", str(svg)], capsys)
+        assert code == 2, line
+        error = json.loads(err)["error"]
+        assert error["category"] == "config"
+        assert "dynamics, sweep --kind acstark and rb" in error["message"]
+        assert out == "" and not svg.exists()
 
 
 def test_rb_command_with_injected_epc(capsys):
@@ -370,9 +413,7 @@ def test_calibrate_cz_command(capsys):
 def test_cli_import_loads_no_scipy():
     # scipy is imported only inside the adaptive-ODE path, so CLI startup
     # does not pay for it
-    src = str(Path(transmon_lattice.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    env = _src_env()
     code = (
         "import sys, transmon_lattice.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -382,6 +423,82 @@ def test_cli_import_loads_no_scipy():
         timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+_HEAVY_MODULES = ("dynamics", "protocols", "sizzle", "rb", "cliffords", "tomography")
+_LOADED_MODULES = (
+    "import json, sys\n"
+    "from transmon_lattice.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('transmon_lattice.'))\n"
+    "print(json.dumps([code, loaded]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, absent",
+    [
+        ("zz --pair Q2,Q3", _HEAVY_MODULES),
+        ("stats --column alpha", _HEAVY_MODULES),
+        ("report", _HEAVY_MODULES),
+        ("spectrum --qubits Q2,Q3 --levels 2", _HEAVY_MODULES),
+        ("fit --model exp_decay --input trace.csv", _HEAVY_MODULES),
+        (
+            "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --seed 1",
+            ("dynamics", "sizzle", "tomography"),
+        ),
+        (
+            "sizzle --mode tomography --pair Q2,Q7 --widths 0.5,1,1.5 --seed 1",
+            ("protocols", "rb", "cliffords", "tomography"),
+        ),
+    ],
+)
+def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):
+    # every process compiles the modules it imports, so a light command
+    # must not import the heavy ones
+    t = np.linspace(0.0, 300.0, 41)
+    (tmp_path / "trace.csv").write_text(
+        "delay_us,p_excited\n" + "".join(f"{a},{0.05 + 0.9 * np.exp(-a / 71.0)}\n" for a in t)
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *line.split()], capture_output=True,
+        text=True, env=_src_env(), cwd=tmp_path, timeout=120, check=True,
+    )
+    code, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, result.stderr
+    assert set(loaded).isdisjoint(f"transmon_lattice.{m}" for m in absent), loaded
+
+
+def test_package_import_loads_no_submodule():
+    code = (
+        "import sys, transmon_lattice\n"
+        "print(sorted(m for m in sys.modules if m.startswith('transmon_lattice.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(),
+        timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_package_exports_resolve():
+    from transmon_lattice.records import ExperimentRecord
+
+    for name in transmon_lattice.__all__:
+        assert getattr(transmon_lattice, name) is not None, name
+    assert transmon_lattice.ExperimentRecord is ExperimentRecord
+    with pytest.raises(AttributeError):
+        transmon_lattice.no_such_name
+
+
+def test_fit_model_choices_are_the_fit_functions():
+    from transmon_lattice.cli import build_parser
+    from transmon_lattice.fitting import FIT_FUNCTIONS
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    model = next(a for a in commands.choices["fit"]._actions if a.dest == "model")
+    assert list(model.choices) == sorted(FIT_FUNCTIONS)
 
 
 def _readme_commands() -> list[str]:
@@ -400,9 +517,7 @@ def test_readme_commands_run_as_documented(tmp_path):
         "delay_us,p_excited\n"
         + "".join(f"{a},{0.05 + 0.9 * np.exp(-a / 71.0)}\n" for a in t)
     )
-    src = str(Path(transmon_lattice.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    env = _src_env()
     for line in commands:
         result = subprocess.run(
             [sys.executable, "-m", "transmon_lattice.cli", *line.split()[1:]],

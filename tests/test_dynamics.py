@@ -9,20 +9,22 @@ from transmon_lattice.dynamics import (
     NoiseSpec,
     evolve,
     evolve_open,
+    site_populations,
+)
+from transmon_lattice.errors import ContractViolation
+from transmon_lattice.fitting import fit_damped_cos, fit_exp_decay
+from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
+from transmon_lattice.protocols import (
     extract_anticrossing,
     protocol_acstark_ramsey,
     protocol_echo,
     protocol_ramsey,
     protocol_swap,
     protocol_t1,
-    site_populations,
     stark_amplitude_for_shift,
     stark_shift,
     swap_resonance,
 )
-from transmon_lattice.errors import ContractViolation
-from transmon_lattice.fitting import fit_damped_cos, fit_exp_decay
-from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 
 
 def _single(omega=4800.0, alpha=-200.0, label="A", t1=50.0, t2r=40.0, t2e=60.0):

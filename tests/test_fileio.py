@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from transmon_lattice.dynamics import AxisSpec, ExperimentRecord
 from transmon_lattice.errors import SchemaError
 from transmon_lattice.fileio import (
     bundled_device_path,
@@ -20,6 +19,7 @@ from transmon_lattice.fileio import (
     write_svg_plot,
     write_table,
 )
+from transmon_lattice.records import AxisSpec, ExperimentRecord
 
 
 def test_bundled_device_shape(device):
@@ -175,7 +175,8 @@ def test_bundled_file_parses_as_json():
 def test_record_replays_from_embedded_config(tmp_path, device):
     # a result file is self-describing: re-running the embedded config
     # reproduces the embedded data bit-for-bit
-    from transmon_lattice.dynamics import NoiseSpec, protocol_ramsey
+    from transmon_lattice.dynamics import NoiseSpec
+    from transmon_lattice.protocols import protocol_ramsey
 
     delays = np.linspace(0.0, 8.0, 33)
     noise = NoiseSpec(jitter_khz={"Q2": 5.0})

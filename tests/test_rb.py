@@ -148,6 +148,21 @@ def test_interleaved_injected_error_recovered():
     assert result["fidelity"] == pytest.approx(0.95, abs=0.02)
 
 
+def test_interleaved_rb_reads_the_phase_of_a_calibration():
+    from transmon_lattice.sizzle import CzCalibration, SizzleConfig
+
+    calibration = CzCalibration(
+        SizzleConfig(("Q2", "Q7"), 5028.5, 10.0), nu_tilde_khz=-50.0, tau_g=5.0,
+        target_phase=math.pi, per_gate_phase=math.pi, residual=0.0,
+    )
+    kwargs = dict(n_sequences=2, lengths=(2, 4, 8), shots=0, seed=9)
+    direct = run_interleaved_rb_cz(calibration.conditional_phase(), **kwargs)
+    calibrated = run_interleaved_rb_cz(calibration, **kwargs)
+    assert np.array_equal(
+        calibrated["interleaved"].survivals, direct["interleaved"].survivals
+    )
+
+
 def test_interleaved_fidelity_decreases_with_gate_duration():
     fidelities = []
     for tau in (0.5, 1.5, 3.0):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from transmon_lattice.cliffords import cz_unitary
 from transmon_lattice.dynamics import (
     DriveTone,
     NoiseSpec,
@@ -18,7 +19,6 @@ from transmon_lattice.sizzle import (
     _prepared_state,
     _repeated_gate_phases,
     calibrate_cz,
-    cz_unitary,
     fit_phase_modulation,
     gate_duration,
     hamiltonian_tomography_pulsewidth,
