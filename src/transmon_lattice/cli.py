@@ -5,8 +5,9 @@ self-describing JSON records (config + seed + schema version embedded)
 so that re-running the embedded config reproduces the payload exactly.
 Each handler imports the modules it runs, so a command loads only those.
 --plot writes an SVG for dynamics, sweep --kind acstark and rb, and
---format table writes the CSV table of a sweep or an RB run; either
-option on a command without that output is a config error.  Exit codes:
+--format table emits the CSV table of a sweep or an RB run (to --out or
+stdout); either option on a command without that output is a config
+error.  Exit codes:
 0 on success, otherwise a machine-readable error category is printed to
 stderr as JSON ("config" = 2, "physics" = 3, "resource" = 4).
 """
@@ -45,8 +46,8 @@ from .fileio import (
     record_to_dict,
     stats,
     summary_discrepancies,
+    table_csv,
     write_svg_plot,
-    write_table,
 )
 
 _CONFIG_ERRORS = (SchemaError, UnknownQubitError, ValueError, KeyError, OSError)
@@ -74,12 +75,11 @@ def _device_from(args) -> DeviceSpec:
     return load_bundled_device()
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _pair(text: str) -> tuple[str, str]:
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed_required=False):
         p.add_argument("--device", help="device file (default: bundled 4x4 lattice)")
-        p.add_argument("--out", help="write the result JSON here instead of stdout")
+        p.add_argument("--out", help="write the result here instead of stdout")
         p.add_argument("--plot", help="also write an SVG plot to this path")
         p.add_argument(
             "--format", choices=("structured", "table"), default="structured",
@@ -556,10 +556,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     payload.pop("table", None)
     if args.format == "table" and table is None:
         return _fail("config", f"{args.command} has no table; drop --format table", 2)
-    if table is not None and args.out:
-        write_table(args.out, *table)
+    if table is not None:
+        _emit(args, table_csv(*table))
     else:
-        _emit(args, payload)
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -332,6 +332,43 @@ def _segment_edges(
     return np.array(sorted(edges))
 
 
+def _hamiltonian(static, terms, t) -> np.ndarray:
+    h = static.copy()
+    for term in terms:
+        term.add_to(h, t)
+    return h
+
+
+def _collapse_operators(
+    sites: Sequence[str], levels: int, noise: NoiseSpec
+) -> list[tuple[float, np.ndarray]]:
+    ops = []
+    n_sites = len(sites)
+    for k, label in enumerate(sites):
+        g1 = noise.rate("relaxation", label)
+        if g1 > 0:
+            ops.append((g1, _embed(destroy(levels), k, n_sites, levels)))
+        gphi = noise.rate("dephasing", label)
+        if gphi > 0:
+            ops.append((2.0 * gphi, _embed(number(levels), k, n_sites, levels)))
+    return ops
+
+
+def _liouvillian(h: np.ndarray, collapse: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Lindblad generator acting on row-major vectorized density matrices."""
+    dim = h.shape[0]
+    eye = np.eye(dim)
+    lv = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+    for rate, op in collapse:
+        opd = op.conj().T
+        lv += rate * (
+            np.kron(op, op.conj())
+            - 0.5 * np.kron(opd @ op, eye)
+            - 0.5 * np.kron(eye, (opd @ op).T)
+        )
+    return lv
+
+
 def _static_propagators(h: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-2 pi i H t) for Hermitian H, or a stack of them with shape
     (..., dim, dim), at every t: shape (..., len(times), dim, dim), from
@@ -342,18 +379,28 @@ def _static_propagators(h: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (basis * phases[..., None, :]) @ np.swapaxes(basis.conj(), -1, -2)
 
 
+def _propagate_static(h, collapse, psi, times) -> np.ndarray:
+    """``psi`` carried by a static generator to every time in ``times``.
+
+    The generator is -2 pi i H on state vectors when ``collapse`` is
+    None, and otherwise the Liouvillian of H and ``collapse`` on
+    row-major vectorized density matrices, applied as V exp(lambda t)
+    V^-1 from one ``eig``.  ``psi`` is one vector or a matrix whose
+    columns are vectors; the result has a leading time axis."""
+    if collapse is None:
+        return _static_propagators(h, times) @ psi
+    evals, right = np.linalg.eig(_liouvillian(h, collapse))
+    coeffs = np.linalg.inv(right) @ psi
+    return np.array([right @ (np.exp(evals * t) * coeffs.T).T for t in times])
+
+
 ENVELOPE_SLICES = 24  # piecewise-constant resolution for ramp segments
-
-
-def _envelope_only(terms: Sequence[_RotatingTerm]) -> bool:
-    """True when the only time dependence is envelope shaping (all
-    rotation frequencies vanish)."""
-    return all(term.nu == 0.0 for term in terms)
 
 
 def _propagate_sliced(
     static: np.ndarray,
     terms: Sequence[_RotatingTerm],
+    collapse: Optional[Sequence[tuple[float, np.ndarray]]],
     psi: np.ndarray,
     left: float,
     right: float,
@@ -363,24 +410,46 @@ def _propagate_sliced(
     """Exact stepping through an envelope ramp approximated as
     piecewise-constant over fine slices (midpoint amplitude).
 
-    ``psi`` is a state vector or a matrix whose columns are states (the
-    identity gives the ramp's propagator).  Returns (``psi`` carried to
-    ``right``, its values at the ``t_eval`` points, which must lie
-    within [left, right])."""
+    ``psi`` and ``collapse`` are as in :func:`_propagate_static` (the
+    identity as ``psi`` gives the ramp's propagator).  Returns (``psi``
+    carried to ``right``, its values at the ``t_eval`` points, which
+    must lie within [left, right])."""
     states_out = np.empty((len(t_eval), *psi.shape), dtype=complex)
     at_left = np.abs(t_eval - left) <= 1e-15
     if at_left.any():
         states_out[at_left] = psi
     edges = np.linspace(left, right, n_slices + 1)
     for a, b in zip(edges[:-1], edges[1:]):
-        h = static.copy()
-        for term in terms:
-            term.add_to(h, 0.5 * (a + b))
+        h = _hamiltonian(static, terms, 0.5 * (a + b))
         inside = (t_eval > a + 1e-15) & (t_eval <= b + 1e-15)
-        moved = _static_propagators(h, np.append(t_eval[inside] - a, b - a)) @ psi
+        moved = _propagate_static(h, collapse, psi, np.append(t_eval[inside] - a, b - a))
         states_out[inside] = moved[:-1]
         psi = moved[-1]
     return psi, states_out
+
+
+def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be a non-empty ascending sequence")
+    if t_grid[0] < 0:
+        raise ValueError("t_grid times are measured from 0 and must be >= 0")
+    return t_grid
+
+
+def _frame_terms(h0, drives, device, frame, rwa, extra_static):
+    """The static frame Hamiltonian and the rotating coupling and drive
+    terms of ``h0`` driven by ``drives``."""
+    frames = resolve_frame(h0.sites, frame, device)
+    labels = np.array(h0.basis_labels(), dtype=float)
+    freqs = np.array([frames[s] for s in h0.sites])
+    static, coupling_terms = _split_by_frame(h0.matrix, labels, freqs)
+    if extra_static is not None:
+        static = static + extra_static
+    terms = coupling_terms + _drive_terms(
+        drives, h0.sites, h0.levels, frames, device, rwa
+    )
+    return static, terms
 
 
 def evolve(
@@ -400,155 +469,18 @@ def evolve(
     ``h0`` is the absolute-frequency subset Hamiltonian; the frame
     transform and drive terms are applied internally.  ``extra_static``
     (a matrix in the frame, e.g. a jitter term) is added verbatim.
-    Piecewise-static configurations propagate by exact diagonalization;
-    anything time-dependent integrates with an adaptive Dormand-Prince
-    scheme (the one path that imports scipy) and raises
-    :class:`StiffnessError` on failure.
+    Piecewise-static configurations propagate by exact diagonalization
+    and envelope ramps through midpoint slices; any other time
+    dependence integrates with an adaptive Dormand-Prince scheme (the
+    one path that imports scipy) and raises :class:`StiffnessError` on
+    failure.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be a non-empty ascending sequence")
-    if t_grid[0] < 0:
-        raise ValueError("t_grid times are measured from 0 and must be >= 0")
+    t_grid = _checked_grid(t_grid)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h0.dim,):
         raise ValueError(f"psi0 must have shape ({h0.dim},)")
-
-    frames = resolve_frame(h0.sites, frame, device)
-    labels = np.array(h0.basis_labels(), dtype=float)
-    freqs = np.array([frames[s] for s in h0.sites])
-    static, coupling_terms = _split_by_frame(h0.matrix, labels, freqs)
-    if extra_static is not None:
-        static = static + extra_static
-    terms = coupling_terms + _drive_terms(
-        drives, h0.sites, h0.levels, frames, device, rwa
-    )
-    return _run_closed(static, terms, psi0, t_grid, rtol, atol)
-
-
-def _run_closed(static, terms, psi0, t_grid, rtol, atol) -> np.ndarray:
-    """Propagate from the state at time 0 through ascending grid times."""
-    out = np.empty((len(t_grid), len(psi0)), dtype=complex)
-    edges = _segment_edges(0.0, float(t_grid[-1]), terms)
-    psi = psi0.copy()
-    for left, right in zip(edges[:-1], edges[1:]):
-        sel = (t_grid >= left - 1e-15) & (t_grid <= right + 1e-15)
-        inside = t_grid[sel]
-        mid = 0.5 * (left + right)
-        active = [
-            term
-            for term in terms
-            if term.window()[0] < right and term.window()[1] > left
-        ]
-        if all(term.is_static_on(left, right) for term in active):
-            h_seg = static.copy()
-            for term in active:
-                term.add_to(h_seg, mid)
-            moved = _static_propagators(h_seg, np.append(inside - left, right - left)) @ psi
-            out[sel] = moved[:-1]
-            psi = moved[-1]
-        elif _envelope_only(active):
-            psi, states = _propagate_sliced(static, active, psi, left, right, inside)
-            if inside.size:
-                out[sel] = states
-        else:
-            psi, states = _integrate_closed(
-                static, active, psi, left, right, inside, rtol, atol
-            )
-            if inside.size:
-                out[sel] = states
-    if len(edges) == 1:  # grid entirely at t = 0
-        out[:] = psi0
-    return out
-
-
-def _integrate_closed(static, terms, psi, left, right, t_eval, rtol, atol):
-    from scipy.integrate import solve_ivp  # only the adaptive path needs scipy
-
-    fastest = max([abs(t.nu) for t in terms] + [1e-9])
-
-    def rhs(t, y):
-        h = static.copy()
-        for term in terms:
-            term.add_to(h, t)
-        return -2j * np.pi * (h @ y)
-
-    max_step = min(0.125 / fastest, right - left) if fastest > 1e-6 else right - left
-    rises = [t.tone.rise * 1e-3 for t in terms if t.tone and t.tone.envelope == "blackman"]
-    if rises:
-        max_step = min(max_step, min(rises) / 8.0)
-    t_points = np.unique(np.concatenate([t_eval, [right]]))
-    sol = solve_ivp(
-        rhs,
-        (left, right),
-        psi,
-        method="DOP853",
-        t_eval=t_points,
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-    )
-    if not sol.success:
-        raise StiffnessError(f"integrator failed on [{left}, {right}]: {sol.message}")
-    states = sol.y.T
-    final = states[-1]
-    keep = states[np.isin(t_points, t_eval)] if t_eval.size else states[:0]
-    return final, keep
-
-
-# ----------------------------------------------------------- open evolution
-
-def _collapse_operators(
-    sites: Sequence[str], levels: int, noise: NoiseSpec
-) -> list[tuple[float, np.ndarray]]:
-    ops = []
-    n_sites = len(sites)
-    for k, label in enumerate(sites):
-        g1 = noise.rate("relaxation", label)
-        if g1 > 0:
-            ops.append((g1, _embed(destroy(levels), k, n_sites, levels)))
-        gphi = noise.rate("dephasing", label)
-        if gphi > 0:
-            ops.append((2.0 * gphi, _embed(number(levels), k, n_sites, levels)))
-    return ops
-
-
-def _liouvillian(h: np.ndarray, collapse: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
-    dim = h.shape[0]
-    eye = np.eye(dim)
-    lv = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, op in collapse:
-        opd = op.conj().T
-        lv += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(opd @ op, eye)
-            - 0.5 * np.kron(eye, (opd @ op).T)
-        )
-    return lv
-
-
-class LindbladPropagator:
-    """Reusable propagator for a static Lindblad generator.
-
-    Diagonalizes the Liouvillian once; propagation to any time is then
-    a pair of matrix products.  Only used for small systems (density
-    matrix side <= 16); larger problems integrate directly.
-    """
-
-    def __init__(self, h: np.ndarray, collapse: Sequence[tuple[float, np.ndarray]]):
-        self.dim = h.shape[0]
-        lv = _liouvillian(h, collapse)
-        self.evals, self.right = np.linalg.eig(lv)
-        self.left = np.linalg.inv(self.right)
-
-    def propagate(self, rho: np.ndarray, times: np.ndarray) -> np.ndarray:
-        vec = self.left @ rho.reshape(-1)
-        out = np.empty((len(times), self.dim, self.dim), dtype=complex)
-        for i, t in enumerate(times):
-            out[i] = (self.right @ (np.exp(self.evals * t) * vec)).reshape(
-                self.dim, self.dim
-            )
-        return out
+    static, terms = _frame_terms(h0, drives, device, frame, rwa, extra_static)
+    return _evolve(static, terms, None, psi0, t_grid, rtol, atol)
 
 
 def evolve_open(
@@ -569,8 +501,10 @@ def evolve_open(
     Relaxation enters through lowering operators, pure dephasing through
     number operators at twice the dephasing rate.  Quasi-static jitter
     is not sampled here; protocols add it as ``extra_static`` terms.
+    Segments propagate as in :func:`evolve`, with an ``eig`` of the
+    Liouvillian in place of ``eigh``.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _checked_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (h0.dim, h0.dim):
         raise ValueError(f"rho0 must have shape ({h0.dim}, {h0.dim})")
@@ -579,79 +513,88 @@ def evolve_open(
     eigmin = float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min())
     if eigmin < -1e-9:
         raise ContractViolation(f"rho0 is not positive semidefinite ({eigmin:.2e})")
-
-    frames = resolve_frame(h0.sites, frame, device)
-    labels = np.array(h0.basis_labels(), dtype=float)
-    freqs = np.array([frames[s] for s in h0.sites])
-    static, coupling_terms = _split_by_frame(h0.matrix, labels, freqs)
-    if extra_static is not None:
-        static = static + extra_static
-    terms = coupling_terms + _drive_terms(
-        drives, h0.sites, h0.levels, frames, device, rwa
-    )
+    static, terms = _frame_terms(h0, drives, device, frame, rwa, extra_static)
     collapse = _collapse_operators(h0.sites, h0.levels, noise)
+    out = _evolve(static, terms, collapse, rho0.reshape(-1), t_grid, rtol, atol)
+    return out.reshape(len(t_grid), h0.dim, h0.dim)
 
-    if t_grid[0] < 0:
-        raise ValueError("t_grid times are measured from 0 and must be >= 0")
-    out = np.empty((len(t_grid), h0.dim, h0.dim), dtype=complex)
+
+def _evolve(static, terms, collapse, y0, t_grid, rtol, atol) -> np.ndarray:
+    """Propagate ``y0`` from time 0 through ascending grid times: a state
+    vector when ``collapse`` is None, otherwise a row-major vectorized
+    density matrix under the Lindblad terms ``collapse``.
+
+    A segment on which every term is static propagates exactly, one whose
+    only time dependence is an envelope through midpoint slices, and any
+    other integrates; so does every segment of a density matrix with a
+    side above ``SUPEROP_EIG_MAX_DIM``."""
+    exact = collapse is None or len(static) <= SUPEROP_EIG_MAX_DIM
+    out = np.empty((len(t_grid), len(y0)), dtype=complex)
     edges = _segment_edges(0.0, float(t_grid[-1]), terms)
-    rho = rho0.copy()
+    y = y0.copy()
     for left, right in zip(edges[:-1], edges[1:]):
         sel = (t_grid >= left - 1e-15) & (t_grid <= right + 1e-15)
         inside = t_grid[sel]
         active = [
             t for t in terms if t.window()[0] < right and t.window()[1] > left
         ]
-        if (
-            all(t.is_static_on(left, right) for t in active)
-            and h0.dim <= SUPEROP_EIG_MAX_DIM
-        ):
-            h_seg = static.copy()
-            for term in active:
-                term.add_to(h_seg, 0.5 * (left + right))
-            prop = LindbladPropagator(h_seg, collapse)
-            if inside.size:
-                out[sel] = prop.propagate(rho, inside - left)
-            rho = prop.propagate(rho, np.array([right - left]))[0]
-        else:
-            rho, rhos = _integrate_open(
-                static, active, collapse, rho, left, right, inside, rtol, atol
+        if exact and all(t.is_static_on(left, right) for t in active):
+            h_seg = _hamiltonian(static, active, 0.5 * (left + right))
+            moved = _propagate_static(
+                h_seg, collapse, y, np.append(inside - left, right - left)
             )
-            if inside.size:
-                out[sel] = rhos
-    if len(edges) == 1:
-        out[:] = rho0
+            out[sel] = moved[:-1]
+            y = moved[-1]
+            continue
+        if exact and all(t.nu == 0.0 for t in active):  # only envelopes vary
+            y, states = _propagate_sliced(static, active, collapse, y, left, right, inside)
+        else:
+            y, states = _integrate(
+                _derivative(static, active, collapse), y, active, left, right, inside,
+                rtol, atol,
+            )
+        if inside.size:
+            out[sel] = states
+    if len(edges) == 1:  # grid entirely at t = 0
+        out[:] = y0
     return out
 
 
-def _integrate_open(static, terms, collapse, rho, left, right, t_eval, rtol, atol):
-    from scipy.integrate import solve_ivp  # only the adaptive path needs scipy
+def _derivative(static, terms, collapse):
+    """d/dt of a state vector (``collapse`` None) or of a row-major
+    vectorized density matrix, as a function of (t, y)."""
+    if collapse is None:
+        return lambda t, y: -2j * np.pi * (_hamiltonian(static, terms, t) @ y)
+    dim = static.shape[0]
+    csum = sum((rate * (op.conj().T @ op) for rate, op in collapse), np.zeros_like(static))
 
-    dim = rho.shape[0]
-    fastest = max([abs(t.nu) for t in terms] + [1e-9])
-    csum = sum(rate * (op.conj().T @ op) for rate, op in collapse) if collapse else None
-
-    def rhs(t, y):
+    def lindblad(t, y):
         r = y.reshape(dim, dim)
-        h = static.copy()
-        for term in terms:
-            term.add_to(h, t)
+        h = _hamiltonian(static, terms, t)
         drho = -2j * np.pi * (h @ r - r @ h)
-        if collapse:
-            for rate, op in collapse:
-                drho += rate * (op @ r @ op.conj().T)
-            drho -= 0.5 * (csum @ r + r @ csum)
+        for rate, op in collapse:
+            drho += rate * (op @ r @ op.conj().T)
+        drho -= 0.5 * (csum @ r + r @ csum)
         return drho.reshape(-1)
 
+    return lindblad
+
+
+def _integrate(derivative, y, terms, left, right, t_eval, rtol, atol):
+    """Adaptive DOP853 from ``left`` to ``right``; returns (y at ``right``,
+    y at the ``t_eval`` points)."""
+    from scipy.integrate import solve_ivp  # only the adaptive path needs scipy
+
+    fastest = max([abs(t.nu) for t in terms] + [1e-9])
     max_step = min(0.125 / fastest, right - left) if fastest > 1e-6 else right - left
     rises = [t.tone.rise * 1e-3 for t in terms if t.tone and t.tone.envelope == "blackman"]
     if rises:
         max_step = min(max_step, min(rises) / 8.0)
     t_points = np.unique(np.concatenate([t_eval, [right]]))
     sol = solve_ivp(
-        rhs,
+        derivative,
         (left, right),
-        rho.reshape(-1),
+        y,
         method="DOP853",
         t_eval=t_points,
         rtol=rtol,
@@ -660,9 +603,9 @@ def _integrate_open(static, terms, collapse, rho, left, right, t_eval, rtol, ato
     )
     if not sol.success:
         raise StiffnessError(f"integrator failed on [{left}, {right}]: {sol.message}")
-    rhos = sol.y.T.reshape(-1, dim, dim)
-    keep = rhos[np.isin(t_points, t_eval)] if t_eval.size else rhos[:0]
-    return rhos[-1], keep
+    ys = sol.y.T
+    keep = ys[np.isin(t_points, t_eval)] if t_eval.size else ys[:0]
+    return ys[-1], keep
 
 
 # -------------------------------------------------------------- ideal pulses

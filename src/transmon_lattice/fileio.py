@@ -369,13 +369,12 @@ def load_record(path: Union[str, Path]) -> ExperimentRecord:
 
 # ------------------------------------------------------------------- tables
 
-def write_table(
-    path: Union[str, Path],
+def table_csv(
     axis_name: str,
     axis_units: str,
     axis: Sequence[float],
     columns: Mapping[str, Sequence[float]],
-) -> None:
+) -> str:
     """CSV with the axis first (name and units in the header), then one
     column per observable."""
     header = [f"{axis_name}[{axis_units}]"] + list(columns)
@@ -383,7 +382,12 @@ def write_table(
     arrays = [np.asarray(axis)] + [np.asarray(v) for v in columns.values()]
     for row in zip(*arrays):
         lines.append(",".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_table(path: Union[str, Path], axis_name: str, axis_units: str, axis, columns) -> None:
+    """Write :func:`table_csv` to ``path``."""
+    Path(path).write_text(table_csv(axis_name, axis_units, axis, columns))
 
 
 # -------------------------------------------------------------------- plots

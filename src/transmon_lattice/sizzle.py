@@ -27,12 +27,13 @@ from .device import DeviceSpec
 from .dynamics import (
     DriveTone,
     NoiseSpec,
+    _collapse_operators,
     _drive_terms,
+    _liouvillian,
     _propagate_sliced,
     _split_by_frame,
     _static_propagators,
     evolve,
-    evolve_open,
     resolve_frame,
     rotation_gate,
     site_coherence,
@@ -249,8 +250,9 @@ def sizzle_zz_predicted_for(
 #
 # The sequence is [Stark(width/2), pi x pi, Stark(width/2), pi x pi] with
 # ideal instantaneous pi pulses.  In the shared drive frame the exchange
-# coupling and the flat top of both tones are static, so a closed system
-# needs one diagonalization per drive configuration for every width.
+# coupling and the flat top of both tones are static, so one decomposition
+# per drive configuration, of the Hamiltonian or of the Liouvillian,
+# serves every width.
 
 
 def _checked_widths(widths: Sequence[float], rise: float) -> np.ndarray:
@@ -280,23 +282,18 @@ def _pi_pi(levels: int) -> np.ndarray:
     return np.kron(pi, pi)
 
 
-def _echo_maps(
+def _echo_parts(
     h0: LatticeOperator,
     device: DeviceSpec,
     configs: Sequence[SizzleConfig],
-    widths: Sequence[float],
-) -> np.ndarray:
-    """Echo unitaries E(w) = PiPi U(w/2) PiPi U(w/2), shape
-    (len(configs), len(widths), dim, dim).
-
-    The configs share the pair, drive frequency and rise of the first.
-    U(t) comes from one stacked diagonalization of the flat-top
-    Hamiltonians; a Blackman ramp adds U_down U_flat(t - 2 rise) U_up,
-    where the width-independent ramp propagators follow the sliced
-    midpoint rule of :func:`dynamics.evolve`.
-    """
+    collapse: Optional[list],
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Stacked flat-top Hamiltonians of the configs (which share the pair,
+    drive frequency and rise of the first) and their (up, down) ramp
+    propagators, shape (len(configs), 2, n, n), or None without a rise.
+    The ramps follow the sliced midpoint rule of :func:`dynamics.evolve`
+    on vectors (``collapse`` None) or vectorized density matrices."""
     rise_us = configs[0].rise * 1e-3
-    widths = _checked_widths(widths, configs[0].rise)
     frames = resolve_frame(h0.sites, configs[0].freq, device)
     labels = np.array(h0.basis_labels(), dtype=float)
     # a common frame leaves the exchange terms static: nothing rotates
@@ -316,71 +313,92 @@ def _echo_maps(
     for h, terms in zip(flat, drives):
         for term in terms:
             term.add_to(h, 0.5 * duration)
-    halves = _static_propagators(flat, 0.5 * widths - 2.0 * rise_us)
-    if rise_us > 0:
-        eye = np.eye(h0.dim, dtype=complex)
-        for k, terms in enumerate(drives):
-            up, _ = _propagate_sliced(static, terms, eye, 0.0, rise_us, np.empty(0))
-            down, _ = _propagate_sliced(
-                static, terms, eye, duration - rise_us, duration, np.empty(0)
-            )
-            halves[k] = down @ halves[k] @ up
+    if rise_us == 0:
+        return flat, None
+    eye = np.eye(h0.dim if collapse is None else h0.dim**2, dtype=complex)
+    ramps = [
+        [_propagate_sliced(static, terms, collapse, eye, a, a + rise_us, np.empty(0))[0]
+         for a in (0.0, duration - rise_us)]
+        for terms in drives
+    ]
+    return flat, np.array(ramps)
+
+
+def _echo_maps(
+    h0: LatticeOperator,
+    device: DeviceSpec,
+    configs: Sequence[SizzleConfig],
+    widths: Sequence[float],
+) -> np.ndarray:
+    """Echo unitaries E(w) = PiPi U(w/2) PiPi U(w/2), shape
+    (len(configs), len(widths), dim, dim).
+
+    U(t) comes from one stacked diagonalization of the flat-top
+    Hamiltonians; a Blackman ramp adds U_down U_flat(t - 2 rise) U_up.
+    """
+    widths = _checked_widths(widths, configs[0].rise)
+    flat, ramps = _echo_parts(h0, device, configs, None)
+    halves = _static_propagators(flat, 0.5 * widths - 2.0 * (configs[0].rise * 1e-3))
+    if ramps is not None:
+        halves = ramps[:, None, 1] @ halves @ ramps[:, None, 0]
     halves[:, widths == 0.0] = np.eye(h0.dim)
     pi_pi = _pi_pi(h0.levels)
     return pi_pi @ halves @ pi_pi @ halves
 
 
-def _echoed_density_matrix(
-    h0: LatticeOperator,
-    device: DeviceSpec,
-    config: SizzleConfig,
-    rho: np.ndarray,
-    width: float,
-    noise: NoiseSpec,
-) -> np.ndarray:
-    """The echoed sequence under Lindblad noise, one width at a time."""
-    pi_pi = _pi_pi(h0.levels)
-    if width == 0.0:
-        rho = pi_pi @ rho @ pi_pi.conj().T
-        return pi_pi @ rho @ pi_pi.conj().T
-    half = width / 2.0
-    tones = _config_tones(device, config, half)
-    for _ in range(2):
-        rho = evolve_open(
-            h0, tones, rho, noise, np.array([half]), device=device, frame=config.freq
-        )[0]
-        rho = pi_pi @ rho @ pi_pi.conj().T
-    return rho
-
-
-def _echoed_states(
+def _echo(
     h0: LatticeOperator,
     device: DeviceSpec,
     configs: Sequence[SizzleConfig],
     widths: Sequence[float],
-    psis: Sequence[np.ndarray],
-    noise: Optional[NoiseSpec],
+    collapse: Optional[list],
 ):
-    """Final states indexed [config][width][initial state]: vectors for
-    a closed system, density matrices under Lindblad noise."""
-    if noise is not None and noise.has_lindblad(configs[0].pair):
-        rhos = [np.outer(psi, psi.conj()) for psi in psis]
-        return [
-            [
-                [_echoed_density_matrix(h0, device, c, rho, w, noise) for rho in rhos]
-                for w in widths
-            ]
-            for c in configs
-        ]
-    maps = _echo_maps(h0, device, configs, widths)
-    return np.swapaxes(maps @ np.stack(psis, axis=-1), -1, -2)
+    """The echoed sequence for every config and width, as a function that
+    takes states indexed [..., state] to states indexed [config, width,
+    state]: vectors under E(w) of :func:`_echo_maps` when ``collapse``
+    is None, else density matrices under the Lindblad terms ``collapse``.
+    Each config's flat-top Liouvillian is diagonalized once, the ramps
+    fold into its modes, and the modes carry the states of every width.
+    """
+    if collapse is None:
+        maps = _echo_maps(h0, device, configs, widths)
+        return lambda psis: np.swapaxes(maps @ np.swapaxes(psis, -1, -2), -1, -2)
+    widths = _checked_widths(widths, configs[0].rise)
+    flat, ramps = _echo_parts(h0, device, configs, collapse)
+    evals, modes = np.linalg.eig(np.array([_liouvillian(h, collapse) for h in flat]))
+    inverse = np.linalg.inv(modes)
+    if ramps is not None:
+        inverse, modes = inverse @ ramps[:, 0], ramps[:, 1] @ modes
+    # on row vectors x: x -> ((x inverse^T) * exp(lambda t)) modes^T
+    inverse, modes = (np.swapaxes(m, -1, -2)[:, None] for m in (inverse, modes))
+    flat_times = 0.5 * widths - 2.0 * (configs[0].rise * 1e-3)
+    growth = np.exp(evals[:, None, None, :] * flat_times[:, None, None])
+    idle = (widths == 0.0)[:, None, None, None]
+    pi_pi = _pi_pi(h0.levels)
+
+    def echo(rhos):
+        for _ in range(2):
+            moved = (rhos.reshape(*rhos.shape[:-2], -1) @ inverse * growth) @ modes
+            rhos = np.where(idle, rhos, moved.reshape(*moved.shape[:-1], h0.dim, h0.dim))
+            rhos = pi_pi @ rhos @ pi_pi.conj().T
+        return rhos
+
+    return echo
 
 
-def _prepared_state(control_state: int, levels: int) -> np.ndarray:
-    ctrl = np.zeros(levels, dtype=complex)
-    ctrl[control_state] = 1.0
+def _lindblad_terms(h0: LatticeOperator, noise: Optional[NoiseSpec]) -> Optional[list]:
+    """The Lindblad terms of ``noise`` on the pair; None when it has none."""
+    if noise is None or not noise.has_lindblad(h0.sites):
+        return None
+    return _collapse_operators(h0.sites, h0.levels, noise)
+
+
+def _prepared_states(levels: int, collapse: Optional[list]) -> np.ndarray:
+    """The target on the equator with the control in |0> and in |1>:
+    vectors, or density matrices for the Lindblad terms ``collapse``."""
     tgt = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
-    return np.kron(ctrl, tgt)
+    psis = np.kron(np.eye(levels, dtype=complex)[:2], tgt)
+    return psis if collapse is None else np.einsum("ni,nj->nij", psis, psis.conj())
 
 
 def _target_phase(state: np.ndarray, levels: int) -> float:
@@ -409,8 +427,9 @@ def hamiltonian_tomography_pulsewidth(
         raise ValueError("need at least 3 widths")
     widths = _checked_widths(widths, config.rise)
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    psis = [_prepared_state(control_state, levels) for control_state in (0, 1)]
-    states = _echoed_states(h0, device, [config], widths, psis, noise)[0]
+    collapse = _lindblad_terms(h0, noise)
+    echo = _echo(h0, device, [config], widths, collapse)
+    states = echo(_prepared_states(levels, collapse))[0]
     phases = {0: np.empty(len(widths)), 1: np.empty(len(widths))}
     expect = {key: np.empty(len(widths)) for key in ("x0", "y0", "x1", "y1")}
     for control_state in (0, 1):
@@ -608,7 +627,8 @@ def sweep_drive_landscape(
     control_response = np.full(shape, np.nan)
     flagged = np.zeros(shape, dtype=bool)
     h0 = assemble_hamiltonian(device, SubsetSelection(pair, levels))
-    psis = [_prepared_state(control_state, levels) for control_state in (0, 1)]
+    collapse = _lindblad_terms(h0, noise)
+    states = _prepared_states(levels, collapse)
 
     for i, freq in enumerate(freqs):
         if landscape_flags(device, pair, float(freq), guard):
@@ -620,7 +640,7 @@ def sweep_drive_landscape(
             SizzleConfig(pair=pair, freq=float(freq), omega_target=float(amp), ratio=ratio)
             for amp in amplitudes
         ]
-        row = _echoed_states(h0, device, configs, [width], psis, noise)
+        row = _echo(h0, device, configs, [width], collapse)(states)
         for k in range(len(amplitudes)):
             phases = {}
             response = 0.0
@@ -783,21 +803,13 @@ def _repeated_gate_phases(
     """Differential target phase after n echoed Stark pulses of width
     tau_g, for every n in ``counts``."""
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    states = [_prepared_state(control_state, levels) for control_state in (0, 1)]
-    if noise is not None and noise.has_lindblad(config.pair):
-        states = [np.outer(psi, psi.conj()) for psi in states]
-
-        def gate(rho):
-            return _echoed_density_matrix(h0, device, config, rho, tau_g, noise)
-    else:
-        echo = _echo_maps(h0, device, [config], [tau_g])[0, 0]
-
-        def gate(psi):
-            return echo @ psi
+    collapse = _lindblad_terms(h0, noise)
+    gate = _echo(h0, device, [config], [tau_g], collapse)
+    states = _prepared_states(levels, collapse)
     phase_after = {}
     for n in range(max(counts) + 1):
         if n:
-            states = [gate(state) for state in states]
+            states = gate(states)[0, 0]
         phase_after[n] = math.remainder(
             _target_phase(states[1], levels) - _target_phase(states[0], levels),
             2 * math.pi,

@@ -16,8 +16,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import LindbladPropagator, NoiseSpec, _collapse_operators
+from .dynamics import NoiseSpec, evolve_open
 from .errors import ContractViolation
+from .operators import LatticeOperator
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -223,9 +224,21 @@ def _noisy_cz(
         relaxation=noise_rates.get("relaxation", {}),
         dephasing=noise_rates.get("dephasing", {}),
     )
-    collapse = _collapse_operators(tuple(labels), 2, noise)
-    propagator = LindbladPropagator(h, collapse)
-    return propagator.propagate(rho, np.array([tau_g]))[0]
+    # h is already the frame Hamiltonian: a zero common frame keeps it
+    h0 = LatticeOperator(h, tuple(labels), 2)
+    return evolve_open(h0, [], rho, noise, [tau_g], frame=0.0)[0]
+
+
+def _noise_rates(tau_g: float, t1: float, t2: float, labels: Sequence[str]) -> dict:
+    """Relaxation and pure-dephasing rates of T1 and T2 on every label;
+    the gate duration, T1 and T2 must be finite and positive."""
+    for name, value in (("tau_g", tau_g), ("T1", t1), ("T2", t2)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} = {value} us must be finite and positive")
+    return {
+        "relaxation": {q: 1.0 / t1 for q in labels},
+        "dephasing": {q: max(1.0 / t2 - 0.5 / t1, 0.0) for q in labels},
+    }
 
 
 def bell_state_noisy(
@@ -235,12 +248,10 @@ def bell_state_noisy(
     conditional_phase: float = math.pi,
 ) -> np.ndarray:
     """Bell preparation where the conditional-phase gate takes ``tau_g``
-    (us) under T1/T2 Lindblad noise on both qubits."""
+    (us) under T1/T2 Lindblad noise on both qubits; raises ValueError
+    unless ``tau_g``, ``t1`` and ``t2`` are finite and positive."""
     labels = ("a", "b")
-    rates = {
-        "relaxation": {q: 1.0 / t1 for q in labels},
-        "dephasing": {q: max(1.0 / t2 - 0.5 / t1, 0.0) for q in labels},
-    }
+    rates = _noise_rates(tau_g, t1, t2, labels)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     rho = _gate_on(rho, HADAMARD, 0, 2)
@@ -256,12 +267,10 @@ def ghz_state_noisy(
     t2: float,
     conditional_phase: float = math.pi,
 ) -> np.ndarray:
-    """GHZ preparation via two noisy conditional-phase gates."""
+    """GHZ preparation via two noisy conditional-phase gates, with the
+    inputs of :func:`bell_state_noisy`."""
     labels = ("a", "b", "c")
-    rates = {
-        "relaxation": {q: 1.0 / t1 for q in labels},
-        "dephasing": {q: max(1.0 / t2 - 0.5 / t1, 0.0) for q in labels},
-    }
+    rates = _noise_rates(tau_g, t1, t2, labels)
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = 1.0
     rho = _gate_on(rho, HADAMARD, 0, 3)

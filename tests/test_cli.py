@@ -98,6 +98,12 @@ def test_config_error_category(tmp_path, capsys):
     assert code == 2
     assert json.loads(err)["error"]["category"] == "config"
 
+    code, _, err = run_cli(
+        ["dynamics", "--protocol", "t1", "--qubit", "Q2", "--delays=", "--seed", "7"], capsys
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["category"] == "config"
+
 
 def test_physics_error_category(capsys):
     # drive parked on the Q2 carrier violates the pole guard
@@ -150,6 +156,16 @@ def test_table_format_output(tmp_path, capsys):
     lines = (tmp_path / "t1.csv").read_text().strip().splitlines()
     assert lines[0].startswith("delay[us]")
     assert len(lines) == 12
+    # without --out the same table goes to stdout
+    code, out, _ = run_cli(
+        [
+            "dynamics", "--protocol", "t1", "--qubit", "Q1",
+            "--delays", "0:100:11", "--seed", "2", "--format", "table",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out == (tmp_path / "t1.csv").read_text()
 
 
 def test_table_format_on_a_result_without_a_table_is_a_config_error(tmp_path, capsys):
@@ -351,6 +367,18 @@ def test_tomography_command(capsys):
     assert payload["fidelity"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_tomography_rejects_unphysical_noise_inputs(capsys):
+    for line in (
+        "tomography --state bell --tau-g -1 --seed 7",
+        "tomography --state bell --tau-g 3.3 --t1 0 --seed 7",
+        "tomography --state ghz --tau-g 3.3 --t2 -5 --seed 7",
+    ):
+        code, out, err = run_cli(line.split(), capsys)
+        assert code == 2, line
+        assert json.loads(err)["error"]["category"] == "config"
+        assert out == ""
+
+
 def test_sweep_swap_command(tmp_path, capsys):
     code, _, _ = run_cli(
         [
@@ -430,7 +458,7 @@ _LOADED_MODULES = (
     "import json, sys\n"
     "from transmon_lattice.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "loaded = sorted(m for m in sys.modules if m.startswith('transmon_lattice.'))\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith(('transmon_lattice.', 'scipy')))\n"
     "print(json.dumps([code, loaded]))\n"
 )
 
@@ -447,9 +475,18 @@ _LOADED_MODULES = (
             "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --seed 1",
             ("dynamics", "sizzle", "tomography"),
         ),
+        # the eig and eigh paths need no scipy; only the integrator imports it
         (
             "sizzle --mode tomography --pair Q2,Q7 --widths 0.5,1,1.5 --seed 1",
-            ("protocols", "rb", "cliffords", "tomography"),
+            ("protocols", "rb", "cliffords", "tomography", "scipy"),
+        ),
+        (
+            "dynamics --protocol t1 --qubit Q2 --seed 1",
+            ("sizzle", "rb", "cliffords", "tomography", "scipy"),
+        ),
+        (
+            "tomography --state bell --tau-g 3.3 --seed 1",
+            ("protocols", "sizzle", "rb", "cliffords", "scipy"),
         ),
     ],
 )
@@ -466,7 +503,8 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):
     )
     code, loaded = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stderr
-    assert set(loaded).isdisjoint(f"transmon_lattice.{m}" for m in absent), loaded
+    names = {m.removeprefix("transmon_lattice.").split(".")[0] for m in loaded}
+    assert names.isdisjoint(absent), loaded
 
 
 def test_package_import_loads_no_submodule():

@@ -180,6 +180,88 @@ def test_open_rejects_bad_density_matrix():
     with pytest.raises(ContractViolation):
         bad = np.array([[1.2, 0], [0, -0.2]], dtype=complex)
         evolve_open(h0, [], bad, noise, [0.0, 1.0], device=dev, frame="qubit")
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    for grid in ([], [1.0, 0.5]):
+        with pytest.raises(ValueError, match="t_grid"):
+            evolve_open(h0, [], rho0, noise, grid, device=dev, frame="qubit")
+
+
+def _counting_integrate(monkeypatch):
+    from transmon_lattice import dynamics
+
+    calls = []
+    integrate = dynamics._integrate
+
+    def counted(*args):
+        calls.append(args[3:5])
+        return integrate(*args)
+
+    monkeypatch.setattr(dynamics, "_integrate", counted)
+    return calls
+
+
+def test_open_integrator_path_matches_eig_path(monkeypatch):
+    # the qubit frame leaves the exchange term rotating, so every segment
+    # integrates; a common frame makes it static (the eig path), and
+    # populations do not depend on the frame
+    calls = _counting_integrate(monkeypatch)
+    dev = _pair(delta=2.0, j=0.654)
+    h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[2, 2] = 1.0  # |1, 0>
+    noise = NoiseSpec(relaxation={"A": 1.0 / 2.0, "B": 1.0 / 3.0})
+    t = np.linspace(0.0, 1.0, 11)
+    common = evolve_open(h0, [], rho0, noise, t, device=dev, frame=4801.0)
+    assert calls == []
+    rotating = evolve_open(h0, [], rho0, noise, t, device=dev, frame="qubit")
+    assert calls
+    for site in (0, 1):
+        for a, b in zip(rotating, common):
+            pops = site_populations(a, site, 2, 2) - site_populations(b, site, 2, 2)
+            assert np.max(np.abs(pops)) <= 1e-7
+    # the exchange moved population while relaxation drained it
+    assert max(site_populations(rho, 1, 2, 2)[1] for rho in common) > 0.1
+    assert np.real(np.trace(common[-1] @ np.diag([0, 1, 1, 2]))) < 0.8
+
+
+def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
+    calls = _counting_integrate(monkeypatch)
+    dev = _pair(delta=2.0, j=0.654)
+    h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
+    psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
+    t = np.linspace(0.0, 0.5, 6)
+    tight = dict(device=dev, frame="qubit", rtol=1e-10, atol=1e-12)
+    states = evolve(h0, [], psi0, t, **tight)
+    rhos = evolve_open(h0, [], np.outer(psi0, psi0.conj()), NoiseSpec(), t, **tight)
+    assert len(calls) == 2
+    expected = np.einsum("ti,tj->tij", states, states.conj())
+    assert np.max(np.abs(rhos - expected)) <= 1e-8
+
+
+def test_open_ramp_takes_the_sliced_path(monkeypatch):
+    # a resonant Blackman tone in the qubit frame varies only its envelope:
+    # at zero rates the open evolution must equal the closed sliced one
+    from transmon_lattice import dynamics
+
+    def no_integrate(*args):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(dynamics, "_integrate", no_integrate)
+    dev = _single()
+    h0 = assemble_hamiltonian(dev, SubsetSelection(("A",), 3))
+    tone = DriveTone(
+        target="A", amplitude=2.0, detuning=0.0, envelope="blackman", rise=100.0,
+        duration=0.5,
+    )
+    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    t = np.array([0.0, 0.03, 0.1, 0.25, 0.45, 0.5])
+    states = evolve(h0, [tone], psi0, t, device=dev, frame="qubit")
+    rhos = evolve_open(
+        h0, [tone], np.outer(psi0, psi0.conj()), NoiseSpec(), t, device=dev, frame="qubit"
+    )
+    expected = np.einsum("ti,tj->tij", states, states.conj())
+    assert np.max(np.abs(rhos - expected)) <= 1e-11
+    assert abs(states[-1, 0]) ** 2 < 0.9  # the tone did drive the qubit
 
 
 def test_ramsey_envelope_t2_from_rates():

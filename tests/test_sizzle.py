@@ -16,7 +16,7 @@ from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.sizzle import (
     SizzleConfig,
     _echo_maps,
-    _prepared_state,
+    _prepared_states,
     _repeated_gate_phases,
     calibrate_cz,
     fit_phase_modulation,
@@ -308,7 +308,7 @@ def test_repeated_gate_phases_match_sequential_echoes(device):
     for n, phase in zip(counts, phases):
         target_phases = []
         for control_state in (0, 1):
-            psi = _prepared_state(control_state, levels)
+            psi = _prepared_states(levels, None)[control_state]
             for _ in range(n):
                 psi = _reference_echo(device, config, psi, tau_g, levels)
             coh = site_coherence(psi, 1, 2, levels)
@@ -336,7 +336,7 @@ def test_tomography_rates_frozen(device, levels, rise):
 
 
 def test_lindblad_tomography_frozen(device):
-    # the open-system echo still runs evolve_open per width
+    # recorded from the per-width evolve_open implementation of the echo
     nu, record = hamiltonian_tomography_pulsewidth(
         device, _config(amplitude=10.0, rise=0.0), np.linspace(0.0, 1.5, 4),
         noise=NoiseSpec.from_device(device), levels=3,
@@ -344,6 +344,16 @@ def test_lindblad_tomography_frozen(device):
     assert nu == pytest.approx(13.645238378495375, rel=1e-12)
     # dephasing shrinks the target coherence below its closed-system value
     assert np.hypot(record.data["x_control0"][-1], record.data["y_control0"][-1]) < 0.999
+
+
+def test_lindblad_ramped_tomography_matches_integrator(device):
+    # DOP853 value of the per-width evolve_open echo; the 24-slice ramp
+    # rule of the decomposed echo moves it by ~1e-6 relative
+    nu, _ = hamiltonian_tomography_pulsewidth(
+        device, _config(amplitude=10.0, rise=50.0), np.linspace(0.0, 1.5, 4),
+        noise=NoiseSpec.from_device(device), levels=3,
+    )
+    assert nu == pytest.approx(13.571089474121758, rel=1e-5)
 
 
 def test_repeated_gate_phases_under_lindblad(device):
