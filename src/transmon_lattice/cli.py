@@ -3,7 +3,10 @@
 Every stochastic subcommand requires --seed; results are written as
 self-describing JSON records (config + seed + schema version embedded)
 so that re-running the embedded config reproduces the payload exactly.
-Each handler imports the modules it runs, so a command loads only those.
+Each handler imports the modules it runs, so a command loads only those;
+numpy too is imported only where arrays are built, so stats, report,
+--help, --version and the config errors found before a handler runs
+start without it.
 --plot writes an SVG for dynamics, sweep --kind acstark and rb, and
 --format table emits the CSV table of a sweep or an RB run (to --out or
 stdout); either option on a command without that output is a config
@@ -18,9 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .device import DeviceSpec, straddling_check
@@ -49,6 +50,9 @@ from .fileio import (
     table_csv,
     write_svg_plot,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CONFIG_ERRORS = (SchemaError, UnknownQubitError, ValueError, KeyError, OSError)
 _PHYSICS_ERRORS = (
@@ -95,11 +99,16 @@ def _float_list(text: str) -> list[float]:
 
 def _grid(spec: str) -> np.ndarray:
     """start:stop:count grid or comma-separated values."""
+    import numpy as np
+
     if ":" in spec:
         start, stop, count = spec.split(":")
         return np.linspace(float(start), float(stop), int(count))
     return np.array(_float_list(spec))
 
+
+# the options parsed by _grid; an empty grid is a config error
+_GRID_OPTIONS = ("amplitudes", "freqs", "widths", "durations", "delays", "lengths")
 
 # sorted(fitting.FIT_FUNCTIONS), spelled out so that the parser does not
 # import the fitting module
@@ -327,6 +336,8 @@ def _cmd_sweep(args) -> dict:
 
 
 def _cmd_sizzle(args) -> dict:
+    import numpy as np
+
     from .sizzle import (
         SizzleConfig, default_widths, fit_phase_modulation, hamiltonian_tomography_pulsewidth,
         sweep_drive_landscape, sweep_relative_phase,
@@ -361,7 +372,7 @@ def _cmd_sizzle(args) -> dict:
         )
         payload = record_to_dict(record)
         payload["modulation"] = fit_phase_modulation(
-            np.asarray(record.axis("dphi")), record.data["nu_tilde_khz"]
+            record.axis("dphi"), record.data["nu_tilde_khz"]
         )
         return payload
     if args.freqs is None or args.amplitudes is None:
@@ -436,6 +447,8 @@ def _cmd_rb(args) -> dict:
 
 
 def _cmd_tomography(args) -> dict:
+    import numpy as np
+
     from .tomography import (
         BELL_TARGET, bell_state, bell_state_noisy, fidelity, ghz_state, ghz_state_noisy,
         state_tomography,
@@ -471,6 +484,8 @@ def _cmd_tomography(args) -> dict:
 
 
 def _cmd_fit(args) -> dict:
+    import numpy as np
+
     from .fitting import FIT_FUNCTIONS
 
     rows = Path(args.input).read_text().strip().splitlines()
@@ -510,6 +525,8 @@ def _table(payload: dict) -> Optional[tuple]:
     result: a record's first axis, or the ``table`` a handler gives a
     result that is not a record; None when there is neither."""
     if "axes" in payload:
+        import numpy as np
+
         axis = payload["axes"][0]
         columns = {k: v for k, v in payload["data"].items() if np.ndim(v) == 1}
         return axis["name"], axis["units"], axis["values"], columns
@@ -544,6 +561,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"{command} writes no plot; --plot works with dynamics, sweep --kind acstark and rb",
             2,
         )
+    for name in _GRID_OPTIONS:
+        grid = getattr(args, name, None)
+        if grid is not None and len(grid) == 0:
+            return _fail("config", f"--{name} is an empty grid", 2)
     try:
         payload = _HANDLERS[args.command](args)
     except _PHYSICS_ERRORS as exc:

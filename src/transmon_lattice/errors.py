@@ -18,12 +18,14 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class UnknownQubitError(KeyError):
-    """A qubit label is not present in the device or subset.
+class UnknownNameError(KeyError):
+    """A name is not among the ``known`` ones of its ``kind``.
 
-    ``known`` lists the labels that are present.  A plain ``KeyError``
-    prints only the quoted label; this one says what went wrong.
+    A plain ``KeyError`` prints only the quoted name; this one says what
+    went wrong and lists the names that are present.
     """
+
+    kind = "name"
 
     def __init__(self, label: str, known=()):
         self.label = label
@@ -31,10 +33,22 @@ class UnknownQubitError(KeyError):
         super().__init__(label)
 
     def __str__(self) -> str:
-        message = f"unknown qubit {self.label!r}"
+        message = f"unknown {self.kind} {self.label!r}"
         if self.known:
-            message += f"; known qubits: {', '.join(self.known)}"
+            message += f"; known {self.kind}s: {', '.join(self.known)}"
         return message
+
+
+class UnknownQubitError(UnknownNameError):
+    """A qubit label is not present in the device or subset."""
+
+    kind = "qubit"
+
+
+class UnknownColumnError(UnknownNameError):
+    """A statistics column is not one of the device's columns."""
+
+    kind = "column"
 
 
 class DimensionError(ValueError):

@@ -4,6 +4,9 @@ Devices and results are human-readable JSON with a schema version;
 floats serialize via Python's shortest round-trip representation, so a
 load/save cycle is bit-exact.  Sweep tables are CSV with the axis
 first, then one column per observable.  Plots are self-contained SVG.
+Statistics are computed in pure Python, summed in numpy's order, and
+numpy is imported only by the functions that build or read arrays, so
+loading a device and computing its statistics run without numpy.
 """
 from __future__ import annotations
 
@@ -14,8 +17,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from .device import (
     CouplingGraph,
     DeviceSpec,
@@ -24,7 +25,7 @@ from .device import (
     TransmonParams,
     pair_key,
 )
-from .errors import SchemaError
+from .errors import SchemaError, UnknownColumnError
 from .records import AxisSpec, ExperimentRecord
 
 SCHEMA_VERSION = 1
@@ -260,31 +261,66 @@ class StatsReport:
         }
 
 
-def column_values(device: DeviceSpec, column: str) -> np.ndarray:
+def column_values(device: DeviceSpec, column: str) -> list[float]:
     if column in _QUBIT_COLUMNS:
-        return np.array([getattr(q, column) for q in device.qubits])
+        return [float(getattr(q, column)) for q in device.qubits]
     if column in _RESONATOR_COLUMNS:
         if not device.resonators:
             raise KeyError(f"device has no resonator data for column {column!r}")
-        return np.array([getattr(r, column) for r in device.resonators])
+        return [float(getattr(r, column)) for r in device.resonators]
     if column == "j":
-        return np.array([device.couplings.nn[p] for p in device.nn_pairs()])
-    raise KeyError(f"unknown column {column!r}")
+        return [float(device.couplings.nn[p]) for p in device.nn_pairs()]
+    raise UnknownColumnError(column, _QUBIT_COLUMNS + _RESONATOR_COLUMNS + ("j",))
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum in the order of numpy's pairwise float reduction: up to 128
+    values go into 8 running partial sums combined as a tree and the
+    remainder is added one by one (fewer than 8 are summed in a plain
+    loop); longer inputs split at half the length rounded down to a
+    multiple of 8."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total = 0.0
+    stop = 0 if n < 8 else n - n % 8
+    if stop:
+        r = values[:8]
+        for i in range(8, stop, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[stop:]:
+        total += value
+    return total
+
+
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (ddof=1, 0 for one value),
+    equal bit for bit to numpy's ``mean()`` and ``std(ddof=1)`` without
+    importing numpy."""
+    n = len(values)
+    mean = _pairwise_sum(values) / n
+    if n == 1:
+        return mean, 0.0
+    return mean, math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in values]) / (n - 1))
 
 
 def stats(device: DeviceSpec, column: str) -> StatsReport:
     values = column_values(device, column)
     n = len(values)
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if n > 1 else 0.0
+    if not n:
+        raise ValueError(f"device has no values in column {column!r}")
+    mean, std = _mean_std(values)
+    nan = any(math.isnan(v) for v in values)  # numpy's min and max propagate NaN
     return StatsReport(
         column=column,
         n=n,
-        minimum=float(values.min()),
-        maximum=float(values.max()),
+        minimum=math.nan if nan else min(values),
+        maximum=math.nan if nan else max(values),
         mean=mean,
         std=std,
-        stderr=std / math.sqrt(n) if n else 0.0,
+        stderr=std / math.sqrt(n),
         spread=std / abs(mean) if mean else math.inf,
     )
 
@@ -325,6 +361,8 @@ def _printed_decimals(value: float) -> int:
 # ------------------------------------------------------------------ records
 
 def record_to_dict(record: ExperimentRecord) -> dict:
+    import numpy as np
+
     return {
         "schema_version": record.schema_version,
         "protocol": record.protocol,
@@ -342,6 +380,8 @@ def record_to_dict(record: ExperimentRecord) -> dict:
 
 
 def record_from_dict(payload: dict) -> ExperimentRecord:
+    import numpy as np
+
     axes = tuple(
         AxisSpec(ax["name"], tuple(ax["values"]), ax["units"])
         for ax in payload["axes"]
@@ -379,8 +419,7 @@ def table_csv(
     column per observable."""
     header = [f"{axis_name}[{axis_units}]"] + list(columns)
     lines = [",".join(header)]
-    arrays = [np.asarray(axis)] + [np.asarray(v) for v in columns.values()]
-    for row in zip(*arrays):
+    for row in zip(axis, *columns.values()):
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -406,6 +445,8 @@ def write_svg_plot(
     height: int = 420,
 ) -> None:
     """Minimal deterministic line plot as a standalone SVG file."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     ys = {k: np.asarray(v, dtype=float) for k, v in curves.items()}
     margin = 58

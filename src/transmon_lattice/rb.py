@@ -85,7 +85,10 @@ class NoiseChannel:
     @classmethod
     def from_epc(cls, epc: float) -> "NoiseChannel":
         """Depolarizing channel whose single-qubit RB EPC equals ``epc``
-        exactly (probability 2*epc per Clifford)."""
+        exactly (probability 2*epc per Clifford); ``epc`` must lie in
+        [0, 0.5]."""
+        if not 0.0 <= epc <= 0.5:
+            raise ValueError(f"EPC {epc} outside [0, 0.5]")
         return cls(depolarizing=2.0 * epc, granularity="clifford")
 
     @classmethod

@@ -1,13 +1,17 @@
 """Result records: the swept axes, per-point data and replay metadata of
-one protocol run, shared by the protocols, siZZle and the file formats."""
+one protocol run, shared by the protocols, siZZle and the file formats.
+
+numpy is imported where a record is built or read, not at module top, so
+that the file formats load without it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ContractViolation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ class ExperimentRecord:
     schema_version: int = 1
 
     def __post_init__(self):
+        import numpy as np
+
         shape = tuple(len(axis.values) for axis in self.axes)
         for key, values in self.data.items():
             arr = np.asarray(values)
@@ -49,6 +55,8 @@ class ExperimentRecord:
                 self.data[key] = np.clip(arr, 0.0, 1.0)
 
     def axis(self, name: str) -> np.ndarray:
+        import numpy as np
+
         for ax in self.axes:
             if ax.name == name:
                 return np.asarray(ax.values)

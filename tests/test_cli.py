@@ -303,6 +303,52 @@ def test_rb_rejects_fractional_lengths(capsys):
     assert "2.7" in message
 
 
+@pytest.mark.parametrize("epc", ["2", "-1", "0.6"])
+def test_rb_rejects_epc_outside_its_range(epc, capsys):
+    message = _rb_config_error(["--qubits", "Q1", f"--epc={epc}"], capsys)
+    assert message == f"EPC {float(epc)} outside [0, 0.5]"
+
+
+@pytest.mark.parametrize(
+    "line, flag",
+    [
+        ("sweep --kind acstark --pair Q2,Q3 --amplitudes 1:2:0", "amplitudes"),
+        ("sweep --kind swap --pair Q2,Q3 --amplitudes 25:35:0", "amplitudes"),
+        ("sweep --kind swap --pair Q2,Q3 --amplitudes 25 --durations=", "durations"),
+        (
+            "sizzle --mode landscape --pair Q2,Q7 --freqs 4900:5300:0 --amplitudes 2:20:4",
+            "freqs",
+        ),
+        ("sizzle --mode tomography --pair Q2,Q7 --widths=", "widths"),
+        ("dynamics --protocol t1 --qubit Q2 --delays 0:10:0", "delays"),
+        ("rb --qubits Q1 --epc 1e-3 --lengths=", "lengths"),
+    ],
+)
+def test_empty_grid_is_a_config_error_naming_the_flag(line, flag, capsys, monkeypatch):
+    from transmon_lattice import cli
+
+    def no_work(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, line.split()[0], no_work)
+    code, out, err = run_cli(line.split() + ["--seed", "7"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "category": "config", "message": f"--{flag} is an empty grid",
+    }
+
+
+def test_stats_unknown_column_lists_the_columns(capsys):
+    code, out, err = run_cli(["stats", "--column", "bogus"], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert error["message"] == (
+        "unknown column 'bogus'; known columns: "
+        "omega, alpha, ej, ec, t1, t2r, t2e, freq, qi, kappa_ext, chi, j"
+    )
+
+
 def test_unknown_qubit_message_names_label_and_device(capsys):
     code, out, err = run_cli(["zz", "--pair", "Q2,Q99"], capsys)
     assert code == 2
@@ -453,12 +499,30 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_and_device_load_need_no_numpy():
+    # stats and report compute in pure Python, so the CLI core and the
+    # device loader must not import numpy
+    code = (
+        "import sys, transmon_lattice.cli\n"
+        "from transmon_lattice.fileio import load_bundled_device\n"
+        "load_bundled_device()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(),
+        timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 _HEAVY_MODULES = ("dynamics", "protocols", "sizzle", "rb", "cliffords", "tomography")
 _LOADED_MODULES = (
     "import json, sys\n"
     "from transmon_lattice.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "loaded = sorted(m for m in sys.modules if m.startswith(('transmon_lattice.', 'scipy')))\n"
+    "loaded = sorted(\n"
+    "    m for m in sys.modules if m.startswith(('transmon_lattice.', 'scipy', 'numpy'))\n"
+    ")\n"
     "print(json.dumps([code, loaded]))\n"
 )
 
@@ -467,8 +531,9 @@ _LOADED_MODULES = (
     "line, absent",
     [
         ("zz --pair Q2,Q3", _HEAVY_MODULES),
-        ("stats --column alpha", _HEAVY_MODULES),
-        ("report", _HEAVY_MODULES),
+        # statistics are pure Python
+        ("stats --column alpha", (*_HEAVY_MODULES, "numpy")),
+        ("report", (*_HEAVY_MODULES, "numpy")),
         ("spectrum --qubits Q2,Q3 --levels 2", _HEAVY_MODULES),
         ("fit --model exp_decay --input trace.csv", _HEAVY_MODULES),
         (
@@ -488,6 +553,7 @@ _LOADED_MODULES = (
             "tomography --state bell --tau-g 3.3 --seed 1",
             ("protocols", "sizzle", "rb", "cliffords", "scipy"),
         ),
+        ("--version", (*_HEAVY_MODULES, "numpy")),
     ],
 )
 def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):

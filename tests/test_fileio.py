@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ def test_stats_t1_discrepancies_reported(device):
     assert any(note.startswith("j.spread") for note in notes)
     # alpha's summary row is self-consistent
     assert not any(note.startswith("alpha.") for note in notes)
+
+
+def test_stats_propagate_nan_like_numpy(device):
+    # a device file may hold NaN (JSON readers accept it); numpy's min and
+    # max return NaN wherever it sits, Python's depend on its position
+    payload = device_to_dict(device)
+    payload["device"]["resonators"][3]["chi"] = float("nan")
+    report = stats(device_from_dict(payload), "chi")
+    assert all(math.isnan(v) for v in (report.minimum, report.maximum, report.mean, report.std))
 
 
 def test_stats_unknown_column(device):
