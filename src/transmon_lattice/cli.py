@@ -36,12 +36,12 @@ from .errors import (
     ResourceLimitError,
     SchemaError,
     SingularCouplingError,
-    StiffnessError,
     UncalibratableError,
     UnknownQubitError,
 )
 from .fileio import (
     PUBLISHED_SUMMARY,
+    device_columns,
     load_bundled_device,
     load_device,
     record_to_dict,
@@ -65,7 +65,7 @@ _PHYSICS_ERRORS = (
     SingularCouplingError,
     UncalibratableError,
 )
-_RESOURCE_ERRORS = (DimensionError, ResourceLimitError, StiffnessError)
+_RESOURCE_ERRORS = (DimensionError, ResourceLimitError)
 
 
 def _fail(category: str, message: str, code: int) -> int:
@@ -93,21 +93,27 @@ def _pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _grid(spec: str) -> np.ndarray:
-    """start:stop:count grid or comma-separated values."""
+def _grid(name: str, spec: str) -> np.ndarray:
+    """The values of the grid option ``--name``: start:stop:count or
+    comma-separated values; a malformed or empty grid is a ValueError."""
     import numpy as np
 
-    if ":" in spec:
-        start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
-    return np.array(_float_list(spec))
+    try:
+        if ":" in spec:
+            start, stop, count = spec.split(":")
+            grid = np.linspace(float(start), float(stop), int(count))
+        else:
+            grid = np.array([float(x) for x in spec.split(",") if x.strip()])
+    except ValueError:
+        raise ValueError(
+            f"--{name} {spec!r} is not start:stop:count or comma-separated values"
+        ) from None
+    if not len(grid):
+        raise ValueError(f"--{name} is an empty grid")
+    return grid
 
 
-# the options parsed by _grid; an empty grid is a config error
+# the options that main parses with _grid, defaults included
 _GRID_OPTIONS = ("amplitudes", "freqs", "widths", "durations", "delays", "lengths")
 
 # sorted(fitting.FIT_FUNCTIONS), spelled out so that the parser does not
@@ -148,15 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed_required=True)
     p.add_argument("--protocol", choices=("t1", "ramsey", "echo"), required=True)
     p.add_argument("--qubit", required=True)
-    p.add_argument("--delays", type=_grid, default="0:150:40")
+    p.add_argument("--delays", default="0:150:40")
     p.add_argument("--detuning", type=float, default=1.0)
 
     p = sub.add_parser("sweep", help="swap chevron or AC-Stark Ramsey sweep")
     common(p, seed_required=True)
     p.add_argument("--kind", choices=("swap", "acstark"), required=True)
     p.add_argument("--pair", type=_pair, required=True)
-    p.add_argument("--amplitudes", type=_grid, required=True)
-    p.add_argument("--durations", type=_grid, default="0:2:81")
+    p.add_argument("--amplitudes", required=True)
+    p.add_argument("--durations", default="0:2:81")
     p.add_argument("--drive-detuning", type=float, default=-60.0)
     p.add_argument("--jitter-khz", type=float, default=0.0)
 
@@ -168,12 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=10.0)
     p.add_argument("--ratio", type=float, default=1.0)
     p.add_argument("--dphi", type=float, default=0.0)
-    p.add_argument("--widths", type=_grid, default=None,
+    p.add_argument("--widths", default=None,
                    help="Stark widths (us); default 0:3:25 less widths too short for --rise")
     p.add_argument("--rise", type=float, default=0.0,
                    help="Blackman ramp of each Stark half-pulse (ns); 0 = rectangular")
-    p.add_argument("--freqs", type=_grid, help="landscape frequency grid")
-    p.add_argument("--amplitudes", type=_grid, help="landscape amplitude grid")
+    p.add_argument("--freqs", help="landscape frequency grid")
+    p.add_argument("--amplitudes", help="landscape amplitude grid")
 
     p = sub.add_parser("calibrate-cz", help="tune a conditional-phase gate")
     common(p, seed_required=True)
@@ -192,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", required=True)
     p.add_argument("--simultaneous", action="store_true")
     p.add_argument("--sequences", type=int, default=16)
-    p.add_argument("--lengths", type=_grid, default="2,25,50,100,250,500,750,1000")
+    p.add_argument("--lengths", default="2,25,50,100,250,500,750,1000")
     p.add_argument("--epc", type=float, default=None,
                    help="inject a depolarizing channel with this EPC instead of "
                         "deriving coherence-limited noise from the device")
@@ -506,6 +512,7 @@ def _cmd_stats(args) -> dict:
 def _cmd_report(args) -> dict:
     device = _device_from(args)
     columns = ("omega", "alpha", "t1", "t2r", "t2e", "j", "freq", "qi", "kappa_ext", "chi")
+    columns = [c for c in columns if c in device_columns(device)]
     payload = {
         "command": "report",
         "columns": {c: stats(device, c).to_dict() for c in columns},
@@ -561,11 +568,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"{command} writes no plot; --plot works with dynamics, sweep --kind acstark and rb",
             2,
         )
-    for name in _GRID_OPTIONS:
-        grid = getattr(args, name, None)
-        if grid is not None and len(grid) == 0:
-            return _fail("config", f"--{name} is an empty grid", 2)
     try:
+        for name in _GRID_OPTIONS:
+            if getattr(args, name, None) is not None:
+                setattr(args, name, _grid(name, getattr(args, name)))
         payload = _HANDLERS[args.command](args)
     except _PHYSICS_ERRORS as exc:
         return _fail("physics", str(exc), 3)

@@ -23,13 +23,11 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .device import DeviceSpec
-from .errors import ContractViolation, StiffnessError, UnknownQubitError
+from .errors import ContractViolation, ResourceLimitError, UnknownQubitError
 from .operators import LatticeOperator, destroy, number, _embed
 
 ENVELOPES = ("rectangular", "blackman")
-DEFAULT_RTOL = 1e-8
-DEFAULT_ATOL = 1e-11
-SUPEROP_EIG_MAX_DIM = 16  # density-matrix side length for the eig fast path
+LINDBLAD_MAX_DIM = 32  # density-matrix side; its Liouvillian is 1024 x 1024
 
 
 # --------------------------------------------------------------------- tones
@@ -379,22 +377,62 @@ def _static_propagators(h: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (basis * phases[..., None, :]) @ np.swapaxes(basis.conj(), -1, -2)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of any square matrix, defective ones included: a degree-18
+    Taylor series of a / 2^s with ||a / 2^s||_1 <= 1/2, squared s times."""
+    norm = np.linalg.norm(a, 1)
+    squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    term = result = np.eye(len(a), dtype=complex)
+    for k in range(1, 19):
+        term = term @ a / (k * 2.0**squarings)
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
 def _propagate_static(h, collapse, psi, times) -> np.ndarray:
     """``psi`` carried by a static generator to every time in ``times``.
 
     The generator is -2 pi i H on state vectors when ``collapse`` is
     None, and otherwise the Liouvillian of H and ``collapse`` on
     row-major vectorized density matrices, applied as V exp(lambda t)
-    V^-1 from one ``eig``.  ``psi`` is one vector or a matrix whose
-    columns are vectors; the result has a leading time axis."""
+    V^-1 from one ``eig``, or by :func:`_expm` where V Lambda V^-1 does
+    not rebuild a nearly defective Liouvillian (a weak drive beside a
+    decaying site).  ``psi`` is one vector or a matrix whose columns are
+    vectors; the result has a leading time axis."""
     if collapse is None:
         return _static_propagators(h, times) @ psi
-    evals, right = np.linalg.eig(_liouvillian(h, collapse))
-    coeffs = np.linalg.inv(right) @ psi
+    lv = _liouvillian(h, collapse)
+    evals, right = np.linalg.eig(lv)
+    inverse = np.linalg.inv(right)
+    if np.abs((right * evals) @ inverse - lv).max() > 1e-12 * np.abs(lv).max():
+        return np.array([_expm(lv * t) @ psi for t in times])
+    coeffs = inverse @ psi
     return np.array([right @ (np.exp(evals * t) * coeffs.T).T for t in times])
 
 
-ENVELOPE_SLICES = 24  # piecewise-constant resolution for ramp segments
+ENVELOPE_SLICES = 24  # midpoint slices of a segment where only envelopes vary
+SLICES_PER_PERIOD = 64  # Magnus slices per period of a segment's fastest rate
+# 4th-order commutator-free Magnus weights at the Gauss nodes 1/2 -+ sqrt(3)/6
+# (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
+_MAGNUS_A, _MAGNUS_B = (3 + 2 * math.sqrt(3)) / 12, (3 - 2 * math.sqrt(3)) / 12
+_GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
+
+
+def _magnus_edges(static, terms, left, right, t_eval) -> np.ndarray:
+    """Slice edges of [left, right], every ``t_eval`` time among them, at
+    most 1/(SLICES_PER_PERIOD f) apart.  The rate f is the faster of the
+    terms' rotation and the static spectrum's spread, plus twice each
+    term's norm, the most the terms can widen that spread."""
+    energies = np.linalg.eigvalsh(static)
+    rate = max(max(abs(t.nu) for t in terms), energies[-1] - energies[0])
+    rate += 2.0 * sum(np.linalg.norm(t.matrix, 2) for t in terms)
+    cuts = np.unique(np.clip(np.append(t_eval, (left, right)), left, right))
+    return np.concatenate([
+        np.linspace(p, q, math.ceil(SLICES_PER_PERIOD * rate * (q - p)) + 1)[:-1]
+        for p, q in zip(cuts[:-1], cuts[1:])
+    ] + [[right]])
 
 
 def _propagate_sliced(
@@ -405,26 +443,36 @@ def _propagate_sliced(
     left: float,
     right: float,
     t_eval: np.ndarray,
-    n_slices: int = ENVELOPE_SLICES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact stepping through an envelope ramp approximated as
-    piecewise-constant over fine slices (midpoint amplitude).
+    """Step through a time-dependent segment in slices of static
+    exponentials: ``ENVELOPE_SLICES`` at their midpoint Hamiltonian where
+    only envelopes vary, else the slices of :func:`_magnus_edges`, each
+    two exponentials of Hamiltonians mixed from its Gauss nodes.
 
     ``psi`` and ``collapse`` are as in :func:`_propagate_static` (the
-    identity as ``psi`` gives the ramp's propagator).  Returns (``psi``
-    carried to ``right``, its values at the ``t_eval`` points, which
-    must lie within [left, right])."""
+    identity as ``psi`` gives the segment's propagator).  Returns (``psi``
+    carried to ``right``, its values at the ``t_eval`` points, which must
+    lie within [left, right])."""
     states_out = np.empty((len(t_eval), *psi.shape), dtype=complex)
-    at_left = np.abs(t_eval - left) <= 1e-15
-    if at_left.any():
-        states_out[at_left] = psi
-    edges = np.linspace(left, right, n_slices + 1)
+    states_out[np.abs(t_eval - left) <= 1e-15] = psi
+    midpoint = all(t.nu == 0.0 for t in terms)
+    edges = (
+        np.linspace(left, right, ENVELOPE_SLICES + 1) if midpoint
+        else _magnus_edges(static, terms, left, right, t_eval)
+    )
     for a, b in zip(edges[:-1], edges[1:]):
-        h = _hamiltonian(static, terms, 0.5 * (a + b))
         inside = (t_eval > a + 1e-15) & (t_eval <= b + 1e-15)
-        moved = _propagate_static(h, collapse, psi, np.append(t_eval[inside] - a, b - a))
-        states_out[inside] = moved[:-1]
-        psi = moved[-1]
+        if midpoint:
+            h = _hamiltonian(static, terms, 0.5 * (a + b))
+            moved = _propagate_static(h, collapse, psi, np.append(t_eval[inside] - a, b - a))
+            states_out[inside] = moved[:-1]
+            psi = moved[-1]
+            continue
+        # the weights sum to 1/2: each factor holds 2 (A h1 + B h2) for half the slice
+        h1, h2 = (_hamiltonian(static, terms, a + x * (b - a)) for x in _GAUSS_NODES)
+        for h in (_MAGNUS_A * h1 + _MAGNUS_B * h2, _MAGNUS_B * h1 + _MAGNUS_A * h2):
+            psi = _propagate_static(2.0 * h, collapse, psi, np.array([0.5 * (b - a)]))[0]
+        states_out[inside] = psi
     return psi, states_out
 
 
@@ -460,8 +508,6 @@ def evolve(
     device: Optional[DeviceSpec] = None,
     frame: FrameLike = "qubit",
     rwa: bool = True,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Closed-system trajectory; returns states of shape (len(t), dim).
@@ -469,18 +515,17 @@ def evolve(
     ``h0`` is the absolute-frequency subset Hamiltonian; the frame
     transform and drive terms are applied internally.  ``extra_static``
     (a matrix in the frame, e.g. a jitter term) is added verbatim.
-    Piecewise-static configurations propagate by exact diagonalization
-    and envelope ramps through midpoint slices; any other time
-    dependence integrates with an adaptive Dormand-Prince scheme (the
-    one path that imports scipy) and raises :class:`StiffnessError` on
-    failure.
+    Piecewise-static configurations propagate by exact diagonalization;
+    envelope ramps step through midpoint slices and rotating terms
+    through 4th-order commutator-free Magnus slices, both in
+    :func:`_propagate_sliced`.
     """
     t_grid = _checked_grid(t_grid)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h0.dim,):
         raise ValueError(f"psi0 must have shape ({h0.dim},)")
     static, terms = _frame_terms(h0, drives, device, frame, rwa, extra_static)
-    return _evolve(static, terms, None, psi0, t_grid, rtol, atol)
+    return _evolve(static, terms, None, psi0, t_grid)
 
 
 def evolve_open(
@@ -492,8 +537,6 @@ def evolve_open(
     device: Optional[DeviceSpec] = None,
     frame: FrameLike = "qubit",
     rwa: bool = True,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Lindblad trajectory; returns density matrices (len(t), dim, dim).
@@ -502,12 +545,15 @@ def evolve_open(
     number operators at twice the dephasing rate.  Quasi-static jitter
     is not sampled here; protocols add it as ``extra_static`` terms.
     Segments propagate as in :func:`evolve`, with an ``eig`` of the
-    Liouvillian in place of ``eigh``.
+    Liouvillian in place of ``eigh``, so a side above
+    ``LINDBLAD_MAX_DIM`` raises :class:`ResourceLimitError`.
     """
     t_grid = _checked_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (h0.dim, h0.dim):
         raise ValueError(f"rho0 must have shape ({h0.dim}, {h0.dim})")
+    if h0.dim > LINDBLAD_MAX_DIM:
+        raise ResourceLimitError(f"density matrix side {h0.dim} > {LINDBLAD_MAX_DIM}")
     if abs(np.trace(rho0) - 1.0) > 1e-9:
         raise ContractViolation("rho0 must have unit trace")
     eigmin = float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min())
@@ -515,20 +561,17 @@ def evolve_open(
         raise ContractViolation(f"rho0 is not positive semidefinite ({eigmin:.2e})")
     static, terms = _frame_terms(h0, drives, device, frame, rwa, extra_static)
     collapse = _collapse_operators(h0.sites, h0.levels, noise)
-    out = _evolve(static, terms, collapse, rho0.reshape(-1), t_grid, rtol, atol)
+    out = _evolve(static, terms, collapse, rho0.reshape(-1), t_grid)
     return out.reshape(len(t_grid), h0.dim, h0.dim)
 
 
-def _evolve(static, terms, collapse, y0, t_grid, rtol, atol) -> np.ndarray:
+def _evolve(static, terms, collapse, y0, t_grid) -> np.ndarray:
     """Propagate ``y0`` from time 0 through ascending grid times: a state
     vector when ``collapse`` is None, otherwise a row-major vectorized
     density matrix under the Lindblad terms ``collapse``.
 
-    A segment on which every term is static propagates exactly, one whose
-    only time dependence is an envelope through midpoint slices, and any
-    other integrates; so does every segment of a density matrix with a
-    side above ``SUPEROP_EIG_MAX_DIM``."""
-    exact = collapse is None or len(static) <= SUPEROP_EIG_MAX_DIM
+    A segment on which every term is static propagates exactly with one
+    diagonalization; any other steps through :func:`_propagate_sliced`."""
     out = np.empty((len(t_grid), len(y0)), dtype=complex)
     edges = _segment_edges(0.0, float(t_grid[-1]), terms)
     y = y0.copy()
@@ -538,7 +581,7 @@ def _evolve(static, terms, collapse, y0, t_grid, rtol, atol) -> np.ndarray:
         active = [
             t for t in terms if t.window()[0] < right and t.window()[1] > left
         ]
-        if exact and all(t.is_static_on(left, right) for t in active):
+        if all(t.is_static_on(left, right) for t in active):
             h_seg = _hamiltonian(static, active, 0.5 * (left + right))
             moved = _propagate_static(
                 h_seg, collapse, y, np.append(inside - left, right - left)
@@ -546,66 +589,10 @@ def _evolve(static, terms, collapse, y0, t_grid, rtol, atol) -> np.ndarray:
             out[sel] = moved[:-1]
             y = moved[-1]
             continue
-        if exact and all(t.nu == 0.0 for t in active):  # only envelopes vary
-            y, states = _propagate_sliced(static, active, collapse, y, left, right, inside)
-        else:
-            y, states = _integrate(
-                _derivative(static, active, collapse), y, active, left, right, inside,
-                rtol, atol,
-            )
-        if inside.size:
-            out[sel] = states
+        y, out[sel] = _propagate_sliced(static, active, collapse, y, left, right, inside)
     if len(edges) == 1:  # grid entirely at t = 0
         out[:] = y0
     return out
-
-
-def _derivative(static, terms, collapse):
-    """d/dt of a state vector (``collapse`` None) or of a row-major
-    vectorized density matrix, as a function of (t, y)."""
-    if collapse is None:
-        return lambda t, y: -2j * np.pi * (_hamiltonian(static, terms, t) @ y)
-    dim = static.shape[0]
-    csum = sum((rate * (op.conj().T @ op) for rate, op in collapse), np.zeros_like(static))
-
-    def lindblad(t, y):
-        r = y.reshape(dim, dim)
-        h = _hamiltonian(static, terms, t)
-        drho = -2j * np.pi * (h @ r - r @ h)
-        for rate, op in collapse:
-            drho += rate * (op @ r @ op.conj().T)
-        drho -= 0.5 * (csum @ r + r @ csum)
-        return drho.reshape(-1)
-
-    return lindblad
-
-
-def _integrate(derivative, y, terms, left, right, t_eval, rtol, atol):
-    """Adaptive DOP853 from ``left`` to ``right``; returns (y at ``right``,
-    y at the ``t_eval`` points)."""
-    from scipy.integrate import solve_ivp  # only the adaptive path needs scipy
-
-    fastest = max([abs(t.nu) for t in terms] + [1e-9])
-    max_step = min(0.125 / fastest, right - left) if fastest > 1e-6 else right - left
-    rises = [t.tone.rise * 1e-3 for t in terms if t.tone and t.tone.envelope == "blackman"]
-    if rises:
-        max_step = min(max_step, min(rises) / 8.0)
-    t_points = np.unique(np.concatenate([t_eval, [right]]))
-    sol = solve_ivp(
-        derivative,
-        (left, right),
-        y,
-        method="DOP853",
-        t_eval=t_points,
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-    )
-    if not sol.success:
-        raise StiffnessError(f"integrator failed on [{left}, {right}]: {sol.message}")
-    ys = sol.y.T
-    keep = ys[np.isin(t_points, t_eval)] if t_eval.size else ys[:0]
-    return ys[-1], keep
 
 
 # -------------------------------------------------------------- ideal pulses

@@ -100,7 +100,3 @@ class AliasingError(RuntimeError):
 
 class UncalibratableError(RuntimeError):
     """Measured interaction rate is below the calibration floor."""
-
-
-class StiffnessError(RuntimeError):
-    """The adaptive integrator failed to reach the requested tolerance."""

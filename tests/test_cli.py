@@ -338,6 +338,60 @@ def test_empty_grid_is_a_config_error_naming_the_flag(line, flag, capsys, monkey
     }
 
 
+@pytest.mark.parametrize(
+    "line, flag, spec",
+    [
+        ("sweep --kind swap --pair Q2,Q3 --amplitudes 1:2:-1", "amplitudes", "1:2:-1"),
+        ("sweep --kind swap --pair Q2,Q3 --amplitudes 1:2", "amplitudes", "1:2"),
+        ("sweep --kind swap --pair Q2,Q3 --amplitudes 25 --durations 0:2:x", "durations", "0:2:x"),
+        ("dynamics --protocol t1 --qubit Q2 --delays 1,a", "delays", "1,a"),
+        ("rb --qubits Q1 --epc 1e-3 --lengths 2:20:2.5", "lengths", "2:20:2.5"),
+    ],
+)
+def test_malformed_grid_is_a_config_error_naming_the_flag(
+    line, flag, spec, capsys, monkeypatch
+):
+    from transmon_lattice import cli
+
+    def no_work(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, line.split()[0], no_work)
+    code, out, err = run_cli(line.split() + ["--seed", "7"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "category": "config",
+        "message": f"--{flag} {spec!r} is not start:stop:count or comma-separated values",
+    }
+
+
+def _device_without_resonators(tmp_path) -> str:
+    from transmon_lattice.fileio import device_to_dict, load_bundled_device
+
+    payload = device_to_dict(load_bundled_device())
+    payload["device"]["resonators"] = []
+    path = tmp_path / "no_resonators.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_report_on_a_device_without_resonators(tmp_path, capsys):
+    code, out, err = run_cli(["report", "--device", _device_without_resonators(tmp_path)], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert sorted(payload["columns"]) == ["alpha", "j", "omega", "t1", "t2e", "t2r"]
+    assert payload["columns"]["alpha"]["mean"] == pytest.approx(-196.4, abs=0.05)
+
+
+def test_stats_resonator_column_without_resonators_is_a_config_error(tmp_path, capsys):
+    device = _device_without_resonators(tmp_path)
+    code, out, err = run_cli(["stats", "--column", "freq", "--device", device], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "category": "config", "message": "device has no resonator data for column 'freq'",
+    }
+
+
 def test_stats_unknown_column_lists_the_columns(capsys):
     code, out, err = run_cli(["stats", "--column", "bogus"], capsys)
     assert code == 2 and out == ""
@@ -485,18 +539,33 @@ def test_calibrate_cz_command(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside the adaptive-ODE path, so CLI startup
-    # does not pay for it
-    env = _src_env()
+    # nothing imports scipy: CLI startup loads none of it, and qubit-frame
+    # evolution, whose exchange term and detuned tone rotate, runs closed
+    # and open with scipy unimportable
     code = (
         "import sys, transmon_lattice.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from transmon_lattice.dynamics import DriveTone, NoiseSpec, evolve, evolve_open\n"
+        "from transmon_lattice.fileio import load_bundled_device\n"
+        "from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian\n"
+        "device = load_bundled_device()\n"
+        "h0 = assemble_hamiltonian(device, SubsetSelection(('Q2', 'Q3'), 2))\n"
+        "tone = DriveTone(target='Q2', amplitude=2.0, detuning=-3.0, duration=0.05)\n"
+        "psi0 = np.array([0.6, 0.0, 0.8, 0.0], dtype=complex)\n"
+        "t = [0.0, 0.02, 0.05]\n"
+        "states = evolve(h0, [tone], psi0, t, device=device)\n"
+        "noise = NoiseSpec.from_device(device, ('Q2', 'Q3'))\n"
+        "rhos = evolve_open(h0, [tone], np.outer(psi0, psi0), noise, t, device=device)\n"
+        "print(states.shape, rhos.shape)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        timeout=120, check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(),
+        timeout=120,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "(3, 4) (3, 4, 4)"]
 
 
 def test_cli_import_and_device_load_need_no_numpy():
@@ -540,18 +609,17 @@ _LOADED_MODULES = (
             "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --seed 1",
             ("dynamics", "sizzle", "tomography"),
         ),
-        # the eig and eigh paths need no scipy; only the integrator imports it
         (
             "sizzle --mode tomography --pair Q2,Q7 --widths 0.5,1,1.5 --seed 1",
-            ("protocols", "rb", "cliffords", "tomography", "scipy"),
+            ("protocols", "rb", "cliffords", "tomography"),
         ),
         (
             "dynamics --protocol t1 --qubit Q2 --seed 1",
-            ("sizzle", "rb", "cliffords", "tomography", "scipy"),
+            ("sizzle", "rb", "cliffords", "tomography"),
         ),
         (
             "tomography --state bell --tau-g 3.3 --seed 1",
-            ("protocols", "sizzle", "rb", "cliffords", "scipy"),
+            ("protocols", "sizzle", "rb", "cliffords"),
         ),
         ("--version", (*_HEAVY_MODULES, "numpy")),
     ],
@@ -570,7 +638,7 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):
     code, loaded = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stderr
     names = {m.removeprefix("transmon_lattice.").split(".")[0] for m in loaded}
-    assert names.isdisjoint(absent), loaded
+    assert names.isdisjoint((*absent, "scipy")), loaded  # no command loads scipy
 
 
 def test_package_import_loads_no_submodule():

@@ -11,7 +11,7 @@ from transmon_lattice.dynamics import (
     evolve_open,
     site_populations,
 )
-from transmon_lattice.errors import ContractViolation
+from transmon_lattice.errors import ContractViolation, ResourceLimitError
 from transmon_lattice.fitting import fit_damped_cos, fit_exp_decay
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.protocols import (
@@ -98,7 +98,7 @@ def test_resonant_rabi_oracle():
 
 
 def test_lab_and_rotating_frames_agree():
-    # two-level instance with the carrier low enough to integrate but
+    # two-level instance with the carrier low enough to step through but
     # high enough that the counter-rotating correction is < 1e-6
     dev = _single(omega=1000.0)
     subset = SubsetSelection(("A",), 2)
@@ -107,10 +107,7 @@ def test_lab_and_rotating_frames_agree():
     tone = DriveTone(target="A", amplitude=1.0, detuning=0.0, duration=0.5)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     rotating = evolve(h0, [tone], psi0, t, device=dev, frame="qubit")
-    lab = evolve(
-        h0, [tone], psi0, t, device=dev, frame="lab", rwa=False,
-        rtol=1e-10, atol=1e-12,
-    )
+    lab = evolve(h0, [tone], psi0, t, device=dev, frame="lab", rwa=False)
     p_rot = np.abs(rotating) ** 2
     p_lab = np.abs(lab) ** 2
     assert np.max(np.abs(p_rot - p_lab)) < 1e-6
@@ -186,25 +183,27 @@ def test_open_rejects_bad_density_matrix():
             evolve_open(h0, [], rho0, noise, grid, device=dev, frame="qubit")
 
 
-def _counting_integrate(monkeypatch):
+def _counting_magnus(monkeypatch):
+    """Record the (left, right) of every segment the rotating-term
+    (Magnus) rule slices."""
     from transmon_lattice import dynamics
 
     calls = []
-    integrate = dynamics._integrate
+    edges = dynamics._magnus_edges
 
     def counted(*args):
-        calls.append(args[3:5])
-        return integrate(*args)
+        calls.append(args[2:4])
+        return edges(*args)
 
-    monkeypatch.setattr(dynamics, "_integrate", counted)
+    monkeypatch.setattr(dynamics, "_magnus_edges", counted)
     return calls
 
 
 def test_open_integrator_path_matches_eig_path(monkeypatch):
     # the qubit frame leaves the exchange term rotating, so every segment
-    # integrates; a common frame makes it static (the eig path), and
-    # populations do not depend on the frame
-    calls = _counting_integrate(monkeypatch)
+    # takes Magnus slices; a common frame makes it static (the eig path),
+    # and populations do not depend on the frame
+    calls = _counting_magnus(monkeypatch)
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     rho0 = np.zeros((4, 4), dtype=complex)
@@ -225,14 +224,14 @@ def test_open_integrator_path_matches_eig_path(monkeypatch):
 
 
 def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
-    calls = _counting_integrate(monkeypatch)
+    calls = _counting_magnus(monkeypatch)
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
     t = np.linspace(0.0, 0.5, 6)
-    tight = dict(device=dev, frame="qubit", rtol=1e-10, atol=1e-12)
-    states = evolve(h0, [], psi0, t, **tight)
-    rhos = evolve_open(h0, [], np.outer(psi0, psi0.conj()), NoiseSpec(), t, **tight)
+    kwargs = dict(device=dev, frame="qubit")
+    states = evolve(h0, [], psi0, t, **kwargs)
+    rhos = evolve_open(h0, [], np.outer(psi0, psi0.conj()), NoiseSpec(), t, **kwargs)
     assert len(calls) == 2
     expected = np.einsum("ti,tj->tij", states, states.conj())
     assert np.max(np.abs(rhos - expected)) <= 1e-8
@@ -240,13 +239,8 @@ def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
 
 def test_open_ramp_takes_the_sliced_path(monkeypatch):
     # a resonant Blackman tone in the qubit frame varies only its envelope:
-    # at zero rates the open evolution must equal the closed sliced one
-    from transmon_lattice import dynamics
-
-    def no_integrate(*args):
-        raise AssertionError("integrated")
-
-    monkeypatch.setattr(dynamics, "_integrate", no_integrate)
+    # at zero rates the open evolution must equal the closed midpoint one
+    calls = _counting_magnus(monkeypatch)
     dev = _single()
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A",), 3))
     tone = DriveTone(
@@ -259,9 +253,96 @@ def test_open_ramp_takes_the_sliced_path(monkeypatch):
     rhos = evolve_open(
         h0, [tone], np.outer(psi0, psi0.conj()), NoiseSpec(), t, device=dev, frame="qubit"
     )
+    assert calls == []
     expected = np.einsum("ti,tj->tij", states, states.conj())
     assert np.max(np.abs(rhos - expected)) <= 1e-11
     assert abs(states[-1, 0]) ** 2 < 0.9  # the tone did drive the qubit
+
+
+# DOP853 (rtol 1e-10, atol 1e-12) values of the driven open pair below, at
+# DRIVEN_OPEN_TIMES: the four populations and <1,0|rho|0,0>; a tighter
+# DOP853 run moved them by < 5e-11
+DRIVEN_OPEN_TIMES = (0.0, 0.05, 0.15, 0.4, 0.65, 0.9, 1.2)
+DRIVEN_OPEN_POPULATIONS = np.array([
+    [3.600000000000e-01, 0.000000000000e+00, 6.400000000000e-01, 0.000000000000e+00],
+    [3.757304495964e-01, 2.515875446008e-02, 5.991107959435e-01, 0.000000000000e+00],
+    [4.250587451329e-01, 1.442478671483e-01, 4.302355337281e-01, 4.578539907853e-04],
+    [4.439845641686e-01, 1.998537757407e-01, 3.470505379489e-01, 9.111122141844e-03],
+    [7.512074294550e-01, 4.033037357106e-02, 2.038116030656e-01, 4.650593908374e-03],
+    [7.629623643039e-01, 4.522795078108e-02, 1.885081549453e-01, 3.301529969701e-03],
+    [7.937897711206e-01, 2.976824482299e-02, 1.738707499307e-01, 2.571234125737e-03],
+])
+DRIVEN_OPEN_COHERENCE = np.array([
+    0.000000000000 + 0.480000000000j, -0.002039979136 + 0.464408727083j,
+    -0.041617124883 + 0.401249381847j, 0.314086460843 + 0.151878046592j,
+    0.233560076458 - 0.181685331581j, 0.252228287201 - 0.141996313982j,
+    0.277265556942 - 0.032912255848j,
+])
+
+
+def _driven_open_pair():
+    # qubit frame: the exchange term rotates at 2 MHz and the Blackman
+    # tone, 6 MHz below qubit A, at 6 MHz
+    dev = _pair(delta=2.0, j=0.654)
+    h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
+    tone = DriveTone(
+        target="A", amplitude=4.0, detuning=-6.0, envelope="blackman", rise=100.0,
+        start=0.1, duration=0.6,
+    )
+    noise = NoiseSpec(relaxation={"A": 1 / 2.0, "B": 1 / 3.0}, dephasing={"B": 1 / 5.0})
+    psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
+    rhos = evolve_open(
+        h0, [tone], np.outer(psi0, psi0.conj()), noise, DRIVEN_OPEN_TIMES,
+        device=dev, frame="qubit",
+    )
+    return np.concatenate(
+        [np.diagonal(rhos, axis1=1, axis2=2).real, rhos[:, 2:3, 0]], axis=1
+    )
+
+
+def test_driven_open_pair_matches_recorded_dop853(monkeypatch):
+    # 1e-7 on every recorded value, the gate of the open pair test above
+    from transmon_lattice import dynamics
+
+    calls = _counting_magnus(monkeypatch)
+    values = _driven_open_pair()
+    assert len(calls) == 5  # every segment has a rotating term
+    recorded = np.concatenate(
+        [DRIVEN_OPEN_POPULATIONS, DRIVEN_OPEN_COHERENCE[:, None]], axis=1
+    )
+    assert np.max(np.abs(values - recorded)) <= 1e-7
+    # halving every slice moves the result by less than the gate
+    monkeypatch.setattr(dynamics, "SLICES_PER_PERIOD", 128)
+    assert np.max(np.abs(_driven_open_pair() - values)) <= 1e-7
+
+
+def test_weak_drive_beside_a_decaying_site_stays_a_state():
+    # a 1e-12 MHz tone on A beside a decaying B makes the Liouvillian
+    # nearly defective, so that its eig modes no longer rebuild it; static
+    # (common frame) and Magnus (qubit frame) segments alike must still
+    # match the undriven evolution
+    dev = _pair(delta=0.0, j=0.0)
+    h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
+    noise = NoiseSpec(relaxation={"B": 1.0})
+    psi0 = np.array([0.5, 0.5, 0.5j, 0.5])
+    rho0 = np.outer(psi0, psi0.conj())
+    t = np.linspace(0.0, 0.3, 4)
+    for frame, detuning in ((4800.0, 0.0), ("qubit", -1.0)):
+        tone = DriveTone(
+            target="A", amplitude=1e-12, detuning=detuning, start=0.05, duration=0.15
+        )
+        driven = evolve_open(h0, [tone], rho0, noise, t, device=dev, frame=frame)
+        undriven = evolve_open(h0, [], rho0, noise, t, device=dev, frame=frame)
+        assert np.max(np.abs(driven - undriven)) <= 1e-10
+
+
+def test_evolve_open_caps_the_density_matrix_side():
+    dev = _pair()
+    h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 6))  # side 36
+    rho0 = np.zeros((36, 36), dtype=complex)
+    rho0[0, 0] = 1.0
+    with pytest.raises(ResourceLimitError, match="36"):
+        evolve_open(h0, [], rho0, NoiseSpec(), [0.0, 1.0], device=dev, frame="qubit")
 
 
 def test_ramsey_envelope_t2_from_rates():
