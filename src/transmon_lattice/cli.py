@@ -496,6 +496,8 @@ def _cmd_fit(args) -> dict:
 
     rows = Path(args.input).read_text().strip().splitlines()
     data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise ValueError(f"{args.input} needs a header and rows of two or more columns")
     fit = FIT_FUNCTIONS[args.model](data[:, 0], data[:, 1])
     return {"command": "fit", "model": args.model, "result": fit.to_dict()}
 

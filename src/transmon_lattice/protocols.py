@@ -98,6 +98,11 @@ def sample_binary(
     return rng.binomial(shots, p) / shots
 
 
+def _check_shots(shots: int) -> None:
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative (0 = exact), got {shots}")
+
+
 def _rng_for(seed: Optional[int], *counters: int) -> np.random.Generator:
     """Deterministic per-task generator derived from a master seed."""
     if seed is None:
@@ -137,6 +142,7 @@ def protocol_t1(
     assignment_error: float = 0.0,
 ) -> ExperimentRecord:
     """Excite, wait, measure: records excited-state population vs delay."""
+    _check_shots(shots)
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
     delays = np.asarray(delays, dtype=float)
     h0 = _single_qubit_h0(device, qubit, levels)
@@ -214,6 +220,7 @@ def protocol_ramsey(
     envelope); ``per_run`` freezes one offset for the whole record,
     which is the regime of slow drift between repeated experiments.
     """
+    _check_shots(shots)
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
     if jitter_mode not in ("per_shot", "per_run"):
         raise ValueError("jitter_mode must be 'per_shot' or 'per_run'")
@@ -274,6 +281,7 @@ def protocol_echo(
 ) -> ExperimentRecord:
     """Hahn echo: the mid-sequence pi pulse cancels quasi-static jitter,
     so the decay is set by T1 and the Markovian dephasing alone."""
+    _check_shots(shots)
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
     delays = np.asarray(delays, dtype=float)
     # quasi-static offsets cancel exactly; evolve once without them

@@ -28,13 +28,10 @@ from .dynamics import (
     DriveTone,
     NoiseSpec,
     _collapse_operators,
-    _drive_terms,
-    _liouvillian,
+    _frame_terms,
+    _modes,
     _propagate_sliced,
-    _split_by_frame,
-    _static_propagators,
     evolve,
-    resolve_frame,
     rotation_gate,
     site_coherence,
     site_populations,
@@ -294,56 +291,26 @@ def _echo_parts(
     The ramps follow the sliced midpoint rule of :func:`dynamics.evolve`
     on vectors (``collapse`` None) or vectorized density matrices."""
     rise_us = configs[0].rise * 1e-3
-    frames = resolve_frame(h0.sites, configs[0].freq, device)
-    labels = np.array(h0.basis_labels(), dtype=float)
-    # a common frame leaves the exchange terms static: nothing rotates
-    static, _ = _split_by_frame(
-        h0.matrix, labels, np.array([frames[s] for s in h0.sites])
-    )
     # reference tones: ramps on [0, rise] and [3 rise, 4 rise], flat between
     duration = 4.0 * rise_us if rise_us > 0 else 1.0
-    drives = [
-        _drive_terms(
-            _config_tones(device, config, duration), h0.sites, h0.levels, frames,
-            device, rwa=True,
-        )
-        for config in configs
-    ]
+    tones = [tone for config in configs for tone in _config_tones(device, config, duration)]
+    # in the common drive frame nothing rotates: the terms are the tones'
+    # drives, two per config
+    static, terms = _frame_terms(h0, tones, device, configs[0].freq, True, None)
+    drives = [terms[k : k + 2] for k in range(0, len(terms), 2)]
     flat = np.array([static] * len(configs))
-    for h, terms in zip(flat, drives):
-        for term in terms:
+    for h, pair in zip(flat, drives):
+        for term in pair:
             term.add_to(h, 0.5 * duration)
     if rise_us == 0:
         return flat, None
     eye = np.eye(h0.dim if collapse is None else h0.dim**2, dtype=complex)
     ramps = [
-        [_propagate_sliced(static, terms, collapse, eye, a, a + rise_us, np.empty(0))[0]
+        [_propagate_sliced(static, pair, collapse, eye, a, a + rise_us, np.empty(0))[0]
          for a in (0.0, duration - rise_us)]
-        for terms in drives
+        for pair in drives
     ]
     return flat, np.array(ramps)
-
-
-def _echo_maps(
-    h0: LatticeOperator,
-    device: DeviceSpec,
-    configs: Sequence[SizzleConfig],
-    widths: Sequence[float],
-) -> np.ndarray:
-    """Echo unitaries E(w) = PiPi U(w/2) PiPi U(w/2), shape
-    (len(configs), len(widths), dim, dim).
-
-    U(t) comes from one stacked diagonalization of the flat-top
-    Hamiltonians; a Blackman ramp adds U_down U_flat(t - 2 rise) U_up.
-    """
-    widths = _checked_widths(widths, configs[0].rise)
-    flat, ramps = _echo_parts(h0, device, configs, None)
-    halves = _static_propagators(flat, 0.5 * widths - 2.0 * (configs[0].rise * 1e-3))
-    if ramps is not None:
-        halves = ramps[:, None, 1] @ halves @ ramps[:, None, 0]
-    halves[:, widths == 0.0] = np.eye(h0.dim)
-    pi_pi = _pi_pi(h0.levels)
-    return pi_pi @ halves @ pi_pi @ halves
 
 
 def _echo(
@@ -355,33 +322,36 @@ def _echo(
 ):
     """The echoed sequence for every config and width, as a function that
     takes states indexed [..., state] to states indexed [config, width,
-    state]: vectors under E(w) of :func:`_echo_maps` when ``collapse``
-    is None, else density matrices under the Lindblad terms ``collapse``.
-    Each config's flat-top Liouvillian is diagonalized once, the ramps
-    fold into its modes, and the modes carry the states of every width.
+    state]: vectors when ``collapse`` is None, else density matrices
+    under the Lindblad terms ``collapse``.  Each config's flat top is
+    decomposed once by :func:`dynamics._modes`, the ramps fold into its
+    modes, and the modes carry the states of every width.  On the
+    identity's rows, the vector echo gives the transposed unitaries
+    E(w)^T, where E(w) = PiPi U(w/2) PiPi U(w/2).
     """
-    if collapse is None:
-        maps = _echo_maps(h0, device, configs, widths)
-        return lambda psis: np.swapaxes(maps @ np.swapaxes(psis, -1, -2), -1, -2)
     widths = _checked_widths(widths, configs[0].rise)
     flat, ramps = _echo_parts(h0, device, configs, collapse)
-    evals, modes = np.linalg.eig(np.array([_liouvillian(h, collapse) for h in flat]))
-    inverse = np.linalg.inv(modes)
+    rates, right, left, _ = _modes(flat, collapse)
     if ramps is not None:
-        inverse, modes = inverse @ ramps[:, 0], ramps[:, 1] @ modes
-    # on row vectors x: x -> ((x inverse^T) * exp(lambda t)) modes^T
-    inverse, modes = (np.swapaxes(m, -1, -2)[:, None] for m in (inverse, modes))
+        left, right = left @ ramps[:, 0], ramps[:, 1] @ right
+    # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T
+    left, right = (np.swapaxes(m, -1, -2)[:, None] for m in (left, right))
     flat_times = 0.5 * widths - 2.0 * (configs[0].rise * 1e-3)
-    growth = np.exp(evals[:, None, None, :] * flat_times[:, None, None])
-    idle = (widths == 0.0)[:, None, None, None]
+    growth = np.exp(rates[:, None, None, :] * flat_times[:, None, None])
+    shape = (h0.dim,) if collapse is None else (h0.dim, h0.dim)
+    idle = (widths == 0.0).reshape(-1, 1, *(1 for _ in shape))
     pi_pi = _pi_pi(h0.levels)
 
-    def echo(rhos):
+    def echo(states):
         for _ in range(2):
-            moved = (rhos.reshape(*rhos.shape[:-2], -1) @ inverse * growth) @ modes
-            rhos = np.where(idle, rhos, moved.reshape(*moved.shape[:-1], h0.dim, h0.dim))
-            rhos = pi_pi @ rhos @ pi_pi.conj().T
-        return rhos
+            rows = states.reshape(*states.shape[: states.ndim - len(shape)], -1)
+            moved = (rows @ left * growth) @ right
+            states = np.where(idle, states, moved.reshape(*moved.shape[:-1], *shape))
+            if collapse is None:
+                states = states @ pi_pi.T
+            else:
+                states = pi_pi @ states @ pi_pi.conj().T
+        return states
 
     return echo
 
@@ -492,7 +462,7 @@ def sizzle_phase_table(
     ``conditional_phase`` accumulates 2 pi nu_tilde width.
     """
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    echo = _echo_maps(h0, device, [config], [width])[0, 0]
+    echo = _echo(h0, device, [config], [width], None)(np.eye(h0.dim))[0, 0]
     phases = {}
     leakage = 0.0
     for c in (0, 1):
@@ -743,6 +713,8 @@ def calibrate_cz(
     verifies by repeated-gate tomography that the phase is linear in
     gate count with a per-gate residual below 1% of target.
     """
+    if not (math.isfinite(target_phase) and target_phase > 0):
+        raise ValueError(f"target phase {target_phase} rad must be finite and positive")
     measured = nu_tilde_khz
     if measured is None:
         if widths is None:

@@ -95,6 +95,8 @@ def state_tomography(
     dim = 2**n_qubits
     if rho.shape != (dim, dim):
         raise ValueError(f"state dimension {rho.shape} does not match {n_qubits} qubits")
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative (0 = exact), got {shots}")
     if 0 < shots < MIN_SHOTS_PER_SETTING:
         warnings.warn(
             f"{shots} shots per setting is below {MIN_SHOTS_PER_SETTING}; "

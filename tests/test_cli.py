@@ -143,6 +143,18 @@ def test_fit_command(tmp_path, capsys):
     assert payload["result"]["params"]["T"] == pytest.approx(71.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("text", ["delay_us,p_excited\n", "delay_us\n1\n2\n3\n4\n5\n"])
+def test_fit_input_without_two_columns_is_a_config_error(text, tmp_path, capsys):
+    csv = tmp_path / "short.csv"
+    csv.write_text(text)
+    code, out, err = run_cli(["fit", "--model", "exp_decay", "--input", str(csv)], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert str(csv) in error["message"]
+
+
 def test_table_format_output(tmp_path, capsys):
     code, _, _ = run_cli(
         [
@@ -479,6 +491,24 @@ def test_tomography_rejects_unphysical_noise_inputs(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "tomography --state bell --seed 7 --shots -5",
+        "dynamics --protocol t1 --qubit Q2 --seed 7 --shots -5",
+        "dynamics --protocol ramsey --qubit Q2 --seed 7 --shots -5",
+        "dynamics --protocol echo --qubit Q2 --seed 7 --shots -5",
+    ],
+)
+def test_negative_shots_is_a_config_error_naming_shots(line, capsys):
+    code, out, err = run_cli(line.split(), capsys)
+    assert code == 2, line
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert "shots" in error["message"]
+
+
 def test_sweep_swap_command(tmp_path, capsys):
     code, _, _ = run_cli(
         [
@@ -536,6 +566,22 @@ def test_calibrate_cz_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["calibration"]["tau_g"] == pytest.approx(5.0, rel=0.01)
+
+
+@pytest.mark.parametrize("phase", ["0", "-3.14", "nan", "inf"])
+def test_calibrate_cz_rejects_a_target_phase_that_is_not_positive(phase, capsys):
+    code, out, err = run_cli(
+        [
+            "calibrate-cz", "--pair", "Q2,Q7", "--freq", "5028.5", "--seed", "7",
+            "--target-phase", phase,
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert "target phase" in error["message"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -15,12 +15,14 @@ from transmon_lattice.errors import ContractViolation, ResourceLimitError
 from transmon_lattice.fitting import fit_damped_cos, fit_exp_decay
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.protocols import (
+    _rng_for,
     extract_anticrossing,
     protocol_acstark_ramsey,
     protocol_echo,
     protocol_ramsey,
     protocol_swap,
     protocol_t1,
+    sample_binary,
     stark_amplitude_for_shift,
     stark_shift,
     swap_resonance,
@@ -345,6 +347,32 @@ def test_evolve_open_caps_the_density_matrix_side():
         evolve_open(h0, [], rho0, NoiseSpec(), [0.0, 1.0], device=dev, frame="qubit")
 
 
+def test_stacked_liouvillian_equals_per_matrix_kron_build():
+    from transmon_lattice.dynamics import _collapse_operators, _liouvillian
+
+    def per_matrix(h, collapse):
+        eye = np.eye(len(h))
+        lv = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+        for rate, op in collapse:
+            opd = op.conj().T
+            lv += rate * (
+                np.kron(op, op.conj())
+                - 0.5 * np.kron(opd @ op, eye)
+                - 0.5 * np.kron(eye, (opd @ op).T)
+            )
+        return lv
+
+    collapse = _collapse_operators(("A", "B"), 3, NoiseSpec.from_device(_pair()))
+    rng = np.random.default_rng(11)
+    hs = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
+    hs = hs + np.swapaxes(hs.conj(), -1, -2)
+    stacked = _liouvillian(hs, collapse)
+    assert stacked.shape == (3, 81, 81)
+    for h, lv in zip(hs, stacked):
+        assert np.array_equal(lv, per_matrix(h, collapse))
+    assert np.array_equal(_liouvillian(hs[0], collapse), per_matrix(hs[0], collapse))
+
+
 def test_ramsey_envelope_t2_from_rates():
     # T1 = 71 us with Tphi chosen so 1/T2 = 1/(2 T1) + 1/Tphi = 1/51
     dev = _single(t1=71.0, t2r=51.0, t2e=51.0)
@@ -423,6 +451,32 @@ def test_record_determinism():
     first = protocol_ramsey(dev, "A", delays, **kwargs)
     second = protocol_ramsey(dev, "A", delays, **kwargs)
     assert np.array_equal(first.data["p_excited"], second.data["p_excited"])
+
+
+def test_sampled_t1_is_seeded_and_on_the_shot_grid():
+    dev = _single()
+    delays = np.linspace(0.0, 150.0, 16)
+
+    def sampled(seed):
+        record = protocol_t1(dev, "A", delays, shots=40, seed=seed)
+        assert record.shots == 40
+        return record.data["p_excited"]
+
+    first = sampled(3)
+    assert np.array_equal(first, sampled(3))
+    assert not np.array_equal(first, sampled(4))
+    assert np.abs(first * 40 - np.round(first * 40)).max() <= 1e-12
+    assert not np.array_equal(first, protocol_t1(dev, "A", delays).data["p_excited"])
+
+
+def test_sample_binary_assignment_error_mixes_the_outcomes():
+    certain = np.array([0.0, 1.0])
+    assert sample_binary(certain, 50, _rng_for(7, 0)).tolist() == [0.0, 1.0]
+    # a symmetric assignment error e reads 0 as 1 and 1 as 0 with probability e:
+    # 1e5 shots put the mean within 5 standard deviations (5e-3) of e and 1 - e
+    mixed = sample_binary(certain, 100_000, _rng_for(7, 0), assignment_error=0.1)
+    assert mixed == pytest.approx([0.1, 0.9], abs=5e-3)
+    assert np.array_equal(mixed, sample_binary(certain, 100_000, _rng_for(7, 0), 0.1))
 
 
 def test_swap_no_coupling_no_transfer():

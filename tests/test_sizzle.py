@@ -15,7 +15,7 @@ from transmon_lattice.errors import AliasingError, NearPoleError, Uncalibratable
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.sizzle import (
     SizzleConfig,
-    _echo_maps,
+    _echo,
     _prepared_states,
     _repeated_gate_phases,
     calibrate_cz,
@@ -233,6 +233,12 @@ def test_default_amplitude_ratio_near_unity(device):
 
 
 # ------------------------------------------- echo maps against evolve()
+
+
+def _echo_maps(h0, device, configs, widths):
+    """Echo unitaries E(w), shape (configs, widths, dim, dim): the vector
+    echo carries the identity's rows to the rows of E(w)^T."""
+    return np.swapaxes(_echo(h0, device, configs, widths, None)(np.eye(h0.dim)), -1, -2)
 
 
 def _reference_echo(device, config, psi, width, levels):

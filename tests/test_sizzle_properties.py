@@ -13,11 +13,18 @@ from hypothesis import assume, given, settings, strategies as st
 from transmon_lattice.dynamics import NoiseSpec, _collapse_operators
 from transmon_lattice.fileio import load_bundled_device
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
-from transmon_lattice.sizzle import SizzleConfig, _echo, _echo_maps, landscape_flags
+from transmon_lattice.sizzle import SizzleConfig, _echo, landscape_flags
 
 PAIR = ("Q2", "Q7")
 DEVICE = load_bundled_device()
 H0 = assemble_hamiltonian(DEVICE, SubsetSelection(PAIR, 3))
+
+
+def _echo_maps(h0, device, configs, widths):
+    """Echo unitaries E(w), shape (configs, widths, dim, dim): the vector
+    echo carries the identity's rows to the rows of E(w)^T."""
+    return np.swapaxes(_echo(h0, device, configs, widths, None)(np.eye(h0.dim)), -1, -2)
+
 
 # derandomized: the examples are the same on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
