@@ -7,10 +7,11 @@ Each handler imports the modules it runs, so a command loads only those;
 numpy too is imported only where arrays are built, so stats, report,
 --help, --version and the config errors found before a handler runs
 start without it.
---plot writes an SVG for dynamics, sweep --kind acstark and rb, and
---format table emits the CSV table of a sweep or an RB run (to --out or
-stdout); either option on a command without that output is a config
-error.  Exit codes:
+Each subcommand declares only the options its handler reads.  --plot
+writes an SVG for dynamics, sweep --kind acstark and rb, and --format
+table emits the CSV table of a sweep or an RB run (to --out or stdout);
+either option on a command without that output is a config error, as
+is every parse error.  Exit codes:
 0 on success, otherwise a machine-readable error category is printed to
 stderr as JSON ("config" = 2, "physics" = 3, "resource" = 4).
 """
@@ -121,44 +122,55 @@ _GRID_OPTIONS = ("amplitudes", "freqs", "widths", "durations", "delays", "length
 _FIT_MODELS = ("anticrossing", "damped_cos", "exp_decay", "rb_decay")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Sends every parse error, a subcommand's too, out as a config error."""
+
+    def error(self, message: str):
+        sys.exit(_fail("config", message, 2))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tlattice",
         description="Transmon-lattice simulator and calibration toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "device": dict(help="device file (default: bundled 4x4 lattice)"),
+        "out": dict(help="write the result here instead of stdout"),
+        "plot": dict(help="also write an SVG plot to this path"),
+        "format": dict(choices=("structured", "table"), default="structured",
+                       help="result format: JSON record or CSV table"),
+        "seed": dict(type=int, required=True),
+        "shots": dict(type=int, default=0),
+    }
 
-    def common(p, seed_required=False):
-        p.add_argument("--device", help="device file (default: bundled 4x4 lattice)")
-        p.add_argument("--out", help="write the result here instead of stdout")
-        p.add_argument("--plot", help="also write an SVG plot to this path")
-        p.add_argument(
-            "--format", choices=("structured", "table"), default="structured",
-            help="result format: JSON record or CSV table",
-        )
-        p.add_argument("--seed", type=int, required=seed_required, default=None)
-        p.add_argument("--levels", type=int, default=4)
-        p.add_argument("--shots", type=int, default=0)
+    def command(name, summary, options):
+        """A subparser with the shared options (space-separated) its handler reads."""
+        p = sub.add_parser(name, help=summary)
+        for option in options.split():
+            p.add_argument(f"--{option}", **shared[option])
+        return p
 
-    p = sub.add_parser("spectrum", help="dressed spectrum of a qubit subset")
-    common(p)
+    p = command("spectrum", "dressed spectrum of a qubit subset", "device out")
+    p.add_argument("--levels", type=int, default=4)
     p.add_argument("--qubits", required=True, help="comma-separated labels")
     p.add_argument("--long-range", action="store_true")
 
-    p = sub.add_parser("zz", help="exact and perturbative ZZ for a coupled pair")
-    common(p)
+    p = command("zz", "exact and perturbative ZZ for a coupled pair", "device out")
+    p.add_argument("--levels", type=int, default=4)
     p.add_argument("--pair", type=_pair, required=True)
 
-    p = sub.add_parser("dynamics", help="T1 / Ramsey / echo protocols")
-    common(p, seed_required=True)
+    p = command("dynamics", "T1 / Ramsey / echo protocols", "device out plot format seed shots")
+    p.add_argument("--levels", type=int, choices=(2, 3), default=3)
     p.add_argument("--protocol", choices=("t1", "ramsey", "echo"), required=True)
     p.add_argument("--qubit", required=True)
     p.add_argument("--delays", default="0:150:40")
     p.add_argument("--detuning", type=float, default=1.0)
 
-    p = sub.add_parser("sweep", help="swap chevron or AC-Stark Ramsey sweep")
-    common(p, seed_required=True)
+    p = command("sweep", "swap chevron or AC-Stark Ramsey sweep", "device out plot format seed")
+    p.add_argument("--levels", type=int, choices=(2, 3), default=3)
     p.add_argument("--kind", choices=("swap", "acstark"), required=True)
     p.add_argument("--pair", type=_pair, required=True)
     p.add_argument("--amplitudes", required=True)
@@ -166,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drive-detuning", type=float, default=-60.0)
     p.add_argument("--jitter-khz", type=float, default=0.0)
 
-    p = sub.add_parser("sizzle", help="driven-ZZ tomography, phase sweep, landscape")
-    common(p, seed_required=True)
+    p = command("sizzle", "driven-ZZ tomography, phase sweep, landscape", "device out format seed")
+    p.add_argument("--levels", type=int, choices=(2, 3, 4), default=4)
     p.add_argument("--mode", choices=("tomography", "phase", "landscape"), required=True)
     p.add_argument("--pair", type=_pair, required=True, help="control,target")
     p.add_argument("--freq", type=float, help="shared drive frequency (MHz)")
@@ -181,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freqs", help="landscape frequency grid")
     p.add_argument("--amplitudes", help="landscape amplitude grid")
 
-    p = sub.add_parser("calibrate-cz", help="tune a conditional-phase gate")
-    common(p, seed_required=True)
+    p = command("calibrate-cz", "tune a conditional-phase gate", "device out seed")
+    p.add_argument("--levels", type=int, choices=(2, 3, 4), default=4)
     p.add_argument("--pair", type=_pair, required=True, help="control,target")
     p.add_argument("--freq", type=float, required=True)
     p.add_argument("--amplitude", type=float, default=10.0)
@@ -193,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-tilde-khz", type=float, default=None,
                    help="skip measurement and calibrate from this rate")
 
-    p = sub.add_parser("rb", help="randomized benchmarking")
-    common(p, seed_required=True)
+    p = command("rb", "randomized benchmarking", "device out plot format seed shots")
     p.add_argument("--qubits", required=True)
     p.add_argument("--simultaneous", action="store_true")
     p.add_argument("--sequences", type=int, default=16)
@@ -203,25 +214,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject a depolarizing channel with this EPC instead of "
                         "deriving coherence-limited noise from the device")
 
-    p = sub.add_parser("tomography", help="Bell/GHZ preparation and reconstruction")
-    common(p, seed_required=True)
+    p = command("tomography", "Bell/GHZ preparation and reconstruction", "out seed shots")
     p.add_argument("--state", choices=("bell", "ghz"), required=True)
     p.add_argument("--tau-g", type=float, default=0.0,
                    help="gate duration (us); 0 = ideal gates")
     p.add_argument("--t1", type=float, default=71.0)
     p.add_argument("--t2", type=float, default=51.0)
 
-    p = sub.add_parser("fit", help="fit a CSV table (axis,value columns)")
-    common(p)
+    p = command("fit", "fit a CSV table (axis,value columns)", "out")
     p.add_argument("--model", choices=_FIT_MODELS, required=True)
     p.add_argument("--input", required=True)
 
-    p = sub.add_parser("stats", help="column statistics of a device file")
-    common(p)
+    p = command("stats", "column statistics of a device file", "device out")
     p.add_argument("--column", required=True)
 
-    p = sub.add_parser("report", help="all published-summary comparisons")
-    common(p)
+    command("report", "all published-summary comparisons", "device out")
     return parser
 
 
@@ -262,7 +269,7 @@ def _cmd_dynamics(args) -> dict:
     from .protocols import protocol_echo, protocol_ramsey, protocol_t1
 
     device = _device_from(args)
-    kwargs = dict(shots=args.shots, seed=args.seed, levels=max(2, min(args.levels, 3)))
+    kwargs = dict(shots=args.shots, seed=args.seed, levels=args.levels)
     if args.protocol == "t1":
         record = protocol_t1(device, args.qubit, args.delays, **kwargs)
         fit = FIT_FUNCTIONS["exp_decay"](record.axis("delay"), record.data["p_excited"])
@@ -303,7 +310,7 @@ def _cmd_sweep(args) -> dict:
             args.durations,
             drive_detuning=args.drive_detuning,
             seed=args.seed,
-            levels=min(args.levels, 3),
+            levels=args.levels,
         )
         payload = record_to_dict(record)
         payload["resonance"] = {
@@ -319,7 +326,7 @@ def _cmd_sweep(args) -> dict:
         drive_detuning=args.drive_detuning,
         noise=noise,
         seed=args.seed,
-        levels=min(args.levels, 3),
+        levels=args.levels,
     )
     payload = record_to_dict(record)
     extraction = extract_anticrossing(record)
@@ -350,7 +357,6 @@ def _cmd_sizzle(args) -> dict:
     )
 
     device = _device_from(args)
-    levels = min(args.levels, 4)
     if args.mode in ("tomography", "phase"):
         freq = args.freq
         if freq is None:
@@ -366,7 +372,7 @@ def _cmd_sizzle(args) -> dict:
         widths = default_widths(args.rise) if args.widths is None else args.widths
     if args.mode == "tomography":
         nu, record = hamiltonian_tomography_pulsewidth(
-            device, config, widths, seed=args.seed, levels=levels
+            device, config, widths, seed=args.seed, levels=args.levels
         )
         payload = record_to_dict(record)
         payload["nu_tilde_khz"] = nu
@@ -374,7 +380,7 @@ def _cmd_sizzle(args) -> dict:
     if args.mode == "phase":
         dphis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
         record = sweep_relative_phase(
-            device, config, dphis, widths, seed=args.seed, levels=levels
+            device, config, dphis, widths, seed=args.seed, levels=args.levels
         )
         payload = record_to_dict(record)
         payload["modulation"] = fit_phase_modulation(
@@ -386,7 +392,7 @@ def _cmd_sizzle(args) -> dict:
     if args.rise:
         raise ValueError("landscape mode drives rectangular pulses; drop --rise")
     record = sweep_drive_landscape(
-        device, args.pair, args.freqs, args.amplitudes, seed=args.seed, levels=levels
+        device, args.pair, args.freqs, args.amplitudes, seed=args.seed, levels=args.levels
     )
     return record_to_dict(record)
 
@@ -407,7 +413,7 @@ def _cmd_calibrate_cz(args) -> dict:
         config,
         target_phase=args.target_phase,
         seed=args.seed,
-        levels=min(args.levels, 4),
+        levels=args.levels,
         nu_tilde_khz=args.nu_tilde_khz,
     )
     return {"command": "calibrate-cz", "calibration": calibration.to_dict()}
@@ -494,8 +500,15 @@ def _cmd_fit(args) -> dict:
 
     from .fitting import FIT_FUNCTIONS
 
-    rows = Path(args.input).read_text().strip().splitlines()
-    data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
+    rows = []
+    for number, line in enumerate(Path(args.input).read_text().rstrip().splitlines()[1:], 2):
+        try:
+            rows.append([float(x) for x in line.split(",")])
+        except ValueError:
+            raise ValueError(f"{args.input} line {number}: {line!r} is not numbers") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{args.input} line {number}: {line!r} is a ragged row")
+    data = np.array(rows)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError(f"{args.input} needs a header and rows of two or more columns")
     fit = FIT_FUNCTIONS[args.model](data[:, 0], data[:, 1])
@@ -532,13 +545,14 @@ def _cmd_report(args) -> dict:
 def _table(payload: dict) -> Optional[tuple]:
     """(axis name, axis units, axis values, columns) of the CSV table of a
     result: a record's first axis, or the ``table`` a handler gives a
-    result that is not a record; None when there is neither."""
+    result that is not a record; None when there is neither, or when the
+    record has no one-axis data column."""
     if "axes" in payload:
         import numpy as np
 
         axis = payload["axes"][0]
         columns = {k: v for k, v in payload["data"].items() if np.ndim(v) == 1}
-        return axis["name"], axis["units"], axis["values"], columns
+        return (axis["name"], axis["units"], axis["values"], columns) if columns else None
     return payload.get("table")
 
 
@@ -563,17 +577,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    command = f"sweep --kind {args.kind}" if args.command == "sweep" else args.command
-    if args.plot and command not in ("dynamics", "sweep --kind acstark", "rb"):
-        return _fail(
-            "config",
-            f"{command} writes no plot; --plot works with dynamics, sweep --kind acstark and rb",
-            2,
-        )
+    if args.command == "sweep" and args.kind == "swap" and args.plot:
+        return _fail("config", "sweep --kind swap writes no plot; --plot works with dynamics, "
+                     "sweep --kind acstark and rb", 2)
+    options = vars(args)
     try:
         for name in _GRID_OPTIONS:
-            if getattr(args, name, None) is not None:
-                setattr(args, name, _grid(name, getattr(args, name)))
+            if options.get(name) is not None:
+                options[name] = _grid(name, options[name])
         payload = _HANDLERS[args.command](args)
     except _PHYSICS_ERRORS as exc:
         return _fail("physics", str(exc), 3)
@@ -581,9 +592,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail("resource", str(exc), 4)
     except _CONFIG_ERRORS as exc:
         return _fail("config", str(exc), 2)
-    table = _table(payload) if args.format == "table" else None
+    as_table = getattr(args, "format", None) == "table"
+    table = _table(payload) if as_table else None
     payload.pop("table", None)
-    if args.format == "table" and table is None:
+    if as_table and table is None:
         return _fail("config", f"{args.command} has no table; drop --format table", 2)
     if table is not None:
         _emit(args, table_csv(*table))

@@ -153,15 +153,10 @@ def canonical_key(u: np.ndarray, decimals: int = 8) -> bytes:
     return np.round(fixed, decimals).tobytes()
 
 
-@lru_cache(maxsize=1)
-def _clifford_stack() -> np.ndarray:
-    return np.array([e.unitary for e in clifford_table()])
-
-
 def clifford_index(u: np.ndarray) -> int:
     """Index of the single-qubit Clifford equal to ``u`` up to phase,
     found by maximizing |tr(u^dagger C_k)|."""
-    mats = _clifford_stack()
+    mats = clifford_unitaries(1.0)
     traces = np.abs(np.einsum("ji,kji->k", u.conj(), mats))
     best = int(np.argmax(traces))
     if traces[best] < 2.0 - 1e-6:
@@ -171,7 +166,7 @@ def clifford_index(u: np.ndarray) -> int:
 
 def inverse_index(u: np.ndarray) -> int:
     """Index of the Clifford inverting ``u`` (a product of Cliffords)."""
-    mats = _clifford_stack()
+    mats = clifford_unitaries(1.0)
     traces = np.abs(np.einsum("ij,kji->k", u, mats))
     best = int(np.argmax(traces))
     if traces[best] < 2.0 - 1e-6:
@@ -184,7 +179,7 @@ def clifford_products() -> np.ndarray:
     """Read-only 24x24 multiplication table: entry ``[a, b]`` is the
     index of C_a C_b (C_b acts first), the k maximizing
     |tr(C_k^dagger C_a C_b)|."""
-    mats = _clifford_stack()
+    mats = clifford_unitaries(1.0)
     products = (mats[:, None] @ mats[None, :]).reshape(24 * 24, 4)
     traces = np.abs(products @ mats.reshape(24, 4).conj().T).reshape(24, 24, 24)
     table = np.argmax(traces, axis=2).astype(np.int8)
@@ -267,10 +262,6 @@ def cz_unitary(target_phase: float = math.pi) -> np.ndarray:
     return u
 
 
-def _kron2(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    return np.kron(u0, u1)
-
-
 @lru_cache(maxsize=1)
 def _mixers() -> np.ndarray:
     """The 20 mixer unitaries: index 0 none, 1 SWAP-like, 2-10
@@ -282,23 +273,23 @@ def _mixers() -> np.ndarray:
 
     mixers = [np.eye(4, dtype=complex)]
     swap_like = (
-        _kron2(eye, y90)
+        np.kron(eye, y90)
         @ _CZ
-        @ _kron2(y90, y90m)
+        @ np.kron(y90, y90m)
         @ _CZ
-        @ _kron2(y90m, y90)
+        @ np.kron(y90m, y90)
         @ _CZ
     )
     mixers.append(swap_like)
     for s1 in _S1:
         for s1y in _S1_Y:
-            mixers.append(_kron2(_seq_unitary(s1), _seq_unitary(s1y)) @ _CZ)
+            mixers.append(np.kron(_seq_unitary(s1), _seq_unitary(s1y)) @ _CZ)
     for s1y in _S1_Y:
         for s1x in _S1_X:
             mixers.append(
-                _kron2(_seq_unitary(s1y), _seq_unitary(s1x))
+                np.kron(_seq_unitary(s1y), _seq_unitary(s1x))
                 @ _CZ
-                @ _kron2(y90, x90m)
+                @ np.kron(y90, x90m)
                 @ _CZ
             )
     return np.array(mixers)
@@ -318,17 +309,9 @@ def split_two_qubit_index(idx: int) -> tuple[int, int, int]:
 def two_qubit_clifford_matrices() -> np.ndarray:
     """All 11520 two-qubit Clifford unitaries, indexed by
     (c0 * 480 + c1 * 20 + mixer)."""
-    singles = np.array([e.unitary for e in clifford_table()])
-    mixers = _mixers()
-    starters = np.empty((24, 24, 4, 4), dtype=complex)
-    for i in range(24):
-        for j in range(24):
-            starters[i, j] = _kron2(singles[i], singles[j])
-    mats = np.empty((TWO_QUBIT_GROUP_SIZE, 4, 4), dtype=complex)
-    for idx in range(TWO_QUBIT_GROUP_SIZE):
-        i0, i1, i2 = split_two_qubit_index(idx)
-        mats[idx] = mixers[i2] @ starters[i0, i1]
-    return mats
+    singles = clifford_unitaries(1.0)
+    starters = np.array([np.kron(a, b) for a in singles for b in singles])
+    return (_mixers()[None] @ starters[:, None]).reshape(TWO_QUBIT_GROUP_SIZE, 4, 4)
 
 
 def two_qubit_inverse_index(u: np.ndarray) -> int:

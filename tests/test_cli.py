@@ -155,6 +155,23 @@ def test_fit_input_without_two_columns_is_a_config_error(text, tmp_path, capsys)
     assert str(csv) in error["message"]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n3\n", "line 3: '3' is a ragged row"),
+        ("a,b\n1,x\n", "line 2: '1,x' is not numbers"),
+    ],
+)
+def test_fit_input_row_that_is_not_numbers_is_a_config_error_naming_the_line(
+    text, message, tmp_path, capsys
+):
+    csv = tmp_path / "rows.csv"
+    csv.write_text(text)
+    code, out, err = run_cli(["fit", "--model", "exp_decay", "--input", str(csv)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"category": "config", "message": f"{csv} {message}"}
+
+
 def test_table_format_output(tmp_path, capsys):
     code, _, _ = run_cli(
         [
@@ -211,8 +228,110 @@ def test_plot_on_a_command_that_writes_no_plot_is_a_config_error(
         assert code == 2, line
         error = json.loads(err)["error"]
         assert error["category"] == "config"
-        assert "dynamics, sweep --kind acstark and rb" in error["message"]
+        if line.startswith("sweep"):
+            assert "dynamics, sweep --kind acstark and rb" in error["message"]
+        else:
+            assert "--plot" in error["message"]
         assert out == "" and not svg.exists()
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """Records the name of every attribute read once ``_reads`` is set."""
+
+    def __getattribute__(self, name):
+        state = object.__getattribute__(self, "__dict__")
+        if "_reads" in state:
+            state["_reads"].add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["spectrum --qubits Q2,Q3 --levels 2"],
+        ["zz --pair Q2,Q3 --levels 3"],
+        [
+            f"dynamics --protocol {protocol} --qubit Q2 --delays 0:20:9 --seed 1 --shots 10"
+            for protocol in ("t1", "ramsey", "echo")
+        ],
+        [
+            "sweep --kind swap --pair Q2,Q3 --amplitudes 30:36:2 --durations 0:2:9 --seed 1",
+            "sweep --kind acstark --pair Q6,Q10 --amplitudes 5:25:6 --seed 1",
+        ],
+        [
+            "sizzle --mode tomography --pair Q2,Q7 --widths 0.5,1,1.5 --levels 3 --seed 1",
+            "sizzle --mode phase --pair Q2,Q7 --widths 0.5,1,1.5 --levels 2 --seed 1",
+            "sizzle --mode landscape --pair Q2,Q7 --freqs 5020:5040:2 --amplitudes 0:6:2 "
+            "--levels 2 --seed 1",
+        ],
+        ["calibrate-cz --pair Q2,Q7 --freq 5028.5 --nu-tilde-khz 100 --seed 1"],
+        ["rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,10,20 --shots 10 --seed 1"],
+        ["tomography --state bell --tau-g 3.3 --shots 100 --seed 1"],
+        ["fit --model exp_decay --input trace.csv"],
+        ["stats --column alpha"],
+        ["report"],
+    ],
+    ids=lambda lines: lines[0].split()[0],
+)
+def test_every_declared_option_is_read(lines, tmp_path, capsys, monkeypatch):
+    # each line runs main on a namespace that records what main and the
+    # handler read from it; over one line per mode or kind, a subcommand
+    # reads every option it declares
+    from types import SimpleNamespace
+
+    from transmon_lattice import cli
+
+    t = np.linspace(0.0, 300.0, 41)
+    (tmp_path / "trace.csv").write_text(
+        "delay_us,p_excited\n" + "".join(f"{a},{0.05 + 0.9 * np.exp(-a / 71.0)}\n" for a in t)
+    )
+    monkeypatch.chdir(tmp_path)
+    parser = cli.build_parser()
+    declared, reads = set(), set()
+    for line in lines:
+        args = parser.parse_args(line.split(), namespace=_RecordingNamespace())
+        declared |= set(vars(args))
+        args._reads = reads
+        parsed = SimpleNamespace(parse_args=lambda _: args)
+        monkeypatch.setattr(cli, "build_parser", lambda: parsed)
+        code, _, err = run_cli(line.split(), capsys)
+        assert code == 0, (line, err)
+    assert declared - reads == set()
+
+
+@pytest.mark.parametrize(
+    "line, option",
+    [
+        ("zz --pair Q2,Q3 --seed 1", "--seed"),
+        ("fit --model exp_decay --input trace.csv --device d.json", "--device"),
+        ("tomography --state bell --seed 1 --device d.json", "--device"),
+        ("dynamics --protocol t1 --qubit Q2 --seed 1 --levels 6", "--levels"),
+        ("sizzle --mode tomography --pair Q2,Q7 --seed 1 --levels 5", "--levels"),
+        (
+            "sweep --kind swap --pair Q2,Q3 --amplitudes 30:36:2 --durations 0:2:9 --seed 1 "
+            "--format table --out s.csv",
+            "--format",
+        ),
+        (
+            "sizzle --mode landscape --pair Q2,Q7 --freqs 5020:5040:2 --amplitudes 0:6:2 "
+            "--levels 2 --seed 1 --format table --out l.csv",
+            "--format",
+        ),
+        ("zz", "--pair"),
+    ],
+)
+def test_option_a_command_cannot_take_is_a_config_error_naming_it(
+    line, option, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trace.csv").write_text("delay_us,p_excited\n0,1\n1,0.5\n2,0.25\n3,0.1\n")
+    (tmp_path / "d.json").write_text("{}")
+    code, out, err = run_cli(line.split(), capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert option in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "trace.csv"]
 
 
 def test_rb_command_with_injected_epc(capsys):

@@ -82,6 +82,17 @@ def test_two_qubit_group_complete_and_distinct():
     assert len(keys) == TWO_QUBIT_GROUP_SIZE
 
 
+def test_two_qubit_table_is_the_elementwise_product():
+    # the broadcast build against one product per index, same arithmetic
+    from transmon_lattice.cliffords import _mixers
+
+    singles, mixers = [e.unitary for e in clifford_table()], _mixers()
+    mats = two_qubit_clifford_matrices()
+    for idx in range(TWO_QUBIT_GROUP_SIZE):
+        c0, c1, mixer = split_two_qubit_index(idx)
+        assert np.array_equal(mats[idx], mixers[mixer] @ np.kron(singles[c0], singles[c1]))
+
+
 def test_two_qubit_index_split():
     assert split_two_qubit_index(0) == (0, 0, 0)
     assert split_two_qubit_index(480 * 3 + 20 * 5 + 7) == (3, 5, 7)
