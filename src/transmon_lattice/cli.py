@@ -29,7 +29,6 @@ from .device import DeviceSpec, straddling_check
 from .errors import (
     AliasingError,
     ContractViolation,
-    DimensionError,
     InconsistentSignError,
     LabelingError,
     NearPoleError,
@@ -66,7 +65,7 @@ _PHYSICS_ERRORS = (
     SingularCouplingError,
     UncalibratableError,
 )
-_RESOURCE_ERRORS = (DimensionError, ResourceLimitError)
+_RESOURCE_ERRORS = (ResourceLimitError,)
 
 
 def _fail(category: str, message: str, code: int) -> int:
@@ -392,7 +391,8 @@ def _cmd_sizzle(args) -> dict:
     if args.rise:
         raise ValueError("landscape mode drives rectangular pulses; drop --rise")
     record = sweep_drive_landscape(
-        device, args.pair, args.freqs, args.amplitudes, seed=args.seed, levels=args.levels
+        device, args.pair, args.freqs, args.amplitudes, ratio=args.ratio, seed=args.seed,
+        levels=args.levels,
     )
     return record_to_dict(record)
 
@@ -542,18 +542,17 @@ def _cmd_report(args) -> dict:
     return payload
 
 
-def _table(payload: dict) -> Optional[tuple]:
+def _table(payload: dict) -> tuple:
     """(axis name, axis units, axis values, columns) of the CSV table of a
-    result: a record's first axis, or the ``table`` a handler gives a
-    result that is not a record; None when there is neither, or when the
-    record has no one-axis data column."""
-    if "axes" in payload:
-        import numpy as np
+    result: a record's first axis and its one-axis data columns, or the
+    ``table`` a handler gives a result that is not a record."""
+    if "axes" not in payload:
+        return payload["table"]
+    import numpy as np
 
-        axis = payload["axes"][0]
-        columns = {k: v for k, v in payload["data"].items() if np.ndim(v) == 1}
-        return (axis["name"], axis["units"], axis["values"], columns) if columns else None
-    return payload.get("table")
+    axis = payload["axes"][0]
+    columns = {k: v for k, v in payload["data"].items() if np.ndim(v) == 1}
+    return axis["name"], axis["units"], axis["values"], columns
 
 
 _HANDLERS = {
@@ -580,6 +579,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "sweep" and args.kind == "swap" and args.plot:
         return _fail("config", "sweep --kind swap writes no plot; --plot works with dynamics, "
                      "sweep --kind acstark and rb", 2)
+    as_table = getattr(args, "format", None) == "table"
+    # the swap chevron and the landscape have two axes and no one-axis column
+    if as_table and (getattr(args, "kind", None) == "swap"
+                     or getattr(args, "mode", None) == "landscape"):
+        return _fail("config", f"{args.command} has no table; drop --format table", 2)
     options = vars(args)
     try:
         for name in _GRID_OPTIONS:
@@ -592,14 +596,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail("resource", str(exc), 4)
     except _CONFIG_ERRORS as exc:
         return _fail("config", str(exc), 2)
-    as_table = getattr(args, "format", None) == "table"
-    table = _table(payload) if as_table else None
-    payload.pop("table", None)
-    if as_table and table is None:
-        return _fail("config", f"{args.command} has no table; drop --format table", 2)
-    if table is not None:
-        _emit(args, table_csv(*table))
+    if as_table:
+        _emit(args, table_csv(*_table(payload)))
     else:
+        payload.pop("table", None)
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 

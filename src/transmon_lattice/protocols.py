@@ -410,7 +410,6 @@ def protocol_acstark_ramsey(
     noise: Optional[NoiseSpec] = None,
     seed: Optional[int] = None,
     levels: int = 3,
-    jitter_mode: str = "per_run",
 ) -> ExperimentRecord:
     """Track pair[0]'s Ramsey frequency while pair[1] is Stark-shifted
     toward it.
@@ -421,8 +420,8 @@ def protocol_acstark_ramsey(
     shift.  ``delta_model`` in the record is the instantaneous detuning
     (measured minus shifted-partner frequency) from the Stark
     calibration curve, ready for the anticrossing fit.  Quasi-static
-    jitter on the measured qubit is redrawn per amplitude point
-    (``per_run``), matching slow drift between repeated experiments.
+    jitter on the measured qubit is redrawn per amplitude point,
+    matching slow drift between repeated experiments.
     """
     measured, shifted = pair
     noise = noise if noise is not None else NoiseSpec.none()
@@ -430,8 +429,6 @@ def protocol_acstark_ramsey(
     if delays is None:
         delays = np.linspace(0.0, 3.0, 61)
     delays = np.asarray(delays, dtype=float)
-    if jitter_mode not in ("per_run", "per_shot"):
-        raise ValueError("jitter_mode must be 'per_run' or 'per_shot'")
 
     subset = SubsetSelection((measured, shifted), levels)
     h0 = assemble_hamiltonian(device, subset)
@@ -517,7 +514,6 @@ def protocol_acstark_ramsey(
             "software_detuning": software_detuning,
             "levels": levels,
             "jitter_khz": sigma_mhz * 1e3,
-            "jitter_mode": jitter_mode,
         },
         metadata={"drive_freq": drive_freq, "reference_freq": reference},
     )

@@ -453,14 +453,15 @@ def run_interleaved_rb_cz(
     unitary-plus-depolarizing model with an arbitrary channel rho ->
     rho whose intended action is the same conditional phase (e.g. a
     Lindblad-noised gate of some duration).  Gate fidelity comes from
-    the decay ratio: F = 1 - (3/4)(1 - p_int / p_ref).
+    the decay ratio: F = 1 - (3/4)(1 - p_int / p_ref).  The inverting
+    Clifford of each sequence assumes the ideal CZ, whatever the phase.
     """
     phase = (
         calibration_or_phase.conditional_phase()
         if hasattr(calibration_or_phase, "conditional_phase")
         else float(calibration_or_phase)
     )
-    gate = cz_unitary(phase)
+    gate, ideal = cz_unitary(phase), cz_unitary(math.pi)
     q_gate = gate_error / 0.75  # depolarizing probability for that infidelity
     if not 0.0 <= q_gate <= 1.0:
         raise ContractViolation("gate_error implies a probability outside [0, 1]")
@@ -494,7 +495,7 @@ def run_interleaved_rb_cz(
                         rho = _depolarize_two(rho, background.depolarizing)
                     if interleave:
                         rho = apply_gate(rho)
-                        u_total = gate @ u_total
+                        u_total = ideal @ u_total
                 inv = mats[two_qubit_inverse_index(u_total)]
                 rho = inv @ rho @ inv.conj().T
                 if background.depolarizing:

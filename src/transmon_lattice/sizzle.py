@@ -18,7 +18,7 @@ landscape sweep flags all three bands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,8 +33,6 @@ from .dynamics import (
     _propagate_sliced,
     evolve,
     rotation_gate,
-    site_coherence,
-    site_populations,
 )
 from .errors import AliasingError, NearPoleError, UncalibratableError
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
@@ -371,9 +369,54 @@ def _prepared_states(levels: int, collapse: Optional[list]) -> np.ndarray:
     return psis if collapse is None else np.einsum("ni,nj->nij", psis, psis.conj())
 
 
-def _target_phase(state: np.ndarray, levels: int) -> float:
-    coh = site_coherence(state, 1, 2, levels)
-    return math.atan2(coh.imag, coh.real)
+def _readout(states: np.ndarray, levels: int, collapse: Optional[list]) -> tuple:
+    """The target's coherence <0|rho|1>, its phase and the control's
+    excited population of pair states indexed [..., state]: vectors when
+    ``collapse`` is None, else density matrices."""
+    if collapse is None:
+        # psi indexed [target, control]: the product dynamics.reduced_site_state forms
+        psi = np.swapaxes(states.reshape(*states.shape[:-1], levels, levels), -1, -2)
+        coh = (psi @ np.swapaxes(psi.conj(), -1, -2))[..., 0, 1]
+        probs = np.abs(states) ** 2
+    else:
+        rho = states.reshape(*states.shape[:-2], *(levels,) * 4)
+        coh = np.einsum("...aa->...", rho[..., :, 0, :, 1])
+        probs = np.diagonal(states, axis1=-2, axis2=-1).real
+    phases = np.array([math.atan2(c.imag, c.real) for c in coh.flat]).reshape(coh.shape)
+    excited = probs.reshape(*probs.shape[:-1], levels, levels)[..., 1, :].sum(-1)
+    return coh, phases, excited
+
+
+def _tomography(
+    device: DeviceSpec,
+    configs: Sequence[SizzleConfig],
+    widths: Sequence[float],
+    noise: Optional[NoiseSpec],
+    levels: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pulse-width tomography of configs that share the pair, drive
+    frequency and rise of the first, from one Hamiltonian and one echo:
+    nu_tilde (kHz) per config, the target coherences [config, width,
+    control state] and the unwrapped differential phases [config, width]
+    the rates are fitted to."""
+    configs[0].validate_against(device)
+    if len(widths) < 3:
+        raise ValueError("need at least 3 widths")
+    widths = _checked_widths(widths, configs[0].rise)
+    h0 = assemble_hamiltonian(device, SubsetSelection(configs[0].pair, levels))
+    collapse = _lindblad_terms(h0, noise)
+    states = _echo(h0, device, configs, widths, collapse)(_prepared_states(levels, collapse))
+    coh, phases, _ = _readout(states, levels, collapse)
+    diff = phases[..., 1] - phases[..., 0]
+    wrapped = (np.diff(diff) + np.pi) % (2 * np.pi) - np.pi
+    if np.any(np.abs(wrapped) > 0.9 * np.pi):
+        raise AliasingError(
+            "differential phase advances by nearly pi per width step; "
+            "densify the width grid"
+        )
+    unwrapped = np.concatenate([diff[:, :1], diff[:, :1] + np.cumsum(wrapped, axis=-1)], axis=-1)
+    slopes = np.array([np.polyfit(widths, phase, 1)[0] for phase in unwrapped])
+    return slopes / (2.0 * math.pi) * 1e3, coh, unwrapped
 
 
 def hamiltonian_tomography_pulsewidth(
@@ -392,43 +435,16 @@ def hamiltonian_tomography_pulsewidth(
     :class:`AliasingError` when the width step is too coarse to unwrap
     the differential phase.
     """
-    config.validate_against(device)
-    if len(widths) < 3:
-        raise ValueError("need at least 3 widths")
-    widths = _checked_widths(widths, config.rise)
-    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    collapse = _lindblad_terms(h0, noise)
-    echo = _echo(h0, device, [config], widths, collapse)
-    states = echo(_prepared_states(levels, collapse))[0]
-    phases = {0: np.empty(len(widths)), 1: np.empty(len(widths))}
-    expect = {key: np.empty(len(widths)) for key in ("x0", "y0", "x1", "y1")}
-    for control_state in (0, 1):
-        for i in range(len(widths)):
-            coh = site_coherence(states[i][control_state], 1, 2, levels)
-            phases[control_state][i] = math.atan2(coh.imag, coh.real)
-            expect[f"x{control_state}"][i] = 2.0 * coh.real
-            expect[f"y{control_state}"][i] = 2.0 * coh.imag
-
-    diff = phases[1] - phases[0]
-    steps = np.diff(diff)
-    wrapped = (steps + np.pi) % (2 * np.pi) - np.pi
-    if np.any(np.abs(wrapped) > 0.9 * np.pi):
-        raise AliasingError(
-            "differential phase advances by nearly pi per width step; "
-            "densify the width grid"
-        )
-    unwrapped = np.concatenate([[diff[0]], diff[0] + np.cumsum(wrapped)])
-    slope, _ = np.polyfit(widths, unwrapped, 1)
-    nu_tilde_khz = slope / (2.0 * math.pi) * 1e3
-
+    (nu_tilde_khz,), (coh,), (unwrapped,) = _tomography(device, [config], widths, noise, levels)
+    x, y = 2.0 * coh.real, 2.0 * coh.imag
     record = ExperimentRecord(
         protocol="sizzle_pulsewidth_tomography",
-        axes=(AxisSpec("width", tuple(widths), "us"),),
+        axes=(AxisSpec("width", tuple(np.asarray(widths, dtype=float)), "us"),),
         data={
-            "x_control0": expect["x0"],
-            "y_control0": expect["y0"],
-            "x_control1": expect["x1"],
-            "y_control1": expect["y1"],
+            "x_control0": x[:, 0],
+            "y_control0": y[:, 0],
+            "x_control1": x[:, 1],
+            "y_control1": y[:, 1],
             "differential_phase": unwrapped,
         },
         shots=0,
@@ -504,16 +520,12 @@ def sweep_relative_phase(
     levels: int = 3,
 ) -> ExperimentRecord:
     """nu_tilde versus the relative drive phase; the modulation should
-    be A cos(dphi) + B."""
-    from dataclasses import replace
-
+    be A cos(dphi) + B.  Every phase shares one Hamiltonian and one echo."""
     dphis = np.asarray(dphis, dtype=float)
-    rates = np.empty(len(dphis))
-    for i, dphi in enumerate(dphis):
-        cfg = replace(config, dphi=float(dphi))
-        rates[i], _ = hamiltonian_tomography_pulsewidth(
-            device, cfg, widths, noise=noise, seed=seed, levels=levels
-        )
+    if not len(dphis):
+        raise ValueError("need at least one relative phase")
+    configs = [replace(config, dphi=float(dphi)) for dphi in dphis]
+    rates, _, _ = _tomography(device, configs, widths, noise, levels)
     return ExperimentRecord(
         protocol="sizzle_phase_sweep",
         axes=(AxisSpec("dphi", tuple(dphis), "rad"),),
@@ -610,20 +622,11 @@ def sweep_drive_landscape(
             SizzleConfig(pair=pair, freq=float(freq), omega_target=float(amp), ratio=ratio)
             for amp in amplitudes
         ]
-        row = _echo(h0, device, configs, [width], collapse)(states)
-        for k in range(len(amplitudes)):
-            phases = {}
-            response = 0.0
-            for control_state in (0, 1):
-                state = row[k][0][control_state]
-                coh = site_coherence(state, 1, 2, levels)
-                phases[control_state] = math.atan2(coh.imag, coh.real)
-                pops = site_populations(state, 0, 2, levels)
-                response = max(response, abs(pops[1] - control_state))
-            diff_phase[i, k] = math.remainder(
-                phases[1] - phases[0], 2 * math.pi
-            )
-            control_response[i, k] = response
+        row = _echo(h0, device, configs, [width], collapse)(states)[:, 0]
+        _, phases, excited = _readout(row, levels, collapse)
+        diff_phase[i] = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
+        # the worse of the control's population errors in |0> and |1>
+        control_response[i] = np.abs(excited - [0.0, 1.0]).max(axis=-1)
     return ExperimentRecord(
         protocol="sizzle_drive_landscape",
         axes=(
@@ -777,13 +780,8 @@ def _repeated_gate_phases(
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
     collapse = _lindblad_terms(h0, noise)
     gate = _echo(h0, device, [config], [tau_g], collapse)
-    states = _prepared_states(levels, collapse)
-    phase_after = {}
-    for n in range(max(counts) + 1):
-        if n:
-            states = gate(states)[0, 0]
-        phase_after[n] = math.remainder(
-            _target_phase(states[1], levels) - _target_phase(states[0], levels),
-            2 * math.pi,
-        )
-    return [phase_after[n] for n in counts]
+    states = [_prepared_states(levels, collapse)]
+    for _ in range(max(counts)):
+        states.append(gate(states[-1])[0, 0])
+    _, phases, _ = _readout(np.array(states), levels, collapse)
+    return [math.remainder(phases[n, 1] - phases[n, 0], 2 * math.pi) for n in counts]

@@ -126,6 +126,13 @@ def test_resource_error_category(capsys):
     assert json.loads(err)["error"]["category"] == "resource"
 
 
+@pytest.mark.parametrize("levels", ["1", "0"])
+def test_spectrum_with_fewer_than_two_levels_is_a_config_error(levels, capsys):
+    code, out, err = run_cli(["spectrum", "--qubits", "Q2,Q3", "--levels", levels], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["category"] == "config"
+
+
 def test_fit_command(tmp_path, capsys):
     t = np.linspace(0.5, 200.0, 40)
     y = 0.1 + 0.9 * np.exp(-t / 71.0)
@@ -206,6 +213,34 @@ def test_table_format_on_a_result_without_a_table_is_a_config_error(tmp_path, ca
         assert code == 2, line
         assert json.loads(err)["error"]["category"] == "config"
         assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "line, module, function",
+    [
+        ("sweep --kind swap --pair Q2,Q3 --amplitudes 25 --seed 1", "protocols", "protocol_swap"),
+        (
+            "sizzle --mode landscape --pair Q2,Q7 --freqs 5020:5040:2 --amplitudes 0:6:2 --seed 1",
+            "sizzle",
+            "sweep_drive_landscape",
+        ),
+    ],
+)
+def test_table_format_without_a_table_is_refused_before_the_run(
+    line, module, function, tmp_path, capsys, monkeypatch
+):
+    import importlib
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the protocol ran")
+
+    monkeypatch.setattr(importlib.import_module(f"transmon_lattice.{module}"), function, no_work)
+    out_path = tmp_path / "t.csv"
+    code, out, err = run_cli(line.split() + ["--format", "table", "--out", str(out_path)], capsys)
+    assert code == 2 and out == "" and not out_path.exists()
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert "has no table" in error["message"]
 
 
 def test_plot_on_a_command_that_writes_no_plot_is_a_config_error(
@@ -672,6 +707,18 @@ def test_sizzle_landscape_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "landscape.json").read_text())
     assert "differential_phase" in payload["data"]
+
+
+def test_sizzle_landscape_reads_the_ratio(capsys):
+    line = "sizzle --mode landscape --pair Q2,Q7 --freqs 5028.5 --amplitudes 4,8 --levels 3 --seed 8"
+    payloads = {}
+    for ratio in ("1", "2"):
+        code, out, _ = run_cli(line.split() + ["--ratio", ratio], capsys)
+        assert code == 0
+        payloads[ratio] = json.loads(out)
+    assert payloads["2"]["config"]["ratio"] == 2.0
+    one, two = (np.array(payloads[r]["data"]["differential_phase"]) for r in ("1", "2"))
+    assert np.all(np.isfinite(two)) and not np.allclose(one, two)
 
 
 def test_calibrate_cz_command(capsys):

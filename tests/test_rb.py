@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from transmon_lattice.cliffords import clifford_table, compose_gates, inverse_index
+from transmon_lattice.cliffords import clifford_table, compose_gates, cz_unitary, inverse_index
 from transmon_lattice.errors import ContractViolation
 from transmon_lattice.rb import (
     DEFAULT_LENGTHS,
@@ -161,6 +161,17 @@ def test_interleaved_rb_reads_the_phase_of_a_calibration():
     assert np.array_equal(
         calibrated["interleaved"].survivals, direct["interleaved"].survivals
     )
+
+
+@pytest.mark.parametrize("phase", [3.0, 2.8])
+def test_interleaved_rb_of_a_conditional_phase_short_of_pi(phase):
+    # the sequences invert with the ideal CZ, so a phase error shows as
+    # infidelity: F = (d |tr(CZ^dag U)|^2 / d^2 + 1) / (d + 1), d = 4
+    result = run_interleaved_rb_cz(phase, seed=3)
+    overlap = abs(np.trace(cz_unitary(math.pi).conj().T @ cz_unitary(phase)))
+    direct = (4 * overlap**2 / 16 + 1) / 5
+    assert result["fidelity"] < 1.0
+    assert abs(result["fidelity"] - direct) <= result["uncertainty"]
 
 
 def test_interleaved_fidelity_decreases_with_gate_duration():

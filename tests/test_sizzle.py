@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,52 @@ def test_phase_sweep_cosine_modulation(device):
     drive_term = predicted_peak - zeta
     assert fit["amplitude"] == pytest.approx(drive_term, rel=0.15)
     assert fit["offset"] == pytest.approx(zeta, rel=0.15)
+
+
+@pytest.mark.parametrize(
+    "rise, noisy, dphis, widths",
+    [
+        (0.0, False, np.linspace(0.0, 2 * math.pi, 16, endpoint=False), np.linspace(0.0, 3.0, 7)),
+        (50.0, False, np.linspace(0.0, 2 * math.pi, 16, endpoint=False), np.linspace(0.0, 3.0, 7)),
+        (0.0, True, np.array([0.0, 2.0, 4.0]), np.linspace(0.0, 1.5, 3)),
+    ],
+    ids=["rectangular", "ramped", "lindblad"],
+)
+def test_phase_sweep_matches_per_phase_tomography(device, rise, noisy, dphis, widths):
+    # one echo over every phase gives each phase's rate bit for bit
+    config = _config(amplitude=10.0, rise=rise)
+    noise = NoiseSpec.from_device(device) if noisy else None
+    record = sweep_relative_phase(device, config, dphis, widths, noise=noise, levels=3)
+    per_phase = [
+        hamiltonian_tomography_pulsewidth(
+            device, replace(config, dphi=float(dphi)), widths, noise=noise, levels=3
+        )[0]
+        for dphi in dphis
+    ]
+    assert np.array_equal(record.data["nu_tilde_khz"], per_phase)
+
+
+def test_phase_sweep_builds_one_hamiltonian_and_one_decomposition(device, monkeypatch):
+    from transmon_lattice import sizzle
+
+    calls = {"assemble": 0, "eigh": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sizzle, "assemble_hamiltonian", counted("assemble", assemble_hamiltonian))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    dphis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    sweep_relative_phase(device, _config(rise=0.0), dphis, np.linspace(0.0, 3.0, 7), levels=4)
+    assert calls == {"assemble": 1, "eigh": 1}
+
+
+def test_phase_sweep_without_phases_is_a_value_error(device):
+    with pytest.raises(ValueError, match="phase"):
+        sweep_relative_phase(device, _config(), [], np.linspace(0.0, 3.0, 7))
 
 
 def test_phase_table_echo_cancels_single_qubit_phases(device):
