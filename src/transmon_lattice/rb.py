@@ -3,9 +3,9 @@ interleaved, with EPC/EPG extraction and the coherence-limited bound.
 
 The benchmarking simulator is gate-level: Cliffords and the injected
 noise channels (depolarizing, coherent over-rotation, always-on ZZ
-phases between neighbors) act as Pauli transfer matrices on single- and
-simultaneous-RB states, and as unitaries on two-qubit density matrices
-in interleaved RB.  Survival decays fit A p^m + B; EPC = (1 - p)(d - 1)/d.
+phases between neighbors) act as Pauli transfer matrices on the Pauli
+vectors of one lockstep engine, which runs individual, simultaneous and
+interleaved RB.  Survival decays fit A p^m + B; EPC = (1 - p)(d - 1)/d.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from .cliffords import (
     MEAN_GATES_PER_CLIFFORD,
+    _mixers,
     clifford_identity,
     clifford_table,
     clifford_unitaries,
@@ -104,7 +105,6 @@ class NoiseChannel:
         for a, b in device.nn_pairs():
             if qubit not in (a, b):
                 continue
-            other = b if qubit == a else a
             zeta_khz = zz_perturbative(
                 device.couplings.j(a, b),
                 device.qubit(a).omega - device.qubit(b).omega,
@@ -218,18 +218,7 @@ def run_rb(
     between slot gates; otherwise qubits run individually.
     Deterministic for a fixed seed.
     """
-    fractional = [m for m in lengths if not float(m).is_integer()]
-    if fractional:
-        raise ValueError(f"lengths must be integers, got {fractional[0]}")
-    lengths = tuple(int(m) for m in lengths)
-    if not lengths or lengths[0] < 0:
-        raise ValueError("lengths must be a non-empty list of non-negative integers")
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("lengths must be strictly ascending")
-    if n_sequences < 1:
-        raise ValueError(f"n_sequences must be at least 1, got {n_sequences}")
-    if shots < 0:
-        raise ValueError(f"shots must be non-negative (0 = exact), got {shots}")
+    lengths = _checked_runs(n_sequences, lengths, shots)
     qubits = tuple(qubits)
     repeated = sorted({q for q in qubits if qubits.count(q) > 1})
     if repeated:
@@ -245,6 +234,23 @@ def run_rb(
             _run_register(channels, register, entropy, n_sequences, lengths, shots)
         )
     return {q: _fit_outcome(q, lengths, per_sequence[q]) for q in qubits}
+
+
+def _checked_runs(n_sequences: int, lengths: Sequence[int], shots: int) -> tuple[int, ...]:
+    """An RB run's lengths as ints, once they, the sequence count and the shots are valid."""
+    fractional = [m for m in lengths if not float(m).is_integer()]
+    if fractional:
+        raise ValueError(f"lengths must be integers, got {fractional[0]}")
+    lengths = tuple(int(m) for m in lengths)
+    if not lengths or lengths[0] < 0:
+        raise ValueError("lengths must be a non-empty list of non-negative integers")
+    if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError("lengths must be strictly ascending")
+    if n_sequences < 1:
+        raise ValueError(f"n_sequences must be at least 1, got {n_sequences}")
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative (0 = exact), got {shots}")
+    return lengths
 
 
 def _resolve_channels(model, qubits, gate_time_ns) -> dict[str, NoiseChannel]:
@@ -283,35 +289,37 @@ def _zz_pairs_for(
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
+def _jobs(entropy: tuple[int, ...], n_sequences: int, lengths: Sequence[int]):
+    """Each (s, li) job's generator and its length, ordered by length.
+    The job draws its Clifford ids, then its shot counts, from
+    ``SeedSequence([*entropy, s, li])``."""
+    return [
+        np.random.default_rng(np.random.SeedSequence([*entropy, s, li]))
+        for li in range(len(lengths)) for s in range(n_sequences)
+    ], np.repeat(lengths, n_sequences)
+
+
+def _sampled(survivals, rngs, shots: int, n_sequences: int) -> np.ndarray:
+    """(n_sequences, n_lengths) table of the jobs' survivals, each
+    sampled at ``shots`` from its generator, after its Clifford ids."""
+    sampled = [_sample_survival(p, shots, rng) for p, rng in zip(survivals, rngs)]
+    return np.array(sampled).reshape(-1, n_sequences).T.copy()
+
+
 def _run_register(
-    channels: Mapping[str, NoiseChannel],
-    register: Sequence[str],
-    entropy: tuple[int, ...],
-    n_sequences: int,
-    lengths: Sequence[int],
-    shots: int,
+    channels: Mapping[str, NoiseChannel], register: Sequence[str], entropy: tuple[int, ...],
+    n_sequences: int, lengths: Sequence[int], shots: int,
 ) -> dict[str, np.ndarray]:
     """Per-sequence survivals of every qubit of one register (one qubit
-    for individual RB, all of them for simultaneous RB).
-
-    Job (s, li) draws its Clifford ids, then its shot counts, from
-    ``SeedSequence([*entropy, s, li])``.
-    """
-    jobs = [(s, li) for li in range(len(lengths)) for s in range(n_sequences)]
-    rngs = [np.random.default_rng(np.random.SeedSequence([*entropy, s, li])) for s, li in jobs]
-    job_lengths = np.array([lengths[li] for _, li in jobs])
-    ground = _lockstep(
-        _closed_sequences(rngs, job_lengths, len(register)),
-        job_lengths,
-        np.array([_slot_transfers(channels[q]) for q in register]),
-        np.array([_slot_depolarizing(channels[q]) for q in register]),
-        _zz_transfer(_zz_pairs_for(channels, register), len(register)),
-    )
-    per_sequence = {q: np.empty((n_sequences, len(lengths))) for q in register}
-    for j, (rng, (s, li)) in enumerate(zip(rngs, jobs)):
-        for k, q in enumerate(register):
-            per_sequence[q][s, li] = _sample_survival(ground[j, k], shots, rng)
-    return per_sequence
+    for individual RB, all of them for simultaneous RB)."""
+    rngs, job_lengths = _jobs(entropy, n_sequences, lengths)
+    slots = _closed_sequences(rngs, job_lengths, len(register))
+    transfers = np.array([_slot_transfers(channels[q]) for q in register])
+    zz = _zz_transfer(_zz_pairs_for(channels, register), len(register))
+    depolarizing = np.array([_slot_depolarizing(channels[q]) for q in register])
+    x = _lockstep(slots, job_lengths, transfers, zz)
+    ground = _site_ground(x, slots, job_lengths, depolarizing)
+    return {q: _sampled(ground[:, k], rngs, shots, n_sequences) for k, q in enumerate(register)}
 
 
 def _closed_sequences(
@@ -340,6 +348,24 @@ def _slot_depolarizing(channel: NoiseChannel) -> np.ndarray:
     return 1.0 - (1.0 - channel.depolarizing) ** pulses
 
 
+def _pauli_strings(n_sites: int) -> np.ndarray:
+    """(4**n, 2**n, 2**n) Pauli strings, site 0 the most significant digit."""
+    strings = np.ones((1, 1, 1))
+    for _ in range(n_sites):
+        strings = np.einsum("aij,bkl->abikjl", strings, _PAULIS).reshape(
+            4 * len(strings), 2 * len(strings[0]), -1
+        )
+    return strings
+
+
+def _transfers(u: np.ndarray) -> np.ndarray:
+    """Transfer matrices R[c, a, b] = tr(P_a U_c P_b U_c^dagger) / 2**n
+    of a (k, 2**n, 2**n) stack of n-site unitaries."""
+    dim = u.shape[-1]
+    strings = _pauli_strings(dim.bit_length() - 1)
+    return np.einsum("aij,cjk,bkl,cil->cab", strings, u, strings, u.conj()).real / dim
+
+
 def _slot_transfers(channel: NoiseChannel) -> np.ndarray:
     """(25, 24, 4, 4) table of one site's slot transfer matrices: entry
     [prev, cur] applies the depolarizing of Clifford ``prev`` (from the
@@ -347,17 +373,13 @@ def _slot_transfers(channel: NoiseChannel) -> np.ndarray:
     ``channel`` plays it, every X pulse over-rotated.  A slot's
     depolarizing comes right after its ZZ, so it can ride with the next
     slot's Clifford unchanged."""
-    u = clifford_unitaries(1.0 + channel.over_rotation)
-    # R[c, a, b] = tr(P_a U_c P_b U_c^dagger) / 2
-    rotations = 0.5 * np.einsum("aij,cjk,bkl,cil->cab", _PAULIS, u, _PAULIS, u.conj()).real
+    rotations = _transfers(clifford_unitaries(1.0 + channel.over_rotation))
     keep = np.ones((25, 4))
     keep[:24, 1:] = (1.0 - _slot_depolarizing(channel))[:, None]
     return rotations[None] * keep[:, None, None, :]
 
 
-def _zz_transfer(
-    phases: Mapping[tuple[int, int], float], n_sites: int
-) -> Optional[np.ndarray]:
+def _zz_transfer(phases: Mapping[tuple[int, int], float], n_sites: int) -> Optional[np.ndarray]:
     """Transposed (4**n, 4**n) transfer matrix of the slot ZZ evolution
     V on n-site Pauli vectors (site 0 is the most significant bit and
     Pauli digit), or None without ZZ: entry [b, a] is
@@ -368,47 +390,39 @@ def _zz_transfer(
     dim = 2**n_sites
     bits = (np.arange(dim)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
     v = np.exp(-1j * sum(phi * bits[:, i] * bits[:, j] for (i, j), phi in phases.items()))
-    strings = np.ones((1, 1, 1))
-    for _ in range(n_sites):
-        strings = np.einsum("aij,bkl->abikjl", strings, _PAULIS).reshape(
-            4 * len(strings), 2 * len(strings[0]), -1
-        )
+    strings = _pauli_strings(n_sites)
     conjugated = v[:, None] * strings * v.conj()  # V P_b V^dagger
     return np.einsum("bij,aji->ba", conjugated, strings).real / dim
 
 
-def _slot_step(
-    x: np.ndarray, transfers: np.ndarray, zz: Optional[np.ndarray]
-) -> np.ndarray:
+def _slot_step(x: np.ndarray, transfers: np.ndarray, register: Optional[np.ndarray]) -> np.ndarray:
     """One Clifford slot on a (b, 4**n) stack of Pauli vectors: site k's
-    (b, 4, 4) transfer matrices ``transfers[:, k]``, then the transposed
-    ZZ transfer matrix from :func:`_zz_transfer`."""
+    (b, 4, 4) transfer matrices ``transfers[:, k]``, then a transposed
+    register transfer matrix, (4**n, 4**n) or one per job."""
     b, n = transfers.shape[:2]
     for k in range(n):
         # site k is the leading digit; the product moves it to the end,
         # so after all n sites the digits are back in order
         x = x.reshape(b, 4, -1).transpose(0, 2, 1) @ transfers[:, k].transpose(0, 2, 1)
     x = x.reshape(b, -1)
-    return x if zz is None else x @ zz
+    if register is None:
+        return x
+    return x @ register if register.ndim == 2 else (x[:, None] @ register)[:, 0]
 
 
 def _lockstep(
-    slots: np.ndarray,
-    lengths: np.ndarray,
-    transfers: np.ndarray,
-    depolarizing: np.ndarray,
-    zz: Optional[np.ndarray],
+    slots: np.ndarray, lengths: np.ndarray, transfers: np.ndarray,
+    register: Optional[np.ndarray], register_ids: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Run closed Clifford sequences from the ground state and return
-    each site's ground-state population, shape (B, n_sites).
+    the final (B, 4**n) Pauli vectors.
 
-    ``slots`` come from :func:`_closed_sequences`: job j plays
-    slots[j, :, 0..lengths[j]], and ``lengths`` must be ascending.
-    ``transfers`` (n, 25, 24, 4, 4) from :func:`_slot_transfers` and
-    ``depolarizing`` (n, 24) are the per-site slot tables, and ``zz``
-    comes from :func:`_zz_transfer`.  Each slot plays the Cliffords,
-    then ZZ, then depolarizing; the last slot's depolarizing is applied
-    at readout, where it scales <Z_k>.
+    Job j plays slots[j, :, 0..lengths[j]] (as from :func:`_closed_sequences`),
+    and ``lengths`` must be ascending.  Each slot plays the sites'
+    Cliffords from their (n, 25, 24, 4, 4) :func:`_slot_transfers`
+    tables, then a transposed register matrix: ``register`` itself (the
+    :func:`_zz_transfer`, or None), or, given the (B, slots)
+    ``register_ids``, entry register[register_ids[j, t]] of a stack.
     """
     n_jobs, n_sites, _ = slots.shape
     sites = np.arange(n_sites)
@@ -418,20 +432,25 @@ def _lockstep(
     previous = np.full((n_jobs, n_sites), 24, np.int8)
     starts = np.searchsorted(lengths, np.arange(lengths[-1] + 1))
     for t, start in enumerate(starts):
+        step = register if register_ids is None else register[register_ids[start:, t]]
         x[start:] = _slot_step(
-            x[start:], transfers[sites, previous[start:], slots[start:, :, t]], zz
+            x[start:], transfers[sites, previous[start:], slots[start:, :, t]], step
         )
         previous = slots[:, :, t]
+    return x
+
+
+def _site_ground(x, slots, lengths, depolarizing) -> np.ndarray:
+    """Each site's ground-state population (B, n_sites) from the Pauli
+    vectors of :func:`_lockstep`, after the last slot's (n, 24)
+    ``depolarizing``, which scales <Z_k>."""
+    sites = np.arange(slots.shape[1])
     z = x[:, 3 * 4 ** sites[::-1]]
-    last = slots[np.arange(n_jobs), :, lengths]
+    last = slots[np.arange(len(x)), :, lengths]
     return 0.5 * (1.0 + (1.0 - depolarizing[sites, last]) * z)
 
 
 # ------------------------------------------------------- two-qubit RB / CZ
-
-def _depolarize_two(rho: np.ndarray, p: float) -> np.ndarray:
-    return (1.0 - p) * rho + p * 0.25 * np.trace(rho) * np.eye(4)
-
 
 def run_interleaved_rb_cz(
     calibration_or_phase: Union[CzCalibration, float],
@@ -441,83 +460,76 @@ def run_interleaved_rb_cz(
     seed: int = 0,
     background: Optional[NoiseChannel] = None,
     gate_error: float = 0.0,
-    gate_channel=None,
+    gate_transfer: Optional[np.ndarray] = None,
 ) -> dict:
     """Interleaved two-qubit RB of a calibrated conditional-phase gate.
 
     The reference run uses random two-qubit Cliffords with the
-    ``background`` channel per Clifford; the interleaved run inserts
-    the calibrated gate (its conditional phase, plus a two-qubit
+    ``background`` channel's depolarizing per Clifford (its other fields
+    must keep their defaults); the interleaved run inserts the
+    calibrated gate (its conditional phase, plus a two-qubit
     depolarizing channel of average infidelity ``gate_error``) after
-    every Clifford.  ``gate_channel``, when given, replaces the
-    unitary-plus-depolarizing model with an arbitrary channel rho ->
-    rho whose intended action is the same conditional phase (e.g. a
-    Lindblad-noised gate of some duration).  Gate fidelity comes from
-    the decay ratio: F = 1 - (3/4)(1 - p_int / p_ref).  The inverting
-    Clifford of each sequence assumes the ideal CZ, whatever the phase.
+    every Clifford.  ``gate_transfer``, when given, replaces that model
+    with any gate G meant to be the same conditional phase (e.g. a
+    Lindblad-noised gate), as its (16, 16) Pauli transfer matrix
+    R[a, b] = tr(P_a G(P_b)) / 4, site 0 the leading Pauli digit.  Both
+    runs step on the lockstep engine: Clifford (c0, c1, mixer) is the
+    sites' transfers of c0 and c1, then one gathered 16x16 matrix: the
+    mixer, the background and, on body slots of the interleaved run, the
+    gate.  F = 1 - (3/4)(1 - p_int / p_ref).  The inverting Clifford of
+    each sequence assumes the ideal CZ, whatever the phase.
     """
+    lengths = _checked_runs(n_sequences, lengths, shots)
+    background = background or NoiseChannel()
+    for name in ("granularity", "over_rotation", "zz_phase_per_clifford"):
+        if getattr(background, name) != getattr(NoiseChannel(), name):
+            raise ValueError(f"interleaved RB plays only the background depolarizing, not {name}")
     phase = (
         calibration_or_phase.conditional_phase()
         if hasattr(calibration_or_phase, "conditional_phase")
         else float(calibration_or_phase)
     )
-    gate, ideal = cz_unitary(phase), cz_unitary(math.pi)
     q_gate = gate_error / 0.75  # depolarizing probability for that infidelity
     if not 0.0 <= q_gate <= 1.0:
         raise ContractViolation("gate_error implies a probability outside [0, 1]")
-    background = background or NoiseChannel()
+
+    def depolarized(transfer, q):  # keeps tr(rho), scales every other Pauli by 1 - q
+        return np.r_[1.0, np.full(15, 1.0 - q)][:, None] * transfer
+
+    if gate_transfer is None:
+        gate_transfer = depolarized(_transfers(cz_unitary(phase)[None])[0], q_gate)
+    mixers = depolarized(_transfers(_mixers()), background.depolarizing)
+    # entries 0-19: mixer, then background; 20-39: then the gate
+    register = np.concatenate([mixers, gate_transfer @ mixers]).transpose(0, 2, 1)
+    site_transfers = np.array([_slot_transfers(NoiseChannel())] * 2)
     mats = two_qubit_clifford_matrices()
 
-    def apply_gate(rho: np.ndarray) -> np.ndarray:
-        if gate_channel is not None:
-            return gate_channel(rho)
-        rho = gate @ rho @ gate.conj().T
-        if q_gate:
-            rho = _depolarize_two(rho, q_gate)
-        return rho
-
     def run(interleave: bool) -> np.ndarray:
-        per_sequence = np.empty((n_sequences, len(lengths)))
-        for s in range(n_sequences):
-            for li, m in enumerate(lengths):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, 303, s, li])
-                )
-                ids = rng.integers(0, len(mats), m)
-                rho = np.zeros((4, 4), dtype=complex)
-                rho[0, 0] = 1.0
-                u_total = np.eye(4, dtype=complex)
-                for idx in ids:
-                    u = mats[idx]
-                    rho = u @ rho @ u.conj().T
-                    u_total = u @ u_total
-                    if background.depolarizing:
-                        rho = _depolarize_two(rho, background.depolarizing)
-                    if interleave:
-                        rho = apply_gate(rho)
-                        u_total = ideal @ u_total
-                inv = mats[two_qubit_inverse_index(u_total)]
-                rho = inv @ rho @ inv.conj().T
-                if background.depolarizing:
-                    rho = _depolarize_two(rho, background.depolarizing)
-                survival = float(np.real(rho[0, 0]))
-                per_sequence[s, li] = _sample_survival(survival, shots, rng)
-        return per_sequence
+        step = cz_unitary(math.pi) if interleave else np.eye(4)  # the ideal product
+        rngs, job_lengths = _jobs((seed, 303), n_sequences, lengths)
+        ids = np.zeros((len(rngs), lengths[-1] + 1), int)
+        for j, (rng, m) in enumerate(zip(rngs, job_lengths)):
+            ids[j, :m] = rng.integers(0, len(mats), m)
+            u_total = np.eye(4)
+            for u in step @ mats[ids[j, :m]]:
+                u_total = u @ u_total
+            ids[j, m] = two_qubit_inverse_index(u_total)
+        body = np.arange(ids.shape[1]) < job_lengths[:, None]
+        slots = np.stack([ids // 480, ids // 20 % 24], axis=1).astype(np.int8)
+        mixer_ids = ids % 20 + 20 * (interleave & body)
+        x = _lockstep(slots, job_lengths, site_transfers, register, mixer_ids)
+        survival = x[:, [0, 3, 12, 15]].sum(axis=1) / 4.0  # <00|rho|00> = (II + IZ + ZI + ZZ) / 4
+        return _sampled(survival, rngs, shots, n_sequences)
 
     reference = _fit_outcome("pair:ref", lengths, run(False), n_qubits=2)
     interleaved = _fit_outcome("pair:int", lengths, run(True), n_qubits=2)
-    p_ref = reference.fit.params["p"]
-    p_int = interleaved.fit.params["p"]
-    fidelity = 1.0 - 0.75 * (1.0 - p_int / p_ref)
-    s_ref = reference.fit.uncertainties.get("p", 0.0)
-    s_int = interleaved.fit.uncertainties.get("p", 0.0)
+    (p_ref, s_ref), (p_int, s_int) = (
+        (arm.fit.params["p"], arm.fit.uncertainties.get("p", 0.0))
+        for arm in (reference, interleaved)
+    )
     ratio = p_int / p_ref
     sigma = 0.75 * abs(ratio) * math.sqrt(
         (s_int / p_int) ** 2 + (s_ref / p_ref) ** 2
     ) if p_int > 0 and p_ref > 0 else float("nan")
-    return {
-        "fidelity": fidelity,
-        "uncertainty": sigma,
-        "reference": reference,
-        "interleaved": interleaved,
-    }
+    return {"fidelity": 1.0 - 0.75 * (1.0 - ratio), "uncertainty": sigma,
+            "reference": reference, "interleaved": interleaved}

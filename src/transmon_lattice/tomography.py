@@ -16,6 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .device import T2_TOLERANCE
 from .dynamics import NoiseSpec, evolve_open
 from .errors import ContractViolation
 from .operators import LatticeOperator
@@ -233,10 +234,13 @@ def _noisy_cz(
 
 def _noise_rates(tau_g: float, t1: float, t2: float, labels: Sequence[str]) -> dict:
     """Relaxation and pure-dephasing rates of T1 and T2 on every label;
-    the gate duration, T1 and T2 must be finite and positive."""
+    the gate duration, T1 and T2 must be finite and positive, and T2 at
+    most 2 T1 (as in device files)."""
     for name, value in (("tau_g", tau_g), ("T1", t1), ("T2", t2)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} = {value} us must be finite and positive")
+    if t2 > 2.0 * t1 + T2_TOLERANCE:
+        raise ValueError(f"T2 = {t2} us exceeds 2 T1 = {2.0 * t1} us")
     return {
         "relaxation": {q: 1.0 / t1 for q in labels},
         "dephasing": {q: max(1.0 / t2 - 0.5 / t1, 0.0) for q in labels},
@@ -251,7 +255,8 @@ def bell_state_noisy(
 ) -> np.ndarray:
     """Bell preparation where the conditional-phase gate takes ``tau_g``
     (us) under T1/T2 Lindblad noise on both qubits; raises ValueError
-    unless ``tau_g``, ``t1`` and ``t2`` are finite and positive."""
+    unless ``tau_g``, ``t1`` and ``t2`` are finite and positive and
+    ``t2`` is at most 2 ``t1``."""
     labels = ("a", "b")
     rates = _noise_rates(tau_g, t1, t2, labels)
     rho = np.zeros((4, 4), dtype=complex)

@@ -22,7 +22,9 @@ def _src_env() -> dict:
     """The environment of a subprocess that imports this checkout's package."""
     src = str(Path(transmon_lattice.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    # a warning fails the subprocess, as filterwarnings = ["error"] fails an in-process test
+    return dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]),
+                PYTHONWARNINGS="error")
 
 
 def test_zz_command(capsys):
@@ -634,14 +636,17 @@ def test_tomography_command(capsys):
 
 
 def test_tomography_rejects_unphysical_noise_inputs(capsys):
-    for line in (
-        "tomography --state bell --tau-g -1 --seed 7",
-        "tomography --state bell --tau-g 3.3 --t1 0 --seed 7",
-        "tomography --state ghz --tau-g 3.3 --t2 -5 --seed 7",
+    for line, name in (
+        ("tomography --state bell --tau-g -1 --seed 7", "tau_g"),
+        ("tomography --state bell --tau-g 3.3 --t1 0 --seed 7", "T1"),
+        ("tomography --state ghz --tau-g 3.3 --t2 -5 --seed 7", "T2"),
+        ("tomography --state bell --tau-g 3.3 --seed 7 --t1 50 --t2 200", "T2"),
     ):
         code, out, err = run_cli(line.split(), capsys)
         assert code == 2, line
-        assert json.loads(err)["error"]["category"] == "config"
+        error = json.loads(err)["error"]
+        assert error["category"] == "config"
+        assert name in error["message"], line
         assert out == ""
 
 

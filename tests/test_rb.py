@@ -3,11 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from transmon_lattice.cliffords import clifford_table, compose_gates, cz_unitary, inverse_index
+from transmon_lattice.cliffords import (
+    _mixers,
+    clifford_table,
+    compose_gates,
+    cz_unitary,
+    inverse_index,
+    two_qubit_clifford_matrices,
+    two_qubit_inverse_index,
+)
 from transmon_lattice.errors import ContractViolation
 from transmon_lattice.rb import (
     DEFAULT_LENGTHS,
     NoiseChannel,
+    _PAULIS,
+    _sample_survival,
+    _slot_transfers,
+    _transfers,
     clg,
     epc_to_epg,
     run_interleaved_rb_cz,
@@ -174,7 +186,34 @@ def test_interleaved_rb_of_a_conditional_phase_short_of_pi(phase):
     assert abs(result["fidelity"] - direct) <= result["uncertainty"]
 
 
+_PAULI_PAIRS = np.array([np.kron(a, b) for a in _PAULIS for b in _PAULIS])
+
+
+def _transfer_by_linear_inversion(channel):
+    """(16, 16) Pauli transfer matrix R[a, b] = tr(P_a G(P_b)) / 4 of a
+    two-qubit channel rho -> G(rho), from its outputs on the 16 product
+    states of |0>, |1>, |+>, |+i>."""
+    kets = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1]), np.array([1, 1j])]
+    singles = [np.outer(k, k.conj()) / np.vdot(k, k) for k in kets]
+    inputs = [np.kron(a, b) for a in singles for b in singles]
+
+    def pauli_columns(rhos):  # column k holds tr(rho_k P_a)
+        return np.einsum("kij,aji->ak", np.array(rhos), _PAULI_PAIRS).real
+
+    return pauli_columns([channel(rho) for rho in inputs]) @ np.linalg.inv(pauli_columns(inputs))
+
+
 def test_interleaved_fidelity_decreases_with_gate_duration():
+    kwargs = dict(n_sequences=6, lengths=(2, 4, 8, 16), shots=0, seed=8)
+    # the ideal CZ as a transfer matrix plays as the built-in gate model does
+    cz = cz_unitary(math.pi)
+    ideal = run_interleaved_rb_cz(
+        math.pi, gate_transfer=_transfer_by_linear_inversion(lambda rho: cz @ rho @ cz.conj().T),
+        **kwargs,
+    )
+    np.testing.assert_allclose(ideal["interleaved"].per_sequence,
+                               run_interleaved_rb_cz(math.pi, **kwargs)["interleaved"].per_sequence,
+                               rtol=0, atol=1e-12)
     fidelities = []
     for tau in (0.5, 1.5, 3.0):
         def channel(rho, tau=tau):
@@ -183,11 +222,124 @@ def test_interleaved_fidelity_decreases_with_gate_duration():
                               "dephasing": {"a": 1 / 80.0, "b": 1 / 80.0}},
                              ("a", "b"))
         result = run_interleaved_rb_cz(
-            math.pi, n_sequences=6, lengths=(2, 4, 8, 16), shots=0, seed=8,
-            gate_channel=channel,
+            math.pi, gate_transfer=_transfer_by_linear_inversion(channel), **kwargs,
         )
         fidelities.append(result["fidelity"])
     assert fidelities[0] > fidelities[1] > fidelities[2]
+
+
+def _depolarize_two(rho: np.ndarray, p: float) -> np.ndarray:
+    return (1.0 - p) * rho + p * 0.25 * np.trace(rho) * np.eye(4)
+
+
+def _density_matrix_arm(phase, interleave, n_sequences, lengths, shots, seed,
+                        background, gate_error):
+    """Per-sequence survivals of one interleaved-RB arm, stepping one 4x4
+    density matrix per (sequence, length) through every Clifford, the
+    background depolarizing and the gate."""
+    gate, ideal = cz_unitary(phase), cz_unitary(math.pi)
+    q_gate = gate_error / 0.75
+    mats = two_qubit_clifford_matrices()
+
+    def apply_gate(rho: np.ndarray) -> np.ndarray:
+        rho = gate @ rho @ gate.conj().T
+        if q_gate:
+            rho = _depolarize_two(rho, q_gate)
+        return rho
+
+    per_sequence = np.empty((n_sequences, len(lengths)))
+    for s in range(n_sequences):
+        for li, m in enumerate(lengths):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, 303, s, li])
+            )
+            ids = rng.integers(0, len(mats), m)
+            rho = np.zeros((4, 4), dtype=complex)
+            rho[0, 0] = 1.0
+            u_total = np.eye(4, dtype=complex)
+            for idx in ids:
+                u = mats[idx]
+                rho = u @ rho @ u.conj().T
+                u_total = u @ u_total
+                if background.depolarizing:
+                    rho = _depolarize_two(rho, background.depolarizing)
+                if interleave:
+                    rho = apply_gate(rho)
+                    u_total = ideal @ u_total
+            inv = mats[two_qubit_inverse_index(u_total)]
+            rho = inv @ rho @ inv.conj().T
+            if background.depolarizing:
+                rho = _depolarize_two(rho, background.depolarizing)
+            survival = float(np.real(rho[0, 0]))
+            per_sequence[s, li] = _sample_survival(survival, shots, rng)
+    return per_sequence
+
+
+@pytest.mark.parametrize("phase", [math.pi, 3.0, 2.8])
+@pytest.mark.parametrize("depolarizing, gate_error", [(0.0, 0.0), (0.01, 0.03)])
+def test_interleaved_rb_matches_density_matrix_reference(phase, depolarizing, gate_error):
+    kwargs = dict(n_sequences=3, lengths=(0, 2, 5, 9), seed=11,
+                  background=NoiseChannel(depolarizing=depolarizing), gate_error=gate_error)
+    for shots in (0, 100):
+        result = run_interleaved_rb_cz(phase, shots=shots, **kwargs)
+        for arm, interleave in (("reference", False), ("interleaved", True)):
+            expected = _density_matrix_arm(phase, interleave, shots=shots, **kwargs)
+            if shots:
+                assert np.array_equal(result[arm].per_sequence, expected)
+            else:
+                np.testing.assert_allclose(result[arm].per_sequence, expected,
+                                           rtol=0, atol=1e-12)
+
+
+def test_two_qubit_cliffords_factor_into_site_and_mixer_transfers():
+    # Clifford k = (c0, c1, mixer) plays c0 and c1 on the sites, then the
+    # mixer: its transfer matrix is R(mixer) (R(c0) (x) R(c1))
+    sites = _slot_transfers(NoiseChannel())[24]
+    mixers = _transfers(_mixers())
+    mats = two_qubit_clifford_matrices()
+    for start in range(0, len(mats), 1440):
+        k = np.arange(start, start + 1440)
+        u = mats[k]
+        conjugated = u[:, None] @ _PAULI_PAIRS @ u.conj().transpose(0, 2, 1)[:, None]
+        direct = np.einsum("aji,cbij->cab", _PAULI_PAIRS, conjugated).real / 4.0
+        pair = np.einsum("cab,cde->cadbe", sites[k // 480], sites[k // 20 % 24])
+        factored = mixers[k % 20] @ pair.reshape(-1, 16, 16)
+        assert np.max(np.abs(factored - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("run", ["run_rb", "run_interleaved_rb_cz"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(shots=-5), "shots"),
+        (dict(n_sequences=0), "n_sequences"),
+        (dict(lengths=(8, 4, 2)), "ascending"),
+        (dict(lengths=(2, 2, 4)), "ascending"),
+        (dict(lengths=(2, 4.5, 8)), "integers"),
+        (dict(lengths=()), "non-empty"),
+        (dict(lengths=(-1, 2, 4)), "non-negative"),
+    ],
+)
+def test_rb_runs_reject_invalid_inputs(run, overrides, message):
+    kwargs = {**dict(n_sequences=2, lengths=(2, 4, 8), shots=0, seed=1), **overrides}
+    with pytest.raises(ValueError, match=message):
+        if run == "run_rb":
+            run_rb(NoiseChannel(), ["Q1"], **kwargs)
+        else:
+            run_interleaved_rb_cz(math.pi, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "background, field",
+    [
+        (NoiseChannel(over_rotation=0.2), "over_rotation"),
+        (NoiseChannel(depolarizing=0.01, granularity="gate"), "granularity"),
+        (NoiseChannel(zz_phase_per_clifford={("Q1", "Q2"): 0.1}), "zz_phase_per_clifford"),
+    ],
+)
+def test_interleaved_rb_rejects_background_it_cannot_play(background, field):
+    with pytest.raises(ValueError, match=field):
+        run_interleaved_rb_cz(math.pi, n_sequences=2, lengths=(2, 4, 8), background=background)
 
 
 def test_device_derived_channel(device):

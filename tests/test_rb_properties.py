@@ -17,6 +17,7 @@ from transmon_lattice.rb import (
     _PAULIS,
     _closed_sequences,
     _lockstep,
+    _site_ground,
     _slot_depolarizing,
     _slot_step,
     _slot_transfers,
@@ -136,13 +137,14 @@ def test_lockstep_matches_reference_stepper(inputs):
     rngs = [np.random.default_rng([seed, j]) for j in range(len(lengths))]
     lengths = np.array(lengths)
     slots = _closed_sequences(rngs, lengths, n_sites)
-    depolarizing = np.array([_slot_depolarizing(c) for c in channels])
-    ground = _lockstep(
+    x = _lockstep(
         slots,
         lengths,
         np.array([_slot_transfers(c) for c in channels]),
-        depolarizing,
         _zz_transfer(phases, n_sites),
+    )
+    ground = _site_ground(
+        x, slots, lengths, np.array([_slot_depolarizing(c) for c in channels])
     )
     for j, m in enumerate(lengths):
         expected = _reference_ground(slots[j, :, :m], channels, phases)

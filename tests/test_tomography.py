@@ -125,3 +125,12 @@ def test_noisy_state_tomography_pipeline():
     rho = bell_state_noisy(2.0, 71.0, 51.0)
     reconstructed = state_tomography(rho, 2, shots=0)
     assert np.max(np.abs(reconstructed - rho)) < 1e-8
+
+
+@pytest.mark.parametrize("prepare", [bell_state_noisy, ghz_state_noisy])
+def test_noisy_preparation_rejects_t2_beyond_twice_t1(prepare):
+    with pytest.raises(ValueError, match="T2"):
+        prepare(3.3, 50.0, 100.1)
+    # T2 = 2 T1 is the relaxation limit: no pure dephasing, still accepted
+    rho = prepare(3.3, 50.0, 100.0)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
