@@ -20,13 +20,14 @@ _EXPORTS = {
     "device": (
         "CouplingGraph", "DeviceSpec", "ResonatorParams", "TransmonParams", "detuning",
         "ej_from_omega", "j_from_circuit", "omega_from_ej_ec", "straddling_check",
+        "zz_perturbative",
     ),
     "dynamics": ("DriveTone", "NoiseSpec"),
     "records": ("ExperimentRecord",),
     "fitting": ("FitResult",),
     "fileio": ("load_bundled_device", "load_device", "save_device", "stats"),
     "operators": ("LatticeOperator", "SubsetSelection", "assemble_hamiltonian"),
-    "spectrum": ("ZZReport", "j_from_zz", "zz_exact", "zz_perturbative"),
+    "spectrum": ("ZZReport", "j_from_zz", "zz_exact"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = ["__version__", *_MODULE_OF]

@@ -7,22 +7,26 @@ Each handler imports the modules it runs, so a command loads only those;
 numpy too is imported only where arrays are built, so stats, report,
 --help, --version and the config errors found before a handler runs
 start without it.
-Each subcommand declares only the options its handler reads.  --plot
+Each subcommand declares only the options its handler reads, in one
+table from which the parser builds just the subcommand it parses.  --plot
 writes an SVG for dynamics, sweep --kind acstark and rb, and --format
 table emits the CSV table of a sweep or an RB run (to --out or stdout);
 either option on a command without that output is a config error, as
 is every parse error.  Exit codes:
 0 on success, otherwise a machine-readable error category is printed to
-stderr as JSON ("config" = 2, "physics" = 3, "resource" = 4).
+stderr as JSON ("config" = 2, "physics" = 3, "resource" = 4).  A process
+runs :func:`run`, which ends it without interpreter teardown once the
+output is flushed; :func:`main` is the in-process entry.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from . import __version__
 from .device import DeviceSpec, straddling_check
@@ -128,106 +132,118 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_fail("config", message, 2))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the options several subcommands share, by name
+_SHARED = {
+    "device": dict(help="device file (default: bundled 4x4 lattice)"),
+    "out": dict(help="write the result here instead of stdout"),
+    "plot": dict(help="also write an SVG plot to this path"),
+    "format": dict(choices=("structured", "table"), default="structured",
+                   help="result format: JSON record or CSV table"),
+    "seed": dict(type=int, required=True),
+    "shots": dict(type=int, default=0),
+}
+
+_RISE = dict(type=float, default=0.0,
+             help="Blackman ramp of each Stark half-pulse (ns); 0 = rectangular")
+
+# Each subcommand: its summary, the shared options (space-separated) its
+# handler reads, and its own options.
+_COMMANDS = {
+    "spectrum": ("dressed spectrum of a qubit subset", "device out", {
+        "--levels": dict(type=int, default=4),
+        "--qubits": dict(required=True, help="comma-separated labels"),
+        "--long-range": dict(action="store_true"),
+    }),
+    "zz": ("exact and perturbative ZZ for a coupled pair", "device out", {
+        "--levels": dict(type=int, default=4),
+        "--pair": dict(type=_pair, required=True),
+    }),
+    "dynamics": ("T1 / Ramsey / echo protocols", "device out plot format seed shots", {
+        "--levels": dict(type=int, choices=(2, 3), default=3),
+        "--protocol": dict(choices=("t1", "ramsey", "echo"), required=True),
+        "--qubit": dict(required=True),
+        "--delays": dict(default="0:150:40"),
+        "--detuning": dict(type=float, default=1.0),
+    }),
+    "sweep": ("swap chevron or AC-Stark Ramsey sweep", "device out plot format seed", {
+        "--levels": dict(type=int, choices=(2, 3), default=3),
+        "--kind": dict(choices=("swap", "acstark"), required=True),
+        "--pair": dict(type=_pair, required=True),
+        "--amplitudes": dict(required=True),
+        "--durations": dict(default="0:2:81"),
+        "--drive-detuning": dict(type=float, default=-60.0),
+        "--jitter-khz": dict(type=float, default=0.0),
+    }),
+    "sizzle": ("driven-ZZ tomography, phase sweep, landscape", "device out format seed", {
+        "--levels": dict(type=int, choices=(2, 3, 4), default=4),
+        "--mode": dict(choices=("tomography", "phase", "landscape"), required=True),
+        "--pair": dict(type=_pair, required=True, help="control,target"),
+        "--freq": dict(type=float, help="shared drive frequency (MHz)"),
+        "--amplitude": dict(type=float, default=10.0),
+        "--ratio": dict(type=float, default=1.0),
+        "--dphi": dict(type=float, default=0.0),
+        "--widths": dict(default=None, help="Stark widths (us); default 0:3:25 less widths "
+                                            "too short for --rise"),
+        "--rise": _RISE,
+        "--freqs": dict(help="landscape frequency grid"),
+        "--amplitudes": dict(help="landscape amplitude grid"),
+    }),
+    "calibrate-cz": ("tune a conditional-phase gate", "device out seed", {
+        "--levels": dict(type=int, choices=(2, 3, 4), default=4),
+        "--pair": dict(type=_pair, required=True, help="control,target"),
+        "--freq": dict(type=float, required=True),
+        "--amplitude": dict(type=float, default=10.0),
+        "--ratio": dict(type=float, default=1.0),
+        "--target-phase": dict(type=float, default=math.pi),
+        "--rise": _RISE,
+        "--nu-tilde-khz": dict(type=float, default=None,
+                               help="skip measurement and calibrate from this rate"),
+    }),
+    "rb": ("randomized benchmarking", "device out plot format seed shots", {
+        "--qubits": dict(required=True),
+        "--simultaneous": dict(action="store_true"),
+        "--sequences": dict(type=int, default=16),
+        "--lengths": dict(default="2,25,50,100,250,500,750,1000"),
+        "--epc": dict(type=float, default=None,
+                      help="inject a depolarizing channel with this EPC instead of "
+                           "deriving coherence-limited noise from the device"),
+    }),
+    "tomography": ("Bell/GHZ preparation and reconstruction", "out seed shots", {
+        "--state": dict(choices=("bell", "ghz"), required=True),
+        "--tau-g": dict(type=float, default=0.0, help="gate duration (us); 0 = ideal gates"),
+        "--t1": dict(type=float, default=71.0),
+        "--t2": dict(type=float, default=51.0),
+    }),
+    "fit": ("fit a CSV table (axis,value columns)", "out", {
+        "--model": dict(choices=_FIT_MODELS, required=True),
+        "--input": dict(required=True),
+    }),
+    "stats": ("column statistics of a device file", "device out", {
+        "--column": dict(required=True),
+    }),
+    "report": ("all published-summary comparisons", "device out", {}),
+}
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The ``tlattice`` parser.  When ``argv`` starts with a command name
+    only that command's subparser is built, since a process parses one
+    command; otherwise (``--help``, ``--version``, an unknown word or no
+    argument) every subparser is."""
     parser = _Parser(
         prog="tlattice",
         description="Transmon-lattice simulator and calibration toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = {
-        "device": dict(help="device file (default: bundled 4x4 lattice)"),
-        "out": dict(help="write the result here instead of stdout"),
-        "plot": dict(help="also write an SVG plot to this path"),
-        "format": dict(choices=("structured", "table"), default="structured",
-                       help="result format: JSON record or CSV table"),
-        "seed": dict(type=int, required=True),
-        "shots": dict(type=int, default=0),
-    }
-
-    def command(name, summary, options):
-        """A subparser with the shared options (space-separated) its handler reads."""
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        summary, shared, options = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        for option in options.split():
-            p.add_argument(f"--{option}", **shared[option])
-        return p
-
-    p = command("spectrum", "dressed spectrum of a qubit subset", "device out")
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--qubits", required=True, help="comma-separated labels")
-    p.add_argument("--long-range", action="store_true")
-
-    p = command("zz", "exact and perturbative ZZ for a coupled pair", "device out")
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--pair", type=_pair, required=True)
-
-    p = command("dynamics", "T1 / Ramsey / echo protocols", "device out plot format seed shots")
-    p.add_argument("--levels", type=int, choices=(2, 3), default=3)
-    p.add_argument("--protocol", choices=("t1", "ramsey", "echo"), required=True)
-    p.add_argument("--qubit", required=True)
-    p.add_argument("--delays", default="0:150:40")
-    p.add_argument("--detuning", type=float, default=1.0)
-
-    p = command("sweep", "swap chevron or AC-Stark Ramsey sweep", "device out plot format seed")
-    p.add_argument("--levels", type=int, choices=(2, 3), default=3)
-    p.add_argument("--kind", choices=("swap", "acstark"), required=True)
-    p.add_argument("--pair", type=_pair, required=True)
-    p.add_argument("--amplitudes", required=True)
-    p.add_argument("--durations", default="0:2:81")
-    p.add_argument("--drive-detuning", type=float, default=-60.0)
-    p.add_argument("--jitter-khz", type=float, default=0.0)
-
-    p = command("sizzle", "driven-ZZ tomography, phase sweep, landscape", "device out format seed")
-    p.add_argument("--levels", type=int, choices=(2, 3, 4), default=4)
-    p.add_argument("--mode", choices=("tomography", "phase", "landscape"), required=True)
-    p.add_argument("--pair", type=_pair, required=True, help="control,target")
-    p.add_argument("--freq", type=float, help="shared drive frequency (MHz)")
-    p.add_argument("--amplitude", type=float, default=10.0)
-    p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--dphi", type=float, default=0.0)
-    p.add_argument("--widths", default=None,
-                   help="Stark widths (us); default 0:3:25 less widths too short for --rise")
-    p.add_argument("--rise", type=float, default=0.0,
-                   help="Blackman ramp of each Stark half-pulse (ns); 0 = rectangular")
-    p.add_argument("--freqs", help="landscape frequency grid")
-    p.add_argument("--amplitudes", help="landscape amplitude grid")
-
-    p = command("calibrate-cz", "tune a conditional-phase gate", "device out seed")
-    p.add_argument("--levels", type=int, choices=(2, 3, 4), default=4)
-    p.add_argument("--pair", type=_pair, required=True, help="control,target")
-    p.add_argument("--freq", type=float, required=True)
-    p.add_argument("--amplitude", type=float, default=10.0)
-    p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--target-phase", type=float, default=math.pi)
-    p.add_argument("--rise", type=float, default=0.0,
-                   help="Blackman ramp of each Stark half-pulse (ns); 0 = rectangular")
-    p.add_argument("--nu-tilde-khz", type=float, default=None,
-                   help="skip measurement and calibrate from this rate")
-
-    p = command("rb", "randomized benchmarking", "device out plot format seed shots")
-    p.add_argument("--qubits", required=True)
-    p.add_argument("--simultaneous", action="store_true")
-    p.add_argument("--sequences", type=int, default=16)
-    p.add_argument("--lengths", default="2,25,50,100,250,500,750,1000")
-    p.add_argument("--epc", type=float, default=None,
-                   help="inject a depolarizing channel with this EPC instead of "
-                        "deriving coherence-limited noise from the device")
-
-    p = command("tomography", "Bell/GHZ preparation and reconstruction", "out seed shots")
-    p.add_argument("--state", choices=("bell", "ghz"), required=True)
-    p.add_argument("--tau-g", type=float, default=0.0,
-                   help="gate duration (us); 0 = ideal gates")
-    p.add_argument("--t1", type=float, default=71.0)
-    p.add_argument("--t2", type=float, default=51.0)
-
-    p = command("fit", "fit a CSV table (axis,value columns)", "out")
-    p.add_argument("--model", choices=_FIT_MODELS, required=True)
-    p.add_argument("--input", required=True)
-
-    p = command("stats", "column statistics of a device file", "device out")
-    p.add_argument("--column", required=True)
-
-    command("report", "all published-summary comparisons", "device out")
+        for option in shared.split():
+            p.add_argument(f"--{option}", **_SHARED[option])
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -571,7 +587,10 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    """Runs one ``tlattice`` command in this process and returns its exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -604,5 +623,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The process entry of ``tlattice``: runs :func:`main`, flushes stdout
+    and stderr, then ends the process with ``os._exit``.  Skipping
+    interpreter teardown saves the tens of ms that finalizing numpy and the
+    package takes after the output is complete; nothing the package opens
+    is left unclosed.  A failed flush (a closed pipe) exits 120, as
+    CPython's own exit does."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
-"""Device parameters, unit conventions, and circuit-energy relations.
+"""Device parameters, unit conventions, circuit-energy relations, and the
+second-order (perturbative) ZZ formula.
 
 Unit conventions used throughout the package:
 
@@ -16,11 +17,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import SingularCouplingError, UnknownQubitError
+from .errors import NearPoleError, SingularCouplingError, UnknownQubitError
 
 # Additive slack (us) on the T2 <= 2 T1 physicality checks, to absorb
 # rounding in published values.
 T2_TOLERANCE = 1e-6
+
+# Closest approach (MHz) of a perturbative-ZZ denominator to its pole.
+DEFAULT_POLE_GUARD = 1.0
 
 Pair = tuple[str, str]
 
@@ -75,6 +79,33 @@ def j_from_circuit(
     first_divisor = eci if symmetric else ecj
     quartic = (eji / (2.0 * first_divisor)) * (ejj / (2.0 * ecj))
     return 2.0 * eci * ecj / ecc * quartic**0.25
+
+
+def zz_perturbative(
+    j: float,
+    delta: float,
+    alpha_i: float,
+    alpha_j: float,
+    pole_guard: float = DEFAULT_POLE_GUARD,
+) -> float:
+    """Second-order ZZ shift -2 J^2 (a_i + a_j) / ((D + a_i)(a_j - D)),
+    returned in kHz for inputs in MHz.
+
+    Raises :class:`NearPoleError` when either denominator is within
+    ``pole_guard`` of zero (proximity to a higher-level resonance).
+    """
+    if delta == 0:
+        raise ValueError("detuning must be nonzero")
+    den_i = delta + alpha_i
+    den_j = alpha_j - delta
+    for name, den in (("delta + alpha_i", den_i), ("alpha_j - delta", den_j)):
+        if abs(den) < pole_guard:
+            raise NearPoleError(
+                f"|{name}| = {abs(den):.3f} MHz is inside the {pole_guard} MHz "
+                "pole guard"
+            )
+    zeta_mhz = -2.0 * j * j * (alpha_i + alpha_j) / (den_i * den_j)
+    return zeta_mhz * 1e3
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .device import DeviceSpec, TransmonParams, pair_key
 from .dynamics import (
-    DriveTone, NoiseSpec, evolve, evolve_open, rotation_gate, site_coherence, site_populations,
+    DriveTone, NoiseSpec, evolve, evolve_open, rotation_gate, site_coherence,
 )
 from .errors import AliasingError, ContractViolation
 from .fitting import fit_anticrossing, fit_damped_cos
@@ -349,17 +349,21 @@ def protocol_swap(
         )
         tones = [tone] if amp > 0 else []
         if open_system:
-            states = evolve_open(
+            rhos = evolve_open(
                 h0, tones, np.outer(psi0, psi0.conj()), noise, durations,
                 device=device, frame=drive_freq,
             )
+            probs = np.real(np.diagonal(rhos, axis1=1, axis2=2))
         else:
             states = evolve(
                 h0, tones, psi0, durations, device=device, frame=drive_freq
             )
-        for k, state in enumerate(states):
-            p_shift[i, k] = site_populations(state, 0, 2, levels)[1]
-            p_partner[i, k] = site_populations(state, 1, 2, levels)[1]
+            probs = np.abs(states) ** 2
+        # probs[k, n_shifted, n_partner] at duration k; a site's level-1
+        # population sums the other site's levels
+        probs = probs.reshape(len(durations), levels, levels)
+        p_shift[i] = probs[:, 1, :].sum(axis=1)
+        p_partner[i] = probs[:, :, 1].sum(axis=1)
     return ExperimentRecord(
         protocol="swap_chevron",
         axes=(

@@ -26,10 +26,9 @@ from .cliffords import (
     two_qubit_clifford_matrices,
     two_qubit_inverse_index,
 )
-from .device import DeviceSpec, pair_key
+from .device import DeviceSpec, pair_key, zz_perturbative
 from .errors import ContractViolation
 from .fitting import FitResult, fit_rb_decay
-from .spectrum import zz_perturbative
 
 if TYPE_CHECKING:
     from .sizzle import CzCalibration
@@ -37,6 +36,8 @@ if TYPE_CHECKING:
 DEFAULT_LENGTHS = (2, 25, 50, 100, 250, 500, 750, 1000)
 DEFAULT_LENGTHS_2Q = (2, 4, 8, 16, 32, 64)
 DEFAULT_GATE_TIME_NS = 60.0
+# how far a given gate transfer matrix's first row may stray from e0
+TRACE_TOL = 1e-9
 
 
 def clg(t_g: float, t1: float, t2e: float) -> float:
@@ -452,6 +453,24 @@ def _site_ground(x, slots, lengths, depolarizing) -> np.ndarray:
 
 # ------------------------------------------------------- two-qubit RB / CZ
 
+def _checked_gate_transfer(gate_transfer) -> np.ndarray:
+    """``gate_transfer`` as a float array, once it is a finite real
+    (16, 16) matrix whose first row is e0, as the transfer matrix of a
+    trace-preserving channel has: R[0, b] = tr(G(P_b)) / 4 = delta_b0."""
+    transfer = np.asarray(gate_transfer)
+    if (transfer.shape != (16, 16) or transfer.dtype.kind not in "iuf"
+            or not np.isfinite(transfer).all()):
+        raise ValueError(
+            "gate_transfer must be a finite real (16, 16) Pauli transfer matrix, "
+            f"got shape {transfer.shape} of {transfer.dtype}"
+        )
+    if np.abs(transfer[0] - np.eye(16)[0]).max() > TRACE_TOL:
+        raise ValueError(
+            f"gate_transfer is not trace preserving: its first row is not e0 within {TRACE_TOL}"
+        )
+    return transfer.astype(float)
+
+
 def run_interleaved_rb_cz(
     calibration_or_phase: Union[CzCalibration, float],
     n_sequences: int = 12,
@@ -498,6 +517,8 @@ def run_interleaved_rb_cz(
 
     if gate_transfer is None:
         gate_transfer = depolarized(_transfers(cz_unitary(phase)[None])[0], q_gate)
+    else:
+        gate_transfer = _checked_gate_transfer(gate_transfer)
     mixers = depolarized(_transfers(_mixers()), background.depolarizing)
     # entries 0-19: mixer, then background; 20-39: then the gate
     register = np.concatenate([mixers, gate_transfer @ mixers]).transpose(0, 2, 1)

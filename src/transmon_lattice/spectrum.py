@@ -1,9 +1,10 @@
 """Dressed spectra, dressed-state labeling, and ZZ <-> J conversion.
 
 The exact ZZ shift is the four-energy combination of labeled dressed
-eigenstates; the perturbative form is the second-order expression in
-J/Delta.  zeta values are reported signed, in kHz; comparisons against
-published magnitudes should use abs().
+eigenstates; the perturbative form, the second-order expression in
+J/Delta, is ``device.zz_perturbative``.  zeta values are reported
+signed, in kHz; comparisons against published magnitudes should use
+abs().
 """
 from __future__ import annotations
 
@@ -14,12 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .device import DeviceSpec, Pair, pair_key
+from .device import DEFAULT_POLE_GUARD, DeviceSpec, Pair, pair_key, zz_perturbative
 from .errors import ContractViolation, InconsistentSignError, LabelingError, NearPoleError
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 
 DEFAULT_LABEL_THRESHOLD = 0.7
-DEFAULT_POLE_GUARD = 1.0  # MHz
 HERMITICITY_TOL = 1e-9
 
 
@@ -135,33 +135,6 @@ def zz_exact(
         - spec.energy_of((0, 1))
         + spec.energy_of((0, 0))
     )
-    return zeta_mhz * 1e3
-
-
-def zz_perturbative(
-    j: float,
-    delta: float,
-    alpha_i: float,
-    alpha_j: float,
-    pole_guard: float = DEFAULT_POLE_GUARD,
-) -> float:
-    """Second-order ZZ shift -2 J^2 (a_i + a_j) / ((D + a_i)(a_j - D)),
-    returned in kHz for inputs in MHz.
-
-    Raises :class:`NearPoleError` when either denominator is within
-    ``pole_guard`` of zero (proximity to a higher-level resonance).
-    """
-    if delta == 0:
-        raise ValueError("detuning must be nonzero")
-    den_i = delta + alpha_i
-    den_j = alpha_j - delta
-    for name, den in (("delta + alpha_i", den_i), ("alpha_j - delta", den_j)):
-        if abs(den) < pole_guard:
-            raise NearPoleError(
-                f"|{name}| = {abs(den):.3f} MHz is inside the {pole_guard} MHz "
-                "pole guard"
-            )
-    zeta_mhz = -2.0 * j * j * (alpha_i + alpha_j) / (den_i * den_j)
     return zeta_mhz * 1e3
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from transmon_lattice.cliffords import MEAN_GATES_PER_CLIFFORD
-from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
+from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams, zz_perturbative
 from transmon_lattice.dynamics import NoiseSpec
 from transmon_lattice.fileio import load_bundled_device, stats, summary_discrepancies
 from transmon_lattice.fitting import (
@@ -34,7 +34,7 @@ from transmon_lattice.sizzle import (
     sizzle_zz_predicted_for,
     sweep_relative_phase,
 )
-from transmon_lattice.spectrum import j_from_zz, zz_exact, zz_perturbative
+from transmon_lattice.spectrum import j_from_zz, zz_exact
 from transmon_lattice.tomography import (
     BELL_TARGET,
     bell_state,

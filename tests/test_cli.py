@@ -330,7 +330,7 @@ def test_every_declared_option_is_read(lines, tmp_path, capsys, monkeypatch):
         declared |= set(vars(args))
         args._reads = reads
         parsed = SimpleNamespace(parse_args=lambda _: args)
-        monkeypatch.setattr(cli, "build_parser", lambda: parsed)
+        monkeypatch.setattr(cli, "build_parser", lambda *_: parsed)
         code, _, err = run_cli(line.split(), capsys)
         assert code == 0, (line, err)
     assert declared - reads == set()
@@ -822,9 +822,10 @@ _LOADED_MODULES = (
         ("report", (*_HEAVY_MODULES, "numpy")),
         ("spectrum --qubits Q2,Q3 --levels 2", _HEAVY_MODULES),
         ("fit --model exp_decay --input trace.csv", _HEAVY_MODULES),
+        # rb loads neither spectrum nor operators
         (
             "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --seed 1",
-            ("dynamics", "sizzle", "tomography"),
+            ("dynamics", "sizzle", "tomography", "spectrum", "operators"),
         ),
         (
             "sizzle --mode tomography --pair Q2,Q7 --widths 0.5,1,1.5 --seed 1",
@@ -839,6 +840,11 @@ _LOADED_MODULES = (
             ("protocols", "sizzle", "rb", "cliffords"),
         ),
         ("--version", (*_HEAVY_MODULES, "numpy")),
+        # nor with device noise, whose ZZ is device.zz_perturbative
+        (
+            "rb --qubits Q1,Q2 --simultaneous --sequences 2 --lengths 2,25,50 --seed 1",
+            ("dynamics", "protocols", "sizzle", "tomography", "spectrum", "operators"),
+        ),
     ],
 )
 def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):
@@ -890,6 +896,51 @@ def test_fit_model_choices_are_the_fit_functions():
     assert list(model.choices) == sorted(FIT_FUNCTIONS)
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+def _declared(parser: argparse.ArgumentParser) -> list[tuple]:
+    return [
+        (a.option_strings, a.dest, a.default, a.choices, a.required, a.type, a.help)
+        for a in parser._actions
+    ]
+
+
+def test_parser_built_for_one_command_declares_what_the_full_build_does():
+    from transmon_lattice.cli import build_parser
+
+    full = _subparsers(build_parser())
+    for argv in ([], ["--help"], ["--version"], ["bogus", "--pair", "Q2,Q3"]):
+        assert list(_subparsers(build_parser(argv))) == list(full), argv
+    for name, subparser in full.items():
+        alone = _subparsers(build_parser([name, "--seed", "1"]))
+        assert list(alone) == [name]
+        assert _declared(alone[name]) == _declared(subparser), name
+
+
+def test_failed_flush_at_process_exit_is_exit_120(monkeypatch):
+    # a closed pipe surfaces when run() flushes stdout; CPython's own exit
+    # reports a failed flush as 120
+    from transmon_lattice import cli
+
+    class ClosedPipe:
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def exit_now(code):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(cli.os, "_exit", exit_now)
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == 120
+
+
 def _readme_commands() -> list[str]:
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
@@ -918,3 +969,42 @@ def test_readme_commands_run_as_documented(tmp_path):
         else:
             assert result.returncode == 0, (line, result.stderr)
             assert isinstance(json.loads(result.stdout), dict), line
+
+
+_README_CALIBRATE_CZ = next(
+    line.removeprefix("tlattice ") for line in _readme_commands() if "calibrate-cz" in line
+)
+
+
+@pytest.mark.parametrize(
+    "line, code, files",
+    [
+        ("zz --pair Q2,Q3", 0, ()),
+        ("dynamics --protocol t1 --qubit Q2 --delays 0:20:9 --seed 1 --out t1.json", 0,
+         ("t1.json",)),
+        ("dynamics --protocol t1 --qubit Q2 --delays 0:20:9 --seed 1 --format table "
+         "--out t1.csv", 0, ("t1.csv",)),
+        ("zz --pair Q2,Q99", 2, ()),
+        (_README_CALIBRATE_CZ, 3, ()),
+    ],
+)
+def test_process_prints_writes_and_exits_as_main_returns(
+    line, code, files, tmp_path, capsys, monkeypatch
+):
+    # a tlattice process skips interpreter teardown once run() has flushed
+    # its output; block-buffered stdout (no PYTHONUNBUFFERED) shows a flush
+    # that is missing
+    in_process, process = tmp_path / "main", tmp_path / "process"
+    in_process.mkdir()
+    process.mkdir()
+    monkeypatch.chdir(in_process)
+    main_code, out, err = run_cli(line.split(), capsys)
+    assert main_code == code
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run(
+        [sys.executable, "-m", "transmon_lattice.cli", *line.split()],
+        capture_output=True, text=True, env=env, cwd=process, timeout=300,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+    for name in files:
+        assert (process / name).read_bytes() == (in_process / name).read_bytes() != b""

@@ -607,6 +607,29 @@ def test_swap_chevron_damps_under_lindblad():
     assert late_noisy < late_clean
 
 
+@pytest.mark.parametrize("levels", [2, 3])
+@pytest.mark.parametrize("noise", [None, NoiseSpec(relaxation={"A": 1 / 20.0, "B": 1 / 30.0})])
+def test_swap_populations_equal_the_per_state_site_populations(levels, noise, monkeypatch):
+    # the chevron reads both sites' populations from the whole state stack
+    # at once; the per-state site_populations loop, clipped to [0, 1] as
+    # every record's populations are, is the reference
+    from transmon_lattice import protocols
+
+    stacks = []
+    for name in ("evolve", "evolve_open"):
+        def recording(*args, _evolve=getattr(protocols, name), **kwargs):
+            stacks.append(_evolve(*args, **kwargs))
+            return stacks[-1]
+        monkeypatch.setattr(protocols, name, recording)
+    record = protocol_swap(_pair(delta=0.5), ("A", "B"), [0.0, 4.0, 8.0],
+                           np.linspace(0.0, 2.0, 33), levels=levels, noise=noise)
+    assert len(stacks) == 3
+    for key, site in (("p_shifted", 0), ("p_partner", 1)):
+        reference = [[site_populations(state, site, 2, levels)[1] for state in states]
+                     for states in stacks]
+        assert np.array_equal(record.data[key], np.clip(reference, 0.0, 1.0))
+
+
 def _split_by_frame_loop(h_abs, labels, frame_freqs, tol=1e-9):
     """Element-by-element frame split: the specification of _split_by_frame."""
     static = np.zeros_like(h_abs)

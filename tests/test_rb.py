@@ -330,6 +330,21 @@ def test_rb_runs_reject_invalid_inputs(run, overrides, message):
 
 
 @pytest.mark.parametrize(
+    "gate_transfer, message",
+    [
+        (np.eye(4), r"finite real \(16, 16\)"),
+        (np.eye(16) + 0j, r"finite real \(16, 16\)"),
+        (np.full((16, 16), np.nan), r"finite real \(16, 16\)"),
+        (2 * np.eye(16), "not trace preserving"),
+    ],
+)
+def test_interleaved_rb_rejects_a_gate_transfer_that_is_not_a_channel(gate_transfer, message):
+    with pytest.raises(ValueError, match=f"gate_transfer .*{message}"):
+        run_interleaved_rb_cz(math.pi, n_sequences=2, lengths=(2, 4, 8),
+                              gate_transfer=gate_transfer)
+
+
+@pytest.mark.parametrize(
     "background, field",
     [
         (NoiseChannel(over_rotation=0.2), "over_rotation"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
+from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams, zz_perturbative
 from transmon_lattice.errors import (
     ContractViolation,
     InconsistentSignError,
@@ -14,7 +14,6 @@ from transmon_lattice.spectrum import (
     diagonalize,
     j_from_zz,
     zz_exact,
-    zz_perturbative,
     zz_report,
 )
 
