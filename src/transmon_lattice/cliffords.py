@@ -16,11 +16,12 @@ one of 20 mixers built from CZ and fixed single-qubit corrections
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from .values import FrozenValue
 
 #: EPC -> EPG conversion factor from the published error tables.
 MEAN_GATES_PER_CLIFFORD = 1.825
@@ -69,11 +70,11 @@ def _y_gates(exponent: float) -> list[GateSpec]:
     return [("vz", -math.pi / 2.0), ("x", exponent * math.pi), ("vz", math.pi / 2.0)]
 
 
-@dataclass(frozen=True)
-class CliffordElement:
-    index: int
-    gates: tuple[GateSpec, ...]
-    unitary: np.ndarray
+class CliffordElement(FrozenValue):
+    __slots__ = ("index", "gates", "unitary")
+
+    def __init__(self, index: int, gates: tuple[GateSpec, ...], unitary: np.ndarray):
+        self._assign(index, gates, unitary)
 
     @property
     def physical_gate_count(self) -> int:

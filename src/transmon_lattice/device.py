@@ -14,10 +14,10 @@ Anharmonicities are stored negative, as measured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import NearPoleError, SingularCouplingError, UnknownQubitError
+from .values import FrozenValue
 
 # Additive slack (us) on the T2 <= 2 T1 physicality checks, to absorb
 # rounding in published values.
@@ -108,8 +108,7 @@ def zz_perturbative(
     return zeta_mhz * 1e3
 
 
-@dataclass(frozen=True)
-class TransmonParams:
+class TransmonParams(FrozenValue):
     """Fixed-frequency transmon parameters.
 
     omega and alpha are omega/2pi and alpha/2pi in MHz (alpha < 0); ej
@@ -117,16 +116,20 @@ class TransmonParams:
     t1/t2r/t2e are the relaxation, Ramsey, and echo times in us.
     """
 
-    label: str
-    omega: float
-    alpha: float
-    ej: float
-    ec: float
-    t1: float
-    t2r: float
-    t2e: float
+    __slots__ = ("label", "omega", "alpha", "ej", "ec", "t1", "t2r", "t2e")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        label: str,
+        omega: float,
+        alpha: float,
+        ej: float,
+        ec: float,
+        t1: float,
+        t2r: float,
+        t2e: float,
+    ):
+        self._assign(label, omega, alpha, ej, ec, t1, t2r, t2e)
         if self.omega <= 0:
             raise ValueError(f"{self.label}: omega must be positive")
         if self.alpha >= 0:
@@ -155,29 +158,24 @@ class TransmonParams:
         return cls(label, omega, alpha, ej_from_omega(omega, ec), ec, t1, t2r, t2e)
 
 
-@dataclass(frozen=True)
-class ResonatorParams:
+class ResonatorParams(FrozenValue):
     """Readout-resonator data: frequency (MHz), internal quality factor,
     external coupling rate (MHz), and dispersive shift (kHz).
 
     Stored for reporting only; the dynamics engine never consumes these.
     """
 
-    label: str
-    freq: float
-    qi: float
-    kappa_ext: float
-    chi: float
+    __slots__ = ("label", "freq", "qi", "kappa_ext", "chi")
 
-    def __post_init__(self):
+    def __init__(self, label: str, freq: float, qi: float, kappa_ext: float, chi: float):
+        self._assign(label, freq, qi, kappa_ext, chi)
         if self.freq <= 0:
             raise ValueError(f"{self.label}: resonator frequency must be positive")
         if self.qi <= 0:
             raise ValueError(f"{self.label}: internal quality factor must be positive")
 
 
-@dataclass(frozen=True)
-class CouplingGraph:
+class CouplingGraph(FrozenValue):
     """Exchange couplings of the lattice, in MHz.
 
     ``nn`` maps unordered nearest-neighbor pairs to J, ``lr`` maps
@@ -185,11 +183,15 @@ class CouplingGraph:
     optionally stores coupling-capacitor charging energies.
     """
 
-    nn: Mapping[Pair, float]
-    lr: Mapping[Pair, float] = field(default_factory=dict)
-    ecc: Mapping[Pair, float] = field(default_factory=dict)
+    __slots__ = ("nn", "lr", "ecc")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        nn: Mapping[Pair, float],
+        lr: Optional[Mapping[Pair, float]] = None,
+        ecc: Optional[Mapping[Pair, float]] = None,
+    ):
+        self._assign(nn, {} if lr is None else lr, {} if ecc is None else ecc)
         for name, table in (("nn", self.nn), ("lr", self.lr), ("ecc", self.ecc)):
             for (a, b), value in table.items():
                 if pair_key(a, b) != (a, b):
@@ -206,8 +208,7 @@ class CouplingGraph:
         return self.lr.get(pair_key(a, b), 0.0)
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(FrozenValue):
     """A rows x cols lattice of transmons with its coupling graph.
 
     ``qubits`` is ordered row-major by grid position; labels are free
@@ -215,13 +216,19 @@ class DeviceSpec:
     chip, so label order is not position order).
     """
 
-    rows: int
-    cols: int
-    qubits: tuple[TransmonParams, ...]
-    resonators: tuple[ResonatorParams, ...] = ()
-    couplings: CouplingGraph = field(default_factory=lambda: CouplingGraph({}))
+    __slots__ = ("rows", "cols", "qubits", "resonators", "couplings")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        qubits: tuple[TransmonParams, ...],
+        resonators: tuple[ResonatorParams, ...] = (),
+        couplings: Optional[CouplingGraph] = None,
+    ):
+        self._assign(
+            rows, cols, qubits, resonators, CouplingGraph({}) if couplings is None else couplings
+        )
         if len(self.qubits) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} qubits, got {len(self.qubits)}"

@@ -16,8 +16,6 @@ site.  Decay rates are plain inverse times in 1/us.
 from __future__ import annotations
 
 import math
-import string
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -25,6 +23,7 @@ import numpy as np
 from .device import DeviceSpec
 from .errors import ContractViolation, ResourceLimitError, UnknownQubitError
 from .operators import LatticeOperator, destroy, number, _embed
+from .values import FrozenValue, Value
 
 ENVELOPES = ("rectangular", "blackman")
 LINDBLAD_MAX_DIM = 32  # density-matrix side; its Liouvillian is 1024 x 1024
@@ -32,8 +31,7 @@ LINDBLAD_MAX_DIM = 32  # density-matrix side; its Liouvillian is 1024 x 1024
 
 # --------------------------------------------------------------------- tones
 
-@dataclass(frozen=True)
-class DriveTone:
+class DriveTone(FrozenValue):
     """One off-resonant microwave tone applied to a single qubit.
 
     ``detuning`` is the drive frequency minus the target qubit's 0-1
@@ -42,16 +40,22 @@ class DriveTone:
     envelopes.  ``start``/``duration`` are in us.
     """
 
-    target: str
-    amplitude: float
-    detuning: float
-    phase: float = 0.0
-    envelope: str = "rectangular"
-    rise: float = 0.0
-    start: float = 0.0
-    duration: float = 1.0
+    __slots__ = (
+        "target", "amplitude", "detuning", "phase", "envelope", "rise", "start", "duration",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        target: str,
+        amplitude: float,
+        detuning: float,
+        phase: float = 0.0,
+        envelope: str = "rectangular",
+        rise: float = 0.0,
+        start: float = 0.0,
+        duration: float = 1.0,
+    ):
+        self._assign(target, amplitude, detuning, phase, envelope, rise, start, duration)
         if self.duration <= 0:
             raise ValueError("drive duration must be positive")
         if self.amplitude < 0:
@@ -86,8 +90,7 @@ class DriveTone:
 
 # --------------------------------------------------------------------- noise
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(FrozenValue):
     """Per-qubit Lindblad rates plus quasi-static frequency jitter.
 
     ``relaxation`` and ``dephasing`` are 1/T1 and 1/Tphi in 1/us;
@@ -96,11 +99,19 @@ class NoiseSpec:
     expose a per-run mode for slow-drift studies).
     """
 
-    relaxation: Mapping[str, float] = field(default_factory=dict)
-    dephasing: Mapping[str, float] = field(default_factory=dict)
-    jitter_khz: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = ("relaxation", "dephasing", "jitter_khz")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        relaxation: Optional[Mapping[str, float]] = None,
+        dephasing: Optional[Mapping[str, float]] = None,
+        jitter_khz: Optional[Mapping[str, float]] = None,
+    ):
+        self._assign(
+            {} if relaxation is None else relaxation,
+            {} if dephasing is None else dephasing,
+            {} if jitter_khz is None else jitter_khz,
+        )
         for name, table in (
             ("relaxation", self.relaxation),
             ("dephasing", self.dephasing),
@@ -187,14 +198,19 @@ def resolve_frame(
     return {s: float(frame) for s in sites}
 
 
-@dataclass
-class _RotatingTerm:
+class _RotatingTerm(Value):
     """env(t) * (M exp(-i(2 pi nu t + phase)) + h.c.), windowed in time."""
 
-    matrix: np.ndarray
-    nu: float
-    phase: float
-    tone: Optional[DriveTone]  # None = always-on (frame-split coupling)
+    __slots__ = ("matrix", "nu", "phase", "tone")
+
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        nu: float,
+        phase: float,
+        tone: Optional[DriveTone],  # None = always-on (frame-split coupling)
+    ):
+        self._assign(matrix, nu, phase, tone)
 
     def window(self) -> tuple[float, float]:
         if self.tone is None:
@@ -638,8 +654,8 @@ def reduced_site_state(
         psi = np.moveaxis(state.reshape((levels,) * n_sites), site, 0)
         psi = psi.reshape(levels, -1)
         return psi @ psi.conj().T
-    ket = list(string.ascii_lowercase[:n_sites])
-    bra = list(string.ascii_lowercase[:n_sites])
+    ket = list("abcdefghijklmnopqrstuvwxyz"[:n_sites])
+    bra = ket.copy()
     ket[site] = "y"
     bra[site] = "z"
     sub = "".join(ket) + "".join(bra) + "->yz"

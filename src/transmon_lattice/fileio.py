@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -27,6 +26,7 @@ from .device import (
 )
 from .errors import SchemaError, UnknownColumnError
 from .records import AxisSpec, ExperimentRecord
+from .values import FrozenValue
 
 SCHEMA_VERSION = 1
 BUNDLED_DEVICE = "device_4x4.json"
@@ -235,18 +235,23 @@ _QUBIT_COLUMNS = ("omega", "alpha", "ej", "ec", "t1", "t2r", "t2e")
 _RESONATOR_COLUMNS = ("freq", "qi", "kappa_ext", "chi")
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(FrozenValue):
     """Sample statistics of one device column (std uses ddof=1)."""
 
-    column: str
-    n: int
-    minimum: float
-    maximum: float
-    mean: float
-    std: float
-    stderr: float
-    spread: float
+    __slots__ = ("column", "n", "minimum", "maximum", "mean", "std", "stderr", "spread")
+
+    def __init__(
+        self,
+        column: str,
+        n: int,
+        minimum: float,
+        maximum: float,
+        mean: float,
+        std: float,
+        stderr: float,
+        spread: float,
+    ):
+        self._assign(column, n, minimum, maximum, mean, std, stderr, spread)
 
     def to_dict(self) -> dict:
         return {

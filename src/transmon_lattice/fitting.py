@@ -10,29 +10,34 @@ by the residual variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import AliasingError, NearResonanceError
+from .values import FrozenValue
 
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10
 ANTICROSSING_GUARD = 1.0  # MHz window around zero detuning
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(FrozenValue):
     """Fitted parameters with 1-sigma uncertainties and diagnostics."""
 
-    model: str
-    params: dict[str, float]
-    uncertainties: dict[str, float]
-    rss: float
-    converged: bool
-    iterations: int
-    flags: tuple[str, ...] = ()
+    __slots__ = ("model", "params", "uncertainties", "rss", "converged", "iterations", "flags")
+
+    def __init__(
+        self,
+        model: str,
+        params: dict[str, float],
+        uncertainties: dict[str, float],
+        rss: float,
+        converged: bool,
+        iterations: int,
+        flags: tuple[str, ...] = (),
+    ):
+        self._assign(model, params, uncertainties, rss, converged, iterations, flags)
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,6 @@ dim x dim array.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -24,20 +23,23 @@ from .errors import (
     ResourceLimitError,
     UnknownQubitError,
 )
+from .values import FrozenValue
 
 DEFAULT_DIMENSION_CAP = 4096
 
 
-@dataclass(frozen=True)
-class SubsetSelection:
+class SubsetSelection(FrozenValue):
     """An ordered subset of qubits with a common truncation d >= 2."""
 
-    qubits: tuple[str, ...]
-    levels: int = 4
-    dimension_cap: int = DEFAULT_DIMENSION_CAP
+    __slots__ = ("qubits", "levels", "dimension_cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+    def __init__(
+        self,
+        qubits: tuple[str, ...],
+        levels: int = 4,
+        dimension_cap: int = DEFAULT_DIMENSION_CAP,
+    ):
+        self._assign(tuple(qubits), levels, dimension_cap)
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"subset has repeated qubits: {self.qubits}")
         if self.levels < 2:
@@ -63,22 +65,19 @@ class SubsetSelection:
             device.qubit(label)
 
 
-@dataclass(frozen=True)
-class LatticeOperator:
+class LatticeOperator(FrozenValue):
     """A dense complex operator on a subset's tensor-product space.
 
     ``matrix`` is held as a read-only view, so writing to it raises; a
     complex ndarray passed in is not copied.
     """
 
-    matrix: np.ndarray
-    sites: tuple[str, ...]
-    levels: int
+    __slots__ = ("matrix", "sites", "levels")
 
-    def __post_init__(self):
-        view = np.asarray(self.matrix, dtype=complex).view()
+    def __init__(self, matrix: np.ndarray, sites: tuple[str, ...], levels: int):
+        view = np.asarray(matrix, dtype=complex).view()
         view.flags.writeable = False
-        object.__setattr__(self, "matrix", view)
+        self._assign(view, sites, levels)
 
     @property
     def dim(self) -> int:

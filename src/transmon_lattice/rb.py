@@ -10,7 +10,6 @@ interleaved RB.  Survival decays fit A p^m + B; EPC = (1 - p)(d - 1)/d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -29,6 +28,7 @@ from .cliffords import (
 from .device import DeviceSpec, pair_key, zz_perturbative
 from .errors import ContractViolation
 from .fitting import FitResult, fit_rb_decay
+from .values import FrozenValue, Value
 
 if TYPE_CHECKING:
     from .sizzle import CzCalibration
@@ -60,8 +60,7 @@ def epc_to_epg(epc: float) -> float:
     return epc / MEAN_GATES_PER_CLIFFORD
 
 
-@dataclass(frozen=True)
-class NoiseChannel:
+class NoiseChannel(FrozenValue):
     """Error injection for benchmarking oracles.
 
     ``depolarizing`` is the depolarizing probability applied at
@@ -71,12 +70,21 @@ class NoiseChannel:
     between qubit pairs during simultaneous runs.
     """
 
-    depolarizing: float = 0.0
-    granularity: str = "clifford"
-    over_rotation: float = 0.0
-    zz_phase_per_clifford: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    __slots__ = ("depolarizing", "granularity", "over_rotation", "zz_phase_per_clifford")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        depolarizing: float = 0.0,
+        granularity: str = "clifford",
+        over_rotation: float = 0.0,
+        zz_phase_per_clifford: Optional[Mapping[tuple[str, str], float]] = None,
+    ):
+        self._assign(
+            depolarizing,
+            granularity,
+            over_rotation,
+            {} if zz_phase_per_clifford is None else zz_phase_per_clifford,
+        )
         if not 0.0 <= self.depolarizing <= 1.0:
             raise ContractViolation(
                 f"depolarizing probability {self.depolarizing} outside [0, 1]"
@@ -116,19 +124,30 @@ class NoiseChannel:
         return cls(depolarizing=2.0 * error, granularity="gate", zz_phase_per_clifford=zz)
 
 
-@dataclass
-class RbOutcome:
+class RbOutcome(Value):
     """Survival data and extracted error rates for one qubit."""
 
-    qubit: str
-    lengths: tuple[int, ...]
-    survivals: np.ndarray  # mean over sequences, per length
-    per_sequence: np.ndarray  # (n_sequences, n_lengths)
-    fit: FitResult
-    epc: float
-    epg: float
-    epc_uncertainty: float
-    epg_uncertainty: float
+    __slots__ = (
+        "qubit", "lengths", "survivals", "per_sequence", "fit", "epc", "epg",
+        "epc_uncertainty", "epg_uncertainty",
+    )
+
+    def __init__(
+        self,
+        qubit: str,
+        lengths: tuple[int, ...],
+        survivals: np.ndarray,  # mean over sequences, per length
+        per_sequence: np.ndarray,  # (n_sequences, n_lengths)
+        fit: FitResult,
+        epc: float,
+        epg: float,
+        epc_uncertainty: float,
+        epg_uncertainty: float,
+    ):
+        self._assign(
+            qubit, lengths, survivals, per_sequence, fit, epc, epg,
+            epc_uncertainty, epg_uncertainty,
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -5,40 +5,50 @@ numpy is imported where a record is built or read, not at module top, so
 that the file formats load without it."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ContractViolation
+from .values import FrozenValue, Value
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    name: str
-    values: tuple[float, ...]
-    units: str
+class AxisSpec(FrozenValue):
+    __slots__ = ("name", "values", "units")
+
+    def __init__(self, name: str, values: tuple[float, ...], units: str):
+        self._assign(name, values, units)
 
 
-@dataclass
-class ExperimentRecord:
+class ExperimentRecord(Value):
     """One named protocol run: swept axes, per-point data, and replay
     metadata (config, seed, device reference)."""
 
-    protocol: str
-    axes: tuple[AxisSpec, ...]
-    data: dict[str, np.ndarray]
-    shots: int
-    seed: Optional[int]
-    device_ref: str
-    config: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    schema_version: int = 1
+    __slots__ = (
+        "protocol", "axes", "data", "shots", "seed", "device_ref", "config",
+        "metadata", "schema_version",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        protocol: str,
+        axes: tuple[AxisSpec, ...],
+        data: dict[str, np.ndarray],
+        shots: int,
+        seed: Optional[int],
+        device_ref: str,
+        config: Optional[dict] = None,
+        metadata: Optional[dict] = None,
+        schema_version: int = 1,
+    ):
         import numpy as np
 
+        self._assign(
+            protocol, axes, data, shots, seed, device_ref,
+            {} if config is None else config, {} if metadata is None else metadata,
+            schema_version,
+        )
         shape = tuple(len(axis.values) for axis in self.axes)
         for key, values in self.data.items():
             arr = np.asarray(values)

@@ -18,7 +18,6 @@ landscape sweep flags all three bands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,14 +36,13 @@ from .dynamics import (
 from .errors import AliasingError, NearPoleError, UncalibratableError
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 from .records import AxisSpec, ExperimentRecord
-from .spectrum import zz_exact
+from .values import FrozenValue
 
 DRIVE_POLE_GUARD = 5.0  # MHz, validity guard on drive detunings
 NU_TILDE_FLOOR_KHZ = 5.0
 
 
-@dataclass(frozen=True)
-class SizzleConfig:
+class SizzleConfig(FrozenValue):
     """Shared-frequency two-tone drive configuration for one pair.
 
     ``ratio`` sets the control amplitude as ratio * omega_target (the
@@ -52,14 +50,18 @@ class SizzleConfig:
     amplitudes).  ``dphi`` is phi_control - phi_target.
     """
 
-    pair: tuple[str, str]  # (control, target)
-    freq: float  # shared drive frequency, MHz
-    omega_target: float  # target-tone amplitude, MHz
-    ratio: float = 1.0
-    dphi: float = 0.0
-    rise: float = 0.0  # ns; 0 = rectangular
+    __slots__ = ("pair", "freq", "omega_target", "ratio", "dphi", "rise")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        pair: tuple[str, str],  # (control, target)
+        freq: float,  # shared drive frequency, MHz
+        omega_target: float,  # target-tone amplitude, MHz
+        ratio: float = 1.0,
+        dphi: float = 0.0,
+        rise: float = 0.0,  # ns; 0 = rectangular
+    ):
+        self._assign(pair, freq, omega_target, ratio, dphi, rise)
         if self.ratio <= 0:
             raise ValueError("amplitude ratio must be positive")
         if self.omega_target < 0:
@@ -226,6 +228,9 @@ def sizzle_zz_predicted_for(
     if j is None:
         j = device.couplings.j(config.control, config.target)
     if zeta_static_khz is None:
+        # no command reaches this path, so spectrum loads only here
+        from .spectrum import zz_exact
+
         zeta_static_khz = zz_exact(device, config.pair, levels=levels)
     return sizzle_zz_predicted(
         j=j,
@@ -524,7 +529,12 @@ def sweep_relative_phase(
     dphis = np.asarray(dphis, dtype=float)
     if not len(dphis):
         raise ValueError("need at least one relative phase")
-    configs = [replace(config, dphi=float(dphi)) for dphi in dphis]
+    configs = [
+        SizzleConfig(
+            config.pair, config.freq, config.omega_target, config.ratio, float(dphi), config.rise
+        )
+        for dphi in dphis
+    ]
     rates, _, _ = _tomography(device, configs, widths, noise, levels)
     return ExperimentRecord(
         protocol="sizzle_phase_sweep",
@@ -653,19 +663,30 @@ def sweep_drive_landscape(
 
 # ------------------------------------------------------------- calibration
 
-@dataclass(frozen=True)
-class CzCalibration:
+class CzCalibration(FrozenValue):
     """A calibrated conditional-phase gate: measured rate, duration,
     target phase, and the repeated-gate verification residual."""
 
-    config: SizzleConfig
-    nu_tilde_khz: float
-    tau_g: float
-    target_phase: float
-    per_gate_phase: float
-    residual: float
-    gate_counts: tuple[int, ...] = ()
-    accumulated_phases: tuple[float, ...] = ()
+    __slots__ = (
+        "config", "nu_tilde_khz", "tau_g", "target_phase", "per_gate_phase", "residual",
+        "gate_counts", "accumulated_phases",
+    )
+
+    def __init__(
+        self,
+        config: SizzleConfig,
+        nu_tilde_khz: float,
+        tau_g: float,
+        target_phase: float,
+        per_gate_phase: float,
+        residual: float,
+        gate_counts: tuple[int, ...] = (),
+        accumulated_phases: tuple[float, ...] = (),
+    ):
+        self._assign(
+            config, nu_tilde_khz, tau_g, target_phase, per_gate_phase, residual,
+            gate_counts, accumulated_phases,
+        )
 
     def conditional_phase(self) -> float:
         """Signed conditional phase the calibrated pulse imparts."""

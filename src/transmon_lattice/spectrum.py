@@ -9,7 +9,6 @@ abs().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
@@ -18,13 +17,13 @@ import numpy as np
 from .device import DEFAULT_POLE_GUARD, DeviceSpec, Pair, pair_key, zz_perturbative
 from .errors import ContractViolation, InconsistentSignError, LabelingError, NearPoleError
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
+from .values import FrozenValue, Value
 
 DEFAULT_LABEL_THRESHOLD = 0.7
 HERMITICITY_TOL = 1e-9
 
 
-@dataclass
-class DressedSpectrum:
+class DressedSpectrum(Value):
     """Eigen-decomposition of a subset Hamiltonian with bare-state labels.
 
     ``labels`` maps occupation tuples to eigenindices once
@@ -32,12 +31,21 @@ class DressedSpectrum:
     squared overlap used for each assignment.
     """
 
-    energies: np.ndarray
-    states: np.ndarray
-    sites: tuple[str, ...]
-    levels: int
-    labels: dict[tuple[int, ...], int] = field(default_factory=dict)
-    overlaps: dict[tuple[int, ...], float] = field(default_factory=dict)
+    __slots__ = ("energies", "states", "sites", "levels", "labels", "overlaps")
+
+    def __init__(
+        self,
+        energies: np.ndarray,
+        states: np.ndarray,
+        sites: tuple[str, ...],
+        levels: int,
+        labels: Optional[dict[tuple[int, ...], int]] = None,
+        overlaps: Optional[dict[tuple[int, ...], float]] = None,
+    ):
+        self._assign(
+            energies, states, sites, levels,
+            {} if labels is None else labels, {} if overlaps is None else overlaps,
+        )
 
     def energy_of(self, label: tuple[int, ...]) -> float:
         if label not in self.labels:
@@ -95,16 +103,23 @@ def assign_dressed_labels(
     return labels
 
 
-@dataclass(frozen=True)
-class ZZReport:
+class ZZReport(FrozenValue):
     """Exact and perturbative ZZ for one pair, with the inputs used."""
 
-    pair: Pair
-    zeta_exact_khz: float
-    zeta_perturbative_khz: float
-    j_input: float
-    levels: int
-    subset: tuple[str, ...]
+    __slots__ = (
+        "pair", "zeta_exact_khz", "zeta_perturbative_khz", "j_input", "levels", "subset",
+    )
+
+    def __init__(
+        self,
+        pair: Pair,
+        zeta_exact_khz: float,
+        zeta_perturbative_khz: float,
+        j_input: float,
+        levels: int,
+        subset: tuple[str, ...],
+    ):
+        self._assign(pair, zeta_exact_khz, zeta_perturbative_khz, j_input, levels, subset)
 
 
 def zz_exact(

@@ -807,7 +807,8 @@ _LOADED_MODULES = (
     "from transmon_lattice.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "loaded = sorted(\n"
-    "    m for m in sys.modules if m.startswith(('transmon_lattice.', 'scipy', 'numpy'))\n"
+    "    m for m in sys.modules\n"
+    "    if m.startswith(('transmon_lattice.', 'scipy', 'numpy', 'dataclasses'))\n"
     ")\n"
     "print(json.dumps([code, loaded]))\n"
 )
@@ -827,9 +828,10 @@ _LOADED_MODULES = (
             "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --seed 1",
             ("dynamics", "sizzle", "tomography", "spectrum", "operators"),
         ),
+        # spectrum loads only for the closed-form rate prediction
         (
             "sizzle --mode tomography --pair Q2,Q7 --widths 0.5,1,1.5 --seed 1",
-            ("protocols", "rb", "cliffords", "tomography"),
+            ("protocols", "rb", "cliffords", "tomography", "spectrum"),
         ),
         (
             "dynamics --protocol t1 --qubit Q2 --seed 1",
@@ -861,7 +863,9 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):
     code, loaded = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stderr
     names = {m.removeprefix("transmon_lattice.").split(".")[0] for m in loaded}
-    assert names.isdisjoint((*absent, "scipy")), loaded  # no command loads scipy
+    # no command loads scipy, nor dataclasses, whose code generation costs
+    # ~1.2 ms a class in every process
+    assert names.isdisjoint((*absent, "scipy", "dataclasses")), loaded
 
 
 def test_package_import_loads_no_submodule():

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,7 +150,8 @@ def test_phase_sweep_matches_per_phase_tomography(device, rise, noisy, dphis, wi
     record = sweep_relative_phase(device, config, dphis, widths, noise=noise, levels=3)
     per_phase = [
         hamiltonian_tomography_pulsewidth(
-            device, replace(config, dphi=float(dphi)), widths, noise=noise, levels=3
+            device, _config(amplitude=10.0, dphi=float(dphi), rise=rise), widths,
+            noise=noise, levels=3,
         )[0]
         for dphi in dphis
     ]
