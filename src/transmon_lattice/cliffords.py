@@ -9,14 +9,22 @@ EPC to EPG with the empirical factor 1.825 (their compiled average),
 which is kept as a separate constant: no 24-element table with integer
 pulse counts can average exactly 1.825.
 
-The 11520-element two-qubit group is generated as (C1 x C1) followed by
-one of 20 mixers built from CZ and fixed single-qubit corrections
-(identity, 9 CNOT-like, 9 iSWAP-like, 1 SWAP-like).
+An n-qubit Clifford U is named by its code, a uint8 array over the 4**n
+Pauli strings P_b (site 0 the leading digit, as in the RB engine): entry
+b is a + 4**n [s < 0] where U P_b U^dagger = s P_a.  Up to phase, U is
+fixed by its images of X and Z on each site, so those entries, 5 bits
+each, form its key.  A group is held as its codes in index order and
+their sorted keys; a code finds its index by binary search of its key.
+
+The 11520-element two-qubit group is (C1 x C1) followed by one of 20
+mixers built from CZ and fixed single-qubit corrections (identity, 9
+CNOT-like, 9 iSWAP-like, 1 SWAP-like): element c0 * 480 + c1 * 20 +
+mixer plays c0 on site 0 and c1 on site 1, then the mixer.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -128,15 +136,10 @@ def clifford_unitaries(x_scale: float) -> np.ndarray:
 def clifford_table() -> tuple[CliffordElement, ...]:
     """The 24 single-qubit Cliffords with hardware decompositions."""
     unitaries = clifford_unitaries(1.0)
-    elements = [
+    return tuple(
         CliffordElement(index, tuple(gates), unitaries[index])
         for index, gates in enumerate(_xy_decompositions())
-    ]
-    # |tr(C_a^dagger C_b)| reaches 2 only when C_a = C_b up to phase
-    overlaps = np.abs(np.einsum("aji,bji->ab", unitaries.conj(), unitaries))
-    if np.count_nonzero(overlaps > 2.0 - 1e-6) != 24:
-        raise AssertionError("single-qubit Clifford table is degenerate")
-    return tuple(elements)
+    )
 
 
 def mean_physical_gates() -> float:
@@ -144,48 +147,93 @@ def mean_physical_gates() -> float:
     return sum(e.physical_gate_count for e in table) / len(table)
 
 
-def canonical_key(u: np.ndarray, decimals: int = 8) -> bytes:
-    """Phase-fixed, rounded byte representation of a unitary (global
-    phase removed by making the largest-magnitude entry real positive)."""
-    flat = u.reshape(-1)
-    pivot = int(np.argmax(np.abs(flat)))
-    phase = flat[pivot] / abs(flat[pivot])
-    fixed = u / phase
-    return np.round(fixed, decimals).tobytes()
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def clifford_index(u: np.ndarray) -> int:
-    """Index of the single-qubit Clifford equal to ``u`` up to phase,
-    found by maximizing |tr(u^dagger C_k)|."""
-    mats = clifford_unitaries(1.0)
-    traces = np.abs(np.einsum("ji,kji->k", u.conj(), mats))
-    best = int(np.argmax(traces))
-    if traces[best] < 2.0 - 1e-6:
-        raise KeyError("matrix is not a single-qubit Clifford")
-    return best
+def _pauli_strings(n_sites: int) -> np.ndarray:
+    """(4**n, 2**n, 2**n) Pauli strings, site 0 the most significant digit."""
+    strings = np.ones((1, 1, 1))
+    for _ in range(n_sites):
+        strings = np.einsum("aij,bkl->abikjl", strings, _PAULIS).reshape(
+            4 * len(strings), 2 * len(strings[0]), -1
+        )
+    return strings
 
 
-def inverse_index(u: np.ndarray) -> int:
-    """Index of the Clifford inverting ``u`` (a product of Cliffords)."""
-    mats = clifford_unitaries(1.0)
-    traces = np.abs(np.einsum("ij,kji->k", u, mats))
-    best = int(np.argmax(traces))
-    if traces[best] < 2.0 - 1e-6:
-        raise KeyError("matrix does not invert to a single-qubit Clifford")
-    return best
+def _transfers(u: np.ndarray) -> np.ndarray:
+    """Transfer matrices R[c, a, b] = tr(P_a U_c P_b U_c^dagger) / 2**n
+    of a (k, 2**n, 2**n) stack of n-site unitaries."""
+    dim = u.shape[-1]
+    strings = _pauli_strings(dim.bit_length() - 1)
+    return np.einsum("aij,cjk,bkl,cil->cab", strings, u, strings, u.conj()).real / dim
+
+
+def _codes(u: np.ndarray) -> np.ndarray:
+    """(k, 4**n) codes of a (k, 2**n, 2**n) stack of n-site Cliffords,
+    whose transfer matrices hold one entry of magnitude 1 per column."""
+    transfers = _transfers(u)
+    size = transfers.shape[-1]
+    images = np.abs(transfers).argmax(axis=1)
+    peaks = np.take_along_axis(transfers, images[:, None], axis=1)[:, 0]
+    if np.abs(peaks).min() < 1.0 - 1e-6:
+        raise ValueError("matrix is not a Clifford")
+    return (images + size * (peaks < 0)).astype(np.uint8)
+
+
+def _compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Codes of ``first`` then ``second``, broadcast over leading axes."""
+    first, second = np.broadcast_arrays(first, second)
+    size = first.shape[-1]
+    return np.take_along_axis(second, first % size, axis=-1) ^ (first & size)
+
+
+def _keys(codes: np.ndarray) -> np.ndarray:
+    """Each code's images of X and Z on each site (site 0 first), 5 bits each."""
+    images = codes[..., {4: [1, 3], 16: [4, 12, 1, 3]}[codes.shape[-1]]].astype(np.int64)
+    return (images << 5 * np.arange(images.shape[-1])).sum(axis=-1)
+
+
+def _site_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Codes of C0 (x) C1 from the codes of C0 (site 0) and C1."""
+    paulis = 4 * (first[..., :, None] % 4) + second[..., None, :] % 4
+    signs = 4 * ((first[..., :, None] ^ second[..., None, :]) & 4)
+    return (paulis + signs).reshape(*paulis.shape[:-2], 16)
+
+
+@lru_cache(maxsize=2)
+def _group(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only codes of the n-site group in index order, the indices
+    in key order, and the sorted keys."""
+    if n_sites == 1:
+        codes = _codes(clifford_unitaries(1.0))
+    else:
+        c0, c1, mixer = split_two_qubit_index(np.arange(TWO_QUBIT_GROUP_SIZE))
+        codes = _compose(_site_pairs(_group(1)[0][c0], _group(1)[0][c1]), _mixer_codes()[mixer])
+    order = np.argsort(_keys(codes), kind="stable")  # faults in less sort code than quicksort
+    keys = _keys(codes)[order]
+    if np.any(keys[1:] == keys[:-1]):
+        raise AssertionError(f"the {n_sites}-qubit Clifford group repeats an element")
+    for table in (codes, order, keys):
+        table.flags.writeable = False
+    return codes, order, keys
+
+
+def _indices(codes: np.ndarray) -> np.ndarray:
+    """Group indices of codes (4**n entries on the last axis)."""
+    _, order, keys = _group((codes.shape[-1].bit_length() - 1) // 2)
+    wanted = _keys(codes)
+    found = np.searchsorted(keys, wanted) % len(keys)
+    if np.any(keys[found] != wanted):
+        raise KeyError("code is not a Clifford of the group")
+    return order[found]
 
 
 @lru_cache(maxsize=1)
 def clifford_products() -> np.ndarray:
     """Read-only 24x24 multiplication table: entry ``[a, b]`` is the
-    index of C_a C_b (C_b acts first), the k maximizing
-    |tr(C_k^dagger C_a C_b)|."""
-    mats = clifford_unitaries(1.0)
-    products = (mats[:, None] @ mats[None, :]).reshape(24 * 24, 4)
-    traces = np.abs(products @ mats.reshape(24, 4).conj().T).reshape(24, 24, 24)
-    table = np.argmax(traces, axis=2).astype(np.int8)
-    if np.take_along_axis(traces, table[..., None], axis=2).min() < 2.0 - 1e-6:
-        raise AssertionError("single-qubit Clifford products leave the table")
+    index of C_a C_b (C_b acts first)."""
+    codes = _group(1)[0]
+    table = _indices(_compose(codes[None, :], codes[:, None])).astype(np.int8)
     table.flags.writeable = False
     return table
 
@@ -193,7 +241,7 @@ def clifford_products() -> np.ndarray:
 @lru_cache(maxsize=1)
 def clifford_identity() -> int:
     """Index of the identity Clifford."""
-    return clifford_index(np.eye(2))
+    return int(_indices(np.arange(4, dtype=np.uint8)))
 
 
 @lru_cache(maxsize=1)
@@ -233,28 +281,6 @@ def sequence_inverses(ids: np.ndarray) -> np.ndarray:
 
 TWO_QUBIT_GROUP_SIZE = 11520
 
-_S1 = ([], [(0.5, "y"), (0.5, "x")], [(-0.5, "x"), (-0.5, "y")])
-_S1_X = ([(0.5, "x")], [(0.5, "x"), (0.5, "y"), (0.5, "x")], [(-0.5, "y")])
-_S1_Y = ([(0.5, "y")], [(-0.5, "x"), (-0.5, "y"), (0.5, "x")], [(1.0, "y"), (0.5, "x")])
-
-
-def _axis_unitary(exponent: float, axis: str) -> np.ndarray:
-    theta = exponent * math.pi
-    if axis == "x":
-        return _rx(theta)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])  # R_y(theta)
-
-
-def _seq_unitary(seq) -> np.ndarray:
-    u = np.eye(2, dtype=complex)
-    for exponent, axis in seq:
-        u = _axis_unitary(exponent, axis) @ u
-    return u
-
-
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
 
 def cz_unitary(target_phase: float = math.pi) -> np.ndarray:
     """Ideal conditional-phase unitary on two 2-level qubits."""
@@ -264,63 +290,56 @@ def cz_unitary(target_phase: float = math.pi) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _mixers() -> np.ndarray:
-    """The 20 mixer unitaries: index 0 none, 1 SWAP-like, 2-10
-    CNOT-like, 11-19 iSWAP-like."""
-    y90 = _axis_unitary(0.5, "y")
-    y90m = _axis_unitary(-0.5, "y")
-    x90m = _axis_unitary(-0.5, "x")
-    eye = np.eye(2, dtype=complex)
+def _mixer_codes() -> np.ndarray:
+    """Read-only codes of the 20 mixers (0 none, 1 SWAP-like, 2-10 CNOT-like, 11-19
+    iSWAP-like): CZs and site corrections in the single-qubit table's gates."""
+    x, y = _x_gates, _y_gates
+    cz = _codes(cz_unitary()[None])[0]
 
-    mixers = [np.eye(4, dtype=complex)]
-    swap_like = (
-        np.kron(eye, y90)
-        @ _CZ
-        @ np.kron(y90, y90m)
-        @ _CZ
-        @ np.kron(y90m, y90)
-        @ _CZ
+    def sites(gates0, gates1):
+        return _site_pairs(*_codes(np.array([compose_gates(gates0), compose_gates(gates1)])))
+
+    s1 = ([], y(0.5) + x(0.5), x(-0.5) + y(-0.5))
+    s1_x = (x(0.5), x(0.5) + y(0.5) + x(0.5), y(-0.5))
+    s1_y = (y(0.5), x(-0.5) + y(-0.5) + x(0.5), y(1.0) + x(0.5))
+    swap_like = (cz, sites(y(-0.5), y(0.5)), cz, sites(y(0.5), y(-0.5)), cz, sites([], y(0.5)))
+    codes = np.array(
+        [np.arange(16), reduce(_compose, swap_like)]
+        + [_compose(cz, sites(a, b)) for a in s1 for b in s1_y]
+        + [reduce(_compose, (cz, sites(y(0.5), x(-0.5)), cz, sites(a, b)))
+           for a in s1_y for b in s1_x],
+        np.uint8,
     )
-    mixers.append(swap_like)
-    for s1 in _S1:
-        for s1y in _S1_Y:
-            mixers.append(np.kron(_seq_unitary(s1), _seq_unitary(s1y)) @ _CZ)
-    for s1y in _S1_Y:
-        for s1x in _S1_X:
-            mixers.append(
-                np.kron(_seq_unitary(s1y), _seq_unitary(s1x))
-                @ _CZ
-                @ np.kron(y90, x90m)
-                @ _CZ
-            )
-    return np.array(mixers)
+    codes.flags.writeable = False
+    return codes
 
 
 #: CZ count per mixer index, for gate accounting
 MIXER_CZ_COUNTS = (0, 3) + (1,) * 9 + (2,) * 9
 
 
-def split_two_qubit_index(idx: int) -> tuple[int, int, int]:
-    if not 0 <= idx < TWO_QUBIT_GROUP_SIZE:
+def split_two_qubit_index(idx):
+    """(c0, c1, mixer) of a two-qubit Clifford id, or of an array of ids."""
+    if np.any((idx < 0) | (idx >= TWO_QUBIT_GROUP_SIZE)):
         raise IndexError(idx)
-    return idx // 480, (idx // 20) % 24, idx % 20
+    return idx // 480, idx // 20 % 24, idx % 20
 
 
-@lru_cache(maxsize=1)
-def two_qubit_clifford_matrices() -> np.ndarray:
-    """All 11520 two-qubit Clifford unitaries, indexed by
-    (c0 * 480 + c1 * 20 + mixer)."""
-    singles = clifford_unitaries(1.0)
-    starters = np.array([np.kron(a, b) for a in singles for b in singles])
-    return (_mixers()[None] @ starters[:, None]).reshape(TWO_QUBIT_GROUP_SIZE, 4, 4)
-
-
-def two_qubit_inverse_index(u: np.ndarray) -> int:
-    """Index of the group element equal to u^dagger up to phase, found
-    by maximizing |tr(u @ C_k)|."""
-    mats = two_qubit_clifford_matrices()
-    traces = np.abs(np.einsum("ij,kji->k", u, mats))
-    best = int(np.argmax(traces))
-    if traces[best] < 4.0 - 1e-6:
-        raise KeyError("matrix does not invert to a two-qubit Clifford")
-    return best
+def two_qubit_inverses(ids: np.ndarray, lengths: np.ndarray, gate=None) -> np.ndarray:
+    """Index of the Clifford that inverts each row j of the (B, m) two-qubit
+    ``ids``: its first ``lengths[j]`` Cliffords (the first acts first), each
+    followed by the 4x4 Clifford unitary ``gate`` when one is given.  Their
+    codes are padded with the identity to a power-of-two length and
+    composed pairwise, halving them each round."""
+    width = 1 << max(ids.shape[-1] - 1, 0).bit_length()
+    codes = _group(2)[0][ids]
+    if gate is not None:
+        codes = _compose(codes, _codes(gate[None])[0])
+    x = np.tile(np.arange(16, dtype=np.uint8), (len(ids), width, 1))
+    played = np.arange(ids.shape[-1]) < lengths[:, None]
+    x[:, : ids.shape[-1]][played] = codes[played]
+    while x.shape[1] > 1:
+        x = _compose(x[:, 0::2], x[:, 1::2])
+    # the inverse sends P_a to s P_b where the product sends P_b to s P_a
+    back = np.argsort(x[:, 0] % 16, axis=-1)
+    return _indices(np.take_along_axis(np.arange(16, dtype=np.uint8) | (x[:, 0] & 16), back, -1))

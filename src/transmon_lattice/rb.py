@@ -16,14 +16,17 @@ import numpy as np
 
 from .cliffords import (
     MEAN_GATES_PER_CLIFFORD,
-    _mixers,
+    TWO_QUBIT_GROUP_SIZE,
+    _mixer_codes,
+    _pauli_strings,
+    _transfers,
     clifford_identity,
     clifford_table,
     clifford_unitaries,
     cz_unitary,
     sequence_inverses,
-    two_qubit_clifford_matrices,
-    two_qubit_inverse_index,
+    split_two_qubit_index,
+    two_qubit_inverses,
 )
 from .device import DeviceSpec, pair_key, zz_perturbative
 from .errors import ContractViolation
@@ -306,9 +309,6 @@ def _zz_pairs_for(
 # a real transfer matrix on it.  Jobs are ordered by length, so the jobs
 # still running at slot t are a contiguous suffix of the stack.
 
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
 def _jobs(entropy: tuple[int, ...], n_sequences: int, lengths: Sequence[int]):
     """Each (s, li) job's generator and its length, ordered by length.
     The job draws its Clifford ids, then its shot counts, from
@@ -366,24 +366,6 @@ def _slot_depolarizing(channel: NoiseChannel) -> np.ndarray:
     else:
         pulses = np.array([e.physical_gate_count for e in clifford_table()])
     return 1.0 - (1.0 - channel.depolarizing) ** pulses
-
-
-def _pauli_strings(n_sites: int) -> np.ndarray:
-    """(4**n, 2**n, 2**n) Pauli strings, site 0 the most significant digit."""
-    strings = np.ones((1, 1, 1))
-    for _ in range(n_sites):
-        strings = np.einsum("aij,bkl->abikjl", strings, _PAULIS).reshape(
-            4 * len(strings), 2 * len(strings[0]), -1
-        )
-    return strings
-
-
-def _transfers(u: np.ndarray) -> np.ndarray:
-    """Transfer matrices R[c, a, b] = tr(P_a U_c P_b U_c^dagger) / 2**n
-    of a (k, 2**n, 2**n) stack of n-site unitaries."""
-    dim = u.shape[-1]
-    strings = _pauli_strings(dim.bit_length() - 1)
-    return np.einsum("aij,cjk,bkl,cil->cab", strings, u, strings, u.conj()).real / dim
 
 
 def _slot_transfers(channel: NoiseChannel) -> np.ndarray:
@@ -538,25 +520,23 @@ def run_interleaved_rb_cz(
         gate_transfer = depolarized(_transfers(cz_unitary(phase)[None])[0], q_gate)
     else:
         gate_transfer = _checked_gate_transfer(gate_transfer)
-    mixers = depolarized(_transfers(_mixers()), background.depolarizing)
+    codes = _mixer_codes()  # exact signed permutations: mixer c sends P_b to +-P_(c[b] % 16)
+    mixers = (np.eye(16)[codes % 16] * (1.0 - 2.0 * (codes >= 16))[..., None]).transpose(0, 2, 1)
+    mixers = depolarized(mixers, background.depolarizing)
     # entries 0-19: mixer, then background; 20-39: then the gate
     register = np.concatenate([mixers, gate_transfer @ mixers]).transpose(0, 2, 1)
     site_transfers = np.array([_slot_transfers(NoiseChannel())] * 2)
-    mats = two_qubit_clifford_matrices()
 
     def run(interleave: bool) -> np.ndarray:
-        step = cz_unitary(math.pi) if interleave else np.eye(4)  # the ideal product
         rngs, job_lengths = _jobs((seed, 303), n_sequences, lengths)
         ids = np.zeros((len(rngs), lengths[-1] + 1), int)
         for j, (rng, m) in enumerate(zip(rngs, job_lengths)):
-            ids[j, :m] = rng.integers(0, len(mats), m)
-            u_total = np.eye(4)
-            for u in step @ mats[ids[j, :m]]:
-                u_total = u @ u_total
-            ids[j, m] = two_qubit_inverse_index(u_total)
-        body = np.arange(ids.shape[1]) < job_lengths[:, None]
-        slots = np.stack([ids // 480, ids // 20 % 24], axis=1).astype(np.int8)
-        mixer_ids = ids % 20 + 20 * (interleave & body)
+            ids[j, :m] = rng.integers(0, TWO_QUBIT_GROUP_SIZE, m)
+        ids[np.arange(len(ids)), job_lengths] = two_qubit_inverses(  # assuming the ideal CZ
+            ids[:, :-1], job_lengths, cz_unitary(math.pi) if interleave else None)
+        c0, c1, mixer = split_two_qubit_index(ids)
+        slots = np.stack([c0, c1], axis=1).astype(np.int8)
+        mixer_ids = mixer + 20 * (interleave & (np.arange(ids.shape[1]) < job_lengths[:, None]))
         x = _lockstep(slots, job_lengths, site_transfers, register, mixer_ids)
         survival = x[:, [0, 3, 12, 15]].sum(axis=1) / 4.0  # <00|rho|00> = (II + IZ + ZI + ZZ) / 4
         return _sampled(survival, rngs, shots, n_sequences)

@@ -396,22 +396,21 @@ def _tomography(
     device: DeviceSpec,
     configs: Sequence[SizzleConfig],
     widths: Sequence[float],
-    noise: Optional[NoiseSpec],
-    levels: int,
+    h0: LatticeOperator,
+    collapse: Optional[list],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pulse-width tomography of configs that share the pair, drive
-    frequency and rise of the first, from one Hamiltonian and one echo:
-    nu_tilde (kHz) per config, the target coherences [config, width,
-    control state] and the unwrapped differential phases [config, width]
-    the rates are fitted to."""
+    frequency and rise of the first, from its pair Hamiltonian ``h0``
+    (with the Lindblad terms ``collapse``) and one echo: nu_tilde (kHz)
+    per config, the target coherences [config, width, control state]
+    and the unwrapped differential phases [config, width] the rates are
+    fitted to."""
     configs[0].validate_against(device)
     if len(widths) < 3:
         raise ValueError("need at least 3 widths")
     widths = _checked_widths(widths, configs[0].rise)
-    h0 = assemble_hamiltonian(device, SubsetSelection(configs[0].pair, levels))
-    collapse = _lindblad_terms(h0, noise)
-    states = _echo(h0, device, configs, widths, collapse)(_prepared_states(levels, collapse))
-    coh, phases, _ = _readout(states, levels, collapse)
+    states = _echo(h0, device, configs, widths, collapse)(_prepared_states(h0.levels, collapse))
+    coh, phases, _ = _readout(states, h0.levels, collapse)
     diff = phases[..., 1] - phases[..., 0]
     wrapped = (np.diff(diff) + np.pi) % (2 * np.pi) - np.pi
     if np.any(np.abs(wrapped) > 0.9 * np.pi):
@@ -440,7 +439,10 @@ def hamiltonian_tomography_pulsewidth(
     :class:`AliasingError` when the width step is too coarse to unwrap
     the differential phase.
     """
-    (nu_tilde_khz,), (coh,), (unwrapped,) = _tomography(device, [config], widths, noise, levels)
+    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
+    (nu_tilde_khz,), (coh,), (unwrapped,) = _tomography(
+        device, [config], widths, h0, _lindblad_terms(h0, noise)
+    )
     x, y = 2.0 * coh.real, 2.0 * coh.imag
     record = ExperimentRecord(
         protocol="sizzle_pulsewidth_tomography",
@@ -535,7 +537,8 @@ def sweep_relative_phase(
         )
         for dphi in dphis
     ]
-    rates, _, _ = _tomography(device, configs, widths, noise, levels)
+    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
+    rates, _, _ = _tomography(device, configs, widths, h0, _lindblad_terms(h0, noise))
     return ExperimentRecord(
         protocol="sizzle_phase_sweep",
         axes=(AxisSpec("dphi", tuple(dphis), "rad"),),
@@ -741,11 +744,12 @@ def calibrate_cz(
         raise ValueError(f"target phase {target_phase} rad must be finite and positive")
     measured = nu_tilde_khz
     if measured is None:
+        # one pair Hamiltonian for the tomography and the repeated-gate check
+        h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
+        collapse = _lindblad_terms(h0, noise)
         if widths is None:
             widths = default_widths(config.rise)
-        measured, _ = hamiltonian_tomography_pulsewidth(
-            device, config, widths, noise=noise, seed=seed, levels=levels
-        )
+        (measured,), _, _ = _tomography(device, [config], widths, h0, collapse)
     if abs(measured) < floor_khz:
         raise UncalibratableError(
             f"driven ZZ rate {measured:.2f} kHz is below the {floor_khz} kHz floor"
@@ -755,7 +759,7 @@ def calibrate_cz(
     counts = tuple(int(n) for n in verify_counts)
     signed_target = math.copysign(target_phase, measured)
     if nu_tilde_khz is None:
-        phases = _repeated_gate_phases(device, config, tau_g, counts, levels, noise)
+        phases = _repeated_gate_phases(device, config, tau_g, counts, h0, collapse)
     else:
         # externally supplied rate: verify against the implied ideal
         # conditional-phase generator
@@ -793,16 +797,15 @@ def _repeated_gate_phases(
     config: SizzleConfig,
     tau_g: float,
     counts: Sequence[int],
-    levels: int,
-    noise: Optional[NoiseSpec],
+    h0: LatticeOperator,
+    collapse: Optional[list],
 ) -> list[float]:
     """Differential target phase after n echoed Stark pulses of width
-    tau_g, for every n in ``counts``."""
-    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    collapse = _lindblad_terms(h0, noise)
+    tau_g, for every n in ``counts``, on the pair Hamiltonian ``h0``
+    with the Lindblad terms ``collapse``."""
     gate = _echo(h0, device, [config], [tau_g], collapse)
-    states = [_prepared_states(levels, collapse)]
+    states = [_prepared_states(h0.levels, collapse)]
     for _ in range(max(counts)):
         states.append(gate(states[-1])[0, 0])
-    _, phases, _ = _readout(np.array(states), levels, collapse)
+    _, phases, _ = _readout(np.array(states), h0.levels, collapse)
     return [math.remainder(phases[n, 1] - phases[n, 0], 2 * math.pi) for n in counts]

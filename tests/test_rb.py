@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from test_cliffords import mixer_unitaries, trace_inverse_index, two_qubit_unitaries
 from transmon_lattice.cliffords import (
-    _mixers,
+    _PAULIS,
     clifford_table,
+    clifford_unitaries,
     compose_gates,
     cz_unitary,
-    inverse_index,
-    two_qubit_clifford_matrices,
-    two_qubit_inverse_index,
 )
 from transmon_lattice.errors import ContractViolation
 from transmon_lattice.rb import (
     DEFAULT_LENGTHS,
     NoiseChannel,
-    _PAULIS,
     _sample_survival,
     _slot_transfers,
     _transfers,
@@ -239,7 +237,7 @@ def _density_matrix_arm(phase, interleave, n_sequences, lengths, shots, seed,
     background depolarizing and the gate."""
     gate, ideal = cz_unitary(phase), cz_unitary(math.pi)
     q_gate = gate_error / 0.75
-    mats = two_qubit_clifford_matrices()
+    mats = two_qubit_unitaries()
 
     def apply_gate(rho: np.ndarray) -> np.ndarray:
         rho = gate @ rho @ gate.conj().T
@@ -266,7 +264,7 @@ def _density_matrix_arm(phase, interleave, n_sequences, lengths, shots, seed,
                 if interleave:
                     rho = apply_gate(rho)
                     u_total = ideal @ u_total
-            inv = mats[two_qubit_inverse_index(u_total)]
+            inv = mats[trace_inverse_index(u_total, mats)]
             rho = inv @ rho @ inv.conj().T
             if background.depolarizing:
                 rho = _depolarize_two(rho, background.depolarizing)
@@ -295,8 +293,8 @@ def test_two_qubit_cliffords_factor_into_site_and_mixer_transfers():
     # Clifford k = (c0, c1, mixer) plays c0 and c1 on the sites, then the
     # mixer: its transfer matrix is R(mixer) (R(c0) (x) R(c1))
     sites = _slot_transfers(NoiseChannel())[24]
-    mixers = _transfers(_mixers())
-    mats = two_qubit_clifford_matrices()
+    mixers = _transfers(mixer_unitaries())
+    mats = two_qubit_unitaries()
     for start in range(0, len(mats), 1440):
         k = np.arange(start, start + 1440)
         u = mats[k]
@@ -450,7 +448,7 @@ def _reference_ground(ids, channels, zz_phases):
     for k in range(n):
         for idx in ids[k]:
             totals[k] = table[idx].unitary @ totals[k]
-    inverse = np.array([[inverse_index(u)] for u in totals])
+    inverse = np.array([[trace_inverse_index(u, clifford_unitaries(1.0))] for u in totals])
     bits = [[(basis >> (n - 1 - k)) & 1 for k in range(n)] for basis in range(dim)]
     zz = np.array([
         np.prod([np.exp(-1j * phi) for (i, j), phi in zz_phases.items()

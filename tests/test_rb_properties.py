@@ -12,9 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from test_rb import _reference_ground
+from transmon_lattice.cliffords import _PAULIS
 from transmon_lattice.rb import (
     NoiseChannel,
-    _PAULIS,
     _closed_sequences,
     _lockstep,
     _site_ground,

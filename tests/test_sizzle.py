@@ -16,6 +16,7 @@ from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.sizzle import (
     SizzleConfig,
     _echo,
+    _lindblad_terms,
     _prepared_states,
     _repeated_gate_phases,
     calibrate_cz,
@@ -174,6 +175,21 @@ def test_phase_sweep_builds_one_hamiltonian_and_one_decomposition(device, monkey
     dphis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
     sweep_relative_phase(device, _config(rise=0.0), dphis, np.linspace(0.0, 3.0, 7), levels=4)
     assert calls == {"assemble": 1, "eigh": 1}
+
+
+def test_calibrate_cz_builds_one_hamiltonian(device, monkeypatch):
+    # the tomography and the repeated-gate check share the pair Hamiltonian
+    from transmon_lattice import sizzle
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(sizzle, "assemble_hamiltonian", counted)
+    calibrate_cz(device, _config(amplitude=10.0, rise=0.0), levels=3)
+    assert len(calls) == 1
 
 
 def test_phase_sweep_without_phases_is_a_value_error(device):
@@ -357,7 +373,8 @@ def test_repeated_gate_phases_match_sequential_echoes(device):
     levels = 3
     config = _config(amplitude=10.0, rise=50.0)
     tau_g, counts = 0.6, (1, 2, 3, 5)
-    phases = _repeated_gate_phases(device, config, tau_g, counts, levels, None)
+    h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
+    phases = _repeated_gate_phases(device, config, tau_g, counts, h0, None)
     for n, phase in zip(counts, phases):
         target_phases = []
         for control_state in (0, 1):
@@ -413,7 +430,10 @@ def test_repeated_gate_phases_under_lindblad(device):
     levels, tau_g = 3, 0.5
     config = _config(amplitude=10.0, rise=0.0)
     noise = NoiseSpec.from_device(device)
-    one, two = _repeated_gate_phases(device, config, tau_g, (1, 2), levels, noise)
+    h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
+    one, two = _repeated_gate_phases(
+        device, config, tau_g, (1, 2), h0, _lindblad_terms(h0, noise)
+    )
     _, record = hamiltonian_tomography_pulsewidth(
         device, config, [tau_g, 1.0, 1.5], noise=noise, levels=levels
     )
