@@ -434,7 +434,7 @@ def _propagate_static(h, collapse, psi, times) -> np.ndarray:
     return moved.reshape(len(times), *psi.shape)
 
 
-ENVELOPE_SLICES = 24  # midpoint slices of a segment where only envelopes vary
+ENVELOPE_SLICES = 48  # Magnus slices of a segment where no term rotates
 SLICES_PER_PERIOD = 64  # Magnus slices per period of a segment's fastest rate
 # 4th-order commutator-free Magnus weights at the Gauss nodes 1/2 -+ sqrt(3)/6
 # (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
@@ -443,16 +443,23 @@ _GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 
 
 def _magnus_edges(static, terms, left, right, t_eval) -> np.ndarray:
-    """Slice edges of [left, right], every ``t_eval`` time among them, at
-    most 1/(SLICES_PER_PERIOD f) apart.  The rate f is the faster of the
+    """Slice edges of [left, right], every ``t_eval`` time among them.
+    Where only envelopes vary they are at most (right - left) /
+    ENVELOPE_SLICES apart; where a term rotates, at most
+    1/(SLICES_PER_PERIOD f) apart.  The rate f is the faster of the
     terms' rotation and the static spectrum's spread, plus twice each
     term's norm, the most the terms can widen that spread."""
-    energies = np.linalg.eigvalsh(static)
-    rate = max(max(abs(t.nu) for t in terms), energies[-1] - energies[0])
-    rate += 2.0 * sum(np.linalg.norm(t.matrix, 2) for t in terms)
+    if all(t.nu == 0.0 for t in terms):
+        density = ENVELOPE_SLICES / (right - left)
+    else:
+        energies = np.linalg.eigvalsh(static)
+        rate = max(max(abs(t.nu) for t in terms), energies[-1] - energies[0])
+        rate += 2.0 * sum(np.linalg.norm(t.matrix, 2) for t in terms)
+        density = SLICES_PER_PERIOD * rate
     cuts = np.unique(np.clip(np.append(t_eval, (left, right)), left, right))
+    # the guard keeps a whole count whole: n / x * x can round above n
     return np.concatenate([
-        np.linspace(p, q, math.ceil(SLICES_PER_PERIOD * rate * (q - p)) + 1)[:-1]
+        np.linspace(p, q, math.ceil(density * (q - p) * (1 - 1e-12)) + 1)[:-1]
         for p, q in zip(cuts[:-1], cuts[1:])
     ] + [[right]])
 
@@ -466,10 +473,9 @@ def _propagate_sliced(
     right: float,
     t_eval: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Step through a time-dependent segment in slices of static
-    exponentials: ``ENVELOPE_SLICES`` at their midpoint Hamiltonian where
-    only envelopes vary, else the slices of :func:`_magnus_edges`, each
-    two exponentials of Hamiltonians mixed from its Gauss nodes.
+    """Step through a time-dependent segment in the 4th-order
+    commutator-free Magnus slices of :func:`_magnus_edges`, each two
+    static exponentials of Hamiltonians mixed from its Gauss nodes.
 
     ``psi`` and ``collapse`` are as in :func:`_propagate_static` (the
     identity as ``psi`` gives the segment's propagator).  Returns (``psi``
@@ -477,24 +483,13 @@ def _propagate_sliced(
     lie within [left, right])."""
     states_out = np.empty((len(t_eval), *psi.shape), dtype=complex)
     states_out[np.abs(t_eval - left) <= 1e-15] = psi
-    midpoint = all(t.nu == 0.0 for t in terms)
-    edges = (
-        np.linspace(left, right, ENVELOPE_SLICES + 1) if midpoint
-        else _magnus_edges(static, terms, left, right, t_eval)
-    )
+    edges = _magnus_edges(static, terms, left, right, t_eval)
     for a, b in zip(edges[:-1], edges[1:]):
-        inside = (t_eval > a + 1e-15) & (t_eval <= b + 1e-15)
-        if midpoint:
-            h = _hamiltonian(static, terms, 0.5 * (a + b))
-            moved = _propagate_static(h, collapse, psi, np.append(t_eval[inside] - a, b - a))
-            states_out[inside] = moved[:-1]
-            psi = moved[-1]
-            continue
         # the weights sum to 1/2: each factor holds 2 (A h1 + B h2) for half the slice
         h1, h2 = (_hamiltonian(static, terms, a + x * (b - a)) for x in _GAUSS_NODES)
         for h in (_MAGNUS_A * h1 + _MAGNUS_B * h2, _MAGNUS_B * h1 + _MAGNUS_A * h2):
             psi = _propagate_static(2.0 * h, collapse, psi, np.array([0.5 * (b - a)]))[0]
-        states_out[inside] = psi
+        states_out[(t_eval > a + 1e-15) & (t_eval <= b + 1e-15)] = psi
     return psi, states_out
 
 
@@ -538,9 +533,8 @@ def evolve(
     transform and drive terms are applied internally.  ``extra_static``
     (a matrix in the frame, e.g. a jitter term) is added verbatim.
     Piecewise-static configurations propagate by exact diagonalization;
-    envelope ramps step through midpoint slices and rotating terms
-    through 4th-order commutator-free Magnus slices, both in
-    :func:`_propagate_sliced`.
+    envelope ramps and rotating terms alike step through 4th-order
+    commutator-free Magnus slices in :func:`_propagate_sliced`.
     """
     t_grid = _checked_grid(t_grid)
     psi0 = np.asarray(psi0, dtype=complex)

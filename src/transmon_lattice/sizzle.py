@@ -291,8 +291,8 @@ def _echo_parts(
     """Stacked flat-top Hamiltonians of the configs (which share the pair,
     drive frequency and rise of the first) and their (up, down) ramp
     propagators, shape (len(configs), 2, n, n), or None without a rise.
-    The ramps follow the sliced midpoint rule of :func:`dynamics.evolve`
-    on vectors (``collapse`` None) or vectorized density matrices."""
+    The ramps take the Magnus slices of :func:`dynamics.evolve` on
+    vectors (``collapse`` None) or vectorized density matrices."""
     rise_us = configs[0].rise * 1e-3
     # reference tones: ramps on [0, rise] and [3 rise, 4 rise], flat between
     duration = 4.0 * rise_us if rise_us > 0 else 1.0
@@ -320,32 +320,31 @@ def _echo(
     h0: LatticeOperator,
     device: DeviceSpec,
     configs: Sequence[SizzleConfig],
-    widths: Sequence[float],
     collapse: Optional[list],
 ):
-    """The echoed sequence for every config and width, as a function that
-    takes states indexed [..., state] to states indexed [config, width,
-    state]: vectors when ``collapse`` is None, else density matrices
-    under the Lindblad terms ``collapse``.  Each config's flat top is
-    decomposed once by :func:`dynamics._modes`, the ramps fold into its
-    modes, and the modes carry the states of every width.  On the
-    identity's rows, the vector echo gives the transposed unitaries
-    E(w)^T, where E(w) = PiPi U(w/2) PiPi U(w/2).
+    """The echoed sequence of every config, as a function ``echo(states,
+    widths)`` that takes states indexed [..., state] to states indexed
+    [config, width, state]: vectors when ``collapse`` is None, else
+    density matrices under the Lindblad terms ``collapse``.  Each
+    config's flat top is decomposed once by :func:`dynamics._modes` and
+    the ramps fold into its modes, so every call, at any widths, reuses
+    them.  On the identity's rows, the vector echo gives the transposed
+    unitaries E(w)^T, where E(w) = PiPi U(w/2) PiPi U(w/2).
     """
-    widths = _checked_widths(widths, configs[0].rise)
     flat, ramps = _echo_parts(h0, device, configs, collapse)
     rates, right, left, _ = _modes(flat, collapse)
     if ramps is not None:
         left, right = left @ ramps[:, 0], ramps[:, 1] @ right
     # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T
     left, right = (np.swapaxes(m, -1, -2)[:, None] for m in (left, right))
-    flat_times = 0.5 * widths - 2.0 * (configs[0].rise * 1e-3)
-    growth = np.exp(rates[:, None, None, :] * flat_times[:, None, None])
     shape = (h0.dim,) if collapse is None else (h0.dim, h0.dim)
-    idle = (widths == 0.0).reshape(-1, 1, *(1 for _ in shape))
     pi_pi = _pi_pi(h0.levels)
 
-    def echo(states):
+    def echo(states, widths):
+        widths = _checked_widths(widths, configs[0].rise)
+        flat_times = 0.5 * widths - 2.0 * (configs[0].rise * 1e-3)
+        growth = np.exp(rates[:, None, None, :] * flat_times[:, None, None])
+        idle = (widths == 0.0).reshape(-1, 1, *(1 for _ in shape))
         for _ in range(2):
             rows = states.reshape(*states.shape[: states.ndim - len(shape)], -1)
             moved = (rows @ left * growth) @ right
@@ -396,21 +395,21 @@ def _tomography(
     device: DeviceSpec,
     configs: Sequence[SizzleConfig],
     widths: Sequence[float],
-    h0: LatticeOperator,
+    echo,
+    levels: int,
     collapse: Optional[list],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pulse-width tomography of configs that share the pair, drive
-    frequency and rise of the first, from its pair Hamiltonian ``h0``
-    (with the Lindblad terms ``collapse``) and one echo: nu_tilde (kHz)
-    per config, the target coherences [config, width, control state]
-    and the unwrapped differential phases [config, width] the rates are
-    fitted to."""
+    frequency and rise of the first, through their :func:`_echo` on the
+    pair at ``levels`` with the Lindblad terms ``collapse``: nu_tilde
+    (kHz) per config, the target coherences [config, width, control
+    state] and the unwrapped differential phases [config, width] the
+    rates are fitted to."""
     configs[0].validate_against(device)
     if len(widths) < 3:
         raise ValueError("need at least 3 widths")
-    widths = _checked_widths(widths, configs[0].rise)
-    states = _echo(h0, device, configs, widths, collapse)(_prepared_states(h0.levels, collapse))
-    coh, phases, _ = _readout(states, h0.levels, collapse)
+    states = echo(_prepared_states(levels, collapse), widths)
+    coh, phases, _ = _readout(states, levels, collapse)
     diff = phases[..., 1] - phases[..., 0]
     wrapped = (np.diff(diff) + np.pi) % (2 * np.pi) - np.pi
     if np.any(np.abs(wrapped) > 0.9 * np.pi):
@@ -440,8 +439,9 @@ def hamiltonian_tomography_pulsewidth(
     the differential phase.
     """
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
+    collapse = _lindblad_terms(h0, noise)
     (nu_tilde_khz,), (coh,), (unwrapped,) = _tomography(
-        device, [config], widths, h0, _lindblad_terms(h0, noise)
+        device, [config], widths, _echo(h0, device, [config], collapse), levels, collapse
     )
     x, y = 2.0 * coh.real, 2.0 * coh.imag
     record = ExperimentRecord(
@@ -485,7 +485,7 @@ def sizzle_phase_table(
     ``conditional_phase`` accumulates 2 pi nu_tilde width.
     """
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    echo = _echo(h0, device, [config], [width], None)(np.eye(h0.dim))[0, 0]
+    echo = _echo(h0, device, [config], None)(np.eye(h0.dim), [width])[0, 0]
     phases = {}
     leakage = 0.0
     for c in (0, 1):
@@ -538,7 +538,9 @@ def sweep_relative_phase(
         for dphi in dphis
     ]
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    rates, _, _ = _tomography(device, configs, widths, h0, _lindblad_terms(h0, noise))
+    collapse = _lindblad_terms(h0, noise)
+    echo = _echo(h0, device, configs, collapse)
+    rates, _, _ = _tomography(device, configs, widths, echo, levels, collapse)
     return ExperimentRecord(
         protocol="sizzle_phase_sweep",
         axes=(AxisSpec("dphi", tuple(dphis), "rad"),),
@@ -635,7 +637,7 @@ def sweep_drive_landscape(
             SizzleConfig(pair=pair, freq=float(freq), omega_target=float(amp), ratio=ratio)
             for amp in amplitudes
         ]
-        row = _echo(h0, device, configs, [width], collapse)(states)[:, 0]
+        row = _echo(h0, device, configs, collapse)(states, [width])[:, 0]
         _, phases, excited = _readout(row, levels, collapse)
         diff_phase[i] = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
         # the worse of the control's population errors in |0> and |1>
@@ -744,12 +746,14 @@ def calibrate_cz(
         raise ValueError(f"target phase {target_phase} rad must be finite and positive")
     measured = nu_tilde_khz
     if measured is None:
-        # one pair Hamiltonian for the tomography and the repeated-gate check
+        # one pair Hamiltonian and one echo for the tomography and the
+        # repeated-gate check
         h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
         collapse = _lindblad_terms(h0, noise)
+        echo = _echo(h0, device, [config], collapse)
         if widths is None:
             widths = default_widths(config.rise)
-        (measured,), _, _ = _tomography(device, [config], widths, h0, collapse)
+        (measured,), _, _ = _tomography(device, [config], widths, echo, levels, collapse)
     if abs(measured) < floor_khz:
         raise UncalibratableError(
             f"driven ZZ rate {measured:.2f} kHz is below the {floor_khz} kHz floor"
@@ -759,7 +763,7 @@ def calibrate_cz(
     counts = tuple(int(n) for n in verify_counts)
     signed_target = math.copysign(target_phase, measured)
     if nu_tilde_khz is None:
-        phases = _repeated_gate_phases(device, config, tau_g, counts, h0, collapse)
+        phases = _repeated_gate_phases(echo, tau_g, counts, levels, collapse)
     else:
         # externally supplied rate: verify against the implied ideal
         # conditional-phase generator
@@ -793,19 +797,17 @@ def calibrate_cz(
 
 
 def _repeated_gate_phases(
-    device: DeviceSpec,
-    config: SizzleConfig,
+    echo,
     tau_g: float,
     counts: Sequence[int],
-    h0: LatticeOperator,
+    levels: int,
     collapse: Optional[list],
 ) -> list[float]:
-    """Differential target phase after n echoed Stark pulses of width
-    tau_g, for every n in ``counts``, on the pair Hamiltonian ``h0``
-    with the Lindblad terms ``collapse``."""
-    gate = _echo(h0, device, [config], [tau_g], collapse)
-    states = [_prepared_states(h0.levels, collapse)]
+    """Differential target phase after n pulses of width tau_g of the
+    one-config :func:`_echo` on the pair at ``levels`` with the Lindblad
+    terms ``collapse``, for every n in ``counts``."""
+    states = [_prepared_states(levels, collapse)]
     for _ in range(max(counts)):
-        states.append(gate(states[-1])[0, 0])
-    _, phases, _ = _readout(np.array(states), h0.levels, collapse)
+        states.append(echo(states[-1], [tau_g])[0, 0])
+    _, phases, _ = _readout(np.array(states), levels, collapse)
     return [math.remainder(phases[n, 1] - phases[n, 0], 2 * math.pi) for n in counts]

@@ -186,8 +186,8 @@ def test_open_rejects_bad_density_matrix():
 
 
 def _counting_magnus(monkeypatch):
-    """Record the (left, right) of every segment the rotating-term
-    (Magnus) rule slices."""
+    """Record the (left, right) of every time-dependent segment, all of
+    which take Magnus slices."""
     from transmon_lattice import dynamics
 
     calls = []
@@ -240,8 +240,9 @@ def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
 
 
 def test_open_ramp_takes_the_sliced_path(monkeypatch):
-    # a resonant Blackman tone in the qubit frame varies only its envelope:
-    # at zero rates the open evolution must equal the closed midpoint one
+    # a resonant Blackman tone in the qubit frame varies only its envelope,
+    # on its two ramps: at zero rates the open evolution must equal the
+    # closed one
     calls = _counting_magnus(monkeypatch)
     dev = _single()
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A",), 3))
@@ -255,7 +256,7 @@ def test_open_ramp_takes_the_sliced_path(monkeypatch):
     rhos = evolve_open(
         h0, [tone], np.outer(psi0, psi0.conj()), NoiseSpec(), t, device=dev, frame="qubit"
     )
-    assert calls == []
+    assert calls == [(0.0, 0.1), (0.4, 0.5)] * 2  # evolve, then evolve_open
     expected = np.einsum("ti,tj->tij", states, states.conj())
     assert np.max(np.abs(rhos - expected)) <= 1e-11
     assert abs(states[-1, 0]) ** 2 < 0.9  # the tone did drive the qubit
@@ -282,9 +283,10 @@ DRIVEN_OPEN_COHERENCE = np.array([
 ])
 
 
-def _driven_open_pair():
+def _driven_open_pair(frame):
     # qubit frame: the exchange term rotates at 2 MHz and the Blackman
-    # tone, 6 MHz below qubit A, at 6 MHz
+    # tone, 6 MHz below qubit A, at 6 MHz; in the tone's frame both are
+    # static and only the tone's envelope varies
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     tone = DriveTone(
@@ -295,27 +297,34 @@ def _driven_open_pair():
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
     rhos = evolve_open(
         h0, [tone], np.outer(psi0, psi0.conj()), noise, DRIVEN_OPEN_TIMES,
-        device=dev, frame="qubit",
+        device=dev, frame=frame,
     )
     return np.concatenate(
         [np.diagonal(rhos, axis1=1, axis2=2).real, rhos[:, 2:3, 0]], axis=1
     )
 
 
-def test_driven_open_pair_matches_recorded_dop853(monkeypatch):
-    # 1e-7 on every recorded value, the gate of the open pair test above
+@pytest.mark.parametrize(
+    "frame, segments", [("qubit", 5), (4794.0, 2)], ids=["qubit-frame", "tone-frame"]
+)
+def test_driven_open_pair_matches_recorded_dop853(monkeypatch, frame, segments):
+    # 1e-7 on every recorded value, the gate of the open pair test above;
+    # the coherence depends on the frame, so the tone frame checks only
+    # the populations
     from transmon_lattice import dynamics
 
     calls = _counting_magnus(monkeypatch)
-    values = _driven_open_pair()
-    assert len(calls) == 5  # every segment has a rotating term
+    values = _driven_open_pair(frame)
+    assert len(calls) == segments  # the qubit frame rotates on every segment
     recorded = np.concatenate(
         [DRIVEN_OPEN_POPULATIONS, DRIVEN_OPEN_COHERENCE[:, None]], axis=1
     )
-    assert np.max(np.abs(values - recorded)) <= 1e-7
+    compared = slice(None) if frame == "qubit" else slice(4)
+    assert np.max(np.abs(values - recorded)[:, compared]) <= 1e-7
     # halving every slice moves the result by less than the gate
     monkeypatch.setattr(dynamics, "SLICES_PER_PERIOD", 128)
-    assert np.max(np.abs(_driven_open_pair() - values)) <= 1e-7
+    monkeypatch.setattr(dynamics, "ENVELOPE_SLICES", 2 * dynamics.ENVELOPE_SLICES)
+    assert np.max(np.abs(_driven_open_pair(frame) - values)) <= 1e-7
 
 
 def test_weak_drive_beside_a_decaying_site_stays_a_state():

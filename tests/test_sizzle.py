@@ -192,6 +192,25 @@ def test_calibrate_cz_builds_one_hamiltonian(device, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("rise", [0.0, 50.0, 21.0])
+def test_calibrate_cz_builds_one_echo(device, monkeypatch, rise):
+    # the tomography and the repeated-gate check share one echo: one eigh
+    # of the flat top, and two for each Magnus slice of the two ramps (at
+    # 21 ns, 48 / 0.021 * 0.021 rounds above 48)
+    from transmon_lattice import dynamics
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    calibrate_cz(device, _config(amplitude=10.0, rise=rise), levels=3)
+    assert len(calls) == 1 + (4 * dynamics.ENVELOPE_SLICES if rise else 0)
+
+
 def test_phase_sweep_without_phases_is_a_value_error(device):
     with pytest.raises(ValueError, match="phase"):
         sweep_relative_phase(device, _config(), [], np.linspace(0.0, 3.0, 7))
@@ -301,7 +320,7 @@ def test_default_amplitude_ratio_near_unity(device):
 def _echo_maps(h0, device, configs, widths):
     """Echo unitaries E(w), shape (configs, widths, dim, dim): the vector
     echo carries the identity's rows to the rows of E(w)^T."""
-    return np.swapaxes(_echo(h0, device, configs, widths, None)(np.eye(h0.dim)), -1, -2)
+    return np.swapaxes(_echo(h0, device, configs, None)(np.eye(h0.dim), widths), -1, -2)
 
 
 def _reference_echo(device, config, psi, width, levels):
@@ -374,7 +393,7 @@ def test_repeated_gate_phases_match_sequential_echoes(device):
     config = _config(amplitude=10.0, rise=50.0)
     tau_g, counts = 0.6, (1, 2, 3, 5)
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
-    phases = _repeated_gate_phases(device, config, tau_g, counts, h0, None)
+    phases = _repeated_gate_phases(_echo(h0, device, [config], None), tau_g, counts, levels, None)
     for n, phase in zip(counts, phases):
         target_phases = []
         for control_state in (0, 1):
@@ -387,12 +406,14 @@ def test_repeated_gate_phases_match_sequential_echoes(device):
         assert abs(math.remainder(phase - expected, 2 * math.pi)) <= 1e-12
 
 
-# rates recorded from the per-width evolve() implementation of the echo
+# rates recorded from the per-width evolve() implementation of the echo;
+# the ramped ones with its 48 Magnus slices per ramp, which land within
+# 2e-9 relative of 768 slices
 FROZEN_RATES_KHZ = {
     (3, 0.0): 14.230792551882733,
-    (3, 50.0): 13.828383436572516,
+    (3, 50.0): 13.8284059339941,
     (4, 0.0): 14.27738342042288,
-    (4, 50.0): 13.866482376509282,
+    (4, 50.0): 13.866504282245485,
 }
 
 
@@ -417,13 +438,13 @@ def test_lindblad_tomography_frozen(device):
 
 
 def test_lindblad_ramped_tomography_matches_integrator(device):
-    # DOP853 value of the per-width evolve_open echo; the 24-slice ramp
-    # rule of the decomposed echo moves it by ~1e-6 relative
+    # DOP853 value of the per-width evolve_open echo; the Magnus-sliced
+    # ramps of the decomposed echo land within 1.3e-8 relative of it
     nu, _ = hamiltonian_tomography_pulsewidth(
         device, _config(amplitude=10.0, rise=50.0), np.linspace(0.0, 1.5, 4),
         noise=NoiseSpec.from_device(device), levels=3,
     )
-    assert nu == pytest.approx(13.571089474121758, rel=1e-5)
+    assert nu == pytest.approx(13.571089474121758, rel=1e-7)
 
 
 def test_repeated_gate_phases_under_lindblad(device):
@@ -431,8 +452,9 @@ def test_repeated_gate_phases_under_lindblad(device):
     config = _config(amplitude=10.0, rise=0.0)
     noise = NoiseSpec.from_device(device)
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
+    collapse = _lindblad_terms(h0, noise)
     one, two = _repeated_gate_phases(
-        device, config, tau_g, (1, 2), h0, _lindblad_terms(h0, noise)
+        _echo(h0, device, [config], collapse), tau_g, (1, 2), levels, collapse
     )
     _, record = hamiltonian_tomography_pulsewidth(
         device, config, [tau_g, 1.0, 1.5], noise=noise, levels=levels

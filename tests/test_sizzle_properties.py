@@ -23,7 +23,7 @@ H0 = assemble_hamiltonian(DEVICE, SubsetSelection(PAIR, 3))
 def _echo_maps(h0, device, configs, widths):
     """Echo unitaries E(w), shape (configs, widths, dim, dim): the vector
     echo carries the identity's rows to the rows of E(w)^T."""
-    return np.swapaxes(_echo(h0, device, configs, widths, None)(np.eye(h0.dim)), -1, -2)
+    return np.swapaxes(_echo(h0, device, configs, None)(np.eye(h0.dim), widths), -1, -2)
 
 
 # derandomized: the examples are the same on every run
@@ -76,11 +76,11 @@ def test_open_echo_maps_states_to_states(freq, amplitude, ratio, dphi, width, ra
     vecs = rng.normal(size=(H0.dim, rank)) + 1j * rng.normal(size=(H0.dim, rank))
     rho = vecs @ vecs.conj().T
     rho /= np.trace(rho)
-    for out in _echo(H0, DEVICE, [config], widths, DEVICE_NOISE)(rho[None])[0, :, 0]:
+    for out in _echo(H0, DEVICE, [config], DEVICE_NOISE)(rho[None], widths)[0, :, 0]:
         assert np.max(np.abs(out - out.conj().T)) <= 1e-10
         assert abs(np.trace(out) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() >= -1e-10
     # at zero rates the Lindblad echo is the unitary one
     maps = _echo_maps(H0, DEVICE, [config], widths)[0]
-    for out, echo in zip(_echo(H0, DEVICE, [config], widths, [])(rho[None])[0, :, 0], maps):
+    for out, echo in zip(_echo(H0, DEVICE, [config], [])(rho[None], widths)[0, :, 0], maps):
         assert np.max(np.abs(out - echo @ rho @ echo.conj().T)) <= 1e-11
