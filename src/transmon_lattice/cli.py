@@ -12,7 +12,7 @@ table from which the parser builds just the subcommand it parses.  --plot
 writes an SVG for dynamics, sweep --kind acstark and rb, and --format
 table emits the CSV table of a sweep or an RB run (to --out or stdout);
 either option on a command without that output is a config error, as
-is every parse error.  Exit codes:
+is every parse error and a nan or infinite number.  Exit codes:
 0 on success, otherwise a machine-readable error category is printed to
 stderr as JSON ("config" = 2, "physics" = 3, "resource" = 4).  A process
 runs :func:`run`, which ends it without interpreter teardown once the
@@ -97,15 +97,29 @@ def _pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _finite(text: str) -> float:
+    """The value of a number option; nan and the infinities are parse errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _grid(name: str, spec: str) -> np.ndarray:
     """The values of the grid option ``--name``: start:stop:count or
-    comma-separated values; a malformed or empty grid is a ValueError."""
+    comma-separated values; a malformed, empty or non-finite grid is a
+    ValueError."""
     import numpy as np
 
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")
-            grid = np.linspace(float(start), float(stop), int(count))
+            # a bound that is not finite is refused below, not warned of here
+            with np.errstate(all="ignore"):
+                grid = np.linspace(float(start), float(stop), int(count))
         else:
             grid = np.array([float(x) for x in spec.split(",") if x.strip()])
     except ValueError:
@@ -114,6 +128,8 @@ def _grid(name: str, spec: str) -> np.ndarray:
         ) from None
     if not len(grid):
         raise ValueError(f"--{name} is an empty grid")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"--{name} {spec!r} holds a value that is not a finite number")
     return grid
 
 
@@ -143,7 +159,7 @@ _SHARED = {
     "shots": dict(type=int, default=0),
 }
 
-_RISE = dict(type=float, default=0.0,
+_RISE = dict(type=_finite, default=0.0,
              help="Blackman ramp of each Stark half-pulse (ns); 0 = rectangular")
 
 # Each subcommand: its summary, the shared options (space-separated) its
@@ -163,7 +179,7 @@ _COMMANDS = {
         "--protocol": dict(choices=("t1", "ramsey", "echo"), required=True),
         "--qubit": dict(required=True),
         "--delays": dict(default="0:150:40"),
-        "--detuning": dict(type=float, default=1.0),
+        "--detuning": dict(type=_finite, default=1.0),
     }),
     "sweep": ("swap chevron or AC-Stark Ramsey sweep", "device out plot format seed", {
         "--levels": dict(type=int, choices=(2, 3), default=3),
@@ -171,17 +187,17 @@ _COMMANDS = {
         "--pair": dict(type=_pair, required=True),
         "--amplitudes": dict(required=True),
         "--durations": dict(default="0:2:81"),
-        "--drive-detuning": dict(type=float, default=-60.0),
-        "--jitter-khz": dict(type=float, default=0.0),
+        "--drive-detuning": dict(type=_finite, default=-60.0),
+        "--jitter-khz": dict(type=_finite, default=0.0),
     }),
     "sizzle": ("driven-ZZ tomography, phase sweep, landscape", "device out format seed", {
         "--levels": dict(type=int, choices=(2, 3, 4), default=4),
         "--mode": dict(choices=("tomography", "phase", "landscape"), required=True),
         "--pair": dict(type=_pair, required=True, help="control,target"),
-        "--freq": dict(type=float, help="shared drive frequency (MHz)"),
-        "--amplitude": dict(type=float, default=10.0),
-        "--ratio": dict(type=float, default=1.0),
-        "--dphi": dict(type=float, default=0.0),
+        "--freq": dict(type=_finite, help="shared drive frequency (MHz)"),
+        "--amplitude": dict(type=_finite, default=10.0),
+        "--ratio": dict(type=_finite, default=1.0),
+        "--dphi": dict(type=_finite, default=0.0),
         "--widths": dict(default=None, help="Stark widths (us); default 0:3:25 less widths "
                                             "too short for --rise"),
         "--rise": _RISE,
@@ -191,12 +207,12 @@ _COMMANDS = {
     "calibrate-cz": ("tune a conditional-phase gate", "device out seed", {
         "--levels": dict(type=int, choices=(2, 3, 4), default=4),
         "--pair": dict(type=_pair, required=True, help="control,target"),
-        "--freq": dict(type=float, required=True),
-        "--amplitude": dict(type=float, default=10.0),
-        "--ratio": dict(type=float, default=1.0),
-        "--target-phase": dict(type=float, default=math.pi),
+        "--freq": dict(type=_finite, required=True),
+        "--amplitude": dict(type=_finite, default=10.0),
+        "--ratio": dict(type=_finite, default=1.0),
+        "--target-phase": dict(type=_finite, default=math.pi),
         "--rise": _RISE,
-        "--nu-tilde-khz": dict(type=float, default=None,
+        "--nu-tilde-khz": dict(type=_finite, default=None,
                                help="skip measurement and calibrate from this rate"),
     }),
     "rb": ("randomized benchmarking", "device out plot format seed shots", {
@@ -204,15 +220,15 @@ _COMMANDS = {
         "--simultaneous": dict(action="store_true"),
         "--sequences": dict(type=int, default=16),
         "--lengths": dict(default="2,25,50,100,250,500,750,1000"),
-        "--epc": dict(type=float, default=None,
+        "--epc": dict(type=_finite, default=None,
                       help="inject a depolarizing channel with this EPC instead of "
                            "deriving coherence-limited noise from the device"),
     }),
     "tomography": ("Bell/GHZ preparation and reconstruction", "out seed shots", {
         "--state": dict(choices=("bell", "ghz"), required=True),
-        "--tau-g": dict(type=float, default=0.0, help="gate duration (us); 0 = ideal gates"),
-        "--t1": dict(type=float, default=71.0),
-        "--t2": dict(type=float, default=51.0),
+        "--tau-g": dict(type=_finite, default=0.0, help="gate duration (us); 0 = ideal gates"),
+        "--t1": dict(type=_finite, default=71.0),
+        "--t2": dict(type=_finite, default=51.0),
     }),
     "fit": ("fit a CSV table (axis,value columns)", "out", {
         "--model": dict(choices=_FIT_MODELS, required=True),

@@ -1,12 +1,15 @@
 """Time-domain evolution of driven subsets, ideal pulses and site readouts.
 
 Evolution happens in a rotating frame chosen per call: ``"qubit"`` (each
-site rotates at its own qubit frequency, the default), ``"lab"`` (no
-rotation, no RWA: drives enter as physical cosines), a single number
+site rotates at its own qubit frequency, the default) or a single number
 (one common frame frequency for every site, e.g. the Stark-drive
-frequency), or an explicit per-site mapping.  Hamiltonians are given to
-the engine at absolute frequencies; the frame transform is applied
-internally using the occupation-number structure of the basis.
+frequency).  Hamiltonians are given to the engine at absolute
+frequencies; the frame transform is applied internally using the
+occupation-number structure of the basis.  In the frame every term must
+be static but for its envelope: a coupling between sites whose frame
+frequencies differ, or a tone off its target's frame frequency, raises
+ValueError naming the rate at which it would rotate.  Drives enter in the
+rotating-wave approximation.
 
 Conventions: matrices carry cyclic frequencies in MHz, times are us, so
 a propagator is exp(-2*pi*i*H*t).  A resonant tone of amplitude Omega
@@ -122,10 +125,6 @@ class NoiseSpec(FrozenValue):
                     raise ContractViolation(f"{name}[{label}] = {rate} is negative")
 
     @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls()
-
-    @classmethod
     def from_device(
         cls,
         device: DeviceSpec,
@@ -174,53 +173,35 @@ class NoiseSpec(FrozenValue):
 
 # -------------------------------------------------------- frame + term setup
 
-FrameLike = Union[str, float, Mapping[str, float]]
+FrameLike = Union[str, float]
+FRAME_TOL = 1e-9  # MHz: a term rotating slower than this in the frame is static
 
 
 def resolve_frame(
     sites: Sequence[str], frame: FrameLike, device: Optional[DeviceSpec]
 ) -> dict[str, float]:
-    """Per-site frame frequencies in MHz.  ``"lab"`` means 0 everywhere
-    (and implies no RWA in drive terms)."""
+    """Per-site frame frequencies in MHz: each site's qubit frequency for
+    ``"qubit"``, else the one common frequency ``frame``."""
     if isinstance(frame, str):
-        if frame == "lab":
-            return {s: 0.0 for s in sites}
-        if frame == "qubit":
-            if device is None:
-                raise ValueError("frame='qubit' needs the device")
-            return {s: device.qubit(s).omega for s in sites}
-        raise ValueError(f"unknown frame {frame!r}")
-    if isinstance(frame, Mapping):
-        missing = [s for s in sites if s not in frame]
-        if missing:
-            raise UnknownQubitError(missing[0], tuple(frame))
-        return {s: float(frame[s]) for s in sites}
+        if frame != "qubit":
+            raise ValueError(f"unknown frame {frame!r}")
+        if device is None:
+            raise ValueError("frame='qubit' needs the device")
+        return {s: device.qubit(s).omega for s in sites}
     return {s: float(frame) for s in sites}
 
 
-class _RotatingTerm(Value):
-    """env(t) * (M exp(-i(2 pi nu t + phase)) + h.c.), windowed in time."""
+class _DriveTerm(Value):
+    """env(t) (M exp(-i phase) + h.c.): a tone's drive in a frame where
+    its carrier is static, so that only its envelope varies."""
 
-    __slots__ = ("matrix", "nu", "phase", "tone")
+    __slots__ = ("matrix", "tone")
 
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        nu: float,
-        phase: float,
-        tone: Optional[DriveTone],  # None = always-on (frame-split coupling)
-    ):
-        self._assign(matrix, nu, phase, tone)
-
-    def window(self) -> tuple[float, float]:
-        if self.tone is None:
-            return (-math.inf, math.inf)
-        return (self.tone.start, self.tone.stop)
+    def __init__(self, matrix: np.ndarray, tone: DriveTone):
+        self._assign(matrix, tone)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Times where the term's time dependence changes character."""
-        if self.tone is None:
-            return ()
         if self.tone.envelope == "rectangular":
             return (self.tone.start, self.tone.stop)
         rise_us = self.tone.rise * 1e-3
@@ -231,14 +212,9 @@ class _RotatingTerm(Value):
             self.tone.stop,
         )
 
-    def envelope(self, t: float) -> float:
-        return 1.0 if self.tone is None else self.tone.envelope_value(t)
-
     def is_static_on(self, left: float, right: float) -> bool:
         """Constant contribution over (left, right)?"""
-        if self.nu != 0.0:
-            return False
-        if self.tone is None or self.tone.envelope == "rectangular":
+        if self.tone.envelope == "rectangular":
             return True
         rise_us = self.tone.rise * 1e-3
         flat_left = self.tone.start + rise_us
@@ -246,48 +222,31 @@ class _RotatingTerm(Value):
         return left >= flat_left - 1e-15 and right <= flat_right + 1e-15
 
     def add_to(self, h: np.ndarray, t: float) -> None:
-        env = self.envelope(t)
+        env = self.tone.envelope_value(t)
         if env == 0.0:
             return
-        rot = env * np.exp(-1j * (2 * np.pi * self.nu * t + self.phase))
-        block = rot * self.matrix
+        block = env * np.exp(-1j * self.tone.phase) * self.matrix
         h += block
         h += block.conj().T
 
 
-def _split_by_frame(
-    h_abs: np.ndarray,
-    labels: np.ndarray,
-    frame_freqs: np.ndarray,
-    tol: float = 1e-9,
-) -> tuple[np.ndarray, list[_RotatingTerm]]:
-    """Frame-transform an absolute-frequency Hamiltonian.
-
-    Every matrix element (r, c) acquires the phase
-    exp(+2 pi i t f.(n_r - n_c)); elements are bucketed by that
-    frequency.  The zero bucket, minus the frame term f.n on the
-    diagonal, is the static part.
-    """
-    static = np.zeros_like(h_abs)
+def _frame_static(
+    h_abs: np.ndarray, labels: np.ndarray, frame_freqs: np.ndarray
+) -> np.ndarray:
+    """Frame-transform an absolute-frequency Hamiltonian: element (r, c)
+    acquires the phase exp(+2 pi i t f.(n_r - n_c)), which must be static
+    (else ValueError), and the frame term f.n leaves the diagonal."""
     rows, cols = np.nonzero(h_abs)
     nus = (labels[rows] - labels[cols]) @ frame_freqs
-    in_static = np.abs(nus) < tol
-    static[rows[in_static], cols[in_static]] = h_abs[rows[in_static], cols[in_static]]
-    # nu < 0 entries are the Hermitian partners of the nu > 0 bucket
-    rotating = ~in_static & (nus > 0)
-    rows, cols = rows[rotating], cols[rotating]
-    distinct, which = np.unique(nus[rotating], return_inverse=True)
-    keys = np.array([round(float(nu), 9) for nu in distinct])[which]
+    if np.any(np.abs(nus) >= FRAME_TOL):
+        raise ValueError(
+            f"a coupling rotates at {np.abs(nus).max():.6g} MHz in this frame; "
+            "evolve in a common frame, where it is static"
+        )
+    static = np.zeros_like(h_abs)
+    static[rows, cols] = h_abs[rows, cols]
     static -= np.diag(labels @ frame_freqs)
-    terms = []
-    for key in sorted(set(keys.tolist())):
-        hit = keys == key
-        mat = np.zeros_like(h_abs)
-        mat[rows[hit], cols[hit]] = h_abs[rows[hit], cols[hit]]
-        # element phase is exp(+2 pi i nu t); in the M exp(-i(...)) convention
-        # that is nu_term = -nu with M holding the +nu bucket
-        terms.append(_RotatingTerm(matrix=mat, nu=-key, phase=0.0, tone=None))
-    return static, terms
+    return static
 
 
 def _drive_matrix(tone: DriveTone, sites: Sequence[str], levels: int) -> np.ndarray:
@@ -304,39 +263,27 @@ def _drive_terms(
     levels: int,
     frames: Mapping[str, float],
     device: Optional[DeviceSpec],
-    rwa: bool,
-) -> list[_RotatingTerm]:
+) -> list[_DriveTerm]:
+    """Each tone's (Omega/2)(a^dag e^{-i phi} + h.c.), which must be
+    static in ``frames`` (else ValueError)."""
     terms = []
     for tone in drives:
         if device is None:
             raise ValueError("drives need the device to resolve absolute frequencies")
         omega_d = device.qubit(tone.target).omega + tone.detuning
         adag = _drive_matrix(tone, sites, levels)
-        if rwa:
-            # (Omega/2)(a^dag e^{-i(2 pi (w_d - f) t + phi)} + h.c.)
-            terms.append(
-                _RotatingTerm(
-                    matrix=0.5 * tone.amplitude * adag,
-                    nu=omega_d - frames[tone.target],
-                    phase=tone.phase,
-                    tone=tone,
-                )
+        nu = omega_d - frames[tone.target]
+        if abs(nu) >= FRAME_TOL:
+            raise ValueError(
+                f"the tone on {tone.target} rotates at {nu:.6g} MHz in this frame; "
+                "evolve in the tone's frame"
             )
-        else:
-            if any(abs(f) > 1e-12 for f in frames.values()):
-                raise ValueError("rwa=False is only supported in the lab frame")
-            # full cosine drive: Omega cos(2 pi w_d t + phi)(a + a^dag);
-            # with Hermitian M, the term M e^{-i theta} + h.c. equals
-            # 2 M cos(theta), so M = (Omega/2)(a + a^dag).
-            x = 0.5 * tone.amplitude * (adag + adag.conj().T)
-            terms.append(
-                _RotatingTerm(matrix=x, nu=omega_d, phase=tone.phase, tone=tone)
-            )
+        terms.append(_DriveTerm(matrix=0.5 * tone.amplitude * adag, tone=tone))
     return terms
 
 
 def _segment_edges(
-    t0: float, t1: float, terms: Sequence[_RotatingTerm]
+    t0: float, t1: float, terms: Sequence[_DriveTerm]
 ) -> np.ndarray:
     edges = {t0, t1}
     for term in terms:
@@ -434,28 +381,17 @@ def _propagate_static(h, collapse, psi, times) -> np.ndarray:
     return moved.reshape(len(times), *psi.shape)
 
 
-ENVELOPE_SLICES = 48  # Magnus slices of a segment where no term rotates
-SLICES_PER_PERIOD = 64  # Magnus slices per period of a segment's fastest rate
+ENVELOPE_SLICES = 48  # Magnus slices of a segment where an envelope varies
 # 4th-order commutator-free Magnus weights at the Gauss nodes 1/2 -+ sqrt(3)/6
 # (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
 _MAGNUS_A, _MAGNUS_B = (3 + 2 * math.sqrt(3)) / 12, (3 - 2 * math.sqrt(3)) / 12
 _GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 
 
-def _magnus_edges(static, terms, left, right, t_eval) -> np.ndarray:
-    """Slice edges of [left, right], every ``t_eval`` time among them.
-    Where only envelopes vary they are at most (right - left) /
-    ENVELOPE_SLICES apart; where a term rotates, at most
-    1/(SLICES_PER_PERIOD f) apart.  The rate f is the faster of the
-    terms' rotation and the static spectrum's spread, plus twice each
-    term's norm, the most the terms can widen that spread."""
-    if all(t.nu == 0.0 for t in terms):
-        density = ENVELOPE_SLICES / (right - left)
-    else:
-        energies = np.linalg.eigvalsh(static)
-        rate = max(max(abs(t.nu) for t in terms), energies[-1] - energies[0])
-        rate += 2.0 * sum(np.linalg.norm(t.matrix, 2) for t in terms)
-        density = SLICES_PER_PERIOD * rate
+def _magnus_edges(left, right, t_eval) -> np.ndarray:
+    """Slice edges of [left, right], every ``t_eval`` time among them and
+    at most (right - left) / ENVELOPE_SLICES apart."""
+    density = ENVELOPE_SLICES / (right - left)
     cuts = np.unique(np.clip(np.append(t_eval, (left, right)), left, right))
     # the guard keeps a whole count whole: n / x * x can round above n
     return np.concatenate([
@@ -466,7 +402,7 @@ def _magnus_edges(static, terms, left, right, t_eval) -> np.ndarray:
 
 def _propagate_sliced(
     static: np.ndarray,
-    terms: Sequence[_RotatingTerm],
+    terms: Sequence[_DriveTerm],
     collapse: Optional[Sequence[tuple[float, np.ndarray]]],
     psi: np.ndarray,
     left: float,
@@ -483,7 +419,7 @@ def _propagate_sliced(
     lie within [left, right])."""
     states_out = np.empty((len(t_eval), *psi.shape), dtype=complex)
     states_out[np.abs(t_eval - left) <= 1e-15] = psi
-    edges = _magnus_edges(static, terms, left, right, t_eval)
+    edges = _magnus_edges(left, right, t_eval)
     for a, b in zip(edges[:-1], edges[1:]):
         # the weights sum to 1/2: each factor holds 2 (A h1 + B h2) for half the slice
         h1, h2 = (_hamiltonian(static, terms, a + x * (b - a)) for x in _GAUSS_NODES)
@@ -502,19 +438,16 @@ def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
     return t_grid
 
 
-def _frame_terms(h0, drives, device, frame, rwa, extra_static):
-    """The static frame Hamiltonian and the rotating coupling and drive
-    terms of ``h0`` driven by ``drives``."""
+def _frame_terms(h0, drives, device, frame, extra_static):
+    """The static frame Hamiltonian of ``h0`` and the drive terms of
+    ``drives``, whose envelopes alone vary."""
     frames = resolve_frame(h0.sites, frame, device)
     labels = np.array(h0.basis_labels(), dtype=float)
     freqs = np.array([frames[s] for s in h0.sites])
-    static, coupling_terms = _split_by_frame(h0.matrix, labels, freqs)
+    static = _frame_static(h0.matrix, labels, freqs)
     if extra_static is not None:
         static = static + extra_static
-    terms = coupling_terms + _drive_terms(
-        drives, h0.sites, h0.levels, frames, device, rwa
-    )
-    return static, terms
+    return static, _drive_terms(drives, h0.sites, h0.levels, frames, device)
 
 
 def evolve(
@@ -524,23 +457,23 @@ def evolve(
     t_grid: Sequence[float],
     device: Optional[DeviceSpec] = None,
     frame: FrameLike = "qubit",
-    rwa: bool = True,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Closed-system trajectory; returns states of shape (len(t), dim).
 
     ``h0`` is the absolute-frequency subset Hamiltonian; the frame
-    transform and drive terms are applied internally.  ``extra_static``
-    (a matrix in the frame, e.g. a jitter term) is added verbatim.
-    Piecewise-static configurations propagate by exact diagonalization;
-    envelope ramps and rotating terms alike step through 4th-order
+    transform and drive terms are applied internally, and a coupling or
+    tone that would rotate in ``frame`` raises ValueError.
+    ``extra_static`` (a matrix in the frame, e.g. a jitter term) is added
+    verbatim.  Segments where every envelope is flat propagate by exact
+    diagonalization; envelope ramps step through 4th-order
     commutator-free Magnus slices in :func:`_propagate_sliced`.
     """
     t_grid = _checked_grid(t_grid)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h0.dim,):
         raise ValueError(f"psi0 must have shape ({h0.dim},)")
-    static, terms = _frame_terms(h0, drives, device, frame, rwa, extra_static)
+    static, terms = _frame_terms(h0, drives, device, frame, extra_static)
     return _evolve(static, terms, None, psi0, t_grid)
 
 
@@ -552,7 +485,6 @@ def evolve_open(
     t_grid: Sequence[float],
     device: Optional[DeviceSpec] = None,
     frame: FrameLike = "qubit",
-    rwa: bool = True,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Lindblad trajectory; returns density matrices (len(t), dim, dim).
@@ -575,7 +507,7 @@ def evolve_open(
     eigmin = float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min())
     if eigmin < -1e-9:
         raise ContractViolation(f"rho0 is not positive semidefinite ({eigmin:.2e})")
-    static, terms = _frame_terms(h0, drives, device, frame, rwa, extra_static)
+    static, terms = _frame_terms(h0, drives, device, frame, extra_static)
     collapse = _collapse_operators(h0.sites, h0.levels, noise)
     out = _evolve(static, terms, collapse, rho0.reshape(-1), t_grid)
     return out.reshape(len(t_grid), h0.dim, h0.dim)
@@ -586,7 +518,7 @@ def _evolve(static, terms, collapse, y0, t_grid) -> np.ndarray:
     vector when ``collapse`` is None, otherwise a row-major vectorized
     density matrix under the Lindblad terms ``collapse``.
 
-    A segment on which every term is static propagates exactly with one
+    A segment on which every envelope is flat propagates exactly with one
     diagonalization; any other steps through :func:`_propagate_sliced`."""
     out = np.empty((len(t_grid), len(y0)), dtype=complex)
     edges = _segment_edges(0.0, float(t_grid[-1]), terms)
@@ -594,9 +526,7 @@ def _evolve(static, terms, collapse, y0, t_grid) -> np.ndarray:
     for left, right in zip(edges[:-1], edges[1:]):
         sel = (t_grid >= left - 1e-15) & (t_grid <= right + 1e-15)
         inside = t_grid[sel]
-        active = [
-            t for t in terms if t.window()[0] < right and t.window()[1] > left
-        ]
+        active = [t for t in terms if t.tone.start < right and t.tone.stop > left]
         if all(t.is_static_on(left, right) for t in active):
             h_seg = _hamiltonian(static, active, 0.5 * (left + right))
             moved = _propagate_static(

@@ -428,7 +428,7 @@ def protocol_acstark_ramsey(
     matching slow drift between repeated experiments.
     """
     measured, shifted = pair
-    noise = noise if noise is not None else NoiseSpec.none()
+    noise = noise if noise is not None else NoiseSpec()
     amplitudes = np.asarray(amplitudes, dtype=float)
     if delays is None:
         delays = np.linspace(0.0, 3.0, 61)

@@ -297,9 +297,9 @@ def _echo_parts(
     # reference tones: ramps on [0, rise] and [3 rise, 4 rise], flat between
     duration = 4.0 * rise_us if rise_us > 0 else 1.0
     tones = [tone for config in configs for tone in _config_tones(device, config, duration)]
-    # in the common drive frame nothing rotates: the terms are the tones'
-    # drives, two per config
-    static, terms = _frame_terms(h0, tones, device, configs[0].freq, True, None)
+    # the common drive frame holds every tone still: the terms are their
+    # drives, two per config, and only the envelopes vary
+    static, terms = _frame_terms(h0, tones, device, configs[0].freq, None)
     drives = [terms[k : k + 2] for k in range(0, len(terms), 2)]
     flat = np.array([static] * len(configs))
     for h, pair in zip(flat, drives):
@@ -740,10 +740,14 @@ def calibrate_cz(
     ``nu_tilde_khz``, skipping the measurement), sets the duration so
     the accumulated conditional phase equals ``target_phase``, then
     verifies by repeated-gate tomography that the phase is linear in
-    gate count with a per-gate residual below 1% of target.
+    gate count with a per-gate residual below 1% of target.  A
+    ``target_phase`` that is not finite and positive, or a supplied
+    ``nu_tilde_khz`` that is not finite, raises ValueError.
     """
     if not (math.isfinite(target_phase) and target_phase > 0):
         raise ValueError(f"target phase {target_phase} rad must be finite and positive")
+    if nu_tilde_khz is not None and not math.isfinite(nu_tilde_khz):
+        raise ValueError(f"driven ZZ rate {nu_tilde_khz} kHz must be finite")
     measured = nu_tilde_khz
     if measured is None:
         # one pair Hamiltonian and one echo for the tomography and the

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -210,12 +210,12 @@ def _noisy_cz(
     b: int,
     n_qubits: int,
     tau_g: float,
-    noise_rates: Mapping[str, Mapping[str, float]],
+    noise: NoiseSpec,
     labels: Sequence[str],
     conditional_phase: float = math.pi,
 ) -> np.ndarray:
     """Conditional-phase gate realized as a ZZ generator evolved under
-    Lindblad noise for its calibrated duration."""
+    the Lindblad rates of ``noise`` for its calibrated duration."""
     dim = 2**n_qubits
     nu_mhz = conditional_phase / (2.0 * math.pi * tau_g)
     h = np.zeros((dim, dim), dtype=complex)
@@ -223,17 +223,13 @@ def _noisy_cz(
         if (basis >> (n_qubits - 1 - a)) & 1 and (basis >> (n_qubits - 1 - b)) & 1:
             # sign: exp(-2 pi i H t) must impart +conditional_phase
             h[basis, basis] = -nu_mhz
-    noise = NoiseSpec(
-        relaxation=noise_rates.get("relaxation", {}),
-        dephasing=noise_rates.get("dephasing", {}),
-    )
     # h is already the frame Hamiltonian: a zero common frame keeps it
     h0 = LatticeOperator(h, tuple(labels), 2)
     return evolve_open(h0, [], rho, noise, [tau_g], frame=0.0)[0]
 
 
-def _noise_rates(tau_g: float, t1: float, t2: float, labels: Sequence[str]) -> dict:
-    """Relaxation and pure-dephasing rates of T1 and T2 on every label;
+def _gate_noise(tau_g: float, t1: float, t2: float, labels: Sequence[str]) -> NoiseSpec:
+    """Lindblad relaxation and pure dephasing of T1 and T2 on every label;
     the gate duration, T1 and T2 must be finite and positive, and T2 at
     most 2 T1 (as in device files)."""
     for name, value in (("tau_g", tau_g), ("T1", t1), ("T2", t2)):
@@ -241,10 +237,10 @@ def _noise_rates(tau_g: float, t1: float, t2: float, labels: Sequence[str]) -> d
             raise ValueError(f"{name} = {value} us must be finite and positive")
     if t2 > 2.0 * t1 + T2_TOLERANCE:
         raise ValueError(f"T2 = {t2} us exceeds 2 T1 = {2.0 * t1} us")
-    return {
-        "relaxation": {q: 1.0 / t1 for q in labels},
-        "dephasing": {q: max(1.0 / t2 - 0.5 / t1, 0.0) for q in labels},
-    }
+    return NoiseSpec(
+        relaxation={q: 1.0 / t1 for q in labels},
+        dephasing={q: max(1.0 / t2 - 0.5 / t1, 0.0) for q in labels},
+    )
 
 
 def bell_state_noisy(
@@ -258,12 +254,12 @@ def bell_state_noisy(
     unless ``tau_g``, ``t1`` and ``t2`` are finite and positive and
     ``t2`` is at most 2 ``t1``."""
     labels = ("a", "b")
-    rates = _noise_rates(tau_g, t1, t2, labels)
+    noise = _gate_noise(tau_g, t1, t2, labels)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     rho = _gate_on(rho, HADAMARD, 0, 2)
     rho = _gate_on(rho, HADAMARD, 1, 2)
-    rho = _noisy_cz(rho, 0, 1, 2, tau_g, rates, labels, conditional_phase)
+    rho = _noisy_cz(rho, 0, 1, 2, tau_g, noise, labels, conditional_phase)
     rho = _gate_on(rho, HADAMARD, 1, 2)
     return rho
 
@@ -277,14 +273,14 @@ def ghz_state_noisy(
     """GHZ preparation via two noisy conditional-phase gates, with the
     inputs of :func:`bell_state_noisy`."""
     labels = ("a", "b", "c")
-    rates = _noise_rates(tau_g, t1, t2, labels)
+    noise = _gate_noise(tau_g, t1, t2, labels)
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = 1.0
     rho = _gate_on(rho, HADAMARD, 0, 3)
     rho = _gate_on(rho, HADAMARD, 1, 3)
-    rho = _noisy_cz(rho, 0, 1, 3, tau_g, rates, labels, conditional_phase)
+    rho = _noisy_cz(rho, 0, 1, 3, tau_g, noise, labels, conditional_phase)
     rho = _gate_on(rho, HADAMARD, 1, 3)
     rho = _gate_on(rho, HADAMARD, 2, 3)
-    rho = _noisy_cz(rho, 1, 2, 3, tau_g, rates, labels, conditional_phase)
+    rho = _noisy_cz(rho, 1, 2, 3, tau_g, noise, labels, conditional_phase)
     rho = _gate_on(rho, HADAMARD, 2, 3)
     return rho

@@ -752,13 +752,50 @@ def test_calibrate_cz_rejects_a_target_phase_that_is_not_positive(phase, capsys)
     assert out == ""
     error = json.loads(err)["error"]
     assert error["category"] == "config"
-    assert "target phase" in error["message"]
+    # nan and inf are refused as they are parsed, by the option's name
+    assert ("--target-phase" if phase in ("nan", "inf") else "target phase") in error["message"]
+
+
+@pytest.mark.parametrize(
+    "line, option",
+    [
+        ("calibrate-cz --pair Q2,Q7 --freq 5028.5 --amplitude 10 --levels 3 --nu-tilde-khz nan",
+         "--nu-tilde-khz"),
+        ("calibrate-cz --pair Q2,Q7 --freq 5028.5 --amplitude 10 --levels 3 --nu-tilde-khz inf",
+         "--nu-tilde-khz"),
+        ("sweep --kind acstark --pair Q2,Q3 --amplitudes 5:30:6 --jitter-khz nan", "--jitter-khz"),
+        ("calibrate-cz --pair Q2,Q7 --freq nan", "--freq"),
+        ("calibrate-cz --pair Q2,Q7 --freq inf", "--freq"),
+        ("sizzle --mode tomography --pair Q2,Q7 --freq -inf", "--freq"),
+        ("calibrate-cz --pair Q2,Q7 --freq 5028.5 --amplitude nan", "--amplitude"),
+        ("calibrate-cz --pair Q2,Q7 --freq 5028.5 --ratio nan", "--ratio"),
+        ("tomography --state bell --tau-g 1e400", "--tau-g"),
+        ("sweep --kind swap --pair Q2,Q3 --amplitudes nan", "--amplitudes"),
+        ("sizzle --mode landscape --pair Q2,Q7 --freqs 4900:inf:3 --amplitudes 2:20:2",
+         "--freqs"),
+    ],
+)
+def test_a_number_that_is_not_finite_is_a_config_error_naming_the_option(
+    line, option, capsys, monkeypatch
+):
+    from transmon_lattice import cli
+
+    def no_work(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, line.split()[0], no_work)
+    code, out, err = run_cli(line.split() + ["--seed", "7"], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert option in error["message"]
 
 
 def test_cli_import_loads_no_scipy():
-    # nothing imports scipy: CLI startup loads none of it, and qubit-frame
-    # evolution, whose exchange term and detuned tone rotate, runs closed
-    # and open with scipy unimportable
+    # nothing imports scipy: CLI startup loads none of it, and a pair driven
+    # by a Blackman-ramped tone, in the tone's frame, runs closed and open
+    # with scipy unimportable
     code = (
         "import sys, transmon_lattice.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
@@ -769,12 +806,15 @@ def test_cli_import_loads_no_scipy():
         "from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian\n"
         "device = load_bundled_device()\n"
         "h0 = assemble_hamiltonian(device, SubsetSelection(('Q2', 'Q3'), 2))\n"
-        "tone = DriveTone(target='Q2', amplitude=2.0, detuning=-3.0, duration=0.05)\n"
+        "tone = DriveTone(target='Q2', amplitude=2.0, detuning=-3.0, envelope='blackman',\n"
+        "                 rise=10.0, duration=0.05)\n"
+        "frame = device.qubit('Q2').omega - 3.0\n"
         "psi0 = np.array([0.6, 0.0, 0.8, 0.0], dtype=complex)\n"
         "t = [0.0, 0.02, 0.05]\n"
-        "states = evolve(h0, [tone], psi0, t, device=device)\n"
+        "states = evolve(h0, [tone], psi0, t, device=device, frame=frame)\n"
         "noise = NoiseSpec.from_device(device, ('Q2', 'Q3'))\n"
-        "rhos = evolve_open(h0, [tone], np.outer(psi0, psi0), noise, t, device=device)\n"
+        "rhos = evolve_open(h0, [tone], np.outer(psi0, psi0), noise, t, device=device,\n"
+        "                   frame=frame)\n"
         "print(states.shape, rhos.shape)\n"
     )
     result = subprocess.run(

@@ -99,33 +99,27 @@ def test_resonant_rabi_oracle():
     assert p0[50] < 1e-12  # full flip at 0.5 us for Omega = 1 MHz
 
 
-def test_lab_and_rotating_frames_agree():
-    # two-level instance with the carrier low enough to step through but
-    # high enough that the counter-rotating correction is < 1e-6
-    dev = _single(omega=1000.0)
-    subset = SubsetSelection(("A",), 2)
-    h0 = assemble_hamiltonian(dev, subset)
-    t = np.linspace(0.0, 0.5, 6)
-    tone = DriveTone(target="A", amplitude=1.0, detuning=0.0, duration=0.5)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    rotating = evolve(h0, [tone], psi0, t, device=dev, frame="qubit")
-    lab = evolve(h0, [tone], psi0, t, device=dev, frame="lab", rwa=False)
-    p_rot = np.abs(rotating) ** 2
-    p_lab = np.abs(lab) ** 2
-    assert np.max(np.abs(p_rot - p_lab)) < 1e-6
-
-
-def test_closed_norm_drift_on_ode_path():
-    # qubit-frame coupled pair forces a rotating coupling term
+def test_a_term_that_rotates_in_the_frame_is_refused():
+    # the engine steps only frames where every term is static but for its
+    # envelope: the qubit frame leaves a detuned pair's exchange rotating
+    # at the detuning, and a detuned tone at its detuning
     dev = _pair(delta=12.0, j=0.654)
-    subset = SubsetSelection(("A", "B"), 3)
-    h0 = assemble_hamiltonian(dev, subset)
+    h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 3))
     psi0 = np.zeros(9, dtype=complex)
     psi0[3] = 1.0
     t = np.linspace(0.0, 1.0, 11)
-    states = evolve(h0, [], psi0, t, device=dev, frame="qubit")
-    norms = np.sum(np.abs(states) ** 2, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-8
+    with pytest.raises(ValueError, match="coupling rotates at 12 MHz"):
+        evolve(h0, [], psi0, t, device=dev, frame="qubit")
+    rho0 = np.outer(psi0, psi0)
+    with pytest.raises(ValueError, match="coupling rotates at 12 MHz"):
+        evolve_open(h0, [], rho0, NoiseSpec(), t, device=dev, frame="qubit")
+    single = _single()
+    h1 = assemble_hamiltonian(single, SubsetSelection(("A",), 2))
+    tone = DriveTone(target="A", amplitude=1.0, detuning=-18.0, duration=0.5)
+    with pytest.raises(ValueError, match="tone on A rotates at -18 MHz"):
+        evolve(h1, [tone], np.array([1.0, 0.0]), t, device=single, frame="qubit")
+    with pytest.raises(ValueError, match="unknown frame 'lab'"):
+        evolve(h0, [], psi0, t, device=dev, frame="lab")
 
 
 def test_excitation_number_conserved_without_drives():
@@ -172,7 +166,7 @@ def test_open_pure_dephasing_closed_form():
 def test_open_rejects_bad_density_matrix():
     dev = _single()
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A",), 2))
-    noise = NoiseSpec.none()
+    noise = NoiseSpec()
     with pytest.raises(ContractViolation):
         evolve_open(h0, [], np.diag([0.7, 0.7]).astype(complex), noise, [0.0, 1.0],
                     device=dev, frame="qubit")
@@ -194,47 +188,25 @@ def _counting_magnus(monkeypatch):
     edges = dynamics._magnus_edges
 
     def counted(*args):
-        calls.append(args[2:4])
+        calls.append(args[:2])
         return edges(*args)
 
     monkeypatch.setattr(dynamics, "_magnus_edges", counted)
     return calls
 
 
-def test_open_integrator_path_matches_eig_path(monkeypatch):
-    # the qubit frame leaves the exchange term rotating, so every segment
-    # takes Magnus slices; a common frame makes it static (the eig path),
-    # and populations do not depend on the frame
-    calls = _counting_magnus(monkeypatch)
-    dev = _pair(delta=2.0, j=0.654)
-    h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[2, 2] = 1.0  # |1, 0>
-    noise = NoiseSpec(relaxation={"A": 1.0 / 2.0, "B": 1.0 / 3.0})
-    t = np.linspace(0.0, 1.0, 11)
-    common = evolve_open(h0, [], rho0, noise, t, device=dev, frame=4801.0)
-    assert calls == []
-    rotating = evolve_open(h0, [], rho0, noise, t, device=dev, frame="qubit")
-    assert calls
-    for site in (0, 1):
-        for a, b in zip(rotating, common):
-            pops = site_populations(a, site, 2, 2) - site_populations(b, site, 2, 2)
-            assert np.max(np.abs(pops)) <= 1e-7
-    # the exchange moved population while relaxation drained it
-    assert max(site_populations(rho, 1, 2, 2)[1] for rho in common) > 0.1
-    assert np.real(np.trace(common[-1] @ np.diag([0, 1, 1, 2]))) < 0.8
-
-
 def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
+    # in a common frame the exchange term is static, so both evolutions
+    # diagonalize one generator (eig of the Liouvillian, eigh of H)
     calls = _counting_magnus(monkeypatch)
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
     t = np.linspace(0.0, 0.5, 6)
-    kwargs = dict(device=dev, frame="qubit")
+    kwargs = dict(device=dev, frame=4801.0)
     states = evolve(h0, [], psi0, t, **kwargs)
     rhos = evolve_open(h0, [], np.outer(psi0, psi0.conj()), NoiseSpec(), t, **kwargs)
-    assert len(calls) == 2
+    assert calls == []
     expected = np.einsum("ti,tj->tij", states, states.conj())
     assert np.max(np.abs(rhos - expected)) <= 1e-8
 
@@ -263,8 +235,8 @@ def test_open_ramp_takes_the_sliced_path(monkeypatch):
 
 
 # DOP853 (rtol 1e-10, atol 1e-12) values of the driven open pair below, at
-# DRIVEN_OPEN_TIMES: the four populations and <1,0|rho|0,0>; a tighter
-# DOP853 run moved them by < 5e-11
+# DRIVEN_OPEN_TIMES: the four populations and <1,0|rho|0,0> in the qubit
+# frame; a tighter DOP853 run moved them by < 5e-11
 DRIVEN_OPEN_TIMES = (0.0, 0.05, 0.15, 0.4, 0.65, 0.9, 1.2)
 DRIVEN_OPEN_POPULATIONS = np.array([
     [3.600000000000e-01, 0.000000000000e+00, 6.400000000000e-01, 0.000000000000e+00],
@@ -284,9 +256,9 @@ DRIVEN_OPEN_COHERENCE = np.array([
 
 
 def _driven_open_pair(frame):
-    # qubit frame: the exchange term rotates at 2 MHz and the Blackman
-    # tone, 6 MHz below qubit A, at 6 MHz; in the tone's frame both are
-    # static and only the tone's envelope varies
+    # the Blackman tone is 6 MHz below qubit A and 8 MHz below B; in its
+    # frame the exchange term and the tone are static, and only the tone's
+    # envelope varies
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     tone = DriveTone(
@@ -304,25 +276,20 @@ def _driven_open_pair(frame):
     )
 
 
-@pytest.mark.parametrize(
-    "frame, segments", [("qubit", 5), (4794.0, 2)], ids=["qubit-frame", "tone-frame"]
-)
-def test_driven_open_pair_matches_recorded_dop853(monkeypatch, frame, segments):
-    # 1e-7 on every recorded value, the gate of the open pair test above;
-    # the coherence depends on the frame, so the tone frame checks only
-    # the populations
+@pytest.mark.parametrize("frame", [4794.0], ids=["tone-frame"])
+def test_driven_open_pair_matches_recorded_dop853(monkeypatch, frame):
+    # 1e-7 on every recorded value; the coherence <1,0|rho|0,0> turns from
+    # the qubit frame into the tone's by exp(-2 pi i 6 t)
     from transmon_lattice import dynamics
 
     calls = _counting_magnus(monkeypatch)
     values = _driven_open_pair(frame)
-    assert len(calls) == segments  # the qubit frame rotates on every segment
-    recorded = np.concatenate(
-        [DRIVEN_OPEN_POPULATIONS, DRIVEN_OPEN_COHERENCE[:, None]], axis=1
-    )
-    compared = slice(None) if frame == "qubit" else slice(4)
-    assert np.max(np.abs(values - recorded)[:, compared]) <= 1e-7
+    assert calls == [(0.1, 0.2), (0.6, 0.7)]  # the ramps alone take slices
+    times = np.array(DRIVEN_OPEN_TIMES)
+    coherence = DRIVEN_OPEN_COHERENCE * np.exp(-2j * np.pi * 6.0 * times)
+    recorded = np.concatenate([DRIVEN_OPEN_POPULATIONS, coherence[:, None]], axis=1)
+    assert np.max(np.abs(values - recorded)) <= 1e-7
     # halving every slice moves the result by less than the gate
-    monkeypatch.setattr(dynamics, "SLICES_PER_PERIOD", 128)
     monkeypatch.setattr(dynamics, "ENVELOPE_SLICES", 2 * dynamics.ENVELOPE_SLICES)
     assert np.max(np.abs(_driven_open_pair(frame) - values)) <= 1e-7
 
@@ -330,7 +297,7 @@ def test_driven_open_pair_matches_recorded_dop853(monkeypatch, frame, segments):
 def test_weak_drive_beside_a_decaying_site_stays_a_state():
     # a 1e-12 MHz tone on A beside a decaying B makes the Liouvillian
     # nearly defective, so that its eig modes no longer rebuild it; static
-    # (common frame) and Magnus (qubit frame) segments alike must still
+    # (rectangular) and Magnus (Blackman ramp) segments alike must still
     # match the undriven evolution
     dev = _pair(delta=0.0, j=0.0)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
@@ -338,12 +305,13 @@ def test_weak_drive_beside_a_decaying_site_stays_a_state():
     psi0 = np.array([0.5, 0.5, 0.5j, 0.5])
     rho0 = np.outer(psi0, psi0.conj())
     t = np.linspace(0.0, 0.3, 4)
-    for frame, detuning in ((4800.0, 0.0), ("qubit", -1.0)):
+    undriven = evolve_open(h0, [], rho0, noise, t, device=dev, frame=4800.0)
+    for envelope, rise in (("rectangular", 0.0), ("blackman", 50.0)):
         tone = DriveTone(
-            target="A", amplitude=1e-12, detuning=detuning, start=0.05, duration=0.15
+            target="A", amplitude=1e-12, detuning=0.0, envelope=envelope, rise=rise,
+            start=0.05, duration=0.15,
         )
-        driven = evolve_open(h0, [tone], rho0, noise, t, device=dev, frame=frame)
-        undriven = evolve_open(h0, [], rho0, noise, t, device=dev, frame=frame)
+        driven = evolve_open(h0, [tone], rho0, noise, t, device=dev, frame=4800.0)
         assert np.max(np.abs(driven - undriven)) <= 1e-10
 
 
@@ -404,7 +372,7 @@ def test_protocol_t1_recovers_injected_time():
 
 def test_protocol_ramsey_programmed_detuning():
     dev = _single()
-    noise = NoiseSpec.none()
+    noise = NoiseSpec()
     record = protocol_ramsey(
         dev, "A", np.linspace(0.0, 8.0, 81), detuning=1.0, noise=noise
     )
@@ -639,20 +607,15 @@ def test_swap_populations_equal_the_per_state_site_populations(levels, noise, mo
         assert np.array_equal(record.data[key], np.clip(reference, 0.0, 1.0))
 
 
-def _split_by_frame_loop(h_abs, labels, frame_freqs, tol=1e-9):
-    """Element-by-element frame split: the specification of _split_by_frame."""
+def _frame_static_loop(h_abs, labels, frame_freqs):
+    """Element-by-element frame transform, the specification of
+    _frame_static: None where an element rotates."""
     static = np.zeros_like(h_abs)
-    buckets = {}
-    rows, cols = np.nonzero(h_abs)
-    for r, c in zip(rows, cols):
-        nu = float(frame_freqs @ (labels[r] - labels[c]))
-        if abs(nu) < tol:
-            static[r, c] = h_abs[r, c]
-        elif nu > 0:
-            key = round(nu, 9)
-            buckets.setdefault(key, np.zeros_like(h_abs))[r, c] = h_abs[r, c]
-    static -= np.diag(labels @ frame_freqs)
-    return static, [(-nu, mat) for nu, mat in sorted(buckets.items())]
+    for r, c in zip(*np.nonzero(h_abs)):
+        if abs(float(frame_freqs @ (labels[r] - labels[c]))) >= 1e-9:
+            return None
+        static[r, c] = h_abs[r, c]
+    return static - np.diag(labels @ frame_freqs)
 
 
 @pytest.mark.parametrize(
@@ -663,12 +626,15 @@ def _split_by_frame_loop(h_abs, labels, frame_freqs, tol=1e-9):
         (("Q2",), 3, "qubit"),
         (("Q2", "Q7"), 4, 5028.5),  # sizzle drive frame
         (("Q2", "Q7"), 4, "qubit"),  # rotating exchange term
-        (("Q2", "Q3", "Q6"), 3, "qubit"),  # several rotating buckets
-        (("Q2", "Q3"), 3, "lab"),
+        (("Q2", "Q3", "Q6"), 3, "qubit"),  # several rotating exchange terms
+        # frame 0 is the lab frame: nothing rotates, the absolute Hamiltonian
+        pytest.param(("Q2", "Q3"), 3, 0.0, id="sites6-3-lab"),
     ],
 )
 def test_split_by_frame_matches_elementwise_loop(device, sites, levels, frame):
-    from transmon_lattice.dynamics import _split_by_frame, resolve_frame
+    # the frame static part is H - diag(f.n) where no element rotates;
+    # a frame where one does is refused
+    from transmon_lattice.dynamics import _frame_static, resolve_frame
 
     h0 = assemble_hamiltonian(device, SubsetSelection(sites, levels))
     if frame == "swap":
@@ -676,9 +642,12 @@ def test_split_by_frame_matches_elementwise_loop(device, sites, levels, frame):
     frames = resolve_frame(h0.sites, frame, device)
     labels = np.array(h0.basis_labels(), dtype=float)
     freqs = np.array([frames[s] for s in h0.sites])
-    static, terms = _split_by_frame(h0.matrix, labels, freqs)
-    ref_static, ref_terms = _split_by_frame_loop(h0.matrix, labels, freqs)
-    assert np.array_equal(static, ref_static)
-    assert [t.nu for t in terms] == [nu for nu, _ in ref_terms]
-    for term, (_, mat) in zip(terms, ref_terms):
-        assert np.array_equal(term.matrix, mat)
+    expected = _frame_static_loop(h0.matrix, labels, freqs)
+    assert (expected is None) == (frame == "qubit" and len(sites) > 1)
+    if expected is None:
+        with pytest.raises(ValueError, match="coupling rotates at"):
+            _frame_static(h0.matrix, labels, freqs)
+        return
+    static = _frame_static(h0.matrix, labels, freqs)
+    assert np.array_equal(static, expected)
+    assert np.array_equal(static, h0.matrix - np.diag(labels @ freqs))

@@ -1,7 +1,8 @@
-"""Property tests of the Magnus slice stepper: for random qubit-frame
-pairs, whose exchange term and detuned drive rotate, closed evolution
-keeps unit norm and Lindblad evolution at random rates maps density
-matrices to density matrices."""
+"""Property tests of the evolution engine: for random coupled pairs
+driven by a detuned tone, stepped in the tone's frame (Magnus slices on
+its ramps, one diagonalization per flat segment), closed evolution keeps
+unit norm and Lindblad evolution at random rates maps density matrices
+to density matrices."""
 import numpy as np
 import pytest
 
@@ -44,11 +45,12 @@ def test_magnus_slices_keep_norm_and_map_states_to_states(
         start=0.05, duration=duration,
     )
     t = np.linspace(0.0, duration + 0.1, 4)
+    frame = 4800.0 + detuning  # the tone's frequency
     rng = np.random.default_rng(seed)
 
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    states = evolve(h0, [tone], psi0, t, device=dev, frame="qubit")
+    states = evolve(h0, [tone], psi0, t, device=dev, frame=frame)
     assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-12
 
     noise = NoiseSpec(
@@ -57,7 +59,7 @@ def test_magnus_slices_keep_norm_and_map_states_to_states(
     vecs = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho0 = vecs @ vecs.conj().T
     rho0 /= np.trace(rho0)
-    for out in evolve_open(h0, [tone], rho0, noise, t, device=dev, frame="qubit"):
+    for out in evolve_open(h0, [tone], rho0, noise, t, device=dev, frame=frame):
         assert np.max(np.abs(out - out.conj().T)) <= 1e-10
         assert abs(np.trace(out) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() >= -1e-10

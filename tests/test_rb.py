@@ -11,6 +11,7 @@ from transmon_lattice.cliffords import (
     compose_gates,
     cz_unitary,
 )
+from transmon_lattice.dynamics import NoiseSpec
 from transmon_lattice.errors import ContractViolation
 from transmon_lattice.rb import (
     DEFAULT_LENGTHS,
@@ -216,8 +217,8 @@ def test_interleaved_fidelity_decreases_with_gate_duration():
     for tau in (0.5, 1.5, 3.0):
         def channel(rho, tau=tau):
             return _noisy_cz(rho, 0, 1, 2, tau,
-                             {"relaxation": {"a": 1 / 71.0, "b": 1 / 71.0},
-                              "dephasing": {"a": 1 / 80.0, "b": 1 / 80.0}},
+                             NoiseSpec(relaxation={"a": 1 / 71.0, "b": 1 / 71.0},
+                                       dephasing={"a": 1 / 80.0, "b": 1 / 80.0}),
                              ("a", "b"))
         result = run_interleaved_rb_cz(
             math.pi, gate_transfer=_transfer_by_linear_inversion(channel), **kwargs,

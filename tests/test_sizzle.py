@@ -295,6 +295,14 @@ def test_calibrate_cz_floor(device):
         calibrate_cz(device, _config(), nu_tilde_khz=3.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_calibrate_cz_refuses_a_supplied_rate_that_is_not_finite(device, rate):
+    # a nan rate passes every comparison the calibration makes, so without
+    # the check it would report a nan gate as calibrated
+    with pytest.raises(ValueError, match="must be finite"):
+        calibrate_cz(device, _config(), nu_tilde_khz=rate)
+
+
 def test_cz_unitary():
     u = cz_unitary(math.pi)
     assert np.allclose(u, np.diag([1, 1, 1, -1]))

@@ -13,7 +13,7 @@ import pytest
 import transmon_lattice
 from transmon_lattice.cliffords import CliffordElement
 from transmon_lattice.device import CouplingGraph, DeviceSpec, ResonatorParams, TransmonParams
-from transmon_lattice.dynamics import DriveTone, NoiseSpec, _RotatingTerm
+from transmon_lattice.dynamics import DriveTone, NoiseSpec, _DriveTerm
 from transmon_lattice.errors import ContractViolation, DimensionError, ResourceLimitError
 from transmon_lattice.fileio import StatsReport
 from transmon_lattice.fitting import FitResult
@@ -65,7 +65,8 @@ SAMPLES = [
     (DriveTone, TONE, ("phase", 0.0)),
     (NoiseSpec, dict(relaxation={"A": 0.01}, dephasing={"A": 0.02}, jitter_khz={}),
      ("jitter_khz", {"A": 5.0})),
-    (_RotatingTerm, dict(matrix=UNITARY, nu=5.0, phase=0.0, tone=None), ("nu", 0.0)),
+    (_DriveTerm, dict(matrix=UNITARY, tone=DriveTone(**TONE)),
+     ("tone", DriveTone(**{**TONE, "phase": 0.0}))),
     (NoiseChannel, dict(depolarizing=0.01, granularity="gate", over_rotation=0.001,
                         zz_phase_per_clifford={("A", "B"): 0.02}), ("over_rotation", 0.0)),
     (RbOutcome, dict(qubit="A", lengths=(1, 2), survivals=ARRAY, per_sequence=ARRAY,
@@ -165,7 +166,7 @@ def test_frozen_types_refuse_assignment(cls, fields, change):
             delattr(value, name)
         assert getattr(value, name) is fields[name]
     else:
-        assert cls in (ExperimentRecord, DressedSpectrum, RbOutcome, _RotatingTerm)
+        assert cls in (ExperimentRecord, DressedSpectrum, RbOutcome, _DriveTerm)
         setattr(value, name, new)
         assert getattr(value, name) is new
     with pytest.raises(AttributeError):
