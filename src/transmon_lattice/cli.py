@@ -15,8 +15,9 @@ either option on a command without that output is a config error, as
 is every parse error and a nan or infinite number.  Exit codes:
 0 on success, otherwise a machine-readable error category is printed to
 stderr as JSON ("config" = 2, "physics" = 3, "resource" = 4).  A process
-runs :func:`run`, which ends it without interpreter teardown once the
-output is flushed; :func:`main` is the in-process entry.
+runs :func:`run`, which lets OpenBLAS's idle threads sleep and ends the
+process without interpreter teardown once the output is flushed;
+:func:`main` is the in-process entry.
 """
 from __future__ import annotations
 
@@ -70,6 +71,14 @@ _PHYSICS_ERRORS = (
     UncalibratableError,
 )
 _RESOURCE_ERRORS = (ResourceLimitError,)
+# numpy's bundled OpenBLAS starts a worker thread per extra core when it
+# loads, and by default a worker spins 2^28 cycles (~0.13 s at 2.1 GHz)
+# before it sleeps, even when no BLAS call ever needs it: a third of the CPU
+# time of a typical command.  At 2^21 cycles (~1 ms) it sleeps almost at
+# once.  At 2^18 and below, waking it slows the 729x729 eigh of a 6-site
+# spectrum by ~5%; 2^20 and 2^21 read within the noise of the default, and
+# 21 keeps one step of margin.
+OPENBLAS_THREAD_TIMEOUT = 21
 
 
 def _fail(category: str, message: str, code: int) -> int:
@@ -641,11 +650,17 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def run() -> NoReturn:
     """The process entry of ``tlattice``: runs :func:`main`, flushes stdout
-    and stderr, then ends the process with ``os._exit``.  Skipping
-    interpreter teardown saves the tens of ms that finalizing numpy and the
-    package takes after the output is complete; nothing the package opens
-    is left unclosed.  A failed flush (a closed pipe) exits 120, as
+    and stderr, then ends the process with ``os._exit``.
+
+    Before numpy loads, it sets ``OPENBLAS_THREAD_TIMEOUT`` to
+    :data:`OPENBLAS_THREAD_TIMEOUT` unless the environment already sets it,
+    so that OpenBLAS's idle worker threads sleep almost at once instead of
+    spinning a core; the thread count, and so every number, stays the same.
+    Skipping interpreter teardown saves the tens of ms that finalizing numpy
+    and the package takes after the output is complete; nothing the package
+    opens is left unclosed.  A failed flush (a closed pipe) exits 120, as
     CPython's own exit does."""
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(OPENBLAS_THREAD_TIMEOUT))
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -21,6 +21,9 @@ from .values import FrozenValue, Value
 
 DEFAULT_LABEL_THRESHOLD = 0.7
 HERMITICITY_TOL = 1e-9
+# the excitation sectors that the ZZ combination E11 - E10 - E01 + E00
+# reads, and so the only ones assign_dressed_labels labels
+ZZ_EXCITATIONS = 2
 
 
 class DressedSpectrum(Value):
@@ -66,8 +69,12 @@ def diagonalize(op: LatticeOperator) -> DressedSpectrum:
 def assign_dressed_labels(
     spectrum: DressedSpectrum, threshold: float = DEFAULT_LABEL_THRESHOLD
 ) -> dict[tuple[int, ...], int]:
-    """Label each bare occupation state by its maximum-overlap eigenstate.
+    """Label each bare occupation state of at most ``ZZ_EXCITATIONS``
+    excitations by its maximum-overlap eigenstate.
 
+    The model conserves excitation number, so the ZZ energies come from
+    sectors 0-2, and higher sectors may hybridize (Q3,Q4 mixes its bare
+    (1, 2) and (2, 1)) without touching them; those are left unlabeled.
     Fails with :class:`LabelingError` if any overlap drops below
     ``threshold`` or two bare labels claim the same eigenstate; both
     signal near-resonant hybridization where the dressed labels (and
@@ -81,6 +88,8 @@ def assign_dressed_labels(
     claimed: dict[int, tuple[int, ...]] = {}
     basis = list(product(range(spectrum.levels), repeat=len(spectrum.sites)))
     for bare_index, occupation in enumerate(basis):
+        if sum(occupation) > ZZ_EXCITATIONS:
+            continue
         eig = int(np.argmax(weights[bare_index]))
         overlap = float(weights[bare_index, eig])
         if overlap < threshold:

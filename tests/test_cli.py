@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -977,12 +978,85 @@ def test_failed_flush_at_process_exit_is_exit_120(monkeypatch):
     def exit_now(code):
         raise SystemExit(code)
 
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)  # run() sets it
     monkeypatch.setattr(cli, "main", lambda: 0)
     monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
     monkeypatch.setattr(cli.os, "_exit", exit_now)
     with pytest.raises(SystemExit) as exited:
         cli.run()
     assert exited.value.code == 120
+
+
+_RUN_WITH_REPORTING_MAIN = (
+    "import json, os, sys\n"
+    "from transmon_lattice import cli\n"
+    "def report():\n"
+    "    print(json.dumps([os.environ.get('OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules]))\n"
+    "    return 0\n"
+    "cli.main = report\n"
+    "cli.run()\n"
+)
+
+
+def _blas_env(**values: str) -> dict:
+    env = {k: v for k, v in _src_env().items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    return dict(env, **values)
+
+
+@pytest.mark.parametrize("user_value", [None, "28"])
+def test_run_lets_blas_workers_sleep_before_numpy_loads(user_value):
+    # OpenBLAS reads the variable once, when numpy loads it
+    from transmon_lattice.cli import OPENBLAS_THREAD_TIMEOUT
+
+    env = _blas_env() if user_value is None else _blas_env(OPENBLAS_THREAD_TIMEOUT=user_value)
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_WITH_REPORTING_MAIN], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = str(OPENBLAS_THREAD_TIMEOUT) if user_value is None else user_value
+    assert json.loads(result.stdout) == [expected, False]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "zz --pair Q2,Q3",
+        "sizzle --mode phase --pair Q2,Q7 --amplitude 10 --widths 0:3:7 --seed 1",
+    ],
+)
+def test_blas_thread_timeout_moves_no_number(line, tmp_path):
+    # 28 is OpenBLAS's own default, so the second run is a process without the policy
+    outputs = []
+    for env in (_blas_env(), _blas_env(OPENBLAS_THREAD_TIMEOUT="28")):
+        result = subprocess.run(
+            [sys.executable, "-m", "transmon_lattice.cli", *line.split()],
+            capture_output=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1] != b""
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS starts no worker on one core"
+)
+def test_idle_blas_worker_spins_no_core(tmp_path):
+    # zz runs no BLAS call large enough for a second thread, so a worker
+    # that spins instead of sleeping shows as CPU time beyond the wall time
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "transmon_lattice.cli", "zz", "--pair", "Q2,Q3"],
+            env=_blas_env(OPENBLAS_NUM_THREADS="2"), cwd=tmp_path,
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, err_path.read_text()
+    assert usage.ru_utime + usage.ru_stime <= wall + 0.05
 
 
 def _readme_commands() -> list[str]:
