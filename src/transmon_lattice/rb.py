@@ -29,7 +29,7 @@ from .cliffords import (
     two_qubit_inverses,
 )
 from .device import DeviceSpec, pair_key, zz_perturbative
-from .errors import ContractViolation
+from .errors import ContractViolation, ResourceLimitError
 from .fitting import FitResult, fit_rb_decay
 from .values import FrozenValue, Value
 
@@ -39,6 +39,11 @@ if TYPE_CHECKING:
 DEFAULT_LENGTHS = (2, 25, 50, 100, 250, 500, 750, 1000)
 DEFAULT_LENGTHS_2Q = (2, 4, 8, 16, 32, 64)
 DEFAULT_GATE_TIME_NS = 60.0
+# a simultaneous register of n qubits steps Pauli vectors of length 4^n through
+# a dense (4^n)^2 ZZ transfer matrix built from ~64^n multiply-adds: at 5
+# qubits the matrix alone takes ~3 s and the process ~90 MiB; at 6 it would
+# take ~64 times the work and ~0.7 GB of stacks
+SIMULTANEOUS_MAX_QUBITS = 5
 # how far a given gate transfer matrix's first row may stray from e0
 TRACE_TOL = 1e-9
 
@@ -238,14 +243,20 @@ def run_rb(
     mapping, or a DeviceSpec (coherence-limited depolarizing plus the
     device's neighbor ZZ phases).  ``simultaneous`` runs all qubits at
     once, one Clifford per slot per qubit, with the ZZ phases active
-    between slot gates; otherwise qubits run individually.
-    Deterministic for a fixed seed.
+    between slot gates; otherwise qubits run individually.  A
+    simultaneous register beyond ``SIMULTANEOUS_MAX_QUBITS`` raises
+    :class:`ResourceLimitError`.  Deterministic for a fixed seed.
     """
     lengths = _checked_runs(n_sequences, lengths, shots)
     qubits = tuple(qubits)
     repeated = sorted({q for q in qubits if qubits.count(q) > 1})
     if repeated:
         raise ValueError(f"qubit labels repeat: {', '.join(repeated)}")
+    if simultaneous and len(qubits) > SIMULTANEOUS_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"simultaneous register of {len(qubits)} qubits (Pauli dimension "
+            f"{4 ** len(qubits)}) exceeds cap {SIMULTANEOUS_MAX_QUBITS}"
+        )
     channels = _resolve_channels(model, qubits, gate_time_ns)
     if simultaneous and len(qubits) > 1:
         registers = [(qubits, (seed, 202))]

@@ -26,15 +26,16 @@ from .device import DeviceSpec
 from .dynamics import (
     DriveTone,
     NoiseSpec,
+    _DriveTerm,
     _collapse_operators,
-    _frame_terms,
+    _frame_static,
     _modes,
     _propagate_sliced,
     evolve,
     rotation_gate,
 )
 from .errors import AliasingError, NearPoleError, UncalibratableError
-from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
+from .operators import LatticeOperator, SubsetSelection, _embed, assemble_hamiltonian, destroy
 from .records import AxisSpec, ExperimentRecord
 from .values import FrozenValue
 
@@ -288,30 +289,56 @@ def _echo_parts(
     configs: Sequence[SizzleConfig],
     collapse: Optional[list],
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Stacked flat-top Hamiltonians of the configs (which share the pair,
-    drive frequency and rise of the first) and their (up, down) ramp
-    propagators, shape (len(configs), 2, n, n), or None without a rise.
-    The ramps take the Magnus slices of :func:`dynamics.evolve` on
-    vectors (``collapse`` None) or vectorized density matrices."""
-    rise_us = configs[0].rise * 1e-3
+    """Stacked flat-top Hamiltonians of the configs, each in its own drive
+    frequency's frame, and their (up, down) ramp propagators, shape
+    (len(configs), 2, n, n), or None without a rise.  The configs drive
+    the sites of ``h0``, in order, with the rise of the first (else
+    ValueError); their drive frequencies may differ.  The ramps take the
+    Magnus slices of :func:`dynamics.evolve` on vectors (``collapse``
+    None) or vectorized density matrices."""
+    rise = configs[0].rise
+    for config in configs:
+        if tuple(config.pair) != h0.sites:
+            raise ValueError(f"config pair {config.pair} is not the pair {h0.sites} of h0")
+        if config.rise != rise:
+            raise ValueError(f"config rise {config.rise} ns differs from the first's {rise} ns")
+    rise_us = rise * 1e-3
     # reference tones: ramps on [0, rise] and [3 rise, 4 rise], flat between
     duration = 4.0 * rise_us if rise_us > 0 else 1.0
-    tones = [tone for config in configs for tone in _config_tones(device, config, duration)]
-    # the common drive frame holds every tone still: the terms are their
-    # drives, two per config, and only the envelopes vary
-    static, terms = _frame_terms(h0, tones, device, configs[0].freq, None)
-    drives = [terms[k : k + 2] for k in range(0, len(terms), 2)]
-    flat = np.array([static] * len(configs))
-    for h, pair in zip(flat, drives):
-        for term in pair:
-            term.add_to(h, 0.5 * duration)
+    tones = [_config_tones(device, config, duration) for config in configs]
+    # a config's frame rotates at its drive frequency, which holds both its
+    # tones still: one frame Hamiltonian per frequency, one raising operator
+    # per site, and each flat top adds its drive D + D^dag to its frame's,
+    # D = (Omega/2) e^{-i phi} a^dag per tone as in dynamics._DriveTerm
+    labels = np.array(h0.basis_labels(), dtype=float)
+    statics = {
+        freq: _frame_static(h0.matrix, labels, np.full(len(h0.sites), freq))
+        for freq in {config.freq for config in configs}
+    }
+    raising = [
+        _embed(destroy(h0.levels), site, len(h0.sites), h0.levels).conj().T
+        for site in range(len(h0.sites))
+    ]
+    halves = 0.5 * np.array([[tone.amplitude for tone in pair] for pair in tones])
+    turns = np.exp(-1j * np.array([[tone.phase for tone in pair] for pair in tones]))
+    flat = np.array([statics[config.freq] for config in configs])
+    for site, adag in enumerate(raising):
+        # the static part, each site's drive and its adjoint fill disjoint
+        # elements, so every element holds a single term, added exactly
+        rows, cols = np.nonzero(adag)
+        drive = turns[:, site, None] * (halves[:, site, None] * adag[rows, cols])
+        flat[:, rows, cols] += drive
+        flat[:, cols, rows] += drive.conj()
     if rise_us == 0:
         return flat, None
     eye = np.eye(h0.dim if collapse is None else h0.dim**2, dtype=complex)
     ramps = [
-        [_propagate_sliced(static, pair, collapse, eye, a, a + rise_us, np.empty(0))[0]
-         for a in (0.0, duration - rise_us)]
-        for pair in drives
+        [_propagate_sliced(
+            statics[config.freq],
+            [_DriveTerm(0.5 * tone.amplitude * adag, tone) for tone, adag in zip(pair, raising)],
+            collapse, eye, a, a + rise_us, np.empty(0),
+        )[0] for a in (0.0, duration - rise_us)]
+        for config, pair in zip(configs, tones)
     ]
     return flat, np.array(ramps)
 
@@ -325,11 +352,13 @@ def _echo(
     """The echoed sequence of every config, as a function ``echo(states,
     widths)`` that takes states indexed [..., state] to states indexed
     [config, width, state]: vectors when ``collapse`` is None, else
-    density matrices under the Lindblad terms ``collapse``.  Each
-    config's flat top is decomposed once by :func:`dynamics._modes` and
-    the ramps fold into its modes, so every call, at any widths, reuses
-    them.  On the identity's rows, the vector echo gives the transposed
-    unitaries E(w)^T, where E(w) = PiPi U(w/2) PiPi U(w/2).
+    density matrices under the Lindblad terms ``collapse``.  The configs
+    drive the pair of ``h0`` with one rise, at any drive frequencies
+    (:func:`_echo_parts`).  All flat tops are decomposed in one stacked
+    call of :func:`dynamics._modes` and the ramps fold into their modes,
+    so every call, at any widths, reuses them.  On the identity's rows,
+    the vector echo gives the transposed unitaries E(w)^T, where
+    E(w) = PiPi U(w/2) PiPi U(w/2).
     """
     flat, ramps = _echo_parts(h0, device, configs, collapse)
     rates, right, left, _ = _modes(flat, collapse)
@@ -399,13 +428,13 @@ def _tomography(
     levels: int,
     collapse: Optional[list],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pulse-width tomography of configs that share the pair, drive
-    frequency and rise of the first, through their :func:`_echo` on the
-    pair at ``levels`` with the Lindblad terms ``collapse``: nu_tilde
-    (kHz) per config, the target coherences [config, width, control
-    state] and the unwrapped differential phases [config, width] the
-    rates are fitted to."""
-    configs[0].validate_against(device)
+    """Pulse-width tomography of configs that share the pair and rise of
+    the first, through their :func:`_echo` on the pair at ``levels`` with
+    the Lindblad terms ``collapse``: nu_tilde (kHz) per config, the
+    target coherences [config, width, control state] and the unwrapped
+    differential phases [config, width] the rates are fitted to."""
+    for config in configs:
+        config.validate_against(device)
     if len(widths) < 3:
         raise ValueError("need at least 3 widths")
     states = echo(_prepared_states(levels, collapse), widths)
@@ -615,33 +644,34 @@ def sweep_drive_landscape(
     Per cell: the target's differential phase (control |0> vs |1>)
     after one echoed Stark pulse of fixed ``width``, and the control's
     worst-case population error as a stability indicator.  Cells inside
-    instability bands are flagged and not evaluated.
+    instability bands are flagged and not evaluated; the others share one
+    :func:`_echo`, whose stacked decomposition holds every cell (with
+    ``noise``, cells x dim^4 complex numbers per Liouvillian stack).
     """
     freqs = np.asarray(freqs, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
     shape = (len(freqs), len(amplitudes))
     diff_phase = np.full(shape, np.nan)
     control_response = np.full(shape, np.nan)
-    flagged = np.zeros(shape, dtype=bool)
     h0 = assemble_hamiltonian(device, SubsetSelection(pair, levels))
     collapse = _lindblad_terms(h0, noise)
-    states = _prepared_states(levels, collapse)
-
-    for i, freq in enumerate(freqs):
-        if landscape_flags(device, pair, float(freq), guard):
-            flagged[i, :] = True
-            continue
-        if not len(amplitudes):
-            continue
-        configs = [
-            SizzleConfig(pair=pair, freq=float(freq), omega_target=float(amp), ratio=ratio)
-            for amp in amplitudes
-        ]
-        row = _echo(h0, device, configs, collapse)(states, [width])[:, 0]
-        _, phases, excited = _readout(row, levels, collapse)
-        diff_phase[i] = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
+    row_flags = np.array([landscape_flags(device, pair, float(f), guard) for f in freqs], bool)
+    rows = np.flatnonzero(~row_flags)
+    # every unflagged cell in one echo: one stacked decomposition
+    configs = [
+        SizzleConfig(pair=pair, freq=float(freqs[i]), omega_target=float(amp), ratio=ratio)
+        for i in rows
+        for amp in amplitudes
+    ]
+    if configs:
+        echo = _echo(h0, device, configs, collapse)
+        cells = echo(_prepared_states(levels, collapse), [width])[:, 0]
+        _, phases, excited = _readout(cells, levels, collapse)
+        diff = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
+        diff_phase[rows] = np.reshape(diff, (len(rows), -1))
         # the worse of the control's population errors in |0> and |1>
-        control_response[i] = np.abs(excited - [0.0, 1.0]).max(axis=-1)
+        response = np.abs(excited - [0.0, 1.0]).max(axis=-1)
+        control_response[rows] = response.reshape(len(rows), -1)
     return ExperimentRecord(
         protocol="sizzle_drive_landscape",
         axes=(
@@ -651,7 +681,7 @@ def sweep_drive_landscape(
         data={
             "differential_phase": diff_phase,
             "control_response": control_response,
-            "flagged": flagged,
+            "flagged": np.repeat(row_flags[:, None], len(amplitudes), axis=1),
         },
         shots=0,
         seed=seed,

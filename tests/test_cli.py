@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -127,6 +128,16 @@ def test_resource_error_category(capsys):
     )
     assert code == 4
     assert json.loads(err)["error"]["category"] == "resource"
+
+
+def test_simultaneous_rb_beyond_the_register_cap_is_a_resource_error(capsys):
+    code, out, err = run_cli(
+        ["rb", "--qubits", "Q1,Q2,Q3,Q4,Q5,Q6", "--simultaneous", "--seed", "1"], capsys
+    )
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert error["category"] == "resource"
+    assert "6 qubits" in error["message"] and "4096" in error["message"]
 
 
 @pytest.mark.parametrize("levels", ["1", "0"])
@@ -979,6 +990,7 @@ def test_failed_flush_at_process_exit_is_exit_120(monkeypatch):
         raise SystemExit(code)
 
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)  # run() sets it
+    monkeypatch.setattr(cli.gc, "disable", lambda: None)  # keep pytest's collector on
     monkeypatch.setattr(cli, "main", lambda: 0)
     monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
     monkeypatch.setattr(cli.os, "_exit", exit_now)
@@ -1016,6 +1028,24 @@ def test_run_lets_blas_workers_sleep_before_numpy_loads(user_value):
     assert result.returncode == 0, result.stderr
     expected = str(OPENBLAS_THREAD_TIMEOUT) if user_value is None else user_value
     assert json.loads(result.stdout) == [expected, False]
+
+
+def test_run_turns_off_the_cyclic_collector_and_main_does_not():
+    code = (
+        "import gc, sys\n"
+        "from transmon_lattice import cli\n"
+        "cli.main = lambda: print(gc.isenabled()) or 0\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(),
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+    # in process, main leaves the collector as it finds it
+    assert gc.isenabled()
+    assert main(["stats", "--column", "alpha"]) == 0
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,10 @@ from transmon_lattice.cliffords import (
     cz_unitary,
 )
 from transmon_lattice.dynamics import NoiseSpec
-from transmon_lattice.errors import ContractViolation
+from transmon_lattice.errors import ContractViolation, ResourceLimitError
 from transmon_lattice.rb import (
     DEFAULT_LENGTHS,
+    SIMULTANEOUS_MAX_QUBITS,
     NoiseChannel,
     _sample_survival,
     _slot_transfers,
@@ -143,6 +144,16 @@ def test_simultaneous_rb_zz_gap_grows_with_coupling():
     assert epgs[0] == pytest.approx(ind["A"].epg, rel=0.05)
     assert epgs[1] > epgs[0]
     assert epgs[2] > epgs[1]
+
+
+def test_simultaneous_register_beyond_the_cap_is_refused():
+    labels = [f"Q{k}" for k in range(1, SIMULTANEOUS_MAX_QUBITS + 2)]
+    chan = NoiseChannel.from_epc(1e-3)
+    with pytest.raises(ResourceLimitError, match=f"{len(labels)} qubits"):
+        run_rb(chan, labels, n_sequences=1, lengths=(2, 5, 9), seed=1, simultaneous=True)
+    # the same qubits one by one step single-site Pauli vectors
+    individual = run_rb(chan, labels, n_sequences=1, lengths=(2, 5, 9), seed=1)
+    assert sorted(individual) == sorted(labels)
 
 
 def test_interleaved_ideal_cz_unit_fidelity():

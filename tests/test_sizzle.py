@@ -257,6 +257,42 @@ def test_landscape_quadratic_amplitude_scaling(device):
     assert np.max(np.abs(coeff - coeff.mean())) / abs(coeff.mean()) < 0.05
 
 
+def test_landscape_builds_one_hamiltonian_one_decomposition_and_one_drive_per_site(
+    device, monkeypatch
+):
+    # every unflagged cell of the benchmark grid shares one echo
+    from transmon_lattice import dynamics, operators, sizzle
+
+    calls = {"assemble": 0, "eigh": 0, "embed": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sizzle, "assemble_hamiltonian", counted("assemble", assemble_hamiltonian))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    embed = counted("embed", operators._embed)
+    for module in (operators, dynamics, sizzle):
+        monkeypatch.setattr(module, "_embed", embed)
+    record = sweep_drive_landscape(
+        device, CZ_PAIR, np.linspace(4900.0, 5300.0, 21), np.linspace(2.0, 20.0, 4), levels=4
+    )
+    assert 0 < record.data["flagged"][:, 0].sum() < 21
+    assert calls == {"assemble": 1, "eigh": 1, "embed": 2}
+
+
+def test_echo_refuses_configs_off_the_pair_or_the_first_rise(device):
+    h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, 3))
+    swapped = SizzleConfig(pair=CZ_PAIR[::-1], freq=DRIVE_FREQ, omega_target=10.0)
+    with pytest.raises(ValueError, match="pair"):
+        _echo(h0, device, [_config(rise=0.0), swapped], None)
+    # a mixed-rise batch would otherwise ramp every config with the first's rise
+    with pytest.raises(ValueError, match="rise"):
+        _echo(h0, device, [_config(rise=0.0), _config(rise=50.0)], None)
+
+
 def test_gate_duration_algebra():
     assert gate_duration(math.pi, 100.0) == pytest.approx(5.0, rel=1e-12)
     assert gate_duration(math.pi, 200.0) == pytest.approx(2.5, rel=1e-12)
@@ -380,11 +416,17 @@ def test_echo_maps_match_evolve_reference(device, levels, rise):
 
 
 def test_echo_maps_stack_configs(device):
-    configs = [_config(amplitude=amp, rise=0.0) for amp in (0.0, 4.0, 9.0)]
+    # each config evolves in its own drive frequency's frame
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, 3))
-    stacked = _echo_maps(h0, device, configs, [0.5, 1.5])
-    for config, maps in zip(configs, stacked):
-        assert np.max(np.abs(maps - _echo_maps(h0, device, [config], [0.5, 1.5])[0])) <= 1e-13
+    for rise in (0.0, 50.0):
+        configs = [
+            _config(amplitude=amp, freq=freq, rise=rise)
+            for freq, amp in ((DRIVE_FREQ, 0.0), (DRIVE_FREQ, 4.0), (4950.0, 9.0))
+        ]
+        stacked = _echo_maps(h0, device, configs, [0.5, 1.5])
+        for config, maps in zip(configs, stacked):
+            single = _echo_maps(h0, device, [config], [0.5, 1.5])[0]
+            assert np.max(np.abs(maps - single)) <= 1e-13
 
 
 def test_echo_maps_reject_bad_widths(device):

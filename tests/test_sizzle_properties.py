@@ -1,7 +1,9 @@
 """Property tests of the siZZle echo: every echo unitary
 E(w) = PiPi U(w/2) PiPi U(w/2) is unitary for any off-pole drive
-frequency, amplitude, relative phase and Blackman rise, and the Lindblad
-echo maps density matrices to density matrices."""
+frequency, amplitude, relative phase and Blackman rise, the Lindblad
+echo maps density matrices to density matrices, and the drive landscape,
+which evaluates every cell in one echo, equals its rows evaluated one by
+one."""
 import math
 
 import numpy as np
@@ -13,7 +15,15 @@ from hypothesis import assume, given, settings, strategies as st
 from transmon_lattice.dynamics import NoiseSpec, _collapse_operators
 from transmon_lattice.fileio import load_bundled_device
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
-from transmon_lattice.sizzle import SizzleConfig, _echo, landscape_flags
+from transmon_lattice.sizzle import (
+    SizzleConfig,
+    _echo,
+    _lindblad_terms,
+    _prepared_states,
+    _readout,
+    landscape_flags,
+    sweep_drive_landscape,
+)
 
 PAIR = ("Q2", "Q7")
 DEVICE = load_bundled_device()
@@ -84,3 +94,80 @@ def test_open_echo_maps_states_to_states(freq, amplitude, ratio, dphi, width, ra
     maps = _echo_maps(H0, DEVICE, [config], widths)[0]
     for out, echo in zip(_echo(H0, DEVICE, [config], [])(rho[None], widths)[0, :, 0], maps):
         assert np.max(np.abs(out - echo @ rho @ echo.conj().T)) <= 1e-11
+
+
+def _landscape_by_rows(device, pair, freqs, amplitudes, width, ratio, noise, levels):
+    """(differential phase, control response, flagged) of the landscape,
+    one :func:`_echo` per unflagged frequency row."""
+    shape = (len(freqs), len(amplitudes))
+    diff_phase, response = np.full(shape, np.nan), np.full(shape, np.nan)
+    flagged = np.zeros(shape, dtype=bool)
+    h0 = assemble_hamiltonian(device, SubsetSelection(pair, levels))
+    collapse = _lindblad_terms(h0, noise)
+    for i, freq in enumerate(freqs):
+        if landscape_flags(device, pair, freq):
+            flagged[i] = True
+            continue
+        configs = [SizzleConfig(pair, freq, amp, ratio) for amp in amplitudes]
+        row = _echo(h0, device, configs, collapse)(_prepared_states(levels, collapse), [width])
+        _, phases, excited = _readout(row[:, 0], levels, collapse)
+        diff_phase[i] = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
+        response[i] = np.abs(excited - [0.0, 1.0]).max(axis=-1)
+    return diff_phase, response, flagged
+
+
+def _assert_landscape_matches_rows(record, rows, atol=0.0):
+    phase, response, flagged = rows
+    assert np.array_equal(record.data["flagged"], flagged)
+    for key, expected in (("differential_phase", phase), ("control_response", response)):
+        got = record.data[key]
+        if atol:
+            assert np.array_equal(np.isnan(got), np.isnan(expected)), key
+            assert np.nanmax(np.abs(got - expected), initial=0.0) <= atol, key
+        else:
+            assert np.array_equal(got, expected, equal_nan=True), key
+
+
+Q2, Q7 = (DEVICE.qubit(q) for q in PAIR)
+# frequencies inside the carrier, 1-2 and two-photon bands of either qubit
+FLAGGED_FREQS = [q.omega + shift for q in (Q2, Q7) for shift in (3.0, q.alpha, q.alpha / 2)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    freqs=st.lists(
+        st.one_of(st.floats(4500.0, 5400.0), st.sampled_from(FLAGGED_FREQS)),
+        min_size=1, max_size=5,
+    ),
+    amplitudes=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 30.0)), min_size=1, max_size=4
+    ),
+    width=st.floats(0.0, 3.0),
+    ratio=st.floats(0.5, 2.0),
+    levels=st.sampled_from([2, 3, 4]),
+    reverse=st.booleans(),
+)
+def test_landscape_equals_its_rows(freqs, amplitudes, width, ratio, levels, reverse):
+    pair = PAIR[::-1] if reverse else PAIR
+    record = sweep_drive_landscape(
+        DEVICE, pair, freqs, amplitudes, width=width, ratio=ratio, levels=levels
+    )
+    rows = _landscape_by_rows(DEVICE, pair, freqs, amplitudes, width, ratio, None, levels)
+    _assert_landscape_matches_rows(record, rows)
+
+
+def test_single_cell_landscape_equals_its_row():
+    record = sweep_drive_landscape(DEVICE, PAIR, [5028.5], [10.0], levels=3)
+    rows = _landscape_by_rows(DEVICE, PAIR, [5028.5], [10.0], 1.0, 1.0, None, 3)
+    _assert_landscape_matches_rows(record, rows)
+    assert record.data["differential_phase"].shape == (1, 1)
+
+
+def test_open_landscape_equals_its_rows():
+    # one stacked Liouvillian eig per cell, against one per row
+    freqs, amplitudes = [4950.0, FLAGGED_FREQS[0], 5028.5], [0.0, 6.0]
+    noise = NoiseSpec.from_device(DEVICE)
+    record = sweep_drive_landscape(DEVICE, PAIR, freqs, amplitudes, noise=noise, levels=2)
+    rows = _landscape_by_rows(DEVICE, PAIR, freqs, amplitudes, 1.0, 1.0, noise, 2)
+    _assert_landscape_matches_rows(record, rows, atol=1e-12)
+    assert np.isnan(record.data["differential_phase"][1]).all()
