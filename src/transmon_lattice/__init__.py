@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "device": (
         "CouplingGraph", "DeviceSpec", "ResonatorParams", "TransmonParams", "detuning",
-        "ej_from_omega", "j_from_circuit", "omega_from_ej_ec", "straddling_check",
-        "zz_perturbative",
+        "ej_from_omega", "omega_from_ej_ec", "straddling_check", "zz_perturbative",
     ),
     "dynamics": ("DriveTone", "NoiseSpec"),
     "records": ("ExperimentRecord",),

@@ -7,6 +7,8 @@ Each handler imports the modules it runs, so a command loads only those;
 numpy too is imported only where arrays are built, so stats, report,
 --help, --version and the config errors found before a handler runs
 start without it.
+Results are strict JSON: a float that is not finite (a flagged
+landscape cell, an undetermined fit uncertainty) is written as null.
 Each subcommand declares only the options its handler reads, in one
 table from which the parser builds just the subcommand it parses.  --plot
 writes an SVG for dynamics, sweep --kind acstark and rb, and --format
@@ -42,7 +44,6 @@ from .errors import (
     NearResonanceError,
     ResourceLimitError,
     SchemaError,
-    SingularCouplingError,
     UncalibratableError,
     UnknownQubitError,
 )
@@ -69,7 +70,6 @@ _PHYSICS_ERRORS = (
     LabelingError,
     NearPoleError,
     NearResonanceError,
-    SingularCouplingError,
     UncalibratableError,
 )
 _RESOURCE_ERRORS = (ResourceLimitError,)
@@ -598,6 +598,19 @@ def _table(payload: dict) -> tuple:
     return axis["name"], axis["units"], axis["values"], columns
 
 
+def _finite_or_null(value):
+    """``value`` with every float that is not finite replaced by None, so
+    that ``json.dumps`` writes ``null`` where it would write a bare
+    ``NaN`` or ``Infinity``, which JSON does not allow."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 _HANDLERS = {
     "spectrum": _cmd_spectrum,
     "zz": _cmd_zz,
@@ -646,7 +659,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit(args, table_csv(*_table(payload)))
     else:
         payload.pop("table", None)
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(_finite_or_null(payload), indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Device parameters, unit conventions, circuit-energy relations, and the
-second-order (perturbative) ZZ formula.
+"""Device parameters, unit conventions, the transmon frequency relation,
+and the second-order (perturbative) ZZ formula.
 
 Unit conventions used throughout the package:
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
-from .errors import NearPoleError, SingularCouplingError, UnknownQubitError
+from .errors import NearPoleError, UnknownQubitError
 from .values import FrozenValue
 
 # Additive slack (us) on the T2 <= 2 T1 physicality checks, to absorb
@@ -54,31 +54,6 @@ def ej_from_omega(omega: float, ec: float) -> float:
     if omega <= 0 or ec <= 0:
         raise ValueError(f"omega and EC must be positive, got omega={omega}, EC={ec}")
     return omega * omega / (8.0 * ec)
-
-
-def j_from_circuit(
-    eci: float,
-    ecj: float,
-    ecc: float,
-    eji: float,
-    ejj: float,
-    symmetric: bool = False,
-) -> float:
-    """Exchange coupling of a capacitively coupled transmon pair, in MHz.
-
-    Default evaluates the published closed form exactly as printed,
-    where the quartic-root factor divides *both* Josephson energies by
-    2*ECj.  ``symmetric=True`` opts into the variant with the first
-    ratio divided by 2*ECi instead, which restores i<->j symmetry.
-    Neither variant is asserted to be the "correct" one.
-    """
-    if ecc == 0:
-        raise SingularCouplingError("coupling-capacitor charging energy is zero")
-    if min(eci, ecj, ecc, eji, ejj) <= 0:
-        raise ValueError("all circuit energies must be positive")
-    first_divisor = eci if symmetric else ecj
-    quartic = (eji / (2.0 * first_divisor)) * (ejj / (2.0 * ecj))
-    return 2.0 * eci * ecj / ecc * quartic**0.25
 
 
 def zz_perturbative(
@@ -178,21 +153,15 @@ class ResonatorParams(FrozenValue):
 class CouplingGraph(FrozenValue):
     """Exchange couplings of the lattice, in MHz.
 
-    ``nn`` maps unordered nearest-neighbor pairs to J, ``lr`` maps
-    non-neighbor pairs to the long-range residual, and ``ecc``
-    optionally stores coupling-capacitor charging energies.
+    ``nn`` maps unordered nearest-neighbor pairs to J and ``lr`` maps
+    non-neighbor pairs to the long-range residual.
     """
 
-    __slots__ = ("nn", "lr", "ecc")
+    __slots__ = ("nn", "lr")
 
-    def __init__(
-        self,
-        nn: Mapping[Pair, float],
-        lr: Optional[Mapping[Pair, float]] = None,
-        ecc: Optional[Mapping[Pair, float]] = None,
-    ):
-        self._assign(nn, {} if lr is None else lr, {} if ecc is None else ecc)
-        for name, table in (("nn", self.nn), ("lr", self.lr), ("ecc", self.ecc)):
+    def __init__(self, nn: Mapping[Pair, float], lr: Optional[Mapping[Pair, float]] = None):
+        self._assign(nn, {} if lr is None else lr)
+        for name, table in (("nn", self.nn), ("lr", self.lr)):
             for (a, b), value in table.items():
                 if pair_key(a, b) != (a, b):
                     raise ValueError(f"{name} key {(a, b)} is not in canonical order")
@@ -241,10 +210,9 @@ class DeviceSpec(FrozenValue):
             if pair not in grid_edges:
                 raise ValueError(f"nn coupling {pair} is not a grid edge")
         known = set(labels)
-        for table in (self.couplings.lr, self.couplings.ecc):
-            for a, b in table:
-                if a not in known or b not in known:
-                    raise ValueError(f"coupling references unknown qubit in ({a},{b})")
+        for a, b in self.couplings.lr:
+            if a not in known or b not in known:
+                raise ValueError(f"coupling references unknown qubit in ({a},{b})")
 
     def labels(self) -> tuple[str, ...]:
         return tuple(q.label for q in self.qubits)

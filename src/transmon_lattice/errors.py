@@ -64,11 +64,6 @@ class ContractViolation(ValueError):
     Hamiltonian, negative rates, non-PSD density matrix, ...)."""
 
 
-class SingularCouplingError(ValueError):
-    """Coupling-capacitor charging energy of zero: the exchange rate
-    diverges."""
-
-
 class NearPoleError(ValueError):
     """A perturbative denominator is inside the pole guard; the formula
     would return a divergent, physically meaningless number."""

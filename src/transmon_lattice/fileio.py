@@ -1,9 +1,12 @@
 """File formats, the bundled reference device, statistics, and plots.
 
-Devices and results are human-readable JSON with a schema version;
-floats serialize via Python's shortest round-trip representation, so a
-load/save cycle is bit-exact.  Sweep tables are CSV with the axis
-first, then one column per observable.  Plots are self-contained SVG.
+Devices are read and written as human-readable JSON with a schema
+version, and results are written the same way; floats serialize via
+Python's shortest round-trip representation, so a device load/save
+cycle is bit-exact.  A device's ``couplings`` hold ``nn`` and ``lr``;
+any other key is a :class:`SchemaError` that names its path.  Sweep
+tables are CSV with the axis first, then one column per observable.
+Plots are self-contained SVG.
 Statistics are computed in pure Python, summed in numpy's order, and
 numpy is imported only by the functions that build or read arrays, so
 loading a device and computing its statistics run without numpy.
@@ -25,7 +28,7 @@ from .device import (
     pair_key,
 )
 from .errors import SchemaError, UnknownColumnError
-from .records import AxisSpec, ExperimentRecord
+from .records import ExperimentRecord
 from .values import FrozenValue
 
 SCHEMA_VERSION = 1
@@ -33,7 +36,7 @@ BUNDLED_DEVICE = "device_4x4.json"
 
 _QUBIT_FIELDS = {"label", "omega", "alpha", "ej", "ec", "t1", "t2r", "t2e"}
 _RESONATOR_FIELDS = {"label", "freq", "qi", "kappa_ext", "chi"}
-_COUPLING_FIELDS = {"nn", "lr", "ecc"}
+_COUPLING_FIELDS = {"nn", "lr"}
 _DEVICE_FIELDS = {"rows", "cols", "qubits", "resonators", "couplings"}
 _TOP_FIELDS = {"schema_version", "provenance", "device"}
 
@@ -115,7 +118,6 @@ def device_to_dict(spec: DeviceSpec, provenance: str = "") -> dict:
             "couplings": {
                 "nn": pairs(spec.couplings.nn),
                 "lr": pairs(spec.couplings.lr),
-                "ecc": pairs(spec.couplings.ecc),
             },
         },
     }
@@ -175,7 +177,6 @@ def device_from_dict(payload: dict) -> DeviceSpec:
     couplings = CouplingGraph(
         nn=_pair_table(dev["couplings"]["nn"], f"{cpath}.nn"),
         lr=_pair_table(dev["couplings"].get("lr", []), f"{cpath}.lr"),
-        ecc=_pair_table(dev["couplings"].get("ecc", []), f"{cpath}.ecc"),
     )
     try:
         return DeviceSpec(
@@ -375,7 +376,7 @@ def record_to_dict(record: ExperimentRecord) -> dict:
     import numpy as np
 
     return {
-        "schema_version": record.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "protocol": record.protocol,
         "axes": [
             {"name": ax.name, "values": list(ax.values), "units": ax.units}
@@ -388,34 +389,6 @@ def record_to_dict(record: ExperimentRecord) -> dict:
         "config": record.config,
         "metadata": record.metadata,
     }
-
-
-def record_from_dict(payload: dict) -> ExperimentRecord:
-    import numpy as np
-
-    axes = tuple(
-        AxisSpec(ax["name"], tuple(ax["values"]), ax["units"])
-        for ax in payload["axes"]
-    )
-    return ExperimentRecord(
-        protocol=payload["protocol"],
-        axes=axes,
-        data={key: np.asarray(val) for key, val in payload["data"].items()},
-        shots=payload["shots"],
-        seed=payload["seed"],
-        device_ref=payload["device_ref"],
-        config=payload.get("config", {}),
-        metadata=payload.get("metadata", {}),
-        schema_version=payload.get("schema_version", SCHEMA_VERSION),
-    )
-
-
-def save_record(record: ExperimentRecord, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(record_to_dict(record), indent=2) + "\n")
-
-
-def load_record(path: Union[str, Path]) -> ExperimentRecord:
-    return record_from_dict(json.loads(Path(path).read_text()))
 
 
 # ------------------------------------------------------------------- tables
@@ -433,11 +406,6 @@ def table_csv(
     for row in zip(axis, *columns.values()):
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def write_table(path: Union[str, Path], axis_name: str, axis_units: str, axis, columns) -> None:
-    """Write :func:`table_csv` to ``path``."""
-    Path(path).write_text(table_csv(axis_name, axis_units, axis, columns))
 
 
 # -------------------------------------------------------------------- plots

@@ -161,30 +161,9 @@ def _hop_elements(
     return rows, cols, ladder[n_i[cols] + 1] * ladder[n_j[cols]]
 
 
-def site_hamiltonian(params: TransmonParams, d: int) -> LatticeOperator:
-    """Duffing on-site term: diagonal (omega + alpha/2 (k-1)) k at
-    occupation k, in MHz."""
-    if d < 2:
-        raise DimensionError(f"need at least 2 levels, got {d}")
-    return LatticeOperator(
-        np.diag(_site_energies(params, d)).astype(complex), (params.label,), d
-    )
-
-
 def total_excitation(subset: SubsetSelection) -> LatticeOperator:
     total = basis_occupations(len(subset.qubits), subset.levels).sum(axis=1)
     return LatticeOperator(np.diag(total.astype(complex)), subset.qubits, subset.levels)
-
-
-def exchange_operator(i: str, j: str, subset: SubsetSelection) -> LatticeOperator:
-    """Hermitian hopping term a_i^dag a_j + a_i a_j^dag on the subset."""
-    if i == j:
-        raise ValueError("exchange needs two distinct qubits")
-    rows, cols, values = _hop_elements(subset.index_of(i), subset.index_of(j), subset)
-    mat = np.zeros((subset.dim, subset.dim), dtype=complex)
-    mat[rows, cols] = values
-    mat[cols, rows] = values
-    return LatticeOperator(mat, subset.qubits, subset.levels)
 
 
 def _site_term_matrix(device: DeviceSpec, subset: SubsetSelection) -> np.ndarray:

@@ -26,8 +26,7 @@ class ExperimentRecord(Value):
     metadata (config, seed, device reference)."""
 
     __slots__ = (
-        "protocol", "axes", "data", "shots", "seed", "device_ref", "config",
-        "metadata", "schema_version",
+        "protocol", "axes", "data", "shots", "seed", "device_ref", "config", "metadata",
     )
 
     def __init__(
@@ -40,14 +39,12 @@ class ExperimentRecord(Value):
         device_ref: str,
         config: Optional[dict] = None,
         metadata: Optional[dict] = None,
-        schema_version: int = 1,
     ):
         import numpy as np
 
         self._assign(
             protocol, axes, data, shots, seed, device_ref,
             {} if config is None else config, {} if metadata is None else metadata,
-            schema_version,
         )
         shape = tuple(len(axis.values) for axis in self.axes)
         for key, values in self.data.items():

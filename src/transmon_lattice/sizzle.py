@@ -31,7 +31,6 @@ from .dynamics import (
     _frame_static,
     _modes,
     _propagate_sliced,
-    evolve,
     rotation_gate,
 )
 from .errors import AliasingError, NearPoleError, UncalibratableError
@@ -46,9 +45,11 @@ NU_TILDE_FLOOR_KHZ = 5.0
 class SizzleConfig(FrozenValue):
     """Shared-frequency two-tone drive configuration for one pair.
 
-    ``ratio`` sets the control amplitude as ratio * omega_target (the
-    published rule: the ratio of the pair's single-qubit X_pi
-    amplitudes).  ``dphi`` is phi_control - phi_target.
+    ``ratio`` sets the control amplitude as ratio * omega_target.  The
+    published rule takes it from the ratio of the pair's single-qubit
+    X_pi amplitudes, which the package does not compute: the default,
+    here and on the command line, is 1.0.  ``dphi`` is
+    phi_control - phi_target.
     """
 
     __slots__ = ("pair", "freq", "omega_target", "ratio", "dphi", "rise")
@@ -95,6 +96,7 @@ class SizzleConfig(FrozenValue):
                     f"drive within {guard} MHz of {label}'s 1-2 transition"
                 )
 
+
 def _config_tones(
     device: DeviceSpec, config: SizzleConfig, duration: float
 ) -> list[DriveTone]:
@@ -115,64 +117,6 @@ def _config_tones(
         )
         for label, amplitude, phase in specs
     ]
-
-
-def calibrate_x_pi_amplitude(
-    device: DeviceSpec,
-    qubit: str,
-    duration: float = 0.05,
-    levels: int = 3,
-) -> float:
-    """Resonant amplitude driving a full population inversion in
-    ``duration`` us, from a simulated Rabi calibration.
-
-    Leakage through the anharmonic ladder makes this differ slightly
-    from the two-level value 1/(2 * duration).
-    """
-    subset = SubsetSelection((qubit,), levels)
-    h0 = assemble_hamiltonian(device, subset)
-    psi0 = np.zeros(levels, dtype=complex)
-    psi0[0] = 1.0
-    grid = np.array([duration])
-
-    def ground_population(amplitude: float) -> float:
-        tone = DriveTone(
-            target=qubit, amplitude=amplitude, detuning=0.0, duration=duration
-        )
-        state = evolve(h0, [tone], psi0, grid, device=device, frame="qubit")[0]
-        return float(abs(state[0]) ** 2)
-
-    # golden-section refinement around the two-level estimate
-    lo, hi = 0.6 / (2.0 * duration), 1.4 / (2.0 * duration)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = ground_population(c), ground_population(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = ground_population(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = ground_population(d)
-    return 0.5 * (a + b)
-
-
-def default_amplitude_ratio(
-    device: DeviceSpec,
-    pair: tuple[str, str],
-    duration: float = 0.05,
-    levels: int = 3,
-) -> float:
-    """Control-to-target ratio of simulated X_pi amplitudes, the default
-    rule for balancing the two Stark tones."""
-    control, target = pair
-    return calibrate_x_pi_amplitude(
-        device, control, duration, levels
-    ) / calibrate_x_pi_amplitude(device, target, duration, levels)
 
 
 def sizzle_zz_predicted(
@@ -498,52 +442,6 @@ def hamiltonian_tomography_pulsewidth(
         metadata={"nu_tilde_khz": nu_tilde_khz},
     )
     return nu_tilde_khz, record
-
-
-def sizzle_phase_table(
-    device: DeviceSpec,
-    config: SizzleConfig,
-    width: float,
-    levels: int = 3,
-) -> dict:
-    """Phases of the four computational basis states after one echoed
-    Stark pulse, with the single-qubit and conditional components.
-
-    The echo cancels single-qubit Stark phases, so ``control_phase``
-    and ``target_phase`` vanish for an ideal pulse while
-    ``conditional_phase`` accumulates 2 pi nu_tilde width.
-    """
-    h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    echo = _echo(h0, device, [config], None)(np.eye(h0.dim), [width])[0, 0]
-    phases = {}
-    leakage = 0.0
-    for c in (0, 1):
-        for t in (0, 1):
-            amp = echo[c * levels + t, c * levels + t]
-            leakage = max(leakage, 1.0 - abs(amp) ** 2)
-            phases[(c, t)] = math.atan2(amp.imag, amp.real)
-
-    def wrap(x: float) -> float:
-        return math.remainder(x, 2 * math.pi)
-
-    # state phases go as exp(-2 pi i E t); negate so the conditional
-    # phase is reported as 2 pi nu_tilde * width, matching tomography
-    conditional = wrap(
-        -(phases[(1, 1)] - phases[(1, 0)] - phases[(0, 1)] + phases[(0, 0)])
-    )
-    control_phase = wrap(
-        0.5 * (phases[(1, 0)] + phases[(1, 1)] - phases[(0, 0)] - phases[(0, 1)])
-    )
-    target_phase = wrap(
-        0.5 * (phases[(0, 1)] + phases[(1, 1)] - phases[(0, 0)] - phases[(1, 0)])
-    )
-    return {
-        "phases": phases,
-        "conditional_phase": conditional,
-        "control_phase": control_phase,
-        "target_phase": target_phase,
-        "max_leakage": leakage,
-    }
 
 
 def sweep_relative_phase(

@@ -102,6 +102,17 @@ def test_config_error_category(tmp_path, capsys):
     assert code == 2
     assert json.loads(err)["error"]["category"] == "config"
 
+    # the ecc table of coupling-capacitor energies is no longer part of the schema
+    from transmon_lattice.fileio import bundled_device_path
+
+    payload = json.loads(bundled_device_path().read_text())
+    payload["device"]["couplings"]["ecc"] = []
+    bad.write_text(json.dumps(payload))
+    code, out, err = run_cli(["stats", "--column", "alpha", "--device", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["category"] == "config"
+    assert "$.device.couplings.ecc" in json.loads(err)["error"]["message"]
+
     code, _, err = run_cli(
         ["dynamics", "--protocol", "t1", "--qubit", "Q2", "--delays=", "--seed", "7"], capsys
     )
@@ -736,6 +747,22 @@ def test_sizzle_landscape_reads_the_ratio(capsys):
     assert payloads["2"]["config"]["ratio"] == 2.0
     one, two = (np.array(payloads[r]["data"]["differential_phase"]) for r in ("1", "2"))
     assert np.all(np.isfinite(two)) and not np.allclose(one, two)
+
+
+def test_landscape_output_is_strict_json_with_null_for_flagged_cells(capsys):
+    line = "sizzle --mode landscape --pair Q2,Q7 --freqs 4700:5100:5 --amplitudes 2,6 --levels 3 --seed 1"
+    code, out, _ = run_cli(line.split(), capsys)
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    data = json.loads(out, parse_constant=refuse)["data"]
+    rows = [flags[0] for flags in data["flagged"]]
+    assert rows == [True, True, False, False, False]
+    for key in ("differential_phase", "control_response"):
+        for flagged, row in zip(rows, data[key]):
+            assert all((v is None) if flagged else isinstance(v, float) for v in row), (key, row)
 
 
 def test_calibrate_cz_command(capsys):

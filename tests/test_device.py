@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -9,11 +8,10 @@ from transmon_lattice.device import (
     TransmonParams,
     detuning,
     ej_from_omega,
-    j_from_circuit,
     omega_from_ej_ec,
     straddling_check,
 )
-from transmon_lattice.errors import SingularCouplingError, UnknownQubitError
+from transmon_lattice.errors import UnknownQubitError
 
 
 def test_omega_from_ej_ec_unit_case():
@@ -53,47 +51,6 @@ def test_ej_omega_round_trip():
         assert omega_from_ej_ec(ej_from_omega(omega, ec), ec) == pytest.approx(
             omega, rel=1e-9
         )
-
-
-def test_j_from_circuit_printed_form():
-    # 2*200*200/40000 * (30*30)^(1/4) = 2*sqrt(30)
-    assert j_from_circuit(200.0, 200.0, 40000.0, 12000.0, 12000.0) == pytest.approx(
-        2.0 * math.sqrt(30.0), rel=1e-12
-    )
-
-
-def test_j_from_circuit_inverse_in_ecc():
-    base = j_from_circuit(210.0, 195.0, 30000.0, 11000.0, 12500.0)
-    assert j_from_circuit(210.0, 195.0, 60000.0, 11000.0, 12500.0) == pytest.approx(
-        base / 2.0, rel=1e-12
-    )
-
-
-def test_j_from_circuit_monotone_in_eji():
-    values = [
-        j_from_circuit(200.0, 200.0, 40000.0, eji, 12000.0)
-        for eji in (8000.0, 10000.0, 12000.0, 15000.0)
-    ]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_j_from_circuit_singular_and_domain():
-    with pytest.raises(SingularCouplingError):
-        j_from_circuit(200.0, 200.0, 0.0, 12000.0, 12000.0)
-    with pytest.raises(ValueError):
-        j_from_circuit(-200.0, 200.0, 40000.0, 12000.0, 12000.0)
-
-
-def test_j_from_circuit_printed_form_is_asymmetric():
-    # regression guard on the as-printed expression: swapping the qubit
-    # roles changes the value unless the symmetric variant is enabled
-    forward = j_from_circuit(100.0, 250.0, 40000.0, 9000.0, 16000.0)
-    swapped = j_from_circuit(250.0, 100.0, 40000.0, 16000.0, 9000.0)
-    assert forward != pytest.approx(swapped, rel=1e-6)
-
-    sym_forward = j_from_circuit(100.0, 250.0, 40000.0, 9000.0, 16000.0, symmetric=True)
-    sym_swapped = j_from_circuit(250.0, 100.0, 40000.0, 16000.0, 9000.0, symmetric=True)
-    assert sym_forward == pytest.approx(sym_swapped, rel=1e-12)
 
 
 def test_detuning_table_pair(device):

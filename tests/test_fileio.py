@@ -11,14 +11,12 @@ from transmon_lattice.fileio import (
     device_to_dict,
     load_bundled_device,
     load_device,
-    load_record,
     record_to_dict,
     save_device,
-    save_record,
     stats,
     summary_discrepancies,
+    table_csv,
     write_svg_plot,
-    write_table,
 )
 from transmon_lattice.records import AxisSpec, ExperimentRecord
 
@@ -69,11 +67,21 @@ def test_missing_field_rejected_with_path(device):
 
 
 def test_unknown_field_rejected_with_path(device):
-    payload = device_to_dict(device)
-    payload["device"]["qubits"][0]["t2x"] = 1.0
-    with pytest.raises(SchemaError) as err:
-        device_from_dict(payload)
-    assert "t2x" in str(err.value)
+    # couplings holds nn and lr only: a file that still has the ecc table
+    # of coupling-capacitor energies is refused at its path
+    for parent, key, path in [
+        (("qubits", 0), "t2x", "$.device.qubits[0].t2x"),
+        (("couplings",), "ecc", "$.device.couplings.ecc"),
+    ]:
+        payload = device_to_dict(device)
+        obj = payload["device"]
+        for step in parent:
+            obj = obj[step]
+        obj[key] = []
+        with pytest.raises(SchemaError) as err:
+            device_from_dict(payload)
+        assert err.value.path == path
+        assert key in str(err.value)
 
 
 def test_unsupported_schema_version(device):
@@ -127,7 +135,7 @@ def test_stats_unknown_column(device):
         stats(device, "bogus")
 
 
-def test_record_round_trip(tmp_path):
+def test_record_round_trip():
     record = ExperimentRecord(
         protocol="demo",
         axes=(AxisSpec("delay", (0.0, 0.1, 0.2), "us"),),
@@ -137,16 +145,18 @@ def test_record_round_trip(tmp_path):
         device_ref="Q1",
         config={"qubit": "Q1"},
     )
-    path = tmp_path / "record.json"
-    save_record(record, path)
-    loaded = load_record(path)
-    assert loaded.protocol == record.protocol
-    assert loaded.axes == record.axes
-    assert np.array_equal(loaded.data["p_excited"], record.data["p_excited"])
-    assert loaded.seed == record.seed
+    # the path of the CLI's output: record_to_dict, then json
+    text = json.dumps(record_to_dict(record), indent=2, sort_keys=True)
+    loaded = json.loads(text)
+    assert loaded["schema_version"] == 1
+    assert loaded["protocol"] == record.protocol
+    assert [AxisSpec(a["name"], tuple(a["values"]), a["units"]) for a in loaded["axes"]] == list(
+        record.axes
+    )
+    assert np.array_equal(loaded["data"]["p_excited"], record.data["p_excited"])
+    assert loaded["seed"] == record.seed
     # byte-exact re-serialization
-    save_record(loaded, tmp_path / "record2.json")
-    assert (tmp_path / "record.json").read_bytes() == (tmp_path / "record2.json").read_bytes()
+    assert json.dumps(loaded, indent=2, sort_keys=True) == text
 
 
 def test_float_round_trip_is_exact(tmp_path, device):
@@ -158,10 +168,9 @@ def test_float_round_trip_is_exact(tmp_path, device):
         assert original.ej == reloaded.ej  # 17-significant-digit value
 
 
-def test_write_table(tmp_path):
-    path = tmp_path / "sweep.csv"
-    write_table(path, "delay", "us", [0.0, 0.5], {"p": [1.0, 0.3], "q": [0.0, 0.7]})
-    lines = path.read_text().strip().splitlines()
+def test_write_table():
+    text = table_csv("delay", "us", [0.0, 0.5], {"p": [1.0, 0.3], "q": [0.0, 0.7]})
+    lines = text.strip().splitlines()
     assert lines[0] == "delay[us],p,q"
     assert lines[1].startswith("0.0,")
     assert len(lines) == 3
@@ -182,7 +191,7 @@ def test_bundled_file_parses_as_json():
     assert "provenance" in payload
 
 
-def test_record_replays_from_embedded_config(tmp_path, device):
+def test_record_replays_from_embedded_config(device):
     # a result file is self-describing: re-running the embedded config
     # reproduces the embedded data bit-for-bit
     from transmon_lattice.dynamics import NoiseSpec
@@ -193,18 +202,19 @@ def test_record_replays_from_embedded_config(tmp_path, device):
     record = protocol_ramsey(
         device, "Q2", delays, detuning=1.0, noise=noise, shots=400, seed=21
     )
-    path = tmp_path / "ramsey.json"
-    save_record(record, path)
-    loaded = load_record(path)
+    loaded = json.loads(json.dumps(record_to_dict(record), indent=2, sort_keys=True))
+    (axis,) = loaded["axes"]
+    assert axis["name"] == "delay"
+    config = loaded["config"]
     replay = protocol_ramsey(
         device,
-        loaded.config["qubit"],
-        loaded.axis("delay"),
-        detuning=loaded.config["detuning"],
+        config["qubit"],
+        np.array(axis["values"]),
+        detuning=config["detuning"],
         noise=noise,
-        shots=loaded.shots,
-        seed=loaded.seed,
-        jitter_mode=loaded.config["jitter_mode"],
-        levels=loaded.config["levels"],
+        shots=loaded["shots"],
+        seed=loaded["seed"],
+        jitter_mode=config["jitter_mode"],
+        levels=config["levels"],
     )
-    assert np.array_equal(replay.data["p_excited"], loaded.data["p_excited"])
+    assert np.array_equal(replay.data["p_excited"], loaded["data"]["p_excited"])

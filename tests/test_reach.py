@@ -1,0 +1,82 @@
+"""Every module-level function, class and constant of the package is
+reached from the rest of the package, or is listed here with the reason
+it stays.  A name that no other line of ``src/`` names, neither as a
+name nor as an attribute, is code no command runs: delete it with its
+tests, or list it below.  An import is not a use, and neither are the
+lines of the name's own definition."""
+import ast
+from pathlib import Path
+
+import transmon_lattice
+
+PACKAGE = Path(transmon_lattice.__file__).parent
+
+# module.name: why it stays although no other line of src/ names it
+UNREACHED = (
+    ("cliffords.MIXER_CZ_COUNTS", "CZ count of each mixer; the two-qubit Clifford tests "
+                                  "check the mixers against it"),
+    ("cliffords.mean_physical_gates", "the published 1.875 gates per Clifford, a reference "
+                                      "the Clifford tests compare against"),
+    ("device.omega_from_ej_ec", "transmon frequency from EJ and EC; the tests check "
+                                "ej_from_omega, which devices are built with, against it"),
+    ("dynamics.site_populations", "per-site populations, a reference the dynamics tests "
+                                  "compare the site readouts against"),
+    ("fileio.save_device", "the device writer (with device_to_dict), the inverse of "
+                           "load_device"),
+    ("fitting.MODELS", "the fit models and Jacobians, which the fit tests check against "
+                       "finite differences"),
+    ("operators.total_excitation", "the excitation-number operator the Hamiltonian "
+                                   "conservation tests commute against"),
+    ("protocols.stark_amplitude_for_shift", "inverse of the AC-Stark shift, used by the "
+                                            "acceptance tests"),
+    ("rb.run_interleaved_rb_cz", "interleaved two-qubit RB, the open device-noise CZ item "
+                                 "builds on it"),
+    ("rb.sequence_gate_list", "the replay API that the frozen RNG-stream test pins"),
+    ("sizzle.sizzle_zz_predicted_for", "closed-form driven ZZ of a device pair, the "
+                                       "acceptance reference for measured nu_tilde"),
+    ("spectrum.j_from_zz", "J implied by a measured ZZ, the acceptance reference for the "
+                           "device's J values"),
+)
+
+
+def _unreached() -> set[str]:
+    defined = {}  # (module, name) -> (first line, last line)
+    used = []  # (module, name, line)
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined[module, name] = (node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                used.append((module, node.attr, node.lineno))
+    return {
+        f"{module}.{name}"
+        for (module, name), (first, last) in defined.items()
+        if not any(
+            other == name and not (where == module and first <= line <= last)
+            for where, other, line in used
+        )
+    }
+
+
+def test_every_unreached_name_is_listed_with_its_reason():
+    listed = [name for name, _ in UNREACHED]
+    assert len(listed) == len(set(listed))
+    unreached = _unreached()
+    new = sorted(unreached - set(listed))
+    assert not new, f"no other line of src/ names {new}; delete them or list them with a reason"
+    stale = sorted(set(listed) - unreached)
+    assert not stale, f"{stale} are deleted or now reached from src/; drop them from UNREACHED"

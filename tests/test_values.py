@@ -32,7 +32,7 @@ QUBIT_A = dict(
 QUBIT_B = {**QUBIT_A, "label": "B", "omega": 5100.0}
 RESONATOR = dict(label="R", freq=7000.0, qi=10.0, kappa_ext=1.5, chi=-200.0)
 AXIS = dict(name="width", values=(0.5, 1.0), units="us")
-GRAPH = dict(nn={("A", "B"): 0.6}, lr={}, ecc={("A", "B"): 1000.0})
+GRAPH = dict(nn={("A", "B"): 0.6}, lr={})
 DEVICE = dict(
     rows=1, cols=2, qubits=(TransmonParams(**QUBIT_A), TransmonParams(**QUBIT_B)),
     resonators=(), couplings=CouplingGraph(**GRAPH),
@@ -44,7 +44,7 @@ FIT = dict(
 SIZZLE = dict(pair=("A", "B"), freq=5028.5, omega_target=10.0, ratio=1.2, dphi=0.3, rise=50.0)
 RECORD = dict(
     protocol="t1", axes=(AxisSpec(**AXIS),), data={"signal": ARRAY}, shots=10, seed=1,
-    device_ref="A", config={"qubit": "A"}, metadata={}, schema_version=1,
+    device_ref="A", config={"qubit": "A"}, metadata={},
 )
 TONE = dict(
     target="A", amplitude=10.0, detuning=-100.0, phase=0.5, envelope="blackman", rise=50.0,
@@ -176,7 +176,7 @@ def test_frozen_types_refuse_assignment(cls, fields, change):
 @pytest.mark.parametrize(
     "build, fields",
     [
-        (lambda: CouplingGraph({}), ("lr", "ecc")),
+        (lambda: CouplingGraph({}), ("lr",)),
         (lambda: NoiseSpec(), ("relaxation", "dephasing", "jitter_khz")),
         (lambda: NoiseChannel(), ("zz_phase_per_clifford",)),
         (lambda: ExperimentRecord("t1", (), {}, 0, None, "A"), ("config", "metadata")),
