@@ -1,10 +1,10 @@
 """Desk-scale simulator and calibration toolkit for a 4x4 lattice of
 fixed-frequency transmon qubits.
 
-Subpackages by role: ``device`` (parameters and circuit relations),
-``operators`` (subset Hamiltonians), ``spectrum`` (dressed spectra and
-ZZ), ``dynamics`` (driven evolution), ``protocols`` (T1, Ramsey, echo,
-swap and AC-Stark measurements), ``records`` (result records),
+Subpackages by role: ``device`` (parameters, circuit relations and a
+pair's static ZZ), ``operators`` (subset Hamiltonians), ``spectrum``
+(dressed spectra), ``dynamics`` (driven evolution), ``protocols`` (T1,
+Ramsey, echo, swap and AC-Stark measurements), ``records`` (result records),
 ``sizzle`` (Stark-boosted ZZ and CZ calibration), ``cliffords``/``rb``
 (randomized benchmarking), ``tomography`` (state reconstruction),
 ``fitting`` (least-squares models), ``fileio``/``cli`` (formats and the
@@ -18,15 +18,16 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "device": (
-        "CouplingGraph", "DeviceSpec", "ResonatorParams", "TransmonParams", "detuning",
-        "ej_from_omega", "omega_from_ej_ec", "straddling_check", "zz_perturbative",
+        "CouplingGraph", "DeviceSpec", "ResonatorParams", "TransmonParams", "ZZReport",
+        "detuning", "ej_from_omega", "omega_from_ej_ec", "straddling_check", "zz_exact",
+        "zz_perturbative",
     ),
     "dynamics": ("DriveTone", "NoiseSpec"),
     "records": ("ExperimentRecord",),
     "fitting": ("FitResult",),
     "fileio": ("load_bundled_device", "load_device", "save_device", "stats"),
     "operators": ("LatticeOperator", "SubsetSelection", "assemble_hamiltonian"),
-    "spectrum": ("ZZReport", "j_from_zz", "zz_exact"),
+    "spectrum": ("j_from_zz",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = ["__version__", *_MODULE_OF]

@@ -4,7 +4,7 @@ Every stochastic subcommand requires --seed; results are written as
 self-describing JSON records (config + seed + schema version embedded)
 so that re-running the embedded config reproduces the payload exactly.
 Each handler imports the modules it runs, so a command loads only those;
-numpy too is imported only where arrays are built, so stats, report,
+numpy too is imported only where arrays are built, so zz, stats, report,
 --help, --version and the config errors found before a handler runs
 start without it.
 Results are strict JSON: a float that is not finite (a flagged
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from . import __version__
-from .device import DeviceSpec, straddling_check
+from .device import DeviceSpec, straddling_check, zz_report
 from .errors import (
     AliasingError,
     ContractViolation,
@@ -182,7 +182,6 @@ _COMMANDS = {
         "--long-range": dict(action="store_true"),
     }),
     "zz": ("exact and perturbative ZZ for a coupled pair", "device out", {
-        "--levels": dict(type=int, default=4),
         "--pair": dict(type=_pair, required=True),
     }),
     "dynamics": ("T1 / Ramsey / echo protocols", "device out plot format seed shots", {
@@ -292,17 +291,13 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_zz(args) -> dict:
-    from .spectrum import zz_report
-
-    device = _device_from(args)
-    report = zz_report(device, args.pair, levels=args.levels)
+    report = zz_report(_device_from(args), args.pair)
     return {
         "command": "zz",
         "pair": list(report.pair),
         "j_mhz": report.j_input,
         "zeta_exact_khz": report.zeta_exact_khz,
         "zeta_perturbative_khz": report.zeta_perturbative_khz,
-        "levels": report.levels,
     }
 
 

@@ -1,5 +1,6 @@
 """Device parameters, unit conventions, the transmon frequency relation,
-and the second-order (perturbative) ZZ formula.
+and the static ZZ of a coupled pair: the second-order (perturbative)
+formula and the exact dressed shift.
 
 Unit conventions used throughout the package:
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
-from .errors import NearPoleError, UnknownQubitError
+from .errors import LabelingError, NearPoleError, UnknownQubitError
 from .values import FrozenValue
 
 # Additive slack (us) on the T2 <= 2 T1 physicality checks, to absorb
@@ -25,6 +26,9 @@ T2_TOLERANCE = 1e-6
 
 # Closest approach (MHz) of a perturbative-ZZ denominator to its pole.
 DEFAULT_POLE_GUARD = 1.0
+
+# Smallest squared overlap of a bare state with the eigenstate it labels.
+DEFAULT_LABEL_THRESHOLD = 0.7
 
 Pair = tuple[str, str]
 
@@ -81,6 +85,110 @@ def zz_perturbative(
             )
     zeta_mhz = -2.0 * j * j * (alpha_i + alpha_j) / (den_i * den_j)
     return zeta_mhz * 1e3
+
+
+def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvectors of a small real symmetric matrix (a
+    list of rows) by cyclic Jacobi rotations, each of which zeroes one
+    off-diagonal element, until every one is below 1e-18 of the sum of
+    the absolute elements (1-6 sweeps on 3 x 3 blocks).  v[i][k] is the
+    amplitude of basis state i in eigenvector k."""
+    n = len(a)
+    a = [list(row) for row in a]
+    v = [[float(i == k) for k in range(n)] for i in range(n)]
+    tiny = 1e-18 * sum(abs(x) for row in a for x in row)
+    if not math.isfinite(tiny):
+        raise ValueError(f"matrix {a} has an element that is not finite")
+    off = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    while any(abs(a[p][q]) > tiny for p, q in off):
+        for p, q in off:
+            apq = a[p][q]
+            if abs(apq) > tiny:
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                app, aqq = a[p][p] - t * apq, a[q][q] + t * apq
+                for row in a + v:  # A J and V J
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                for r in range(n):  # J^T A J is symmetric: rows p, q mirror columns p, q
+                    a[p][r], a[q][r] = a[r][p], a[r][q]
+                a[p][p], a[q][q] = app, aqq
+                a[p][q] = a[q][p] = 0.0
+    return [a[k][k] for k in range(n)], v
+
+
+def zz_exact(
+    device: DeviceSpec,
+    pair: Pair,
+    j_override: Optional[float] = None,
+    threshold: float = DEFAULT_LABEL_THRESHOLD,
+) -> float:
+    """Exact dressed ZZ shift E11 - E10 - E01 + E00 of a coupled pair, in kHz.
+
+    Exchange conserves the excitation number, so the four energies lie in
+    the pair's sectors |00>; |10>, |01>; |20>, |11>, |02>, whose elements
+    are J and sqrt(2) J: the same at any truncation of 3 or more levels.
+    Each sector's block is written relative to a bare energy inside it
+    (sector 1 to its mean, sector 2 to |11>) from the detuning and the
+    anharmonicities, so no element carries the rounding of a 10^4 MHz sum.
+    Each bare state is labeled by its largest squared overlap inside its
+    sector, and the ZZ sums the dressed shifts E - E_bare, whose bare parts
+    cancel.  Runs in ``pair_key`` order, so both orders give the same
+    bits.  Uses the device J unless ``j_override`` is given.  Fails with
+    :class:`LabelingError` when two bare states of a sector claim one
+    eigenstate or an overlap is below ``threshold`` (near-resonant
+    hybridization, where the labels stop being well defined).
+    """
+    if not 0.5 < threshold <= 1.0:
+        raise ValueError(f"threshold must lie in (0.5, 1], got {threshold}")
+    a, b = pair_key(*pair)
+    qa, qb = device.qubit(a), device.qubit(b)
+    j = device.couplings.j(a, b) if j_override is None else j_override
+    g, d = math.sqrt(2.0) * j, qa.omega - qb.omega
+    shifts = {}
+    for bare, block in (
+        (((1, 0), (0, 1)), [[d / 2, j], [j, -d / 2]]),
+        (((2, 0), (1, 1), (0, 2)), [[d + qa.alpha, g, 0.0], [g, 0.0, g], [0.0, g, qb.alpha - d]]),
+    ):
+        energies, v = _jacobi(block)
+        weights = [[x * x for x in row] for row in v]
+        claims = [row.index(max(row)) for row in weights]
+        for i, k in enumerate(claims):
+            first = claims.index(k)
+            if first != i:
+                raise LabelingError(
+                    f"bare states {bare[first]} and {bare[i]} both map to eigenstate {k}",
+                    labels=[bare[first], bare[i]],
+                )
+        for i, k in enumerate(claims):
+            if weights[i][k] < threshold:
+                raise LabelingError(
+                    f"bare state {bare[i]} has maximum dressed overlap "
+                    f"{weights[i][k]:.3f} < threshold {threshold}", labels=[bare[i]],
+                )
+            shifts[bare[i]] = energies[k] - block[i][i]
+    return (shifts[1, 1] - shifts[1, 0] - shifts[0, 1]) * 1e3
+
+
+class ZZReport(FrozenValue):
+    """Exact and perturbative ZZ (kHz) of one pair, with the J used."""
+
+    __slots__ = ("pair", "zeta_exact_khz", "zeta_perturbative_khz", "j_input")
+
+    def __init__(
+        self, pair: Pair, zeta_exact_khz: float, zeta_perturbative_khz: float, j_input: float
+    ):
+        self._assign(pair, zeta_exact_khz, zeta_perturbative_khz, j_input)
+
+
+def zz_report(device: DeviceSpec, pair: Pair, j_override: Optional[float] = None) -> ZZReport:
+    """Exact and perturbative zeta for a coupled pair, side by side."""
+    a, b = pair_key(*pair)
+    qa, qb = device.qubit(a), device.qubit(b)
+    j = device.couplings.j(a, b) if j_override is None else j_override
+    pert = zz_perturbative(j, qa.omega - qb.omega, qa.alpha, qb.alpha)
+    return ZZReport((a, b), zz_exact(device, (a, b), j_override), pert, j)
 
 
 class TransmonParams(FrozenValue):

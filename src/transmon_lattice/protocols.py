@@ -226,13 +226,13 @@ def protocol_ramsey(
         raise ValueError("jitter_mode must be 'per_shot' or 'per_run'")
     delays = np.asarray(delays, dtype=float)
     sigma_mhz = noise.rate("jitter_khz", qubit) * 1e-3
-    rng = _rng_for(seed, 1)
 
     def signal_for(offset: float) -> np.ndarray:
         coh = _ramsey_coherence(device, qubit, delays, noise, offset, levels, echo=False)
         return 0.5 + np.real(coh * np.exp(2j * np.pi * detuning * delays))
 
     if jitter_mode == "per_run":
+        rng = _rng_for(seed, 1)
         offset = float(rng.normal(0.0, sigma_mhz)) if sigma_mhz > 0 else 0.0
         p1 = signal_for(offset)
         if shots > 0:
@@ -244,6 +244,7 @@ def protocol_ramsey(
         p1 = 0.5 + np.real(coh * np.exp(2j * np.pi * detuning * delays)) * gauss
     else:
         coh0 = _ramsey_coherence(device, qubit, delays, noise, 0.0, levels, echo=False)
+        rng = _rng_for(seed, 1)
         p1 = np.empty(len(delays))
         for i, t in enumerate(delays):
             offsets = rng.normal(0.0, sigma_mhz, shots) if sigma_mhz > 0 else np.zeros(shots)
@@ -441,7 +442,7 @@ def protocol_acstark_ramsey(
     omega_meas = device.qubit(measured).omega
     partner_shift = stark_shift_curve(device.qubit(shifted), drive_freq, amplitudes, levels)
     sigma_mhz = noise.rate("jitter_khz", measured) * 1e-3
-    rng = _rng_for(seed, 3)
+    rng = _rng_for(seed, 3) if sigma_mhz > 0 else None
     use_lindblad = noise.has_lindblad((measured, shifted))
 
     psi_meas = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
@@ -491,7 +492,7 @@ def protocol_acstark_ramsey(
     reference = fitted_frequency(0.0, 0.0)
     freq_shift = np.empty(len(amplitudes))
     for i, amp in enumerate(amplitudes):
-        offset = float(rng.normal(0.0, sigma_mhz)) if sigma_mhz > 0 else 0.0
+        offset = float(rng.normal(0.0, sigma_mhz)) if rng is not None else 0.0
         try:
             freq_shift[i] = fitted_frequency(float(amp), offset) - reference
         except AliasingError:

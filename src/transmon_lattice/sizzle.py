@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .device import DeviceSpec
+from .device import DeviceSpec, zz_exact
 from .dynamics import (
     DriveTone,
     NoiseSpec,
@@ -165,7 +165,6 @@ def sizzle_zz_predicted_for(
     config: SizzleConfig,
     j: Optional[float] = None,
     zeta_static_khz: Optional[float] = None,
-    levels: int = 4,
 ) -> float:
     """Closed-form rate prediction for a device pair and drive config."""
     control = device.qubit(config.control)
@@ -173,10 +172,7 @@ def sizzle_zz_predicted_for(
     if j is None:
         j = device.couplings.j(config.control, config.target)
     if zeta_static_khz is None:
-        # no command reaches this path, so spectrum loads only here
-        from .spectrum import zz_exact
-
-        zeta_static_khz = zz_exact(device, config.pair, levels=levels)
+        zeta_static_khz = zz_exact(device, config.pair)
     return sizzle_zz_predicted(
         j=j,
         alpha0=control.alpha,

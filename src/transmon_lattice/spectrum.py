@@ -1,10 +1,10 @@
-"""Dressed spectra, dressed-state labeling, and ZZ <-> J conversion.
+"""Dressed spectra of subset Hamiltonians, dressed-state labeling, and
+the J implied by a measured ZZ.
 
-The exact ZZ shift is the four-energy combination of labeled dressed
-eigenstates; the perturbative form, the second-order expression in
-J/Delta, is ``device.zz_perturbative``.  zeta values are reported
-signed, in kHz; comparisons against published magnitudes should use
-abs().
+A pair's static ZZ, exact and perturbative, is ``device.zz_exact`` and
+``device.zz_perturbative``; the labeled dense spectrum here is the
+reference they are checked against.  zeta values are reported signed,
+in kHz; comparisons against published magnitudes should use abs().
 """
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .device import DEFAULT_POLE_GUARD, DeviceSpec, Pair, pair_key, zz_perturbative
+from .device import DEFAULT_LABEL_THRESHOLD, DEFAULT_POLE_GUARD
 from .errors import ContractViolation, InconsistentSignError, LabelingError, NearPoleError
-from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
-from .values import FrozenValue, Value
+from .operators import LatticeOperator
+from .values import Value
 
-DEFAULT_LABEL_THRESHOLD = 0.7
 HERMITICITY_TOL = 1e-9
 # the excitation sectors that the ZZ combination E11 - E10 - E01 + E00
 # reads, and so the only ones assign_dressed_labels labels
@@ -112,56 +111,6 @@ def assign_dressed_labels(
     return labels
 
 
-class ZZReport(FrozenValue):
-    """Exact and perturbative ZZ for one pair, with the inputs used."""
-
-    __slots__ = (
-        "pair", "zeta_exact_khz", "zeta_perturbative_khz", "j_input", "levels", "subset",
-    )
-
-    def __init__(
-        self,
-        pair: Pair,
-        zeta_exact_khz: float,
-        zeta_perturbative_khz: float,
-        j_input: float,
-        levels: int,
-        subset: tuple[str, ...],
-    ):
-        self._assign(pair, zeta_exact_khz, zeta_perturbative_khz, j_input, levels, subset)
-
-
-def zz_exact(
-    device: DeviceSpec,
-    pair: Pair,
-    levels: int = 4,
-    j_override: Optional[float] = None,
-    threshold: float = DEFAULT_LABEL_THRESHOLD,
-) -> float:
-    """Exact dressed ZZ shift E11 - E10 - E01 + E00 of a two-transmon
-    subsystem, in kHz.
-
-    Uses the device J for the pair unless ``j_override`` is given.
-    Requires d >= 3 so the shift picks up the two-excitation levels that
-    dominate it.
-    """
-    a, b = pair
-    if levels < 3:
-        raise ValueError("zz_exact needs at least 3 levels per site")
-    subset = SubsetSelection((a, b), levels)
-    overrides = None if j_override is None else {pair_key(a, b): j_override}
-    h = assemble_hamiltonian(device, subset, j_overrides=overrides)
-    spec = diagonalize(h)
-    assign_dressed_labels(spec, threshold)
-    zeta_mhz = (
-        spec.energy_of((1, 1))
-        - spec.energy_of((1, 0))
-        - spec.energy_of((0, 1))
-        + spec.energy_of((0, 0))
-    )
-    return zeta_mhz * 1e3
-
-
 def j_from_zz(
     zeta_khz: float,
     delta: float,
@@ -189,18 +138,3 @@ def j_from_zz(
             f"(radicand {radicand:.3e})"
         )
     return math.sqrt(radicand)
-
-
-def zz_report(
-    device: DeviceSpec,
-    pair: Pair,
-    levels: int = 4,
-    j_override: Optional[float] = None,
-) -> ZZReport:
-    """Exact and perturbative zeta for a coupled pair, side by side."""
-    a, b = pair
-    j = device.couplings.j(a, b) if j_override is None else j_override
-    delta = device.qubit(a).omega - device.qubit(b).omega
-    pert = zz_perturbative(j, delta, device.qubit(a).alpha, device.qubit(b).alpha)
-    exact = zz_exact(device, pair, levels=levels, j_override=j_override)
-    return ZZReport(pair_key(a, b), exact, pert, j, levels, (a, b))

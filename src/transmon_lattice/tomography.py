@@ -105,7 +105,8 @@ def state_tomography(
             RuntimeWarning,
             stacklevel=2,
         )
-    rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else seed, 404]))
+    if shots > 0:
+        rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else seed, 404]))
 
     sums: dict[str, float] = {}
     counts_per_pauli: dict[str, int] = {}

@@ -35,6 +35,15 @@ def test_zz_command(capsys):
     payload = json.loads(out)
     assert payload["zeta_perturbative_khz"] == pytest.approx(8.12, abs=0.05)
     assert abs(payload["zeta_exact_khz"]) == pytest.approx(8.1, rel=0.1)
+    # the sectors that ZZ reads are the same at every truncation
+    assert "levels" not in payload
+
+
+@pytest.mark.parametrize("pair", [("Q2", "Q3"), ("Q3", "Q4")])
+def test_zz_prints_the_same_bytes_for_both_orders_of_a_pair(pair, capsys):
+    forward = run_cli(["zz", "--pair", ",".join(pair)], capsys)
+    backward = run_cli(["zz", "--pair", ",".join(pair[::-1])], capsys)
+    assert forward[0] == 0 and forward == backward
 
 
 def test_stats_command(capsys):
@@ -73,6 +82,41 @@ def test_replay_determinism(tmp_path, capsys):
     code2, _, _ = run_cli(args + ["--out", str(tmp_path / "b.json")], capsys)
     assert code1 == 0 and code2 == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# Commands that draw, each from its frozen SeedSequence([seed, tag]) stream
+# (Ramsey shots, tomography shots, AC-Stark jitter): the values they print.
+@pytest.mark.parametrize(
+    "line, path, frozen",
+    [
+        (
+            "dynamics --protocol ramsey --qubit Q2 --delays 0:20:161 --seed 7 --shots 100",
+            ("data", "p_excited"),
+            [1.0, 0.86, 0.48, 0.17, 0.0, 0.15, 0.51, 0.89, 1.0, 0.87, 0.53, 0.13],
+        ),
+        (
+            "tomography --state bell --tau-g 3.3 --seed 7 --shots 100",
+            ("fidelity",),
+            0.8762558562673263,
+        ),
+        (
+            "sweep --kind acstark --pair Q2,Q3 --amplitudes 5:30:6 --jitter-khz 20 --seed 7",
+            ("data", "freq_shift"),
+            [-0.032122050296468974, 0.005429386776873102, 0.03813832660961136,
+             -0.009804858512309833, 0.008642452006252688, 0.028645325299397673],
+        ),
+    ],
+    ids=["ramsey", "tomography", "acstark"],
+)
+def test_commands_that_draw_print_their_frozen_values(line, path, frozen, capsys):
+    code, out, err = run_cli(line.split(), capsys)
+    assert code == 0, err
+    value = json.loads(out)
+    for key in path:
+        value = value[key]
+    if isinstance(frozen, list):
+        value = value[:len(frozen)]
+    assert value == pytest.approx(frozen, rel=1e-9)
 
 
 def test_dynamics_emits_plot(tmp_path, capsys):
@@ -309,7 +353,7 @@ class _RecordingNamespace(argparse.Namespace):
     "lines",
     [
         ["spectrum --qubits Q2,Q3 --levels 2"],
-        ["zz --pair Q2,Q3 --levels 3"],
+        ["zz --pair Q2,Q3"],
         [
             f"dynamics --protocol {protocol} --qubit Q2 --delays 0:20:9 --seed 1 --shots 10"
             for protocol in ("t1", "ramsey", "echo")
@@ -378,6 +422,7 @@ def test_every_declared_option_is_read(lines, tmp_path, capsys, monkeypatch):
             "--format",
         ),
         ("zz", "--pair"),
+        ("zz --pair Q2,Q3 --levels 4", "--levels"),
     ],
 )
 def test_option_a_command_cannot_take_is_a_config_error_naming_it(
@@ -896,7 +941,8 @@ _LOADED_MODULES = (
 @pytest.mark.parametrize(
     "line, absent",
     [
-        ("zz --pair Q2,Q3", _HEAVY_MODULES),
+        # two sector diagonalizations of at most 3 states, in pure Python
+        ("zz --pair Q2,Q3", (*_HEAVY_MODULES, "numpy", "operators", "spectrum")),
         # statistics are pure Python
         ("stats --column alpha", (*_HEAVY_MODULES, "numpy")),
         ("report", (*_HEAVY_MODULES, "numpy")),
@@ -916,15 +962,25 @@ _LOADED_MODULES = (
             "dynamics --protocol t1 --qubit Q2 --seed 1",
             ("sizzle", "rb", "cliffords", "tomography"),
         ),
+        # at the default --shots 0 nothing is drawn, so no generator is built
         (
             "tomography --state bell --tau-g 3.3 --seed 1",
-            ("protocols", "sizzle", "rb", "cliffords"),
+            ("protocols", "sizzle", "rb", "cliffords", "numpy.random"),
         ),
         ("--version", (*_HEAVY_MODULES, "numpy")),
         # nor with device noise, whose ZZ is device.zz_perturbative
         (
             "rb --qubits Q1,Q2 --simultaneous --sequences 2 --lengths 2,25,50 --seed 1",
             ("dynamics", "protocols", "sizzle", "tomography", "spectrum", "operators"),
+        ),
+        (
+            "dynamics --protocol ramsey --qubit Q2 --delays 0:20:161 --seed 1",
+            ("sizzle", "rb", "cliffords", "tomography", "numpy.random"),
+        ),
+        # nor at zero jitter, the default
+        (
+            "sweep --kind acstark --pair Q2,Q3 --amplitudes 5:30:6 --seed 1",
+            ("sizzle", "rb", "cliffords", "tomography", "numpy.random"),
         ),
     ],
 )
@@ -941,10 +997,12 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):
     )
     code, loaded = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stderr
-    names = {m.removeprefix("transmon_lattice.").split(".")[0] for m in loaded}
     # no command loads scipy, nor dataclasses, whose code generation costs
-    # ~1.2 ms a class in every process
-    assert names.isdisjoint((*absent, "scipy", "dataclasses")), loaded
+    # ~1.2 ms a class in every process; a name forbids its submodules too
+    forbidden = (*absent, "scipy", "dataclasses")
+    under = tuple(f"{name}." for name in forbidden)
+    names = [m.removeprefix("transmon_lattice.") for m in loaded]
+    assert not [m for m in names if m in forbidden or m.startswith(under)], loaded
 
 
 def test_package_import_loads_no_submodule():
@@ -1099,13 +1157,15 @@ def test_blas_thread_timeout_moves_no_number(line, tmp_path):
     len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS starts no worker on one core"
 )
 def test_idle_blas_worker_spins_no_core(tmp_path):
-    # zz runs no BLAS call large enough for a second thread, so a worker
-    # that spins instead of sleeping shows as CPU time beyond the wall time
+    # a 9 x 9 spectrum loads numpy but runs no BLAS call large enough for a
+    # second thread, so a worker that spins instead of sleeping shows as CPU
+    # time beyond the wall time
     err_path = tmp_path / "stderr.txt"
     with open(err_path, "wb") as err:
         start = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "transmon_lattice.cli", "zz", "--pair", "Q2,Q3"],
+            [sys.executable, "-m", "transmon_lattice.cli", "spectrum", "--qubits", "Q2,Q3",
+             "--levels", "3"],
             env=_blas_env(OPENBLAS_NUM_THREADS="2"), cwd=tmp_path,
             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=err,
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from transmon_lattice.cliffords import cz_unitary
+from transmon_lattice.device import zz_exact
 from transmon_lattice.dynamics import (
     DriveTone,
     NoiseSpec,
@@ -29,7 +30,6 @@ from transmon_lattice.sizzle import (
     sweep_drive_landscape,
     sweep_relative_phase,
 )
-from transmon_lattice.spectrum import zz_exact
 
 CZ_PAIR = ("Q2", "Q7")  # control, target
 DRIVE_FREQ = 5028.5  # 100 MHz above the upper qubit
@@ -93,14 +93,14 @@ def test_zero_amplitude_tomography_reproduces_static_zz(device):
     nu, record = hamiltonian_tomography_pulsewidth(
         device, _config(amplitude=0.0, rise=0.0), widths, levels=4
     )
-    zeta = zz_exact(device, CZ_PAIR, levels=4)
+    zeta = zz_exact(device, CZ_PAIR)
     assert nu == pytest.approx(zeta, rel=0.02)
     assert record.data["differential_phase"][0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_driven_tomography_matches_prediction_weak_drive(device):
     config = _config(amplitude=10.0)
-    predicted = sizzle_zz_predicted_for(device, config, levels=4)
+    predicted = sizzle_zz_predicted_for(device, config)
     nu, _ = hamiltonian_tomography_pulsewidth(
         device, config, np.linspace(0.45, 3.0, 18), levels=4
     )
@@ -127,8 +127,8 @@ def test_phase_sweep_cosine_modulation(device):
     fit = fit_phase_modulation(np.asarray(record.axis("dphi")), record.data["nu_tilde_khz"])
     assert fit["r_squared"] >= 0.99
     # amplitude and offset against the drive term and static rate
-    zeta = zz_exact(device, CZ_PAIR, levels=3)
-    predicted_peak = sizzle_zz_predicted_for(device, config, levels=3)
+    zeta = zz_exact(device, CZ_PAIR)
+    predicted_peak = sizzle_zz_predicted_for(device, config)
     drive_term = predicted_peak - zeta
     assert fit["amplitude"] == pytest.approx(drive_term, rel=0.15)
     assert fit["offset"] == pytest.approx(zeta, rel=0.15)
@@ -241,7 +241,7 @@ def test_landscape_flags_and_zero_row(device):
     )
     assert record.data["flagged"][0].all()
     assert np.isnan(record.data["differential_phase"][0]).all()
-    zeta = zz_exact(device, CZ_PAIR, levels=3)
+    zeta = zz_exact(device, CZ_PAIR)
     expected_phase = 2 * math.pi * zeta * 1e-3 * 1.0
     assert record.data["differential_phase"][1, 0] == pytest.approx(
         expected_phase, rel=0.02

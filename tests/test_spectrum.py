@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
 
-from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams, zz_perturbative
+from transmon_lattice.device import (
+    CouplingGraph,
+    DeviceSpec,
+    TransmonParams,
+    zz_exact,
+    zz_perturbative,
+    zz_report,
+)
 from transmon_lattice.errors import (
     ContractViolation,
     InconsistentSignError,
     LabelingError,
     NearPoleError,
 )
-from transmon_lattice.operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
+from transmon_lattice.operators import (
+    LatticeOperator,
+    SubsetSelection,
+    assemble_hamiltonian,
+    basis_occupations,
+)
 from transmon_lattice.spectrum import (
     assign_dressed_labels,
     diagonalize,
     j_from_zz,
-    zz_exact,
-    zz_report,
 )
 
 # Published two-qubit characterization rows: pair, detuning (MHz),
@@ -102,7 +112,7 @@ def test_labels_fail_on_resonance():
         assign_dressed_labels(spec, threshold=0.9)
 
 
-def test_zz_exact_labels_only_the_sectors_it_reads(device):
+def test_zz_exact_labels_only_the_sectors_it_reads(device, dense_zz):
     # Q3 and Q4 differ by 2.3 MHz in frequency and 2.4 MHz in anharmonicity,
     # so their bare (1, 2) and (2, 1) mix fully; ZZ reads sectors 0-2 only
     spec = diagonalize(assemble_hamiltonian(device, SubsetSelection(("Q3", "Q4"), 3)))
@@ -110,25 +120,101 @@ def test_zz_exact_labels_only_the_sectors_it_reads(device):
     assert sorted(labels) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     assert (1, 2) not in labels and (2, 1) not in labels
     assert min(spec.overlaps.values()) > 0.96
+    assert zz_exact(device, ("Q3", "Q4")) == pytest.approx(4.158278607064858, rel=1e-9)
     for levels in (3, 4):
-        zeta = zz_exact(device, ("Q3", "Q4"), levels=levels)
+        zeta = dense_zz(device, ("Q3", "Q4"), levels)
         assert zeta == pytest.approx(4.158278607064858, rel=1e-9), levels
 
 
 def test_zz_exact_zero_coupling():
+    # no rotation, so every dressed shift is exactly zero
     dev = _pair_device(delta=12.0, j=0.0)
-    assert zz_exact(dev, ("A", "B"), levels=4) == pytest.approx(0.0, abs=1e-9)
+    assert zz_exact(dev, ("A", "B")) == 0.0
 
 
 def test_zz_exact_table_pair(device):
-    zeta = zz_exact(device, ("Q2", "Q3"), levels=4)
+    zeta = zz_exact(device, ("Q2", "Q3"))
     assert abs(zeta) == pytest.approx(8.1, rel=0.10)
 
 
 def test_zz_exact_pair_order_symmetry(device):
-    forward = zz_exact(device, ("Q2", "Q3"), levels=4)
-    backward = zz_exact(device, ("Q3", "Q2"), levels=4)
-    assert forward == pytest.approx(backward, rel=1e-9)
+    for pair in device.couplings.nn:
+        assert zz_exact(device, pair) == zz_exact(device, pair[::-1]), pair
+
+
+# Each pair's ZZ to 40 significant digits: mpmath.eigsy at 40 digits of
+# its sector 1 and 2 blocks, built exactly from the bundled device's float
+# parameters, each bare state labeled by its largest overlap.  zz_exact
+# meets them to 1.5e-15; the dense 16-state eigh at levels 4 missed them by
+# up to 6.6e-10.
+MPMATH_ZZ_KHZ = {
+    ("Q2", "Q3"): 8.128784519676686402183975397984194208008,
+    ("Q3", "Q4"): 4.158278607517335813380193739620660735255,
+    ("Q4", "Q5"): 6.300182907941190348479950538847032589375,
+    ("Q14", "Q15"): 206.1853616565527310981336966037021694596,
+}
+
+
+def test_zz_exact_matches_high_precision_reference(device):
+    for pair, reference in MPMATH_ZZ_KHZ.items():
+        assert zz_exact(device, pair) == pytest.approx(reference, rel=1e-12), pair
+
+
+def _sector_zz(device, pair):
+    """The pair's ZZ (kHz) from numpy eigh of the sector 0-2 blocks of its
+    dense levels-3 Hamiltonian, each shifted by its mean diagonal and
+    labeled by the largest overlap."""
+    h = assemble_hamiltonian(device, SubsetSelection(pair, 3)).to_dense().real
+    occupations = basis_occupations(2, 3)
+    shifts = {}
+    for sector in (1, 2):
+        index = np.flatnonzero(occupations.sum(axis=1) == sector)
+        block = h[np.ix_(index, index)]
+        block = block - np.trace(block) / len(index) * np.eye(len(index))
+        bare = np.diag(block)
+        energies, vectors = np.linalg.eigh(block)
+        for i, k in enumerate(np.argmax(vectors**2, axis=1)):
+            shifts[tuple(occupations[index[i]])] = energies[k] - bare[i]
+    return (shifts[1, 1] - shifts[1, 0] - shifts[0, 1]) * 1e3
+
+
+def test_zz_exact_matches_dense_sector_blocks():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        omega = rng.uniform(4500.0, 5500.0)
+        omegas = (omega, omega - rng.uniform(5.0, 150.0) * rng.choice([-1.0, 1.0]))
+        qubits = tuple(
+            TransmonParams.from_frequency(label, w, -rng.uniform(150.0, 250.0), 50.0, 40.0, 60.0)
+            for label, w in zip("AB", omegas)
+        )
+        j = rng.uniform(0.1, 3.0)
+        dev = DeviceSpec(1, 2, qubits, couplings=CouplingGraph({("A", "B"): j}))
+        zeta = zz_exact(dev, ("A", "B"))
+        assert zeta == pytest.approx(_sector_zz(dev, ("A", "B")), rel=1e-9), dev
+
+
+def test_zz_exact_refuses_two_labels_on_one_state():
+    # at resonance both single-excitation bare states overlap each
+    # eigenstate by exactly 1/2, so both claim the first
+    with pytest.raises(LabelingError, match="both map to eigenstate") as failure:
+        zz_exact(_pair_device(delta=0.0, j=0.5), ("A", "B"))
+    assert failure.value.labels == ((1, 0), (0, 1))
+
+
+def test_zz_exact_refuses_an_overlap_below_threshold():
+    # J/Delta = 0.25 mixes |10> and |01> to an overlap of about 0.95
+    dev = _pair_device(delta=2.0, j=0.5)
+    assert zz_exact(dev, ("A", "B"), threshold=0.9) != 0.0
+    with pytest.raises(LabelingError, match="threshold 0.99"):
+        zz_exact(dev, ("A", "B"), threshold=0.99)
+    with pytest.raises(ValueError):
+        zz_exact(dev, ("A", "B"), threshold=0.5)
+
+
+@pytest.mark.parametrize("j", [float("nan"), float("inf")])
+def test_zz_exact_refuses_a_coupling_that_is_not_finite(j):
+    with pytest.raises(ValueError, match="not finite"):
+        zz_exact(_pair_device(delta=12.0, j=0.5), ("A", "B"), j_override=j)
 
 
 def test_zz_perturbative_table_rows():
@@ -178,17 +264,19 @@ def test_exact_vs_perturbative_within_ten_percent(device):
     # every nearest-neighbour pair, the table rows among them; the largest
     # gap is 1.8%, at Q14,Q15
     assert len(device.couplings.nn) == 24
-    for levels in (3, 4):
+    for pair in device.couplings.nn:
+        report = zz_report(device, pair)
+        rel = abs(report.zeta_exact_khz - report.zeta_perturbative_khz) / abs(
+            report.zeta_perturbative_khz
+        )
+        assert rel <= 0.10, (pair, rel)
+
+
+def test_zz_exact_truncation_converged(device, dense_zz):
+    # sectors 0-2 are the same at every truncation of 3 or more levels, so
+    # the dense spectra agree with the sector ZZ up to their own rounding:
+    # eigenvalues near 1e4 MHz miss by ~1e-12 MHz, at most 2.0e-9 of the ZZ
+    for levels in (3, 4, 5):
         for pair in device.couplings.nn:
-            report = zz_report(device, pair, levels=levels)
-            rel = abs(report.zeta_exact_khz - report.zeta_perturbative_khz) / abs(
-                report.zeta_perturbative_khz
-            )
-            assert rel <= 0.10, (pair, levels, rel)
-
-
-def test_zz_exact_truncation_converged(device):
-    for qa, qb, *_ in TABLE_ROWS:
-        z4 = zz_exact(device, (qa, qb), levels=4)
-        z5 = zz_exact(device, (qa, qb), levels=5)
-        assert abs(z5 - z4) / abs(z4) <= 0.005, (qa, qb)
+            zeta = zz_exact(device, pair)
+            assert dense_zz(device, pair, levels) == pytest.approx(zeta, rel=5e-9), pair

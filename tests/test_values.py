@@ -12,7 +12,9 @@ import pytest
 
 import transmon_lattice
 from transmon_lattice.cliffords import CliffordElement
-from transmon_lattice.device import CouplingGraph, DeviceSpec, ResonatorParams, TransmonParams
+from transmon_lattice.device import (
+    CouplingGraph, DeviceSpec, ResonatorParams, TransmonParams, ZZReport,
+)
 from transmon_lattice.dynamics import DriveTone, NoiseSpec, _DriveTerm
 from transmon_lattice.errors import ContractViolation, DimensionError, ResourceLimitError
 from transmon_lattice.fileio import StatsReport
@@ -21,7 +23,7 @@ from transmon_lattice.operators import LatticeOperator, SubsetSelection
 from transmon_lattice.rb import NoiseChannel, RbOutcome
 from transmon_lattice.records import AxisSpec, ExperimentRecord
 from transmon_lattice.sizzle import CzCalibration, SizzleConfig
-from transmon_lattice.spectrum import DressedSpectrum, ZZReport
+from transmon_lattice.spectrum import DressedSpectrum
 from transmon_lattice.values import FrozenValue, Value
 
 ARRAY = np.array([0.25, 0.5])
@@ -76,7 +78,7 @@ SAMPLES = [
     (DressedSpectrum, dict(energies=ARRAY, states=UNITARY, sites=("A",), levels=2,
                            labels={(0,): 0}, overlaps={(0,): 1.0}), ("levels", 3)),
     (ZZReport, dict(pair=("A", "B"), zeta_exact_khz=8.0, zeta_perturbative_khz=8.1,
-                    j_input=0.6, levels=4, subset=("A", "B")), ("levels", 3)),
+                    j_input=0.6), ("j_input", 0.5)),
     (SizzleConfig, SIZZLE, ("dphi", 0.0)),
     (CzCalibration, dict(config=SizzleConfig(**SIZZLE), nu_tilde_khz=150.0, tau_g=3.3,
                          target_phase=math.pi, per_gate_phase=math.pi, residual=0.001,
