@@ -1,15 +1,13 @@
 """Time-domain evolution of driven subsets, ideal pulses and site readouts.
 
-Evolution happens in a rotating frame chosen per call: ``"qubit"`` (each
-site rotates at its own qubit frequency, the default) or a single number
-(one common frame frequency for every site, e.g. the Stark-drive
-frequency).  Hamiltonians are given to the engine at absolute
+Evolution happens in the frame rotating at one frequency given per call,
+common to every site, at which every tone plays (a qubit frequency, or a
+Stark-drive frequency).  Hamiltonians are given to the engine at absolute
 frequencies; the frame transform is applied internally using the
-occupation-number structure of the basis.  In the frame every term must
-be static but for its envelope: a coupling between sites whose frame
-frequencies differ, or a tone off its target's frame frequency, raises
-ValueError naming the rate at which it would rotate.  Drives enter in the
-rotating-wave approximation.
+occupation-number structure of the basis.  In the frame every term of
+the Hamiltonian must be static: a term that changes the excitation number
+rotates in any nonzero frame and raises ValueError naming the rate.
+Drives enter in the rotating-wave approximation.
 
 Conventions: matrices carry cyclic frequencies in MHz, times are us, so
 a propagator is exp(-2*pi*i*H*t).  A resonant tone of amplitude Omega
@@ -19,7 +17,7 @@ site.  Decay rates are plain inverse times in 1/us.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,30 +33,26 @@ LINDBLAD_MAX_DIM = 32  # density-matrix side; its Liouvillian is 1024 x 1024
 # --------------------------------------------------------------------- tones
 
 class DriveTone(FrozenValue):
-    """One off-resonant microwave tone applied to a single qubit.
+    """One microwave tone applied to a single qubit, playing at the
+    frequency of the frame it is evolved in.
 
-    ``detuning`` is the drive frequency minus the target qubit's 0-1
-    frequency, in MHz (positive = drive above the qubit).  ``rise`` is
-    the Blackman ramp length in ns and is ignored for rectangular
-    envelopes.  ``start``/``duration`` are in us.
+    ``rise`` is the Blackman ramp length in ns and is ignored for
+    rectangular envelopes.  ``start``/``duration`` are in us.
     """
 
-    __slots__ = (
-        "target", "amplitude", "detuning", "phase", "envelope", "rise", "start", "duration",
-    )
+    __slots__ = ("target", "amplitude", "phase", "envelope", "rise", "start", "duration")
 
     def __init__(
         self,
         target: str,
         amplitude: float,
-        detuning: float,
         phase: float = 0.0,
         envelope: str = "rectangular",
         rise: float = 0.0,
         start: float = 0.0,
         duration: float = 1.0,
     ):
-        self._assign(target, amplitude, detuning, phase, envelope, rise, start, duration)
+        self._assign(target, amplitude, phase, envelope, rise, start, duration)
         if self.duration <= 0:
             raise ValueError("drive duration must be positive")
         if self.amplitude < 0:
@@ -126,22 +120,13 @@ class NoiseSpec(FrozenValue):
 
     @classmethod
     def from_device(
-        cls,
-        device: DeviceSpec,
-        qubits: Optional[Iterable[str]] = None,
-        dephasing_reference: str = "echo",
+        cls, device: DeviceSpec, qubits: Optional[Iterable[str]] = None
     ) -> "NoiseSpec":
-        """Rates reproducing a device's coherence table.
-
-        ``dephasing_reference="echo"`` takes the Markovian pure
-        dephasing from T2E (which echo cannot remove) and adds the
-        quasi-static jitter needed for a Ramsey fit to decay at T2R;
-        this reproduces both published times and their ordering.
-        ``"ramsey"`` instead derives Tphi from T2R and injects no
-        jitter, making echo and Ramsey decay identically.
+        """Rates reproducing a device's coherence table: the Markovian
+        pure dephasing from T2E (which echo cannot remove) and the
+        quasi-static jitter needed for a Ramsey fit to decay at T2R,
+        which reproduces both published times and their ordering.
         """
-        if dephasing_reference not in ("echo", "ramsey"):
-            raise ValueError("dephasing_reference must be 'echo' or 'ramsey'")
         labels = tuple(qubits) if qubits is not None else device.labels()
         relaxation: dict[str, float] = {}
         dephasing: dict[str, float] = {}
@@ -149,16 +134,12 @@ class NoiseSpec(FrozenValue):
         for label in labels:
             q = device.qubit(label)
             relaxation[label] = 1.0 / q.t1
-            if dephasing_reference == "ramsey":
-                dephasing[label] = max(1.0 / q.t2r - 0.5 / q.t1, 0.0)
-                jitter[label] = 0.0
-            else:
-                dephasing[label] = max(1.0 / q.t2e - 0.5 / q.t1, 0.0)
-                # choose sigma so the Gaussian-enveloped Ramsey signal
-                # reaches 1/e at T2R: T2R/T2E + (2 pi s T2R)^2 / 2 = 1
-                gap = max(1.0 - q.t2r / q.t2e, 0.0)
-                sigma_mhz = math.sqrt(2.0 * gap) / (2.0 * math.pi * q.t2r)
-                jitter[label] = sigma_mhz * 1e3
+            dephasing[label] = max(1.0 / q.t2e - 0.5 / q.t1, 0.0)
+            # choose sigma so the Gaussian-enveloped Ramsey signal
+            # reaches 1/e at T2R: T2R/T2E + (2 pi s T2R)^2 / 2 = 1
+            gap = max(1.0 - q.t2r / q.t2e, 0.0)
+            sigma_mhz = math.sqrt(2.0 * gap) / (2.0 * math.pi * q.t2r)
+            jitter[label] = sigma_mhz * 1e3
         return cls(relaxation, dephasing, jitter)
 
     def rate(self, table: str, label: str) -> float:
@@ -173,27 +154,12 @@ class NoiseSpec(FrozenValue):
 
 # -------------------------------------------------------- frame + term setup
 
-FrameLike = Union[str, float]
 FRAME_TOL = 1e-9  # MHz: a term rotating slower than this in the frame is static
 
 
-def resolve_frame(
-    sites: Sequence[str], frame: FrameLike, device: Optional[DeviceSpec]
-) -> dict[str, float]:
-    """Per-site frame frequencies in MHz: each site's qubit frequency for
-    ``"qubit"``, else the one common frequency ``frame``."""
-    if isinstance(frame, str):
-        if frame != "qubit":
-            raise ValueError(f"unknown frame {frame!r}")
-        if device is None:
-            raise ValueError("frame='qubit' needs the device")
-        return {s: device.qubit(s).omega for s in sites}
-    return {s: float(frame) for s in sites}
-
-
 class _DriveTerm(Value):
-    """env(t) (M exp(-i phase) + h.c.): a tone's drive in a frame where
-    its carrier is static, so that only its envelope varies."""
+    """env(t) (M exp(-i phase) + h.c.): a tone's drive in the frame of its
+    carrier, where only its envelope varies."""
 
     __slots__ = ("matrix", "tone")
 
@@ -240,8 +206,8 @@ def _frame_static(
     nus = (labels[rows] - labels[cols]) @ frame_freqs
     if np.any(np.abs(nus) >= FRAME_TOL):
         raise ValueError(
-            f"a coupling rotates at {np.abs(nus).max():.6g} MHz in this frame; "
-            "evolve in a common frame, where it is static"
+            f"a term that changes the excitation number rotates at "
+            f"{np.abs(nus).max():.6g} MHz in this frame; it is static only in frame 0"
         )
     static = np.zeros_like(h_abs)
     static[rows, cols] = h_abs[rows, cols]
@@ -249,36 +215,16 @@ def _frame_static(
     return static
 
 
-def _drive_matrix(tone: DriveTone, sites: Sequence[str], levels: int) -> np.ndarray:
-    if tone.target not in sites:
-        raise UnknownQubitError(tone.target, sites)
-    site = list(sites).index(tone.target)
-    a = _embed(destroy(levels), site, len(sites), levels)
-    return a.conj().T  # raising operator
-
-
 def _drive_terms(
-    drives: Sequence[DriveTone],
-    sites: Sequence[str],
-    levels: int,
-    frames: Mapping[str, float],
-    device: Optional[DeviceSpec],
+    drives: Sequence[DriveTone], sites: Sequence[str], levels: int
 ) -> list[_DriveTerm]:
-    """Each tone's (Omega/2)(a^dag e^{-i phi} + h.c.), which must be
-    static in ``frames`` (else ValueError)."""
+    """Each tone's (Omega/2)(a^dag e^{-i phi} + h.c.) in its frame."""
     terms = []
     for tone in drives:
-        if device is None:
-            raise ValueError("drives need the device to resolve absolute frequencies")
-        omega_d = device.qubit(tone.target).omega + tone.detuning
-        adag = _drive_matrix(tone, sites, levels)
-        nu = omega_d - frames[tone.target]
-        if abs(nu) >= FRAME_TOL:
-            raise ValueError(
-                f"the tone on {tone.target} rotates at {nu:.6g} MHz in this frame; "
-                "evolve in the tone's frame"
-            )
-        terms.append(_DriveTerm(matrix=0.5 * tone.amplitude * adag, tone=tone))
+        if tone.target not in sites:
+            raise UnknownQubitError(tone.target, sites)
+        a = _embed(destroy(levels), list(sites).index(tone.target), len(sites), levels)
+        terms.append(_DriveTerm(matrix=0.5 * tone.amplitude * a.conj().T, tone=tone))
     return terms
 
 
@@ -438,16 +384,14 @@ def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
     return t_grid
 
 
-def _frame_terms(h0, drives, device, frame, extra_static):
-    """The static frame Hamiltonian of ``h0`` and the drive terms of
-    ``drives``, whose envelopes alone vary."""
-    frames = resolve_frame(h0.sites, frame, device)
+def _frame_terms(h0, drives, frame, extra_static):
+    """The static Hamiltonian of ``h0`` in the frame rotating at ``frame``
+    MHz and the drive terms of ``drives``, whose envelopes alone vary."""
     labels = np.array(h0.basis_labels(), dtype=float)
-    freqs = np.array([frames[s] for s in h0.sites])
-    static = _frame_static(h0.matrix, labels, freqs)
+    static = _frame_static(h0.matrix, labels, np.full(len(h0.sites), float(frame)))
     if extra_static is not None:
         static = static + extra_static
-    return static, _drive_terms(drives, h0.sites, h0.levels, frames, device)
+    return static, _drive_terms(drives, h0.sites, h0.levels)
 
 
 def evolve(
@@ -455,15 +399,15 @@ def evolve(
     drives: Sequence[DriveTone],
     psi0: np.ndarray,
     t_grid: Sequence[float],
-    device: Optional[DeviceSpec] = None,
-    frame: FrameLike = "qubit",
+    frame: float,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Closed-system trajectory; returns states of shape (len(t), dim).
 
-    ``h0`` is the absolute-frequency subset Hamiltonian; the frame
-    transform and drive terms are applied internally, and a coupling or
-    tone that would rotate in ``frame`` raises ValueError.
+    ``h0`` is the absolute-frequency subset Hamiltonian and ``frame`` the
+    frequency (MHz) of the frame, at which every tone in ``drives`` plays;
+    the frame transform and drive terms are applied internally, and a
+    term of ``h0`` that would rotate in the frame raises ValueError.
     ``extra_static`` (a matrix in the frame, e.g. a jitter term) is added
     verbatim.  Segments where every envelope is flat propagate by exact
     diagonalization; envelope ramps step through 4th-order
@@ -473,7 +417,7 @@ def evolve(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h0.dim,):
         raise ValueError(f"psi0 must have shape ({h0.dim},)")
-    static, terms = _frame_terms(h0, drives, device, frame, extra_static)
+    static, terms = _frame_terms(h0, drives, frame, extra_static)
     return _evolve(static, terms, None, psi0, t_grid)
 
 
@@ -483,8 +427,7 @@ def evolve_open(
     rho0: np.ndarray,
     noise: NoiseSpec,
     t_grid: Sequence[float],
-    device: Optional[DeviceSpec] = None,
-    frame: FrameLike = "qubit",
+    frame: float,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Lindblad trajectory; returns density matrices (len(t), dim, dim).
@@ -507,7 +450,7 @@ def evolve_open(
     eigmin = float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min())
     if eigmin < -1e-9:
         raise ContractViolation(f"rho0 is not positive semidefinite ({eigmin:.2e})")
-    static, terms = _frame_terms(h0, drives, device, frame, extra_static)
+    static, terms = _frame_terms(h0, drives, frame, extra_static)
     collapse = _collapse_operators(h0.sites, h0.levels, noise)
     out = _evolve(static, terms, collapse, rho0.reshape(-1), t_grid)
     return out.reshape(len(t_grid), h0.dim, h0.dim)

@@ -148,7 +148,7 @@ def protocol_t1(
     h0 = _single_qubit_h0(device, qubit, levels)
     rho0 = np.zeros((levels, levels), dtype=complex)
     rho0[1, 1] = 1.0
-    rhos = evolve_open(h0, [], rho0, noise, delays, device=device, frame="qubit")
+    rhos = evolve_open(h0, [], rho0, noise, delays, frame=device.qubit(qubit).omega)
     p1 = np.real(rhos[:, 1, 1])
     if shots > 0:
         p1 = sample_binary(p1, shots, _rng_for(seed, 0), assignment_error)
@@ -175,13 +175,12 @@ def _ramsey_coherence(
     """<0|rho|1> after (pi/2 - wait - [pi] - wait) with an extra static
     frequency offset on the qubit, in the qubit frame."""
     h0 = _single_qubit_h0(device, qubit, levels)
+    frame = device.qubit(qubit).omega
     extra = _jitter_term((qubit,), levels, {qubit: jitter_offset})
     psi = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
     rho0 = np.outer(psi, psi.conj())
     if not echo:
-        rhos = evolve_open(
-            h0, [], rho0, noise, delays, device=device, frame="qubit", extra_static=extra
-        )
+        rhos = evolve_open(h0, [], rho0, noise, delays, frame=frame, extra_static=extra)
         return rhos[:, 0, 1]
     out = np.empty(len(delays), dtype=complex)
     pi_gate = rotation_gate(math.pi, 0.0, levels)
@@ -190,13 +189,9 @@ def _ramsey_coherence(
             out[i] = rho0[0, 1]
             continue
         half = np.array([tau / 2.0])
-        mid = evolve_open(
-            h0, [], rho0, noise, half, device=device, frame="qubit", extra_static=extra
-        )[0]
+        mid = evolve_open(h0, [], rho0, noise, half, frame=frame, extra_static=extra)[0]
         mid = pi_gate @ mid @ pi_gate.conj().T
-        fin = evolve_open(
-            h0, [], mid, noise, half, device=device, frame="qubit", extra_static=extra
-        )[0]
+        fin = evolve_open(h0, [], mid, noise, half, frame=frame, extra_static=extra)[0]
         out[i] = fin[0, 1]
     return out
 
@@ -345,20 +340,16 @@ def protocol_swap(
         tone = DriveTone(
             target=shifted,
             amplitude=float(amp),
-            detuning=drive_detuning,
             duration=max_dur if max_dur > 0 else 1.0,
         )
         tones = [tone] if amp > 0 else []
         if open_system:
             rhos = evolve_open(
-                h0, tones, np.outer(psi0, psi0.conj()), noise, durations,
-                device=device, frame=drive_freq,
+                h0, tones, np.outer(psi0, psi0.conj()), noise, durations, frame=drive_freq
             )
             probs = np.real(np.diagonal(rhos, axis1=1, axis2=2))
         else:
-            states = evolve(
-                h0, tones, psi0, durations, device=device, frame=drive_freq
-            )
+            states = evolve(h0, tones, psi0, durations, frame=drive_freq)
             probs = np.abs(states) ** 2
         # probs[k, n_shifted, n_partner] at duration k; a site's level-1
         # population sums the other site's levels
@@ -438,7 +429,6 @@ def protocol_acstark_ramsey(
     subset = SubsetSelection((measured, shifted), levels)
     h0 = assemble_hamiltonian(device, subset)
     drive_freq = device.qubit(shifted).omega + drive_detuning
-    frame = drive_freq
     omega_meas = device.qubit(measured).omega
     partner_shift = stark_shift_curve(device.qubit(shifted), drive_freq, amplitudes, levels)
     sigma_mhz = noise.rate("jitter_khz", measured) * 1e-3
@@ -455,28 +445,13 @@ def protocol_acstark_ramsey(
 
     def fitted_frequency(amp: float, offset: float) -> float:
         extra = _jitter_term((measured, shifted), levels, {measured: offset})
-        tones = (
-            [
-                DriveTone(
-                    target=shifted,
-                    amplitude=float(amp),
-                    detuning=drive_detuning,
-                    duration=max_dur,
-                )
-            ]
-            if amp > 0
-            else []
-        )
+        tones = [DriveTone(target=shifted, amplitude=amp, duration=max_dur)] if amp > 0 else []
         if use_lindblad:
             states = evolve_open(
-                h0, tones, rho0, noise, delays, device=device, frame=frame,
-                extra_static=extra,
+                h0, tones, rho0, noise, delays, frame=drive_freq, extra_static=extra
             )
         else:
-            states = evolve(
-                h0, tones, psi0, delays, device=device, frame=frame,
-                extra_static=extra,
-            )
+            states = evolve(h0, tones, psi0, delays, frame=drive_freq, extra_static=extra)
         coh = np.array(
             [site_coherence(s, 0, 2, levels) for s in states]
         )

@@ -97,9 +97,7 @@ class SizzleConfig(FrozenValue):
                 )
 
 
-def _config_tones(
-    device: DeviceSpec, config: SizzleConfig, duration: float
-) -> list[DriveTone]:
+def _config_tones(config: SizzleConfig, duration: float) -> list[DriveTone]:
     envelope = "blackman" if config.rise > 0 else "rectangular"
     specs = (
         (config.control, config.omega_control, config.dphi),
@@ -109,7 +107,6 @@ def _config_tones(
         DriveTone(
             target=label,
             amplitude=amplitude,
-            detuning=config.freq - device.qubit(label).omega,
             phase=phase,
             envelope=envelope,
             rise=config.rise,
@@ -225,7 +222,6 @@ def _pi_pi(levels: int) -> np.ndarray:
 
 def _echo_parts(
     h0: LatticeOperator,
-    device: DeviceSpec,
     configs: Sequence[SizzleConfig],
     collapse: Optional[list],
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -245,7 +241,7 @@ def _echo_parts(
     rise_us = rise * 1e-3
     # reference tones: ramps on [0, rise] and [3 rise, 4 rise], flat between
     duration = 4.0 * rise_us if rise_us > 0 else 1.0
-    tones = [_config_tones(device, config, duration) for config in configs]
+    tones = [_config_tones(config, duration) for config in configs]
     # a config's frame rotates at its drive frequency, which holds both its
     # tones still: one frame Hamiltonian per frequency, one raising operator
     # per site, and each flat top adds its drive D + D^dag to its frame's,
@@ -285,7 +281,6 @@ def _echo_parts(
 
 def _echo(
     h0: LatticeOperator,
-    device: DeviceSpec,
     configs: Sequence[SizzleConfig],
     collapse: Optional[list],
 ):
@@ -300,7 +295,7 @@ def _echo(
     the vector echo gives the transposed unitaries E(w)^T, where
     E(w) = PiPi U(w/2) PiPi U(w/2).
     """
-    flat, ramps = _echo_parts(h0, device, configs, collapse)
+    flat, ramps = _echo_parts(h0, configs, collapse)
     rates, right, left, _ = _modes(flat, collapse)
     if ramps is not None:
         left, right = left @ ramps[:, 0], ramps[:, 1] @ right
@@ -375,8 +370,9 @@ def _tomography(
     differential phases [config, width] the rates are fitted to."""
     for config in configs:
         config.validate_against(device)
-    if len(widths) < 3:
-        raise ValueError("need at least 3 widths")
+    # the rate is a fitted slope: one width fixes none, two leave no residual
+    if len(set(map(float, widths))) < 3:
+        raise ValueError("need at least 3 distinct widths")
     states = echo(_prepared_states(levels, collapse), widths)
     coh, phases, _ = _readout(states, levels, collapse)
     diff = phases[..., 1] - phases[..., 0]
@@ -410,7 +406,7 @@ def hamiltonian_tomography_pulsewidth(
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
     collapse = _lindblad_terms(h0, noise)
     (nu_tilde_khz,), (coh,), (unwrapped,) = _tomography(
-        device, [config], widths, _echo(h0, device, [config], collapse), levels, collapse
+        device, [config], widths, _echo(h0, [config], collapse), levels, collapse
     )
     x, y = 2.0 * coh.real, 2.0 * coh.imag
     record = ExperimentRecord(
@@ -462,7 +458,7 @@ def sweep_relative_phase(
     ]
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
     collapse = _lindblad_terms(h0, noise)
-    echo = _echo(h0, device, configs, collapse)
+    echo = _echo(h0, configs, collapse)
     rates, _, _ = _tomography(device, configs, widths, echo, levels, collapse)
     return ExperimentRecord(
         protocol="sizzle_phase_sweep",
@@ -558,7 +554,7 @@ def sweep_drive_landscape(
         for amp in amplitudes
     ]
     if configs:
-        echo = _echo(h0, device, configs, collapse)
+        echo = _echo(h0, configs, collapse)
         cells = echo(_prepared_states(levels, collapse), [width])[:, 0]
         _, phases, excited = _readout(cells, levels, collapse)
         diff = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
@@ -678,7 +674,7 @@ def calibrate_cz(
         # repeated-gate check
         h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
         collapse = _lindblad_terms(h0, noise)
-        echo = _echo(h0, device, [config], collapse)
+        echo = _echo(h0, [config], collapse)
         if widths is None:
             widths = default_widths(config.rise)
         (measured,), _, _ = _tomography(device, [config], widths, echo, levels, collapse)

@@ -13,7 +13,7 @@ from transmon_lattice.dynamics import (
 )
 from transmon_lattice.errors import ContractViolation, ResourceLimitError
 from transmon_lattice.fitting import fit_damped_cos, fit_exp_decay
-from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
+from transmon_lattice.operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 from transmon_lattice.protocols import (
     _rng_for,
     extract_anticrossing,
@@ -42,18 +42,15 @@ def _pair(delta=12.0, j=0.654, omega=4800.0, alpha=-200.0):
 
 def test_drive_tone_validation():
     with pytest.raises(ValueError):
-        DriveTone(target="A", amplitude=-1.0, detuning=0.0)
+        DriveTone(target="A", amplitude=-1.0)
     with pytest.raises(ValueError):
-        DriveTone(target="A", amplitude=1.0, detuning=0.0, duration=0.0)
+        DriveTone(target="A", amplitude=1.0, duration=0.0)
     with pytest.raises(ValueError):
-        DriveTone(target="A", amplitude=1.0, detuning=0.0, envelope="blackman")
+        DriveTone(target="A", amplitude=1.0, envelope="blackman")
 
 
 def test_blackman_envelope_shape():
-    tone = DriveTone(
-        target="A", amplitude=1.0, detuning=0.0, envelope="blackman",
-        rise=100.0, duration=1.0,
-    )
+    tone = DriveTone(target="A", amplitude=1.0, envelope="blackman", rise=100.0, duration=1.0)
     assert tone.envelope_value(-0.01) == 0.0
     assert tone.envelope_value(0.0) == pytest.approx(0.0, abs=1e-12)
     assert tone.envelope_value(0.5) == 1.0
@@ -82,7 +79,7 @@ def test_eigenstate_is_stationary():
     _, vecs = np.linalg.eigh(h0.to_dense())
     psi0 = vecs[:, 4]
     times = np.linspace(0.0, 2.0, 21)
-    states = evolve(h0, [], psi0, times, device=dev, frame=4800.0)
+    states = evolve(h0, [], psi0, times, frame=4800.0)
     pops = np.abs(states) ** 2
     assert np.max(np.abs(pops - pops[0])) < 1e-10
 
@@ -92,34 +89,45 @@ def test_resonant_rabi_oracle():
     subset = SubsetSelection(("A",), 2)
     h0 = assemble_hamiltonian(dev, subset)
     t = np.linspace(0.0, 1.0, 101)
-    tone = DriveTone(target="A", amplitude=1.0, detuning=0.0, duration=1.0)
-    states = evolve(h0, [tone], np.array([1.0, 0.0]), t, device=dev, frame="qubit")
+    tone = DriveTone(target="A", amplitude=1.0, duration=1.0)
+    states = evolve(h0, [tone], np.array([1.0, 0.0]), t, frame=4800.0)
     p0 = np.abs(states[:, 0]) ** 2
     assert p0 == pytest.approx(np.cos(np.pi * t) ** 2, abs=1e-8)
     assert p0[50] < 1e-12  # full flip at 0.5 us for Omega = 1 MHz
 
 
+def _sigma_x_pair():
+    """A two-level pair at 4800 and 4812 MHz with a static 0.3 MHz sigma_x
+    on A: a term that changes the excitation number."""
+    n = np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    matrix = 4800.0 * np.kron(n, np.eye(2)) + 4812.0 * np.kron(np.eye(2), n)
+    return LatticeOperator(matrix + 0.3 * np.kron(x, np.eye(2)), ("A", "B"), 2)
+
+
 def test_a_term_that_rotates_in_the_frame_is_refused():
     # the engine steps only frames where every term is static but for its
-    # envelope: the qubit frame leaves a detuned pair's exchange rotating
-    # at the detuning, and a detuned tone at its detuning
-    dev = _pair(delta=12.0, j=0.654)
-    h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 3))
-    psi0 = np.zeros(9, dtype=complex)
-    psi0[3] = 1.0
-    t = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match="coupling rotates at 12 MHz"):
-        evolve(h0, [], psi0, t, device=dev, frame="qubit")
+    # envelope: a term that changes the excitation number by one rotates
+    # at the frame frequency, in any frame but frame 0
+    h0 = _sigma_x_pair()
+    psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     rho0 = np.outer(psi0, psi0)
-    with pytest.raises(ValueError, match="coupling rotates at 12 MHz"):
-        evolve_open(h0, [], rho0, NoiseSpec(), t, device=dev, frame="qubit")
-    single = _single()
-    h1 = assemble_hamiltonian(single, SubsetSelection(("A",), 2))
-    tone = DriveTone(target="A", amplitude=1.0, detuning=-18.0, duration=0.5)
-    with pytest.raises(ValueError, match="tone on A rotates at -18 MHz"):
-        evolve(h1, [tone], np.array([1.0, 0.0]), t, device=single, frame="qubit")
-    with pytest.raises(ValueError, match="unknown frame 'lab'"):
-        evolve(h0, [], psi0, t, device=dev, frame="lab")
+    t = np.linspace(0.0, 1.0, 11)
+    message = "changes the excitation number rotates at 4800 MHz"
+    with pytest.raises(ValueError, match=message):
+        evolve(h0, [], psi0, t, frame=4800.0)
+    with pytest.raises(ValueError, match=message):
+        evolve_open(h0, [], rho0, NoiseSpec(), t, frame=4800.0)
+    # in frame 0 (the lab frame) it is static: the states are those of the
+    # absolute Hamiltonian, exp(-2 pi i H t) psi0
+    energies, vectors = np.linalg.eigh(h0.matrix)
+    expected = np.array(
+        [vectors @ (np.exp(-2j * np.pi * energies * x) * (vectors.conj().T @ psi0)) for x in t]
+    )
+    states = evolve(h0, [], psi0, t, frame=0.0)
+    assert np.max(np.abs(states - expected)) <= 1e-9
+    rhos = evolve_open(h0, [], rho0, NoiseSpec(), t, frame=0.0)
+    assert np.max(np.abs(rhos - np.einsum("ti,tj->tij", expected, expected.conj()))) <= 1e-9
 
 
 def test_excitation_number_conserved_without_drives():
@@ -128,7 +136,7 @@ def test_excitation_number_conserved_without_drives():
     h0 = assemble_hamiltonian(dev, subset)
     psi0 = np.zeros(9, dtype=complex)
     psi0[3] = 1.0  # single excitation
-    states = evolve(h0, [], psi0, np.linspace(0, 1.5, 16), device=dev, frame=4806.0)
+    states = evolve(h0, [], psi0, np.linspace(0, 1.5, 16), frame=4806.0)
     labels = np.array(h0.basis_labels())
     totals = labels.sum(axis=1)
     for state in states:
@@ -143,7 +151,7 @@ def test_open_t1_decay_closed_form():
     noise = NoiseSpec(relaxation={"A": 1.0 / 50.0})
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     t = np.linspace(0.0, 120.0, 25)
-    rhos = evolve_open(h0, [], rho0, noise, t, device=dev, frame="qubit")
+    rhos = evolve_open(h0, [], rho0, noise, t, frame=4800.0)
     p1 = np.real(rhos[:, 1, 1])
     assert p1 == pytest.approx(np.exp(-t / 50.0), abs=1e-9)
     traces = np.real(np.trace(rhos, axis1=1, axis2=2))
@@ -158,7 +166,7 @@ def test_open_pure_dephasing_closed_form():
     noise = NoiseSpec(dephasing={"A": 1.0 / tphi})
     rho0 = np.full((2, 2), 0.5, dtype=complex)
     t = np.linspace(0.0, 60.0, 13)
-    rhos = evolve_open(h0, [], rho0, noise, t, device=dev, frame="qubit")
+    rhos = evolve_open(h0, [], rho0, noise, t, frame=4800.0)
     coherence = np.abs(rhos[:, 0, 1])
     assert coherence == pytest.approx(0.5 * np.exp(-t / tphi), abs=1e-9)
 
@@ -169,14 +177,14 @@ def test_open_rejects_bad_density_matrix():
     noise = NoiseSpec()
     with pytest.raises(ContractViolation):
         evolve_open(h0, [], np.diag([0.7, 0.7]).astype(complex), noise, [0.0, 1.0],
-                    device=dev, frame="qubit")
+                    frame=4800.0)
     with pytest.raises(ContractViolation):
         bad = np.array([[1.2, 0], [0, -0.2]], dtype=complex)
-        evolve_open(h0, [], bad, noise, [0.0, 1.0], device=dev, frame="qubit")
+        evolve_open(h0, [], bad, noise, [0.0, 1.0], frame=4800.0)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     for grid in ([], [1.0, 0.5]):
         with pytest.raises(ValueError, match="t_grid"):
-            evolve_open(h0, [], rho0, noise, grid, device=dev, frame="qubit")
+            evolve_open(h0, [], rho0, noise, grid, frame=4800.0)
 
 
 def _counting_magnus(monkeypatch):
@@ -203,7 +211,7 @@ def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
     t = np.linspace(0.0, 0.5, 6)
-    kwargs = dict(device=dev, frame=4801.0)
+    kwargs = dict(frame=4801.0)
     states = evolve(h0, [], psi0, t, **kwargs)
     rhos = evolve_open(h0, [], np.outer(psi0, psi0.conj()), NoiseSpec(), t, **kwargs)
     assert calls == []
@@ -212,22 +220,17 @@ def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
 
 
 def test_open_ramp_takes_the_sliced_path(monkeypatch):
-    # a resonant Blackman tone in the qubit frame varies only its envelope,
+    # a Blackman tone in the frame at the qubit frequency varies only its envelope,
     # on its two ramps: at zero rates the open evolution must equal the
     # closed one
     calls = _counting_magnus(monkeypatch)
     dev = _single()
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A",), 3))
-    tone = DriveTone(
-        target="A", amplitude=2.0, detuning=0.0, envelope="blackman", rise=100.0,
-        duration=0.5,
-    )
+    tone = DriveTone(target="A", amplitude=2.0, envelope="blackman", rise=100.0, duration=0.5)
     psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     t = np.array([0.0, 0.03, 0.1, 0.25, 0.45, 0.5])
-    states = evolve(h0, [tone], psi0, t, device=dev, frame="qubit")
-    rhos = evolve_open(
-        h0, [tone], np.outer(psi0, psi0.conj()), NoiseSpec(), t, device=dev, frame="qubit"
-    )
+    states = evolve(h0, [tone], psi0, t, frame=4800.0)
+    rhos = evolve_open(h0, [tone], np.outer(psi0, psi0.conj()), NoiseSpec(), t, frame=4800.0)
     assert calls == [(0.0, 0.1), (0.4, 0.5)] * 2  # evolve, then evolve_open
     expected = np.einsum("ti,tj->tij", states, states.conj())
     assert np.max(np.abs(rhos - expected)) <= 1e-11
@@ -262,14 +265,12 @@ def _driven_open_pair(frame):
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     tone = DriveTone(
-        target="A", amplitude=4.0, detuning=-6.0, envelope="blackman", rise=100.0,
-        start=0.1, duration=0.6,
+        target="A", amplitude=4.0, envelope="blackman", rise=100.0, start=0.1, duration=0.6,
     )
     noise = NoiseSpec(relaxation={"A": 1 / 2.0, "B": 1 / 3.0}, dephasing={"B": 1 / 5.0})
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
     rhos = evolve_open(
-        h0, [tone], np.outer(psi0, psi0.conj()), noise, DRIVEN_OPEN_TIMES,
-        device=dev, frame=frame,
+        h0, [tone], np.outer(psi0, psi0.conj()), noise, DRIVEN_OPEN_TIMES, frame=frame
     )
     return np.concatenate(
         [np.diagonal(rhos, axis1=1, axis2=2).real, rhos[:, 2:3, 0]], axis=1
@@ -305,13 +306,13 @@ def test_weak_drive_beside_a_decaying_site_stays_a_state():
     psi0 = np.array([0.5, 0.5, 0.5j, 0.5])
     rho0 = np.outer(psi0, psi0.conj())
     t = np.linspace(0.0, 0.3, 4)
-    undriven = evolve_open(h0, [], rho0, noise, t, device=dev, frame=4800.0)
+    undriven = evolve_open(h0, [], rho0, noise, t, frame=4800.0)
     for envelope, rise in (("rectangular", 0.0), ("blackman", 50.0)):
         tone = DriveTone(
-            target="A", amplitude=1e-12, detuning=0.0, envelope=envelope, rise=rise,
+            target="A", amplitude=1e-12, envelope=envelope, rise=rise,
             start=0.05, duration=0.15,
         )
-        driven = evolve_open(h0, [tone], rho0, noise, t, device=dev, frame=4800.0)
+        driven = evolve_open(h0, [tone], rho0, noise, t, frame=4800.0)
         assert np.max(np.abs(driven - undriven)) <= 1e-10
 
 
@@ -321,7 +322,7 @@ def test_evolve_open_caps_the_density_matrix_side():
     rho0 = np.zeros((36, 36), dtype=complex)
     rho0[0, 0] = 1.0
     with pytest.raises(ResourceLimitError, match="36"):
-        evolve_open(h0, [], rho0, NoiseSpec(), [0.0, 1.0], device=dev, frame="qubit")
+        evolve_open(h0, [], rho0, NoiseSpec(), [0.0, 1.0], frame=4800.0)
 
 
 def test_stacked_liouvillian_equals_per_matrix_kron_build():
@@ -549,15 +550,6 @@ def test_acstark_uncoupled_pair_stays_at_jitter_floor(device):
     assert extraction["j"] <= 0.15
 
 
-def test_noise_spec_ramsey_reference_mode(device):
-    noise = NoiseSpec.from_device(device, ("Q1",), dephasing_reference="ramsey")
-    q1 = device.qubit("Q1")
-    assert noise.rate("dephasing", "Q1") == pytest.approx(1.0 / q1.t2r - 0.5 / q1.t1)
-    assert noise.rate("jitter_khz", "Q1") == 0.0
-    with pytest.raises(ValueError):
-        NoiseSpec.from_device(device, ("Q1",), dephasing_reference="bogus")
-
-
 def test_acstark_zero_amplitude_zero_shift(device):
     amps = [0.0, 10.0]
     record = protocol_acstark_ramsey(
@@ -621,31 +613,38 @@ def _frame_static_loop(h_abs, labels, frame_freqs):
 @pytest.mark.parametrize(
     "sites, levels, frame",
     [
-        (("Q2", "Q3"), 3, "swap"),  # common frame at the Stark drive
-        (("Q2",), 2, "qubit"),  # Ramsey
-        (("Q2",), 3, "qubit"),
-        (("Q2", "Q7"), 4, 5028.5),  # sizzle drive frame
-        (("Q2", "Q7"), 4, "qubit"),  # rotating exchange term
-        (("Q2", "Q3", "Q6"), 3, "qubit"),  # several rotating exchange terms
+        # common frame at the Stark drive
+        pytest.param(("Q2", "Q3"), 3, "swap", id="sites0-3-swap"),
+        # T1, Ramsey and echo: the frame at the qubit frequency
+        pytest.param(("Q2",), 2, "qubit", id="sites1-2-qubit"),
+        pytest.param(("Q2",), 3, "qubit", id="sites2-3-qubit"),
+        pytest.param(("Q2", "Q7"), 4, 5028.5, id="sites3-4-5028.5"),  # sizzle drive frame
         # frame 0 is the lab frame: nothing rotates, the absolute Hamiltonian
         pytest.param(("Q2", "Q3"), 3, 0.0, id="sites6-3-lab"),
+        # a sigma_x term rotates in any frame but frame 0
+        pytest.param(None, 2, 4806.0, id="sigma-x"),
+        pytest.param(None, 2, 0.0, id="sigma-x-lab"),
     ],
 )
 def test_split_by_frame_matches_elementwise_loop(device, sites, levels, frame):
     # the frame static part is H - diag(f.n) where no element rotates;
     # a frame where one does is refused
-    from transmon_lattice.dynamics import _frame_static, resolve_frame
+    from transmon_lattice.dynamics import _frame_static
 
-    h0 = assemble_hamiltonian(device, SubsetSelection(sites, levels))
+    if sites is None:
+        h0 = _sigma_x_pair()
+    else:
+        h0 = assemble_hamiltonian(device, SubsetSelection(sites, levels))
     if frame == "swap":
         frame = device.qubit(sites[0]).omega - 60.0
-    frames = resolve_frame(h0.sites, frame, device)
+    elif frame == "qubit":
+        frame = device.qubit(sites[0]).omega
     labels = np.array(h0.basis_labels(), dtype=float)
-    freqs = np.array([frames[s] for s in h0.sites])
+    freqs = np.full(len(h0.sites), frame)
     expected = _frame_static_loop(h0.matrix, labels, freqs)
-    assert (expected is None) == (frame == "qubit" and len(sites) > 1)
+    assert (expected is None) == (sites is None and frame != 0.0)
     if expected is None:
-        with pytest.raises(ValueError, match="coupling rotates at"):
+        with pytest.raises(ValueError, match="changes the excitation number rotates at"):
             _frame_static(h0.matrix, labels, freqs)
         return
     static = _frame_static(h0.matrix, labels, freqs)

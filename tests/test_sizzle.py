@@ -158,6 +158,21 @@ def test_phase_sweep_matches_per_phase_tomography(device, rise, noisy, dphis, wi
     assert np.array_equal(record.data["nu_tilde_khz"], per_phase)
 
 
+@pytest.mark.parametrize("widths", [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+def test_tomography_needs_three_distinct_widths(device, widths):
+    # the rate is the slope of the differential phase over the widths: the
+    # tomography, the phase sweep and the CZ calibration refuse fewer than
+    # 3 distinct widths before they evolve anything
+    config = _config(amplitude=10.0, rise=0.0)
+    for run in (
+        lambda: hamiltonian_tomography_pulsewidth(device, config, widths, levels=3),
+        lambda: sweep_relative_phase(device, config, [0.0, 1.0], widths, levels=3),
+        lambda: calibrate_cz(device, config, levels=3, widths=widths),
+    ):
+        with pytest.raises(ValueError, match="need at least 3 distinct widths"):
+            run()
+
+
 def test_phase_sweep_builds_one_hamiltonian_and_one_decomposition(device, monkeypatch):
     from transmon_lattice import sizzle
 
@@ -220,7 +235,7 @@ def test_phase_table_echo_cancels_single_qubit_phases(device):
     # echo cancels the single-qubit Stark phases, not the conditional one
     levels, config = 3, _config(amplitude=10.0)
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    diagonal = np.diagonal(_echo(h0, device, [config], None)(np.eye(h0.dim), [1.0])[0, 0])
+    diagonal = np.diagonal(_echo(h0, [config], None)(np.eye(h0.dim), [1.0])[0, 0])
     (p00, p01), (p10, p11) = np.angle(diagonal[[[0, 1], [levels, levels + 1]]])
     assert abs(math.remainder(0.5 * (p10 + p11 - p00 - p01), 2 * math.pi)) <= 1e-3
     assert abs(math.remainder(0.5 * (p01 + p11 - p00 - p10), 2 * math.pi)) <= 1e-3
@@ -291,10 +306,10 @@ def test_echo_refuses_configs_off_the_pair_or_the_first_rise(device):
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, 3))
     swapped = SizzleConfig(pair=CZ_PAIR[::-1], freq=DRIVE_FREQ, omega_target=10.0)
     with pytest.raises(ValueError, match="pair"):
-        _echo(h0, device, [_config(rise=0.0), swapped], None)
+        _echo(h0, [_config(rise=0.0), swapped], None)
     # a mixed-rise batch would otherwise ramp every config with the first's rise
     with pytest.raises(ValueError, match="rise"):
-        _echo(h0, device, [_config(rise=0.0), _config(rise=50.0)], None)
+        _echo(h0, [_config(rise=0.0), _config(rise=50.0)], None)
 
 
 def test_gate_duration_algebra():
@@ -353,10 +368,10 @@ def test_cz_unitary():
 # ------------------------------------------- echo maps against evolve()
 
 
-def _echo_maps(h0, device, configs, widths):
+def _echo_maps(h0, configs, widths):
     """Echo unitaries E(w), shape (configs, widths, dim, dim): the vector
     echo carries the identity's rows to the rows of E(w)^T."""
-    return np.swapaxes(_echo(h0, device, configs, None)(np.eye(h0.dim), widths), -1, -2)
+    return np.swapaxes(_echo(h0, configs, None)(np.eye(h0.dim), widths), -1, -2)
 
 
 def _reference_echo(device, config, psi, width, levels):
@@ -370,7 +385,6 @@ def _reference_echo(device, config, psi, width, levels):
         DriveTone(
             target=label,
             amplitude=amplitude,
-            detuning=config.freq - device.qubit(label).omega,
             phase=phase,
             envelope=envelope,
             rise=config.rise,
@@ -383,9 +397,7 @@ def _reference_echo(device, config, psi, width, levels):
     ] if width > 0 else []
     for _ in range(2):
         if width > 0:
-            psi = evolve(
-                h0, tones, psi, [width / 2.0], device=device, frame=config.freq
-            )[0]
+            psi = evolve(h0, tones, psi, [width / 2.0], frame=config.freq)[0]
         psi = pi_pi @ psi
     return psi
 
@@ -396,7 +408,7 @@ def test_echo_maps_match_evolve_reference(device, levels, rise):
     config = _config(amplitude=12.0, dphi=0.7, rise=rise)
     widths = np.array([0.0, 0.2, 0.45, 1.3])  # 0.2 us leaves no flat top at 50 ns
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
-    maps = _echo_maps(h0, device, [config], widths)
+    maps = _echo_maps(h0, [config], widths)
     assert maps.shape == (1, len(widths), levels**2, levels**2)
     rng = np.random.default_rng(5)
     psis = rng.normal(size=(2, levels**2)) + 1j * rng.normal(size=(2, levels**2))
@@ -415,9 +427,9 @@ def test_echo_maps_stack_configs(device):
             _config(amplitude=amp, freq=freq, rise=rise)
             for freq, amp in ((DRIVE_FREQ, 0.0), (DRIVE_FREQ, 4.0), (4950.0, 9.0))
         ]
-        stacked = _echo_maps(h0, device, configs, [0.5, 1.5])
+        stacked = _echo_maps(h0, configs, [0.5, 1.5])
         for config, maps in zip(configs, stacked):
-            single = _echo_maps(h0, device, [config], [0.5, 1.5])[0]
+            single = _echo_maps(h0, [config], [0.5, 1.5])[0]
             assert np.max(np.abs(maps - single)) <= 1e-13
 
 
@@ -425,9 +437,9 @@ def test_echo_maps_reject_bad_widths(device):
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, 3))
     for widths in ([0.5, -0.1], [0.5, math.nan], [0.5, math.inf]):
         with pytest.raises(ValueError, match="width"):
-            _echo_maps(h0, device, [_config(rise=0.0)], widths)
+            _echo_maps(h0, [_config(rise=0.0)], widths)
     with pytest.raises(ValueError, match="ramped"):
-        _echo_maps(h0, device, [_config(rise=50.0)], [0.1])
+        _echo_maps(h0, [_config(rise=50.0)], [0.1])
 
 
 def test_repeated_gate_phases_match_sequential_echoes(device):
@@ -435,7 +447,7 @@ def test_repeated_gate_phases_match_sequential_echoes(device):
     config = _config(amplitude=10.0, rise=50.0)
     tau_g, counts = 0.6, (1, 2, 3, 5)
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
-    phases = _repeated_gate_phases(_echo(h0, device, [config], None), tau_g, counts, levels, None)
+    phases = _repeated_gate_phases(_echo(h0, [config], None), tau_g, counts, levels, None)
     for n, phase in zip(counts, phases):
         target_phases = []
         for control_state in (0, 1):
@@ -496,7 +508,7 @@ def test_repeated_gate_phases_under_lindblad(device):
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
     collapse = _lindblad_terms(h0, noise)
     one, two = _repeated_gate_phases(
-        _echo(h0, device, [config], collapse), tau_g, (1, 2), levels, collapse
+        _echo(h0, [config], collapse), tau_g, (1, 2), levels, collapse
     )
     _, record = hamiltonian_tomography_pulsewidth(
         device, config, [tau_g, 1.0, 1.5], noise=noise, levels=levels

@@ -30,10 +30,10 @@ DEVICE = load_bundled_device()
 H0 = assemble_hamiltonian(DEVICE, SubsetSelection(PAIR, 3))
 
 
-def _echo_maps(h0, device, configs, widths):
+def _echo_maps(h0, configs, widths):
     """Echo unitaries E(w), shape (configs, widths, dim, dim): the vector
     echo carries the identity's rows to the rows of E(w)^T."""
-    return np.swapaxes(_echo(h0, device, configs, None)(np.eye(h0.dim), widths), -1, -2)
+    return np.swapaxes(_echo(h0, configs, None)(np.eye(h0.dim), widths), -1, -2)
 
 
 # derandomized: the examples are the same on every run
@@ -56,7 +56,7 @@ def test_echo_maps_are_unitary(freq, amplitude, ratio, dphi, rise, extra):
     )
     shortest = 4.0 * rise * 1e-3
     widths = [0.0, shortest, shortest + extra] if rise else [0.0, extra, 3.0]
-    maps = _echo_maps(H0, DEVICE, [config], widths)[0]
+    maps = _echo_maps(H0, [config], widths)[0]
     eye = np.eye(H0.dim)
     for echo in maps:
         assert np.max(np.abs(echo.conj().T @ echo - eye)) <= 1e-12
@@ -86,13 +86,13 @@ def test_open_echo_maps_states_to_states(freq, amplitude, ratio, dphi, width, ra
     vecs = rng.normal(size=(H0.dim, rank)) + 1j * rng.normal(size=(H0.dim, rank))
     rho = vecs @ vecs.conj().T
     rho /= np.trace(rho)
-    for out in _echo(H0, DEVICE, [config], DEVICE_NOISE)(rho[None], widths)[0, :, 0]:
+    for out in _echo(H0, [config], DEVICE_NOISE)(rho[None], widths)[0, :, 0]:
         assert np.max(np.abs(out - out.conj().T)) <= 1e-10
         assert abs(np.trace(out) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() >= -1e-10
     # at zero rates the Lindblad echo is the unitary one
-    maps = _echo_maps(H0, DEVICE, [config], widths)[0]
-    for out, echo in zip(_echo(H0, DEVICE, [config], [])(rho[None], widths)[0, :, 0], maps):
+    maps = _echo_maps(H0, [config], widths)[0]
+    for out, echo in zip(_echo(H0, [config], [])(rho[None], widths)[0, :, 0], maps):
         assert np.max(np.abs(out - echo @ rho @ echo.conj().T)) <= 1e-11
 
 
@@ -109,7 +109,7 @@ def _landscape_by_rows(device, pair, freqs, amplitudes, width, ratio, noise, lev
             flagged[i] = True
             continue
         configs = [SizzleConfig(pair, freq, amp, ratio) for amp in amplitudes]
-        row = _echo(h0, device, configs, collapse)(_prepared_states(levels, collapse), [width])
+        row = _echo(h0, configs, collapse)(_prepared_states(levels, collapse), [width])
         _, phases, excited = _readout(row[:, 0], levels, collapse)
         diff_phase[i] = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
         response[i] = np.abs(excited - [0.0, 1.0]).max(axis=-1)

@@ -49,7 +49,7 @@ RECORD = dict(
     device_ref="A", config={"qubit": "A"}, metadata={},
 )
 TONE = dict(
-    target="A", amplitude=10.0, detuning=-100.0, phase=0.5, envelope="blackman", rise=50.0,
+    target="A", amplitude=10.0, phase=0.5, envelope="blackman", rise=50.0,
     start=0.1, duration=2.0,
 )
 
