@@ -1,4 +1,5 @@
-"""Time-domain evolution of driven subsets, ideal pulses and site readouts.
+"""Time-domain evolution of driven subsets, echo sequences, ideal pulses
+and site readouts.
 
 Evolution happens in the frame rotating at one frequency given per call,
 common to every site, at which every tone plays (a qubit frequency, or a
@@ -23,7 +24,7 @@ import numpy as np
 
 from .device import DeviceSpec
 from .errors import ContractViolation, ResourceLimitError, UnknownQubitError
-from .operators import LatticeOperator, destroy, number, _embed
+from .operators import LatticeOperator, basis_occupations, destroy, number, _embed
 from .values import FrozenValue, Value
 
 ENVELOPES = ("rectangular", "blackman")
@@ -196,23 +197,21 @@ class _DriveTerm(Value):
         h += block.conj().T
 
 
-def _frame_static(
-    h_abs: np.ndarray, labels: np.ndarray, frame_freqs: np.ndarray
-) -> np.ndarray:
-    """Frame-transform an absolute-frequency Hamiltonian: element (r, c)
-    acquires the phase exp(+2 pi i t f.(n_r - n_c)), which must be static
-    (else ValueError), and the frame term f.n leaves the diagonal."""
-    rows, cols = np.nonzero(h_abs)
-    nus = (labels[rows] - labels[cols]) @ frame_freqs
+def _frame_static(h0: LatticeOperator, frame: float) -> np.ndarray:
+    """Transform ``h0`` into the frame rotating at ``frame`` MHz on every
+    site: element (r, c) acquires the phase exp(+2 pi i t f (N_r - N_c)),
+    which must be static (else ValueError), and the frame term f N leaves
+    the diagonal, summed over the sites."""
+    occ = basis_occupations(len(h0.sites), h0.levels)
+    freqs = np.full(len(h0.sites), float(frame))
+    rows, cols = np.nonzero(h0.matrix)
+    nus = (occ[rows] - occ[cols]) @ freqs
     if np.any(np.abs(nus) >= FRAME_TOL):
         raise ValueError(
             f"a term that changes the excitation number rotates at "
             f"{np.abs(nus).max():.6g} MHz in this frame; it is static only in frame 0"
         )
-    static = np.zeros_like(h_abs)
-    static[rows, cols] = h_abs[rows, cols]
-    static -= np.diag(labels @ frame_freqs)
-    return static
+    return h0.matrix - np.diag(occ @ freqs)
 
 
 def _drive_terms(
@@ -338,7 +337,7 @@ def _magnus_edges(left, right, t_eval) -> np.ndarray:
     """Slice edges of [left, right], every ``t_eval`` time among them and
     at most (right - left) / ENVELOPE_SLICES apart."""
     density = ENVELOPE_SLICES / (right - left)
-    cuts = np.unique(np.clip(np.append(t_eval, (left, right)), left, right))
+    cuts = sorted({min(max(float(t), left), right) for t in (*t_eval, left, right)})
     # the guard keeps a whole count whole: n / x * x can round above n
     return np.concatenate([
         np.linspace(p, q, math.ceil(density * (q - p) * (1 - 1e-12)) + 1)[:-1]
@@ -387,8 +386,7 @@ def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
 def _frame_terms(h0, drives, frame, extra_static):
     """The static Hamiltonian of ``h0`` in the frame rotating at ``frame``
     MHz and the drive terms of ``drives``, whose envelopes alone vary."""
-    labels = np.array(h0.basis_labels(), dtype=float)
-    static = _frame_static(h0.matrix, labels, np.full(len(h0.sites), float(frame)))
+    static = _frame_static(h0, frame)
     if extra_static is not None:
         static = static + extra_static
     return static, _drive_terms(drives, h0.sites, h0.levels)
@@ -482,6 +480,126 @@ def _evolve(static, terms, collapse, y0, t_grid) -> np.ndarray:
     if len(edges) == 1:  # grid entirely at t = 0
         out[:] = y0
     return out
+
+
+# ------------------------------------------------------------- echo sequence
+
+def _checked_widths(widths: Sequence[float], rise: float) -> np.ndarray:
+    widths = np.asarray(widths, dtype=float)
+    bad = widths[~np.isfinite(widths) | (widths < 0)]
+    if bad.size:
+        raise ValueError(f"width {bad[0]} us must be finite and non-negative")
+    min_width = 4.0 * rise * 1e-3
+    too_short = widths[(widths > 0) & (widths < min_width)]
+    if too_short.size:
+        raise ValueError(
+            f"width {too_short[0]:.4f} us cannot fit two ramped half-pulses "
+            f"with rise {rise} ns; use widths >= {min_width:.3f} us"
+        )
+    return widths
+
+
+def echo_sequence(
+    h0: LatticeOperator,
+    frames: Sequence[float],
+    tone_sets: Sequence[Sequence[DriveTone]],
+    pulse: np.ndarray,
+    noise: Optional[NoiseSpec] = None,
+):
+    """The echo [drive(w/2), pulse, drive(w/2), pulse] of every tone set,
+    as a function ``run(states, widths)`` that takes a stack of states
+    indexed [k, ...] to states indexed [set, width, k, ...]: vectors when
+    ``noise`` is None, else density matrices under its Lindblad terms
+    (even when it has none).  ``pulse`` is an ideal instantaneous unitary
+    on the whole space.
+
+    Tone set s plays in the frame rotating at ``frames[s]`` MHz, at most
+    one tone per site; of each tone only its target, amplitude, phase and
+    Blackman rise are read, since the sequence times the tones itself,
+    and every tone shares one rise (else ValueError).  A drive of width
+    w/2 is a ramp up, a flat top and a ramp down; widths shorter than
+    four ramps, or negative or not finite, raise ValueError.  All flat
+    tops are decomposed in one stacked call of :func:`_modes`, and the
+    ramps, stepped in the Magnus slices of :func:`_propagate_sliced`,
+    fold into their modes, so every call, at any widths, reuses them.
+    On the identity's rows, the vector echo gives the transposed
+    unitaries E(w)^T, where E(w) = P U(w/2) P U(w/2).
+    """
+    n_sites = len(h0.sites)
+    # each set's amplitudes and phases by site (a site without a tone adds
+    # 0), and the rise of every tone
+    amplitudes = np.zeros((len(tone_sets), n_sites))
+    phases = np.zeros((len(tone_sets), n_sites))
+    rises = set()
+    for s, tones in enumerate(tone_sets):
+        if len({tone.target for tone in tones}) < len(tones):
+            raise ValueError(f"two tones of one set drive one site: {[t.target for t in tones]}")
+        for tone in tones:
+            if tone.target not in h0.sites:
+                raise UnknownQubitError(tone.target, h0.sites)
+            site = h0.sites.index(tone.target)
+            amplitudes[s, site], phases[s, site] = tone.amplitude, tone.phase
+            rises.add(tone.rise if tone.envelope == "blackman" else 0.0)
+    rise = rises.pop() if rises else 0.0
+    if rises:
+        raise ValueError(f"tone rises {sorted({rise, *rises})} ns differ; an echo has one rise")
+    rise_us = rise * 1e-3
+    # the half-pulse the ramps are taken from: ramps on [0, rise] and
+    # [3 rise, 4 rise], flat between
+    duration = 4.0 * rise_us if rise_us > 0 else 1.0
+    collapse = None if noise is None else _collapse_operators(h0.sites, h0.levels, noise)
+    # one frame Hamiltonian per frequency, one raising operator per site,
+    # and each flat top adds its drive D + D^dag to its frame's, with
+    # D = (Omega/2) e^{-i phi} a^dag per tone as in _DriveTerm
+    statics = {frame: _frame_static(h0, frame) for frame in set(frames)}
+    raising = [_embed(destroy(h0.levels), k, n_sites, h0.levels).conj().T for k in range(n_sites)]
+    halves, turns = 0.5 * amplitudes, np.exp(-1j * phases)
+    flat = np.array([statics[frame] for frame in frames])
+    for site, adag in enumerate(raising):
+        # the static part, each site's drive and its adjoint fill disjoint
+        # elements, so every element holds a single term, added exactly
+        rows, cols = np.nonzero(adag)
+        drive = turns[:, site, None] * (halves[:, site, None] * adag[rows, cols])
+        flat[:, rows, cols] += drive
+        flat[:, cols, rows] += drive.conj()
+    rates, right, left, _ = _modes(flat, collapse)
+    if rise_us > 0:
+        eye = np.eye(h0.dim if collapse is None else h0.dim**2, dtype=complex)
+        ramps = []
+        for frame, tones in zip(frames, tone_sets):
+            timed = [
+                DriveTone(t.target, t.amplitude, t.phase, t.envelope, t.rise, duration=duration)
+                for t in tones
+            ]
+            terms = _drive_terms(timed, h0.sites, h0.levels)
+            ramps.append([
+                _propagate_sliced(
+                    statics[frame], terms, collapse, eye, a, a + rise_us, np.empty(0)
+                )[0]
+                for a in (0.0, duration - rise_us)
+            ])
+        ramps = np.array(ramps)
+        left, right = left @ ramps[:, 0], ramps[:, 1] @ right
+    # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T
+    left, right = (np.swapaxes(m, -1, -2)[:, None] for m in (left, right))
+    shape = (h0.dim,) if collapse is None else (h0.dim, h0.dim)
+
+    def run(states, widths):
+        widths = _checked_widths(widths, rise)
+        flat_times = 0.5 * widths - 2.0 * rise_us
+        growth = np.exp(rates[:, None, None, :] * flat_times[:, None, None])
+        idle = (widths == 0.0).reshape(-1, 1, *(1 for _ in shape))
+        for _ in range(2):
+            rows = states.reshape(*states.shape[: states.ndim - len(shape)], -1)
+            moved = (rows @ left * growth) @ right
+            states = np.where(idle, states, moved.reshape(*moved.shape[:-1], *shape))
+            if collapse is None:
+                states = states @ pulse.T
+            else:
+                states = pulse @ states @ pulse.conj().T
+        return states
+
+    return run
 
 
 # -------------------------------------------------------------- ideal pulses

@@ -92,7 +92,6 @@ def levenberg_marquardt(
     converged = False
     flags: list[str] = []
     iterations = 0
-    jac = jacobian(x, p)
 
     for iterations in range(1, max_iterations + 1):
         jac = jacobian(x, p)
@@ -139,7 +138,8 @@ def levenberg_marquardt(
     finite_bound = np.isfinite(lower) | np.isfinite(upper)
     if np.any(at_bound & finite_bound):
         flags.append("parameter_at_bound")
-    cov = _covariance(jac, cost, len(y))
+    # the loop can end on an accepted step: evaluate at the returned point
+    cov = _covariance(jacobian(x, p), cost, len(y))
     return p, cov, cost, converged, iterations, flags
 
 

@@ -87,11 +87,6 @@ class LatticeOperator(FrozenValue):
         """A writable copy of the matrix."""
         return self.matrix.copy()
 
-    def basis_labels(self) -> list[tuple[int, ...]]:
-        """Occupation tuple for every basis index, in index order."""
-        occupations = basis_occupations(len(self.sites), self.levels)
-        return [tuple(row) for row in occupations.tolist()]
-
     def hermiticity_defect(self) -> float:
         """Max-norm of H - H^dagger; exactly 0.0 for the builders here."""
         return float(np.abs(self.matrix - self.matrix.conj().T).max())

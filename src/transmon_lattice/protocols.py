@@ -13,7 +13,7 @@ import numpy as np
 
 from .device import DeviceSpec, TransmonParams, pair_key
 from .dynamics import (
-    DriveTone, NoiseSpec, evolve, evolve_open, rotation_gate, site_coherence,
+    DriveTone, NoiseSpec, echo_sequence, evolve, evolve_open, rotation_gate, site_coherence,
 )
 from .errors import AliasingError, ContractViolation
 from .fitting import fit_anticrossing, fit_damped_cos
@@ -170,30 +170,16 @@ def _ramsey_coherence(
     noise: NoiseSpec,
     jitter_offset: float,
     levels: int,
-    echo: bool,
 ) -> np.ndarray:
-    """<0|rho|1> after (pi/2 - wait - [pi] - wait) with an extra static
-    frequency offset on the qubit, in the qubit frame."""
+    """<0|rho|1> after (pi/2 - wait) with an extra static frequency
+    offset on the qubit, in the qubit frame."""
     h0 = _single_qubit_h0(device, qubit, levels)
     frame = device.qubit(qubit).omega
     extra = _jitter_term((qubit,), levels, {qubit: jitter_offset})
     psi = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
     rho0 = np.outer(psi, psi.conj())
-    if not echo:
-        rhos = evolve_open(h0, [], rho0, noise, delays, frame=frame, extra_static=extra)
-        return rhos[:, 0, 1]
-    out = np.empty(len(delays), dtype=complex)
-    pi_gate = rotation_gate(math.pi, 0.0, levels)
-    for i, tau in enumerate(delays):
-        if tau == 0:
-            out[i] = rho0[0, 1]
-            continue
-        half = np.array([tau / 2.0])
-        mid = evolve_open(h0, [], rho0, noise, half, frame=frame, extra_static=extra)[0]
-        mid = pi_gate @ mid @ pi_gate.conj().T
-        fin = evolve_open(h0, [], mid, noise, half, frame=frame, extra_static=extra)[0]
-        out[i] = fin[0, 1]
-    return out
+    rhos = evolve_open(h0, [], rho0, noise, delays, frame=frame, extra_static=extra)
+    return rhos[:, 0, 1]
 
 
 def protocol_ramsey(
@@ -223,7 +209,7 @@ def protocol_ramsey(
     sigma_mhz = noise.rate("jitter_khz", qubit) * 1e-3
 
     def signal_for(offset: float) -> np.ndarray:
-        coh = _ramsey_coherence(device, qubit, delays, noise, offset, levels, echo=False)
+        coh = _ramsey_coherence(device, qubit, delays, noise, offset, levels)
         return 0.5 + np.real(coh * np.exp(2j * np.pi * detuning * delays))
 
     if jitter_mode == "per_run":
@@ -234,11 +220,11 @@ def protocol_ramsey(
             p1 = sample_binary(p1, shots, rng, assignment_error)
     elif shots == 0:
         # infinite-shot limit of per-shot sampling: exact Gaussian envelope
-        coh = _ramsey_coherence(device, qubit, delays, noise, 0.0, levels, echo=False)
+        coh = _ramsey_coherence(device, qubit, delays, noise, 0.0, levels)
         gauss = np.exp(-0.5 * (2 * np.pi * sigma_mhz * delays) ** 2)
         p1 = 0.5 + np.real(coh * np.exp(2j * np.pi * detuning * delays)) * gauss
     else:
-        coh0 = _ramsey_coherence(device, qubit, delays, noise, 0.0, levels, echo=False)
+        coh0 = _ramsey_coherence(device, qubit, delays, noise, 0.0, levels)
         rng = _rng_for(seed, 1)
         p1 = np.empty(len(delays))
         for i, t in enumerate(delays):
@@ -280,8 +266,15 @@ def protocol_echo(
     _check_shots(shots)
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
     delays = np.asarray(delays, dtype=float)
-    # quasi-static offsets cancel exactly; evolve once without them
-    coh = _ramsey_coherence(device, qubit, delays, noise, 0.0, levels, echo=True)
+    # quasi-static offsets cancel exactly; evolve once without them.  The
+    # closing pi pulse conjugates <0|rho|1> and keeps its magnitude
+    h0 = _single_qubit_h0(device, qubit, levels)
+    psi = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
+    rho0 = np.outer(psi, psi.conj())
+    echo = echo_sequence(
+        h0, [device.qubit(qubit).omega], [[]], rotation_gate(math.pi, 0.0, levels), noise
+    )
+    coh = echo(rho0[None], delays)[0, :, 0, 0, 1]
     p1 = 0.5 + np.abs(coh)
     if shots > 0:
         p1 = sample_binary(p1, shots, _rng_for(seed, 2), assignment_error)

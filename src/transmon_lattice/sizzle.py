@@ -23,18 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .device import DeviceSpec, zz_exact
-from .dynamics import (
-    DriveTone,
-    NoiseSpec,
-    _DriveTerm,
-    _collapse_operators,
-    _frame_static,
-    _modes,
-    _propagate_sliced,
-    rotation_gate,
-)
+from .dynamics import DriveTone, NoiseSpec, echo_sequence, rotation_gate
 from .errors import AliasingError, NearPoleError, UncalibratableError
-from .operators import LatticeOperator, SubsetSelection, _embed, assemble_hamiltonian, destroy
+from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 from .records import AxisSpec, ExperimentRecord
 from .values import FrozenValue
 
@@ -97,7 +88,9 @@ class SizzleConfig(FrozenValue):
                 )
 
 
-def _config_tones(config: SizzleConfig, duration: float) -> list[DriveTone]:
+def _config_tones(config: SizzleConfig) -> list[DriveTone]:
+    """The control and target tones of ``config``, timed by the echo that
+    plays them (any duration that holds both ramps will do)."""
     envelope = "blackman" if config.rise > 0 else "rectangular"
     specs = (
         (config.control, config.omega_control, config.dphi),
@@ -110,7 +103,7 @@ def _config_tones(config: SizzleConfig, duration: float) -> list[DriveTone]:
             phase=phase,
             envelope=envelope,
             rise=config.rise,
-            duration=duration,
+            duration=max(1.0, 4e-3 * config.rise),
         )
         for label, amplitude, phase in specs
     ]
@@ -187,25 +180,8 @@ def sizzle_zz_predicted_for(
 # ----------------------------------------------------- echoed Stark sequence
 #
 # The sequence is [Stark(width/2), pi x pi, Stark(width/2), pi x pi] with
-# ideal instantaneous pi pulses.  In the shared drive frame the exchange
-# coupling and the flat top of both tones are static, so one decomposition
-# per drive configuration, of the Hamiltonian or of the Liouvillian,
-# serves every width.
-
-
-def _checked_widths(widths: Sequence[float], rise: float) -> np.ndarray:
-    widths = np.asarray(widths, dtype=float)
-    bad = widths[~np.isfinite(widths) | (widths < 0)]
-    if bad.size:
-        raise ValueError(f"width {bad[0]} us must be finite and non-negative")
-    min_width = 4.0 * rise * 1e-3
-    too_short = widths[(widths > 0) & (widths < min_width)]
-    if too_short.size:
-        raise ValueError(
-            f"width {too_short[0]:.4f} us cannot fit two ramped half-pulses "
-            f"with rise {rise} ns; use widths >= {min_width:.3f} us"
-        )
-    return widths
+# ideal instantaneous pi pulses: dynamics.echo_sequence with one tone set
+# per drive configuration, each in its own drive frequency's frame.
 
 
 def default_widths(rise: float) -> np.ndarray:
@@ -215,133 +191,44 @@ def default_widths(rise: float) -> np.ndarray:
     return grid[(grid == 0.0) | (grid >= 4.0 * rise * 1e-3)]
 
 
-def _pi_pi(levels: int) -> np.ndarray:
-    pi = rotation_gate(math.pi, 0.0, levels)
-    return np.kron(pi, pi)
-
-
-def _echo_parts(
-    h0: LatticeOperator,
-    configs: Sequence[SizzleConfig],
-    collapse: Optional[list],
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Stacked flat-top Hamiltonians of the configs, each in its own drive
-    frequency's frame, and their (up, down) ramp propagators, shape
-    (len(configs), 2, n, n), or None without a rise.  The configs drive
-    the sites of ``h0``, in order, with the rise of the first (else
-    ValueError); their drive frequencies may differ.  The ramps take the
-    Magnus slices of :func:`dynamics.evolve` on vectors (``collapse``
-    None) or vectorized density matrices."""
-    rise = configs[0].rise
+def _echo(h0: LatticeOperator, configs: Sequence[SizzleConfig], noise: Optional[NoiseSpec]):
+    """The :func:`dynamics.echo_sequence` of every config on the pair of
+    ``h0`` (else ValueError), each config's two tones in the frame of its
+    drive frequency, with pi x pi as the pulse: vectors when ``noise`` is
+    None, else density matrices."""
     for config in configs:
         if tuple(config.pair) != h0.sites:
             raise ValueError(f"config pair {config.pair} is not the pair {h0.sites} of h0")
-        if config.rise != rise:
-            raise ValueError(f"config rise {config.rise} ns differs from the first's {rise} ns")
-    rise_us = rise * 1e-3
-    # reference tones: ramps on [0, rise] and [3 rise, 4 rise], flat between
-    duration = 4.0 * rise_us if rise_us > 0 else 1.0
-    tones = [_config_tones(config, duration) for config in configs]
-    # a config's frame rotates at its drive frequency, which holds both its
-    # tones still: one frame Hamiltonian per frequency, one raising operator
-    # per site, and each flat top adds its drive D + D^dag to its frame's,
-    # D = (Omega/2) e^{-i phi} a^dag per tone as in dynamics._DriveTerm
-    labels = np.array(h0.basis_labels(), dtype=float)
-    statics = {
-        freq: _frame_static(h0.matrix, labels, np.full(len(h0.sites), freq))
-        for freq in {config.freq for config in configs}
-    }
-    raising = [
-        _embed(destroy(h0.levels), site, len(h0.sites), h0.levels).conj().T
-        for site in range(len(h0.sites))
-    ]
-    halves = 0.5 * np.array([[tone.amplitude for tone in pair] for pair in tones])
-    turns = np.exp(-1j * np.array([[tone.phase for tone in pair] for pair in tones]))
-    flat = np.array([statics[config.freq] for config in configs])
-    for site, adag in enumerate(raising):
-        # the static part, each site's drive and its adjoint fill disjoint
-        # elements, so every element holds a single term, added exactly
-        rows, cols = np.nonzero(adag)
-        drive = turns[:, site, None] * (halves[:, site, None] * adag[rows, cols])
-        flat[:, rows, cols] += drive
-        flat[:, cols, rows] += drive.conj()
-    if rise_us == 0:
-        return flat, None
-    eye = np.eye(h0.dim if collapse is None else h0.dim**2, dtype=complex)
-    ramps = [
-        [_propagate_sliced(
-            statics[config.freq],
-            [_DriveTerm(0.5 * tone.amplitude * adag, tone) for tone, adag in zip(pair, raising)],
-            collapse, eye, a, a + rise_us, np.empty(0),
-        )[0] for a in (0.0, duration - rise_us)]
-        for config, pair in zip(configs, tones)
-    ]
-    return flat, np.array(ramps)
+    pi = rotation_gate(math.pi, 0.0, h0.levels)
+    return echo_sequence(
+        h0,
+        [config.freq for config in configs],
+        [_config_tones(config) for config in configs],
+        np.kron(pi, pi),
+        noise,
+    )
 
 
-def _echo(
-    h0: LatticeOperator,
-    configs: Sequence[SizzleConfig],
-    collapse: Optional[list],
-):
-    """The echoed sequence of every config, as a function ``echo(states,
-    widths)`` that takes states indexed [..., state] to states indexed
-    [config, width, state]: vectors when ``collapse`` is None, else
-    density matrices under the Lindblad terms ``collapse``.  The configs
-    drive the pair of ``h0`` with one rise, at any drive frequencies
-    (:func:`_echo_parts`).  All flat tops are decomposed in one stacked
-    call of :func:`dynamics._modes` and the ramps fold into their modes,
-    so every call, at any widths, reuses them.  On the identity's rows,
-    the vector echo gives the transposed unitaries E(w)^T, where
-    E(w) = PiPi U(w/2) PiPi U(w/2).
-    """
-    flat, ramps = _echo_parts(h0, configs, collapse)
-    rates, right, left, _ = _modes(flat, collapse)
-    if ramps is not None:
-        left, right = left @ ramps[:, 0], ramps[:, 1] @ right
-    # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T
-    left, right = (np.swapaxes(m, -1, -2)[:, None] for m in (left, right))
-    shape = (h0.dim,) if collapse is None else (h0.dim, h0.dim)
-    pi_pi = _pi_pi(h0.levels)
-
-    def echo(states, widths):
-        widths = _checked_widths(widths, configs[0].rise)
-        flat_times = 0.5 * widths - 2.0 * (configs[0].rise * 1e-3)
-        growth = np.exp(rates[:, None, None, :] * flat_times[:, None, None])
-        idle = (widths == 0.0).reshape(-1, 1, *(1 for _ in shape))
-        for _ in range(2):
-            rows = states.reshape(*states.shape[: states.ndim - len(shape)], -1)
-            moved = (rows @ left * growth) @ right
-            states = np.where(idle, states, moved.reshape(*moved.shape[:-1], *shape))
-            if collapse is None:
-                states = states @ pi_pi.T
-            else:
-                states = pi_pi @ states @ pi_pi.conj().T
-        return states
-
-    return echo
-
-
-def _lindblad_terms(h0: LatticeOperator, noise: Optional[NoiseSpec]) -> Optional[list]:
-    """The Lindblad terms of ``noise`` on the pair; None when it has none."""
+def _lindblad_noise(h0: LatticeOperator, noise: Optional[NoiseSpec]) -> Optional[NoiseSpec]:
+    """``noise`` when it has Lindblad terms on the pair, else None."""
     if noise is None or not noise.has_lindblad(h0.sites):
         return None
-    return _collapse_operators(h0.sites, h0.levels, noise)
+    return noise
 
 
-def _prepared_states(levels: int, collapse: Optional[list]) -> np.ndarray:
+def _prepared_states(levels: int, noise: Optional[NoiseSpec]) -> np.ndarray:
     """The target on the equator with the control in |0> and in |1>:
-    vectors, or density matrices for the Lindblad terms ``collapse``."""
+    vectors when ``noise`` is None, else density matrices."""
     tgt = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
     psis = np.kron(np.eye(levels, dtype=complex)[:2], tgt)
-    return psis if collapse is None else np.einsum("ni,nj->nij", psis, psis.conj())
+    return psis if noise is None else np.einsum("ni,nj->nij", psis, psis.conj())
 
 
-def _readout(states: np.ndarray, levels: int, collapse: Optional[list]) -> tuple:
+def _readout(states: np.ndarray, levels: int, noise: Optional[NoiseSpec]) -> tuple:
     """The target's coherence <0|rho|1>, its phase and the control's
     excited population of pair states indexed [..., state]: vectors when
-    ``collapse`` is None, else density matrices."""
-    if collapse is None:
+    ``noise`` is None, else density matrices."""
+    if noise is None:
         # psi indexed [target, control]: the product dynamics.reduced_site_state forms
         psi = np.swapaxes(states.reshape(*states.shape[:-1], levels, levels), -1, -2)
         coh = (psi @ np.swapaxes(psi.conj(), -1, -2))[..., 0, 1]
@@ -361,11 +248,11 @@ def _tomography(
     widths: Sequence[float],
     echo,
     levels: int,
-    collapse: Optional[list],
+    noise: Optional[NoiseSpec],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pulse-width tomography of configs that share the pair and rise of
     the first, through their :func:`_echo` on the pair at ``levels`` with
-    the Lindblad terms ``collapse``: nu_tilde (kHz) per config, the
+    the Lindblad terms of ``noise``: nu_tilde (kHz) per config, the
     target coherences [config, width, control state] and the unwrapped
     differential phases [config, width] the rates are fitted to."""
     for config in configs:
@@ -373,8 +260,8 @@ def _tomography(
     # the rate is a fitted slope: one width fixes none, two leave no residual
     if len(set(map(float, widths))) < 3:
         raise ValueError("need at least 3 distinct widths")
-    states = echo(_prepared_states(levels, collapse), widths)
-    coh, phases, _ = _readout(states, levels, collapse)
+    states = echo(_prepared_states(levels, noise), widths)
+    coh, phases, _ = _readout(states, levels, noise)
     diff = phases[..., 1] - phases[..., 0]
     wrapped = (np.diff(diff) + np.pi) % (2 * np.pi) - np.pi
     if np.any(np.abs(wrapped) > 0.9 * np.pi):
@@ -404,9 +291,9 @@ def hamiltonian_tomography_pulsewidth(
     the differential phase.
     """
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    collapse = _lindblad_terms(h0, noise)
+    noise = _lindblad_noise(h0, noise)
     (nu_tilde_khz,), (coh,), (unwrapped,) = _tomography(
-        device, [config], widths, _echo(h0, [config], collapse), levels, collapse
+        device, [config], widths, _echo(h0, [config], noise), levels, noise
     )
     x, y = 2.0 * coh.real, 2.0 * coh.imag
     record = ExperimentRecord(
@@ -457,9 +344,9 @@ def sweep_relative_phase(
         for dphi in dphis
     ]
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    collapse = _lindblad_terms(h0, noise)
-    echo = _echo(h0, configs, collapse)
-    rates, _, _ = _tomography(device, configs, widths, echo, levels, collapse)
+    noise = _lindblad_noise(h0, noise)
+    echo = _echo(h0, configs, noise)
+    rates, _, _ = _tomography(device, configs, widths, echo, levels, noise)
     return ExperimentRecord(
         protocol="sizzle_phase_sweep",
         axes=(AxisSpec("dphi", tuple(dphis), "rad"),),
@@ -544,7 +431,7 @@ def sweep_drive_landscape(
     diff_phase = np.full(shape, np.nan)
     control_response = np.full(shape, np.nan)
     h0 = assemble_hamiltonian(device, SubsetSelection(pair, levels))
-    collapse = _lindblad_terms(h0, noise)
+    noise = _lindblad_noise(h0, noise)
     row_flags = np.array([landscape_flags(device, pair, float(f), guard) for f in freqs], bool)
     rows = np.flatnonzero(~row_flags)
     # every unflagged cell in one echo: one stacked decomposition
@@ -554,9 +441,9 @@ def sweep_drive_landscape(
         for amp in amplitudes
     ]
     if configs:
-        echo = _echo(h0, configs, collapse)
-        cells = echo(_prepared_states(levels, collapse), [width])[:, 0]
-        _, phases, excited = _readout(cells, levels, collapse)
+        echo = _echo(h0, configs, noise)
+        cells = echo(_prepared_states(levels, noise), [width])[:, 0]
+        _, phases, excited = _readout(cells, levels, noise)
         diff = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
         diff_phase[rows] = np.reshape(diff, (len(rows), -1))
         # the worse of the control's population errors in |0> and |1>
@@ -673,11 +560,11 @@ def calibrate_cz(
         # one pair Hamiltonian and one echo for the tomography and the
         # repeated-gate check
         h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-        collapse = _lindblad_terms(h0, noise)
-        echo = _echo(h0, [config], collapse)
+        noise = _lindblad_noise(h0, noise)
+        echo = _echo(h0, [config], noise)
         if widths is None:
             widths = default_widths(config.rise)
-        (measured,), _, _ = _tomography(device, [config], widths, echo, levels, collapse)
+        (measured,), _, _ = _tomography(device, [config], widths, echo, levels, noise)
     if abs(measured) < floor_khz:
         raise UncalibratableError(
             f"driven ZZ rate {measured:.2f} kHz is below the {floor_khz} kHz floor"
@@ -687,7 +574,7 @@ def calibrate_cz(
     counts = tuple(int(n) for n in verify_counts)
     signed_target = math.copysign(target_phase, measured)
     if nu_tilde_khz is None:
-        phases = _repeated_gate_phases(echo, tau_g, counts, levels, collapse)
+        phases = _repeated_gate_phases(echo, tau_g, counts, levels, noise)
     else:
         # externally supplied rate: verify against the implied ideal
         # conditional-phase generator
@@ -725,13 +612,13 @@ def _repeated_gate_phases(
     tau_g: float,
     counts: Sequence[int],
     levels: int,
-    collapse: Optional[list],
+    noise: Optional[NoiseSpec],
 ) -> list[float]:
     """Differential target phase after n pulses of width tau_g of the
     one-config :func:`_echo` on the pair at ``levels`` with the Lindblad
-    terms ``collapse``, for every n in ``counts``."""
-    states = [_prepared_states(levels, collapse)]
+    terms of ``noise``, for every n in ``counts``."""
+    states = [_prepared_states(levels, noise)]
     for _ in range(max(counts)):
         states.append(echo(states[-1], [tau_g])[0, 0])
-    _, phases, _ = _readout(np.array(states), levels, collapse)
+    _, phases, _ = _readout(np.array(states), levels, noise)
     return [math.remainder(phases[n, 1] - phases[n, 0], 2 * math.pi) for n in counts]

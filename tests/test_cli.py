@@ -995,6 +995,11 @@ _LOADED_MODULES = (
             "sweep --kind acstark --pair Q2,Q3 --amplitudes 5:30:6 --seed 1",
             ("sizzle", "rb", "cliffords", "tomography", "numpy.random"),
         ),
+        # a ramped calibration cuts its Magnus slices without numpy.ma
+        (
+            "calibrate-cz --pair Q2,Q7 --freq 5028.5 --amplitude 10 --rise 50 --seed 1",
+            ("protocols", "rb", "cliffords", "tomography", "spectrum", "numpy.ma"),
+        ),
     ],
 )
 def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):

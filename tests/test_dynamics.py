@@ -7,13 +7,17 @@ from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
 from transmon_lattice.dynamics import (
     DriveTone,
     NoiseSpec,
+    echo_sequence,
     evolve,
     evolve_open,
+    rotation_gate,
     site_populations,
 )
-from transmon_lattice.errors import ContractViolation, ResourceLimitError
+from transmon_lattice.errors import ContractViolation, ResourceLimitError, UnknownQubitError
 from transmon_lattice.fitting import fit_damped_cos, fit_exp_decay
-from transmon_lattice.operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
+from transmon_lattice.operators import (
+    LatticeOperator, SubsetSelection, assemble_hamiltonian, basis_occupations,
+)
 from transmon_lattice.protocols import (
     _rng_for,
     extract_anticrossing,
@@ -137,8 +141,7 @@ def test_excitation_number_conserved_without_drives():
     psi0 = np.zeros(9, dtype=complex)
     psi0[3] = 1.0  # single excitation
     states = evolve(h0, [], psi0, np.linspace(0, 1.5, 16), frame=4806.0)
-    labels = np.array(h0.basis_labels())
-    totals = labels.sum(axis=1)
+    totals = basis_occupations(len(h0.sites), h0.levels).sum(axis=1)
     for state in states:
         weight_outside = np.sum(np.abs(state[totals != 1]) ** 2)
         assert weight_outside < 1e-20
@@ -403,6 +406,60 @@ def test_echo_cancels_quasistatic_jitter():
     assert fit.params["T"] == pytest.approx(60.0, rel=0.02)
 
 
+def _per_delay_echo(device, qubit, delays, noise, levels):
+    """<0|rho|1> of the Hahn echo from two evolve_open calls per delay,
+    with the pi pulse between them and none after."""
+    h0 = assemble_hamiltonian(device, SubsetSelection((qubit,), levels))
+    frame = device.qubit(qubit).omega
+    psi = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
+    pi = rotation_gate(math.pi, 0.0, levels)
+    out = []
+    for tau in delays:
+        rho = np.outer(psi, psi.conj())
+        if tau > 0:
+            rho = evolve_open(h0, [], rho, noise, [tau / 2.0], frame=frame)[0]
+            rho = pi @ rho @ pi.conj().T
+            rho = evolve_open(h0, [], rho, noise, [tau / 2.0], frame=frame)[0]
+        out.append(rho[0, 1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_echo_equals_two_evolutions_per_delay(device, levels):
+    noise = NoiseSpec.from_device(device, ("Q2",))
+    delays = np.linspace(0.0, 150.0, 40)
+    record = protocol_echo(device, "Q2", delays, levels=levels)
+    expected = 0.5 + np.abs(_per_delay_echo(device, "Q2", delays, noise, levels))
+    assert np.max(np.abs(record.data["p_excited"] - expected)) <= 1e-12
+
+
+def test_echo_decomposes_one_liouvillian(device, monkeypatch):
+    # at the command line's 40 default delays, two evolve_open calls per
+    # delay took 78 eig calls of the same Liouvillian
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    protocol_echo(device, "Q2", np.linspace(0.0, 150.0, 40))
+    assert len(calls) == 1
+
+
+def test_echo_sequence_refuses_tones_it_cannot_play(device):
+    h0 = assemble_hamiltonian(device, SubsetSelection(("Q2", "Q7"), 3))
+    pulse = np.eye(h0.dim)
+    with pytest.raises(ValueError, match="one site"):
+        echo_sequence(h0, [5028.5], [[DriveTone("Q2", 5.0), DriveTone("Q2", 3.0)]], pulse)
+    with pytest.raises(UnknownQubitError):
+        echo_sequence(h0, [5028.5], [[DriveTone("Q3", 5.0)]], pulse)
+    ramped = DriveTone("Q7", 5.0, envelope="blackman", rise=20.0)
+    with pytest.raises(ValueError, match="rise"):
+        echo_sequence(h0, [5028.5, 5028.5], [[DriveTone("Q2", 5.0)], [ramped]], pulse)
+
+
 def test_frequency_stability_statistics():
     # repeated Ramsey runs with per-run jitter resampling: the std of
     # the fitted frequencies estimates the injected jitter
@@ -639,14 +696,14 @@ def test_split_by_frame_matches_elementwise_loop(device, sites, levels, frame):
         frame = device.qubit(sites[0]).omega - 60.0
     elif frame == "qubit":
         frame = device.qubit(sites[0]).omega
-    labels = np.array(h0.basis_labels(), dtype=float)
+    labels = basis_occupations(len(h0.sites), h0.levels).astype(float)
     freqs = np.full(len(h0.sites), frame)
     expected = _frame_static_loop(h0.matrix, labels, freqs)
     assert (expected is None) == (sites is None and frame != 0.0)
     if expected is None:
         with pytest.raises(ValueError, match="changes the excitation number rotates at"):
-            _frame_static(h0.matrix, labels, freqs)
+            _frame_static(h0, frame)
         return
-    static = _frame_static(h0.matrix, labels, freqs)
+    static = _frame_static(h0, frame)
     assert np.array_equal(static, expected)
     assert np.array_equal(static, h0.matrix - np.diag(labels @ freqs))

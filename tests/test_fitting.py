@@ -6,10 +6,14 @@ import pytest
 from transmon_lattice.errors import AliasingError, NearResonanceError
 from transmon_lattice.fitting import (
     MODELS,
+    _covariance,
+    exp_decay_jacobian,
+    exp_decay_model,
     fit_anticrossing,
     fit_damped_cos,
     fit_exp_decay,
     fit_rb_decay,
+    levenberg_marquardt,
 )
 
 
@@ -203,3 +207,18 @@ def test_lm_never_worse_than_initialization():
             exp_decay_model, exp_decay_jacobian, t, y, p0
         )
         assert rss <= initial + 1e-12
+
+
+@pytest.mark.parametrize("max_iterations", [3, 200])
+def test_covariance_is_taken_at_the_returned_parameters(max_iterations):
+    # the loop may end on an accepted step (here at its iteration cap, or
+    # when the step improves too little); the uncertainties belong to the
+    # point returned, not to the one before its last step
+    t = np.linspace(0.0, 200.0, 40)
+    y = exp_decay_model(t, np.array([0.05, 0.9, 71.0])) + 0.003 * np.sin(7.0 * t)
+    p, cov, rss, _, iterations, _ = levenberg_marquardt(
+        exp_decay_model, exp_decay_jacobian, t, y, np.array([0.1, 0.7, 40.0]),
+        max_iterations=max_iterations,
+    )
+    assert iterations <= max_iterations
+    assert np.array_equal(cov, _covariance(exp_decay_jacobian(t, p), rss, len(t)))

@@ -17,7 +17,6 @@ from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.sizzle import (
     SizzleConfig,
     _echo,
-    _lindblad_terms,
     _prepared_states,
     _repeated_gate_phases,
     calibrate_cz,
@@ -293,7 +292,7 @@ def test_landscape_builds_one_hamiltonian_one_decomposition_and_one_drive_per_si
     monkeypatch.setattr(sizzle, "assemble_hamiltonian", counted("assemble", assemble_hamiltonian))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     embed = counted("embed", operators._embed)
-    for module in (operators, dynamics, sizzle):
+    for module in (operators, dynamics):
         monkeypatch.setattr(module, "_embed", embed)
     record = sweep_drive_landscape(
         device, CZ_PAIR, np.linspace(4900.0, 5300.0, 21), np.linspace(2.0, 20.0, 4), levels=4
@@ -506,9 +505,8 @@ def test_repeated_gate_phases_under_lindblad(device):
     config = _config(amplitude=10.0, rise=0.0)
     noise = NoiseSpec.from_device(device)
     h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
-    collapse = _lindblad_terms(h0, noise)
     one, two = _repeated_gate_phases(
-        _echo(h0, [config], collapse), tau_g, (1, 2), levels, collapse
+        _echo(h0, [config], noise), tau_g, (1, 2), levels, noise
     )
     _, record = hamiltonian_tomography_pulsewidth(
         device, config, [tau_g, 1.0, 1.5], noise=noise, levels=levels

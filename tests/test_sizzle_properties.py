@@ -12,13 +12,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from transmon_lattice.dynamics import NoiseSpec, _collapse_operators
+from transmon_lattice.dynamics import NoiseSpec
 from transmon_lattice.fileio import load_bundled_device
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.sizzle import (
     SizzleConfig,
     _echo,
-    _lindblad_terms,
+    _lindblad_noise,
     _prepared_states,
     _readout,
     landscape_flags,
@@ -62,7 +62,7 @@ def test_echo_maps_are_unitary(freq, amplitude, ratio, dphi, rise, extra):
         assert np.max(np.abs(echo.conj().T @ echo - eye)) <= 1e-12
 
 
-DEVICE_NOISE = _collapse_operators(H0.sites, H0.levels, NoiseSpec.from_device(DEVICE))
+DEVICE_NOISE = NoiseSpec.from_device(DEVICE)
 
 
 @PROPERTY
@@ -92,7 +92,7 @@ def test_open_echo_maps_states_to_states(freq, amplitude, ratio, dphi, width, ra
         assert np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() >= -1e-10
     # at zero rates the Lindblad echo is the unitary one
     maps = _echo_maps(H0, [config], widths)[0]
-    for out, echo in zip(_echo(H0, [config], [])(rho[None], widths)[0, :, 0], maps):
+    for out, echo in zip(_echo(H0, [config], NoiseSpec())(rho[None], widths)[0, :, 0], maps):
         assert np.max(np.abs(out - echo @ rho @ echo.conj().T)) <= 1e-11
 
 
@@ -103,14 +103,14 @@ def _landscape_by_rows(device, pair, freqs, amplitudes, width, ratio, noise, lev
     diff_phase, response = np.full(shape, np.nan), np.full(shape, np.nan)
     flagged = np.zeros(shape, dtype=bool)
     h0 = assemble_hamiltonian(device, SubsetSelection(pair, levels))
-    collapse = _lindblad_terms(h0, noise)
+    noise = _lindblad_noise(h0, noise)
     for i, freq in enumerate(freqs):
         if landscape_flags(device, pair, freq):
             flagged[i] = True
             continue
         configs = [SizzleConfig(pair, freq, amp, ratio) for amp in amplitudes]
-        row = _echo(h0, configs, collapse)(_prepared_states(levels, collapse), [width])
-        _, phases, excited = _readout(row[:, 0], levels, collapse)
+        row = _echo(h0, configs, noise)(_prepared_states(levels, noise), [width])
+        _, phases, excited = _readout(row[:, 0], levels, noise)
         diff_phase[i] = [math.remainder(d, 2 * math.pi) for d in phases[:, 1] - phases[:, 0]]
         response[i] = np.abs(excited - [0.0, 1.0]).max(axis=-1)
     return diff_phase, response, flagged
