@@ -17,10 +17,10 @@ either option on a command without that output is a config error, as
 is every parse error and a nan or infinite number.  Exit codes:
 0 on success, otherwise a machine-readable error category is printed to
 stderr as JSON ("config" = 2, "physics" = 3, "resource" = 4).  A process
-runs :func:`run`, which lets OpenBLAS's idle threads sleep, turns the
-cyclic garbage collector off and ends the process without interpreter
-teardown once the output is flushed; :func:`main` is the in-process
-entry.
+runs :func:`run`, which lets OpenBLAS's idle threads sleep, keeps
+OpenSSL unloaded, turns the cyclic garbage collector off and ends the
+process without interpreter teardown once the output is flushed;
+:func:`main` is the in-process entry.
 """
 from __future__ import annotations
 
@@ -673,8 +673,19 @@ def run() -> NoReturn:
     counting still frees everything else.  Skipping interpreter teardown
     saves the tens of ms that finalizing numpy and the package takes after
     the output is complete; nothing the package opens is left unclosed.  A
-    failed flush (a closed pipe) exits 120, as CPython's own exit does."""
+    failed flush (a closed pipe) exits 120, as CPython's own exit does.
+
+    It also blocks ``_hashlib``, unless something imported it already.
+    ``numpy.random`` imports ``secrets``, which imports ``hmac`` and so
+    ``_hashlib``, and that maps OpenSSL's libcrypto: 3.4 MiB resident in
+    every command that draws random numbers, though nothing here hashes.
+    Without it, ``hmac`` and ``hashlib`` fall back to CPython's builtin
+    code, which imports in about half the ~4 ms that ``_hashlib`` takes,
+    and ``SeedSequence`` mixes its entropy in its own code, so every
+    random stream stays the same.  Library imports and :func:`main` leave
+    ``sys.modules`` as they find it."""
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(OPENBLAS_THREAD_TIMEOUT))
+    sys.modules.setdefault("_hashlib", None)
     gc.disable()
     code = main()
     for stream in (sys.stdout, sys.stderr):

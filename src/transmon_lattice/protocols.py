@@ -103,6 +103,17 @@ def _check_shots(shots: int) -> None:
         raise ValueError(f"shots must be non-negative (0 = exact), got {shots}")
 
 
+def _checked_delays(delays: Sequence[float]) -> np.ndarray:
+    """A T1, Ramsey or echo delay grid (us), once it is finite, >= 0 and strictly ascending."""
+    delays = np.asarray(delays, dtype=float)
+    bad = delays[~np.isfinite(delays) | (delays < 0)]
+    if bad.size:
+        raise ValueError(f"delays must be finite and non-negative, got {bad[0]} us")
+    if np.any(np.diff(delays) <= 0):
+        raise ValueError("delays must be strictly ascending")
+    return delays
+
+
 def _rng_for(seed: Optional[int], *counters: int) -> np.random.Generator:
     """Deterministic per-task generator derived from a master seed."""
     if seed is None:
@@ -144,7 +155,7 @@ def protocol_t1(
     """Excite, wait, measure: records excited-state population vs delay."""
     _check_shots(shots)
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
-    delays = np.asarray(delays, dtype=float)
+    delays = _checked_delays(delays)
     h0 = _single_qubit_h0(device, qubit, levels)
     rho0 = np.zeros((levels, levels), dtype=complex)
     rho0[1, 1] = 1.0
@@ -205,7 +216,7 @@ def protocol_ramsey(
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
     if jitter_mode not in ("per_shot", "per_run"):
         raise ValueError("jitter_mode must be 'per_shot' or 'per_run'")
-    delays = np.asarray(delays, dtype=float)
+    delays = _checked_delays(delays)
     sigma_mhz = noise.rate("jitter_khz", qubit) * 1e-3
 
     def signal_for(offset: float) -> np.ndarray:
@@ -265,7 +276,7 @@ def protocol_echo(
     so the decay is set by T1 and the Markovian dephasing alone."""
     _check_shots(shots)
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
-    delays = np.asarray(delays, dtype=float)
+    delays = _checked_delays(delays)
     # quasi-static offsets cancel exactly; evolve once without them.  The
     # closing pi pulse conjugates <0|rho|1> and keeps its magnitude
     h0 = _single_qubit_h0(device, qubit, levels)

@@ -163,6 +163,21 @@ def test_config_error_category(tmp_path, capsys):
     assert json.loads(err)["error"]["category"] == "config"
 
 
+# the --delays= form, since argparse reads "-1,..." as an option
+@pytest.mark.parametrize("delays", ["-1,2,3,4,5", "0,0,1,2,3", "0,2,1,3,4"])
+@pytest.mark.parametrize("protocol", ["t1", "ramsey", "echo"])
+def test_dynamics_refuses_a_negative_or_unordered_delay_grid(protocol, delays, capsys):
+    code, out, err = run_cli(
+        ["dynamics", "--protocol", protocol, "--qubit", "Q2", f"--delays={delays}",
+         "--seed", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert error["message"].startswith("delays must be"), error["message"]
+
+
 def test_physics_error_category(capsys):
     # drive parked on the Q2 carrier violates the pole guard
     code, _, err = run_cli(
@@ -1102,14 +1117,35 @@ def test_failed_flush_at_process_exit_is_exit_120(monkeypatch):
     assert exited.value.code == 120
 
 
+# runs the command given after the script, if any, through run() and
+# reports the state main found, its exit code, and what the command loaded
 _RUN_WITH_REPORTING_MAIN = (
     "import json, os, sys\n"
     "from transmon_lattice import cli\n"
+    "command = cli.main\n"
     "def report():\n"
-    "    print(json.dumps([os.environ.get('OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules]))\n"
-    "    return 0\n"
+    "    found = [os.environ.get('OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules]\n"
+    "    code = command() if sys.argv[1:] else 0\n"
+    "    import hashlib, hmac\n"
+    "    maps = '/proc/self/maps' if os.path.exists('/proc/self/maps') else os.devnull\n"
+    "    with open(maps) as mapped:\n"
+    "        crypto = 'libcrypto' in mapped.read()\n"
+    "    same = hmac.compare_digest(b'tlattice', b'tlattice')\n"
+    "    other = hmac.compare_digest(b'tlattice', b'tlattic3')\n"
+    "    print(json.dumps(found + [\n"
+    "        code, 'numpy.random' in sys.modules, '_hashlib' in sys.modules,\n"
+    "        getattr(sys.modules.get('_hashlib'), '__name__', None), crypto,\n"
+    "        hashlib.sha256(b'tlattice').hexdigest(), same, other,\n"
+    "    ]))\n"
+    "    return code\n"
     "cli.main = report\n"
     "cli.run()\n"
+)
+_TLATTICE_SHA256 = "badd300aa032c639faf7c4c50609437a8805d2c4aa76efb392473a51da37e05e"
+# the two commands that draw random numbers, so load numpy.random
+_DRAWING_LINES = (
+    "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --seed 1",
+    "dynamics --protocol ramsey --qubit Q2 --delays 0:20:161 --shots 100 --seed 1",
 )
 
 
@@ -1118,19 +1154,41 @@ def _blas_env(**values: str) -> dict:
     return dict(env, **values)
 
 
+def _run_reporting(line: str = "", before: str = "", **env: str) -> list:
+    result = subprocess.run(
+        [sys.executable, "-c", before + _RUN_WITH_REPORTING_MAIN, *line.split()],
+        capture_output=True, text=True, env=_blas_env(**env), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("user_value", [None, "28"])
 def test_run_lets_blas_workers_sleep_before_numpy_loads(user_value):
     # OpenBLAS reads the variable once, when numpy loads it
     from transmon_lattice.cli import OPENBLAS_THREAD_TIMEOUT
 
-    env = _blas_env() if user_value is None else _blas_env(OPENBLAS_THREAD_TIMEOUT=user_value)
-    result = subprocess.run(
-        [sys.executable, "-c", _RUN_WITH_REPORTING_MAIN], capture_output=True, text=True,
-        env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
+    env = {} if user_value is None else dict(OPENBLAS_THREAD_TIMEOUT=user_value)
     expected = str(OPENBLAS_THREAD_TIMEOUT) if user_value is None else user_value
-    assert json.loads(result.stdout) == [expected, False]
+    assert _run_reporting(**env)[:2] == [expected, False]
+
+
+@pytest.mark.parametrize("line", _DRAWING_LINES)
+def test_run_keeps_openssl_out_and_hashing_works(line):
+    # numpy.random imports secrets, hmac and so _hashlib, which maps
+    # libcrypto; run() blocks it, and hashlib and hmac fall back to
+    # CPython's builtin code
+    code, drew, listed, hashlib_module, crypto, digest, same, other = _run_reporting(line)[2:]
+    assert (code, drew, listed, hashlib_module, crypto) == (0, True, True, None, False)
+    assert (digest, same, other) == (_TLATTICE_SHA256, True, False)
+
+
+def test_run_keeps_a_hashlib_imported_before_it():
+    code, drew, listed, hashlib_module, _, digest, same, other = _run_reporting(
+        _DRAWING_LINES[0], before="import _hashlib\n"
+    )[2:]
+    assert (code, drew, listed, hashlib_module) == (0, True, True, "_hashlib")
+    assert (digest, same, other) == (_TLATTICE_SHA256, True, False)
 
 
 def test_run_turns_off_the_cyclic_collector_and_main_does_not():
@@ -1145,10 +1203,40 @@ def test_run_turns_off_the_cyclic_collector_and_main_does_not():
         timeout=120,
     )
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
-    # in process, main leaves the collector as it finds it
+    # in process, main leaves the collector on and _hashlib importable
     assert gc.isenabled()
     assert main(["stats", "--column", "alpha"]) == 0
+    assert main(_DRAWING_LINES[0].split()) == 0
     assert gc.isenabled()
+    assert sys.modules.get("_hashlib", "absent") is not None
+    # and in a fresh process a drawing command loads the real _hashlib
+    code = (
+        "import sys\n"
+        "from transmon_lattice.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print(getattr(sys.modules.get('_hashlib'), '__name__', None))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *_DRAWING_LINES[0].split()], capture_output=True,
+        text=True, env=_src_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "_hashlib"
+
+
+@pytest.mark.parametrize("line", _DRAWING_LINES)
+def test_keeping_openssl_out_moves_no_byte(line, tmp_path):
+    # a process that imports _hashlib before run() is one without the block
+    outputs = []
+    for entry in (["-m", "transmon_lattice.cli"],
+                  ["-c", "import _hashlib\nfrom transmon_lattice import cli\ncli.run()\n"]):
+        result = subprocess.run(
+            [sys.executable, *entry, *line.split()], capture_output=True, env=_src_env(),
+            cwd=tmp_path, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1] != b""
 
 
 @pytest.mark.parametrize(
