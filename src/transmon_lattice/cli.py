@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -301,23 +302,30 @@ def _cmd_zz(args) -> dict:
     }
 
 
+# each dynamics protocol's fit: its model and its name in messages
+_DYNAMICS_FITS = {"t1": ("exp_decay", "T1"), "ramsey": ("damped_cos", "Ramsey"),
+                  "echo": ("exp_decay", "echo")}
+
+
 def _cmd_dynamics(args) -> dict:
-    from .fitting import FIT_FUNCTIONS
-    from .protocols import protocol_echo, protocol_ramsey, protocol_t1
+    from .fitting import FEWEST_POINTS, FIT_FUNCTIONS
+    from .protocols import checked_delays, protocol_echo, protocol_ramsey, protocol_t1
 
     device = _device_from(args)
+    model, name = _DYNAMICS_FITS[args.protocol]
+    # the grid's own checks, then the points its fit needs, before evolving
+    delays = checked_delays(args.delays)
+    if len(delays) < FEWEST_POINTS[model]:
+        raise ValueError(f"delays must hold at least {FEWEST_POINTS[model]} points for the "
+                         f"{name} fit, got {len(delays)}")
     kwargs = dict(shots=args.shots, seed=args.seed, levels=args.levels)
     if args.protocol == "t1":
-        record = protocol_t1(device, args.qubit, args.delays, **kwargs)
-        fit = FIT_FUNCTIONS["exp_decay"](record.axis("delay"), record.data["p_excited"])
+        record = protocol_t1(device, args.qubit, delays, **kwargs)
     elif args.protocol == "ramsey":
-        record = protocol_ramsey(
-            device, args.qubit, args.delays, detuning=args.detuning, **kwargs
-        )
-        fit = FIT_FUNCTIONS["damped_cos"](record.axis("delay"), record.data["p_excited"])
+        record = protocol_ramsey(device, args.qubit, delays, detuning=args.detuning, **kwargs)
     else:
-        record = protocol_echo(device, args.qubit, args.delays, **kwargs)
-        fit = FIT_FUNCTIONS["exp_decay"](record.axis("delay"), record.data["p_excited"])
+        record = protocol_echo(device, args.qubit, delays, **kwargs)
+    fit = FIT_FUNCTIONS[model](record.axis("delay"), record.data["p_excited"])
     payload = record_to_dict(record)
     payload["fit"] = fit.to_dict()
     if args.plot:
@@ -658,6 +666,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
+def _has_builtin_hashes() -> bool:
+    """Whether the builtin hash modules that ``hashlib`` falls back to
+    without ``_hashlib`` would import.  A build without them logs one
+    ValueError traceback to stderr per missing hash when ``hashlib``
+    loads without ``_hashlib``.  The modules are looked up, not loaded."""
+    names = ["_md5", "_sha1", "_sha3", "_blake2"]
+    names += ["_sha2"] if sys.version_info >= (3, 12) else ["_sha256", "_sha512"]
+    return all(importlib.util.find_spec(name) is not None for name in names)
+
+
 def run() -> NoReturn:
     """The process entry of ``tlattice``: runs :func:`main`, flushes stdout
     and stderr, then ends the process with ``os._exit``.
@@ -675,17 +693,19 @@ def run() -> NoReturn:
     the output is complete; nothing the package opens is left unclosed.  A
     failed flush (a closed pipe) exits 120, as CPython's own exit does.
 
-    It also blocks ``_hashlib``, unless something imported it already.
+    It also blocks ``_hashlib``, unless something imported it already or
+    CPython's builtin hash modules are missing (:func:`_has_builtin_hashes`).
     ``numpy.random`` imports ``secrets``, which imports ``hmac`` and so
     ``_hashlib``, and that maps OpenSSL's libcrypto: 3.4 MiB resident in
     every command that draws random numbers, though nothing here hashes.
-    Without it, ``hmac`` and ``hashlib`` fall back to CPython's builtin
-    code, which imports in about half the ~4 ms that ``_hashlib`` takes,
-    and ``SeedSequence`` mixes its entropy in its own code, so every
-    random stream stays the same.  Library imports and :func:`main` leave
+    Without it, ``hmac`` and ``hashlib`` fall back to the builtin code,
+    which imports in about half the ~4 ms that ``_hashlib`` takes, and
+    ``SeedSequence`` mixes its entropy in its own code, so every random
+    stream stays the same.  Library imports and :func:`main` leave
     ``sys.modules`` as they find it."""
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(OPENBLAS_THREAD_TIMEOUT))
-    sys.modules.setdefault("_hashlib", None)
+    if _has_builtin_hashes():
+        sys.modules.setdefault("_hashlib", None)
     gc.disable()
     code = main()
     for stream in (sys.stdout, sys.stderr):

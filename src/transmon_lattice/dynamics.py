@@ -10,6 +10,12 @@ the Hamiltonian must be static: a term that changes the excitation number
 rotates in any nonzero frame and raises ValueError naming the rate.
 Drives enter in the rotating-wave approximation.
 
+:func:`evolve` and :func:`evolve_open` propagate one static generator
+(the frame Hamiltonian plus constant tones) by exact diagonalization.
+The only time dependence is the Blackman ramps of :func:`echo_sequence`,
+stepped in the 4th-order commutator-free Magnus slices of
+:func:`_propagate_sliced` and folded into the echo's flat-top modes.
+
 Conventions: matrices carry cyclic frequencies in MHz, times are us, so
 a propagator is exp(-2*pi*i*H*t).  A resonant tone of amplitude Omega
 drives ground-state population as cos^2(pi*Omega*t) on a two-level
@@ -25,65 +31,24 @@ import numpy as np
 from .device import DeviceSpec
 from .errors import ContractViolation, ResourceLimitError, UnknownQubitError
 from .operators import LatticeOperator, basis_occupations, destroy, number, _embed
-from .values import FrozenValue, Value
+from .values import FrozenValue
 
-ENVELOPES = ("rectangular", "blackman")
 LINDBLAD_MAX_DIM = 32  # density-matrix side; its Liouvillian is 1024 x 1024
 
 
 # --------------------------------------------------------------------- tones
 
 class DriveTone(FrozenValue):
-    """One microwave tone applied to a single qubit, playing at the
-    frequency of the frame it is evolved in.
+    """One constant microwave tone on a single qubit, playing at the
+    frequency of the frame it is evolved in:
+    (Omega/2)(a^dag e^{-i phase} + h.c.) with Omega = ``amplitude`` MHz."""
 
-    ``rise`` is the Blackman ramp length in ns and is ignored for
-    rectangular envelopes.  ``start``/``duration`` are in us.
-    """
+    __slots__ = ("target", "amplitude", "phase")
 
-    __slots__ = ("target", "amplitude", "phase", "envelope", "rise", "start", "duration")
-
-    def __init__(
-        self,
-        target: str,
-        amplitude: float,
-        phase: float = 0.0,
-        envelope: str = "rectangular",
-        rise: float = 0.0,
-        start: float = 0.0,
-        duration: float = 1.0,
-    ):
-        self._assign(target, amplitude, phase, envelope, rise, start, duration)
-        if self.duration <= 0:
-            raise ValueError("drive duration must be positive")
+    def __init__(self, target: str, amplitude: float, phase: float = 0.0):
+        self._assign(target, amplitude, phase)
         if self.amplitude < 0:
             raise ValueError("drive amplitude must be non-negative")
-        if self.envelope not in ENVELOPES:
-            raise ValueError(f"unknown envelope {self.envelope!r}")
-        if self.envelope == "blackman":
-            if self.rise <= 0:
-                raise ValueError("blackman envelope needs a positive rise (ns)")
-            if 2 * self.rise * 1e-3 > self.duration:
-                raise ValueError("rise and fall do not fit inside the duration")
-
-    @property
-    def stop(self) -> float:
-        return self.start + self.duration
-
-    def envelope_value(self, t: float) -> float:
-        if not (self.start <= t <= self.stop):
-            return 0.0
-        if self.envelope == "rectangular":
-            return 1.0
-        rise_us = self.rise * 1e-3
-        if t < self.start + rise_us:
-            x = (t - self.start) / rise_us
-        elif t > self.stop - rise_us:
-            x = (self.stop - t) / rise_us
-        else:
-            return 1.0
-        # rising half of a Blackman window, normalized to 1 at the top
-        return 0.42 - 0.5 * math.cos(math.pi * x) + 0.08 * math.cos(2 * math.pi * x)
 
 
 # --------------------------------------------------------------------- noise
@@ -153,48 +118,9 @@ class NoiseSpec(FrozenValue):
         )
 
 
-# -------------------------------------------------------- frame + term setup
+# ------------------------------------------------------------ static generator
 
 FRAME_TOL = 1e-9  # MHz: a term rotating slower than this in the frame is static
-
-
-class _DriveTerm(Value):
-    """env(t) (M exp(-i phase) + h.c.): a tone's drive in the frame of its
-    carrier, where only its envelope varies."""
-
-    __slots__ = ("matrix", "tone")
-
-    def __init__(self, matrix: np.ndarray, tone: DriveTone):
-        self._assign(matrix, tone)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        """Times where the term's time dependence changes character."""
-        if self.tone.envelope == "rectangular":
-            return (self.tone.start, self.tone.stop)
-        rise_us = self.tone.rise * 1e-3
-        return (
-            self.tone.start,
-            self.tone.start + rise_us,
-            self.tone.stop - rise_us,
-            self.tone.stop,
-        )
-
-    def is_static_on(self, left: float, right: float) -> bool:
-        """Constant contribution over (left, right)?"""
-        if self.tone.envelope == "rectangular":
-            return True
-        rise_us = self.tone.rise * 1e-3
-        flat_left = self.tone.start + rise_us
-        flat_right = self.tone.stop - rise_us
-        return left >= flat_left - 1e-15 and right <= flat_right + 1e-15
-
-    def add_to(self, h: np.ndarray, t: float) -> None:
-        env = self.tone.envelope_value(t)
-        if env == 0.0:
-            return
-        block = env * np.exp(-1j * self.tone.phase) * self.matrix
-        h += block
-        h += block.conj().T
 
 
 def _frame_static(h0: LatticeOperator, frame: float) -> np.ndarray:
@@ -214,42 +140,39 @@ def _frame_static(h0: LatticeOperator, frame: float) -> np.ndarray:
     return h0.matrix - np.diag(occ @ freqs)
 
 
-def _drive_terms(
-    drives: Sequence[DriveTone], sites: Sequence[str], levels: int
-) -> list[_DriveTerm]:
-    """Each tone's (Omega/2)(a^dag e^{-i phi} + h.c.) in its frame."""
-    terms = []
+def _raising(site: int, n_sites: int, levels: int) -> np.ndarray:
+    return _embed(destroy(levels), site, n_sites, levels).conj().T
+
+
+def _static_hamiltonian(h0, drives, frame, extra_static) -> np.ndarray:
+    """The Hamiltonian of ``h0`` in the frame rotating at ``frame`` MHz,
+    plus ``extra_static``, plus each tone's D + D^dag with
+    D = e^{-i phase} (Omega/2) a^dag."""
+    h = _frame_static(h0, frame)
+    if extra_static is not None:
+        h = h + extra_static
     for tone in drives:
-        if tone.target not in sites:
-            raise UnknownQubitError(tone.target, sites)
-        a = _embed(destroy(levels), list(sites).index(tone.target), len(sites), levels)
-        terms.append(_DriveTerm(matrix=0.5 * tone.amplitude * a.conj().T, tone=tone))
-    return terms
-
-
-def _segment_edges(
-    t0: float, t1: float, terms: Sequence[_DriveTerm]
-) -> np.ndarray:
-    edges = {t0, t1}
-    for term in terms:
-        for edge in term.breakpoints():
-            if t0 < edge < t1:
-                edges.add(edge)
-    return np.array(sorted(edges))
-
-
-def _hamiltonian(static, terms, t) -> np.ndarray:
-    h = static.copy()
-    for term in terms:
-        term.add_to(h, t)
+        if tone.target not in h0.sites:
+            raise UnknownQubitError(tone.target, h0.sites)
+        site = h0.sites.index(tone.target)
+        block = np.exp(-1j * tone.phase) * (
+            0.5 * tone.amplitude * _raising(site, len(h0.sites), h0.levels)
+        )
+        h += block
+        h += block.conj().T
     return h
 
 
 def _collapse_operators(
     sites: Sequence[str], levels: int, noise: NoiseSpec
 ) -> list[tuple[float, np.ndarray]]:
-    ops = []
+    """The Lindblad terms (rate, operator) of ``noise`` on ``sites``.  A
+    density matrix side above ``LINDBLAD_MAX_DIM``, whose Liouvillian
+    ``eig`` would be too large, raises :class:`ResourceLimitError`."""
     n_sites = len(sites)
+    if levels**n_sites > LINDBLAD_MAX_DIM:
+        raise ResourceLimitError(f"density matrix side {levels**n_sites} > {LINDBLAD_MAX_DIM}")
+    ops = []
     for k, label in enumerate(sites):
         g1 = noise.rate("relaxation", label)
         if g1 > 0:
@@ -313,10 +236,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def _propagate_static(h, collapse, psi, times) -> np.ndarray:
     """``psi`` carried by the static generator of :func:`_modes` to every
     time in ``times``: state vectors when ``collapse`` is None, otherwise
-    row-major vectorized density matrices.  Where the modes miss the
-    Liouvillian by over 1e-12 relative, :func:`_expm` takes each time
-    instead.  ``psi`` is one vector or a matrix whose columns are
-    vectors; the result has a leading time axis."""
+    row-major vectorized density matrices.  Times all 0 give ``psi``
+    itself, exactly.  Where the modes miss the Liouvillian by over 1e-12
+    relative, :func:`_expm` takes each time instead.  ``psi`` is one
+    vector or a matrix whose columns are vectors; the result has a
+    leading time axis."""
+    if not np.any(times):
+        return np.repeat(psi[None], len(times), axis=0)
     rates, right, left, miss = _modes(h, collapse)
     if miss > 1e-12:
         lv = _liouvillian(h, collapse)
@@ -326,52 +252,45 @@ def _propagate_static(h, collapse, psi, times) -> np.ndarray:
     return moved.reshape(len(times), *psi.shape)
 
 
-ENVELOPE_SLICES = 48  # Magnus slices of a segment where an envelope varies
+ENVELOPE_SLICES = 48  # Magnus slices of a ramp
 # 4th-order commutator-free Magnus weights at the Gauss nodes 1/2 -+ sqrt(3)/6
 # (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
 _MAGNUS_A, _MAGNUS_B = (3 + 2 * math.sqrt(3)) / 12, (3 - 2 * math.sqrt(3)) / 12
 _GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 
 
-def _magnus_edges(left, right, t_eval) -> np.ndarray:
-    """Slice edges of [left, right], every ``t_eval`` time among them and
-    at most (right - left) / ENVELOPE_SLICES apart."""
-    density = ENVELOPE_SLICES / (right - left)
-    cuts = sorted({min(max(float(t), left), right) for t in (*t_eval, left, right)})
-    # the guard keeps a whole count whole: n / x * x can round above n
-    return np.concatenate([
-        np.linspace(p, q, math.ceil(density * (q - p) * (1 - 1e-12)) + 1)[:-1]
-        for p, q in zip(cuts[:-1], cuts[1:])
-    ] + [[right]])
+def _blackman_rise(x: float) -> float:
+    """The rising half of a Blackman window at x in [0, 1], 1 at the top."""
+    return 0.42 - 0.5 * math.cos(math.pi * x) + 0.08 * math.cos(2 * math.pi * x)
 
 
-def _propagate_sliced(
-    static: np.ndarray,
-    terms: Sequence[_DriveTerm],
-    collapse: Optional[Sequence[tuple[float, np.ndarray]]],
-    psi: np.ndarray,
-    left: float,
-    right: float,
-    t_eval: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step through a time-dependent segment in the 4th-order
-    commutator-free Magnus slices of :func:`_magnus_edges`, each two
-    static exponentials of Hamiltonians mixed from its Gauss nodes.
+def _propagate_sliced(static, drives, envelope, collapse, psi, left, right) -> np.ndarray:
+    """``psi`` carried from ``left`` to ``right`` under the Hamiltonian
+    static + envelope(t) (D + D^dag): ``static`` is the frame Hamiltonian,
+    ``envelope`` a function of time, and D the sum of e^{-i phi} M over
+    ``drives``, one (e^{-i phi}, M) pair per site with M = (Omega/2) a^dag.
+    The time runs in ENVELOPE_SLICES 4th-order commutator-free Magnus
+    slices, each two static exponentials of Hamiltonians mixed from its
+    Gauss nodes.  ``psi`` and ``collapse`` are as in
+    :func:`_propagate_static` (the identity as ``psi`` gives the
+    propagator)."""
 
-    ``psi`` and ``collapse`` are as in :func:`_propagate_static` (the
-    identity as ``psi`` gives the segment's propagator).  Returns (``psi``
-    carried to ``right``, its values at the ``t_eval`` points, which must
-    lie within [left, right])."""
-    states_out = np.empty((len(t_eval), *psi.shape), dtype=complex)
-    states_out[np.abs(t_eval - left) <= 1e-15] = psi
-    edges = _magnus_edges(left, right, t_eval)
+    def hamiltonian(t):
+        h = static.copy()
+        env = envelope(t)
+        for turn, matrix in drives:
+            block = env * turn * matrix
+            h += block
+            h += block.conj().T
+        return h
+
+    edges = np.linspace(left, right, ENVELOPE_SLICES + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         # the weights sum to 1/2: each factor holds 2 (A h1 + B h2) for half the slice
-        h1, h2 = (_hamiltonian(static, terms, a + x * (b - a)) for x in _GAUSS_NODES)
+        h1, h2 = (hamiltonian(a + x * (b - a)) for x in _GAUSS_NODES)
         for h in (_MAGNUS_A * h1 + _MAGNUS_B * h2, _MAGNUS_B * h1 + _MAGNUS_A * h2):
             psi = _propagate_static(2.0 * h, collapse, psi, np.array([0.5 * (b - a)]))[0]
-        states_out[(t_eval > a + 1e-15) & (t_eval <= b + 1e-15)] = psi
-    return psi, states_out
+    return psi
 
 
 def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
@@ -383,15 +302,6 @@ def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
     return t_grid
 
 
-def _frame_terms(h0, drives, frame, extra_static):
-    """The static Hamiltonian of ``h0`` in the frame rotating at ``frame``
-    MHz and the drive terms of ``drives``, whose envelopes alone vary."""
-    static = _frame_static(h0, frame)
-    if extra_static is not None:
-        static = static + extra_static
-    return static, _drive_terms(drives, h0.sites, h0.levels)
-
-
 def evolve(
     h0: LatticeOperator,
     drives: Sequence[DriveTone],
@@ -400,23 +310,23 @@ def evolve(
     frame: float,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Closed-system trajectory; returns states of shape (len(t), dim).
+    """Closed-system trajectory from time 0; returns states of shape
+    (len(t), dim).
 
     ``h0`` is the absolute-frequency subset Hamiltonian and ``frame`` the
     frequency (MHz) of the frame, at which every tone in ``drives`` plays;
-    the frame transform and drive terms are applied internally, and a
-    term of ``h0`` that would rotate in the frame raises ValueError.
+    the frame transform and the constant drives are applied internally,
+    and a term of ``h0`` that would rotate in the frame raises ValueError.
     ``extra_static`` (a matrix in the frame, e.g. a jitter term) is added
-    verbatim.  Segments where every envelope is flat propagate by exact
-    diagonalization; envelope ramps step through 4th-order
-    commutator-free Magnus slices in :func:`_propagate_sliced`.
+    verbatim.  The one static generator propagates by exact
+    diagonalization.
     """
     t_grid = _checked_grid(t_grid)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h0.dim,):
         raise ValueError(f"psi0 must have shape ({h0.dim},)")
-    static, terms = _frame_terms(h0, drives, frame, extra_static)
-    return _evolve(static, terms, None, psi0, t_grid)
+    h = _static_hamiltonian(h0, drives, frame, extra_static)
+    return _propagate_static(h, None, psi0, t_grid)
 
 
 def evolve_open(
@@ -428,58 +338,29 @@ def evolve_open(
     frame: float,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Lindblad trajectory; returns density matrices (len(t), dim, dim).
+    """Lindblad trajectory from time 0; returns density matrices
+    (len(t), dim, dim).
 
     Relaxation enters through lowering operators, pure dephasing through
     number operators at twice the dephasing rate.  Quasi-static jitter
     is not sampled here; protocols add it as ``extra_static`` terms.
-    Segments propagate as in :func:`evolve`, with an ``eig`` of the
-    Liouvillian in place of ``eigh``, so a side above
+    The generator is that of :func:`evolve`, propagated by an ``eig`` of
+    its Liouvillian in place of ``eigh``, so a side above
     ``LINDBLAD_MAX_DIM`` raises :class:`ResourceLimitError`.
     """
     t_grid = _checked_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (h0.dim, h0.dim):
         raise ValueError(f"rho0 must have shape ({h0.dim}, {h0.dim})")
-    if h0.dim > LINDBLAD_MAX_DIM:
-        raise ResourceLimitError(f"density matrix side {h0.dim} > {LINDBLAD_MAX_DIM}")
+    collapse = _collapse_operators(h0.sites, h0.levels, noise)
     if abs(np.trace(rho0) - 1.0) > 1e-9:
         raise ContractViolation("rho0 must have unit trace")
     eigmin = float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min())
     if eigmin < -1e-9:
         raise ContractViolation(f"rho0 is not positive semidefinite ({eigmin:.2e})")
-    static, terms = _frame_terms(h0, drives, frame, extra_static)
-    collapse = _collapse_operators(h0.sites, h0.levels, noise)
-    out = _evolve(static, terms, collapse, rho0.reshape(-1), t_grid)
+    h = _static_hamiltonian(h0, drives, frame, extra_static)
+    out = _propagate_static(h, collapse, rho0.reshape(-1), t_grid)
     return out.reshape(len(t_grid), h0.dim, h0.dim)
-
-
-def _evolve(static, terms, collapse, y0, t_grid) -> np.ndarray:
-    """Propagate ``y0`` from time 0 through ascending grid times: a state
-    vector when ``collapse`` is None, otherwise a row-major vectorized
-    density matrix under the Lindblad terms ``collapse``.
-
-    A segment on which every envelope is flat propagates exactly with one
-    diagonalization; any other steps through :func:`_propagate_sliced`."""
-    out = np.empty((len(t_grid), len(y0)), dtype=complex)
-    edges = _segment_edges(0.0, float(t_grid[-1]), terms)
-    y = y0.copy()
-    for left, right in zip(edges[:-1], edges[1:]):
-        sel = (t_grid >= left - 1e-15) & (t_grid <= right + 1e-15)
-        inside = t_grid[sel]
-        active = [t for t in terms if t.tone.start < right and t.tone.stop > left]
-        if all(t.is_static_on(left, right) for t in active):
-            h_seg = _hamiltonian(static, active, 0.5 * (left + right))
-            moved = _propagate_static(
-                h_seg, collapse, y, np.append(inside - left, right - left)
-            )
-            out[sel] = moved[:-1]
-            y = moved[-1]
-            continue
-        y, out[sel] = _propagate_sliced(static, active, collapse, y, left, right, inside)
-    if len(edges) == 1:  # grid entirely at t = 0
-        out[:] = y0
-    return out
 
 
 # ------------------------------------------------------------- echo sequence
@@ -502,57 +383,47 @@ def _checked_widths(widths: Sequence[float], rise: float) -> np.ndarray:
 def echo_sequence(
     h0: LatticeOperator,
     frames: Sequence[float],
-    tone_sets: Sequence[Sequence[DriveTone]],
+    amplitudes: np.ndarray,
+    phases: np.ndarray,
+    rise: float,
     pulse: np.ndarray,
     noise: Optional[NoiseSpec] = None,
 ):
-    """The echo [drive(w/2), pulse, drive(w/2), pulse] of every tone set,
+    """The echo [drive(w/2), pulse, drive(w/2), pulse] of every drive set,
     as a function ``run(states, widths)`` that takes a stack of states
     indexed [k, ...] to states indexed [set, width, k, ...]: vectors when
     ``noise`` is None, else density matrices under its Lindblad terms
     (even when it has none).  ``pulse`` is an ideal instantaneous unitary
     on the whole space.
 
-    Tone set s plays in the frame rotating at ``frames[s]`` MHz, at most
-    one tone per site; of each tone only its target, amplitude, phase and
-    Blackman rise are read, since the sequence times the tones itself,
-    and every tone shares one rise (else ValueError).  A drive of width
-    w/2 is a ramp up, a flat top and a ramp down; widths shorter than
-    four ramps, or negative or not finite, raise ValueError.  All flat
-    tops are decomposed in one stacked call of :func:`_modes`, and the
-    ramps, stepped in the Magnus slices of :func:`_propagate_sliced`,
-    fold into their modes, so every call, at any widths, reuses them.
-    On the identity's rows, the vector echo gives the transposed
-    unitaries E(w)^T, where E(w) = P U(w/2) P U(w/2).
+    Set s plays in the frame rotating at ``frames[s]`` MHz and drives
+    site k of ``h0`` with the tone of amplitude ``amplitudes[s, k]`` MHz
+    and phase ``phases[s, k]`` (arrays of shape (sets, sites), else
+    ValueError; an undriven site has amplitude 0).  A drive of width w/2
+    is a Blackman ramp of ``rise`` ns up, a flat top and a ramp down, or
+    a rectangle at rise 0; widths shorter than four ramps, or negative or
+    not finite, raise ValueError.  All flat tops are decomposed in one
+    stacked call of :func:`_modes`, and the ramps, stepped in the Magnus
+    slices of :func:`_propagate_sliced`, fold into their modes, so every
+    call, at any widths, reuses them.  On the identity's rows, the vector
+    echo gives the transposed unitaries E(w)^T, where
+    E(w) = P U(w/2) P U(w/2).
     """
     n_sites = len(h0.sites)
-    # each set's amplitudes and phases by site (a site without a tone adds
-    # 0), and the rise of every tone
-    amplitudes = np.zeros((len(tone_sets), n_sites))
-    phases = np.zeros((len(tone_sets), n_sites))
-    rises = set()
-    for s, tones in enumerate(tone_sets):
-        if len({tone.target for tone in tones}) < len(tones):
-            raise ValueError(f"two tones of one set drive one site: {[t.target for t in tones]}")
-        for tone in tones:
-            if tone.target not in h0.sites:
-                raise UnknownQubitError(tone.target, h0.sites)
-            site = h0.sites.index(tone.target)
-            amplitudes[s, site], phases[s, site] = tone.amplitude, tone.phase
-            rises.add(tone.rise if tone.envelope == "blackman" else 0.0)
-    rise = rises.pop() if rises else 0.0
-    if rises:
-        raise ValueError(f"tone rises {sorted({rise, *rises})} ns differ; an echo has one rise")
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    if not amplitudes.shape == phases.shape == (len(frames), n_sites):
+        raise ValueError(
+            f"amplitudes {amplitudes.shape} and phases {phases.shape} must have the "
+            f"shape (sets, sites) = {(len(frames), n_sites)}"
+        )
     rise_us = rise * 1e-3
-    # the half-pulse the ramps are taken from: ramps on [0, rise] and
-    # [3 rise, 4 rise], flat between
-    duration = 4.0 * rise_us if rise_us > 0 else 1.0
     collapse = None if noise is None else _collapse_operators(h0.sites, h0.levels, noise)
     # one frame Hamiltonian per frequency, one raising operator per site,
     # and each flat top adds its drive D + D^dag to its frame's, with
-    # D = (Omega/2) e^{-i phi} a^dag per tone as in _DriveTerm
+    # D = (Omega/2) e^{-i phi} a^dag per site
     statics = {frame: _frame_static(h0, frame) for frame in set(frames)}
-    raising = [_embed(destroy(h0.levels), k, n_sites, h0.levels).conj().T for k in range(n_sites)]
+    raising = [_raising(k, n_sites, h0.levels) for k in range(n_sites)]
     halves, turns = 0.5 * amplitudes, np.exp(-1j * phases)
     flat = np.array([statics[frame] for frame in frames])
     for site, adag in enumerate(raising):
@@ -565,21 +436,25 @@ def echo_sequence(
     rates, right, left, _ = _modes(flat, collapse)
     if rise_us > 0:
         eye = np.eye(h0.dim if collapse is None else h0.dim**2, dtype=complex)
-        ramps = []
-        for frame, tones in zip(frames, tone_sets):
-            timed = [
-                DriveTone(t.target, t.amplitude, t.phase, t.envelope, t.rise, duration=duration)
-                for t in tones
-            ]
-            terms = _drive_terms(timed, h0.sites, h0.levels)
-            ramps.append([
+        # the ramps of the half-pulse [0, stop]: up on [0, rise], down on
+        # [stop - rise, stop]
+        stop = 4.0 * rise_us
+        ramps = (
+            (0.0, lambda t: _blackman_rise(t / rise_us)),
+            (stop - rise_us, lambda t: _blackman_rise((stop - t) / rise_us)),
+        )
+        folded = np.array([
+            [
                 _propagate_sliced(
-                    statics[frame], terms, collapse, eye, a, a + rise_us, np.empty(0)
-                )[0]
-                for a in (0.0, duration - rise_us)
-            ])
-        ramps = np.array(ramps)
-        left, right = left @ ramps[:, 0], ramps[:, 1] @ right
+                    statics[frame],
+                    [(turns[s, k], halves[s, k] * adag) for k, adag in enumerate(raising)],
+                    envelope, collapse, eye, a, a + rise_us,
+                )
+                for a, envelope in ramps
+            ]
+            for s, frame in enumerate(frames)
+        ])
+        left, right = left @ folded[:, 0], folded[:, 1] @ right
     # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T
     left, right = (np.swapaxes(m, -1, -2)[:, None] for m in (left, right))
     shape = (h0.dim,) if collapse is None else (h0.dim, h0.dim)

@@ -178,14 +178,18 @@ def exp_decay_jacobian(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(t), e, b * e * t / tau**2])
 
 
+# the fewest points a fit of each model takes
+FEWEST_POINTS = {"exp_decay": 4, "damped_cos": 8}
+
+
 def fit_exp_decay(t: np.ndarray, y: np.ndarray) -> FitResult:
     """Fit a + b exp(-t/T).  Initialization is a log-linear regression
     on the detrended data; constant input is flagged unidentifiable with
     a = mean."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(t) < 4:
-        raise ValueError("need at least 4 points")
+    if len(t) < FEWEST_POINTS["exp_decay"]:
+        raise ValueError(f"need at least {FEWEST_POINTS['exp_decay']} points")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t must be strictly ascending")
 
@@ -265,8 +269,8 @@ def fit_damped_cos(t: np.ndarray, y: np.ndarray) -> FitResult:
     grid cannot resolve a full oscillation below Nyquist."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(t) < 8:
-        raise ValueError("need at least 8 points")
+    if len(t) < FEWEST_POINTS["damped_cos"]:
+        raise ValueError(f"need at least {FEWEST_POINTS['damped_cos']} points")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t must be strictly ascending")
 

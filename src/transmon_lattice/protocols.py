@@ -103,7 +103,7 @@ def _check_shots(shots: int) -> None:
         raise ValueError(f"shots must be non-negative (0 = exact), got {shots}")
 
 
-def _checked_delays(delays: Sequence[float]) -> np.ndarray:
+def checked_delays(delays: Sequence[float]) -> np.ndarray:
     """A T1, Ramsey or echo delay grid (us), once it is finite, >= 0 and strictly ascending."""
     delays = np.asarray(delays, dtype=float)
     bad = delays[~np.isfinite(delays) | (delays < 0)]
@@ -155,7 +155,7 @@ def protocol_t1(
     """Excite, wait, measure: records excited-state population vs delay."""
     _check_shots(shots)
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
-    delays = _checked_delays(delays)
+    delays = checked_delays(delays)
     h0 = _single_qubit_h0(device, qubit, levels)
     rho0 = np.zeros((levels, levels), dtype=complex)
     rho0[1, 1] = 1.0
@@ -216,7 +216,7 @@ def protocol_ramsey(
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
     if jitter_mode not in ("per_shot", "per_run"):
         raise ValueError("jitter_mode must be 'per_shot' or 'per_run'")
-    delays = _checked_delays(delays)
+    delays = checked_delays(delays)
     sigma_mhz = noise.rate("jitter_khz", qubit) * 1e-3
 
     def signal_for(offset: float) -> np.ndarray:
@@ -276,14 +276,15 @@ def protocol_echo(
     so the decay is set by T1 and the Markovian dephasing alone."""
     _check_shots(shots)
     noise = noise if noise is not None else NoiseSpec.from_device(device, (qubit,))
-    delays = _checked_delays(delays)
+    delays = checked_delays(delays)
     # quasi-static offsets cancel exactly; evolve once without them.  The
     # closing pi pulse conjugates <0|rho|1> and keeps its magnitude
     h0 = _single_qubit_h0(device, qubit, levels)
     psi = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
     rho0 = np.outer(psi, psi.conj())
     echo = echo_sequence(
-        h0, [device.qubit(qubit).omega], [[]], rotation_gate(math.pi, 0.0, levels), noise
+        h0, [device.qubit(qubit).omega], [[0.0]], [[0.0]], 0.0,
+        rotation_gate(math.pi, 0.0, levels), noise,
     )
     coh = echo(rho0[None], delays)[0, :, 0, 0, 1]
     p1 = 0.5 + np.abs(coh)
@@ -339,14 +340,8 @@ def protocol_swap(
     psi0[levels] = 1.0  # |1, 0> in little-endian subset order
     p_shift = np.empty((len(amplitudes), len(durations)))
     p_partner = np.empty_like(p_shift)
-    max_dur = float(durations[-1])
     for i, amp in enumerate(amplitudes):
-        tone = DriveTone(
-            target=shifted,
-            amplitude=float(amp),
-            duration=max_dur if max_dur > 0 else 1.0,
-        )
-        tones = [tone] if amp > 0 else []
+        tones = [DriveTone(target=shifted, amplitude=float(amp))] if amp > 0 else []
         if open_system:
             rhos = evolve_open(
                 h0, tones, np.outer(psi0, psi0.conj()), noise, durations, frame=drive_freq
@@ -445,11 +440,9 @@ def protocol_acstark_ramsey(
     psi0 = np.kron(psi_meas, ground)
     rho0 = np.outer(psi0, psi0.conj())
 
-    max_dur = float(delays[-1]) if delays[-1] > 0 else 1.0
-
     def fitted_frequency(amp: float, offset: float) -> float:
         extra = _jitter_term((measured, shifted), levels, {measured: offset})
-        tones = [DriveTone(target=shifted, amplitude=amp, duration=max_dur)] if amp > 0 else []
+        tones = [DriveTone(target=shifted, amplitude=amp)] if amp > 0 else []
         if use_lindblad:
             states = evolve_open(
                 h0, tones, rho0, noise, delays, frame=drive_freq, extra_static=extra

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .device import DeviceSpec, zz_exact
-from .dynamics import DriveTone, NoiseSpec, echo_sequence, rotation_gate
+from .dynamics import NoiseSpec, echo_sequence, rotation_gate
 from .errors import AliasingError, NearPoleError, UncalibratableError
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 from .records import AxisSpec, ExperimentRecord
@@ -86,27 +86,6 @@ class SizzleConfig(FrozenValue):
                 raise NearPoleError(
                     f"drive within {guard} MHz of {label}'s 1-2 transition"
                 )
-
-
-def _config_tones(config: SizzleConfig) -> list[DriveTone]:
-    """The control and target tones of ``config``, timed by the echo that
-    plays them (any duration that holds both ramps will do)."""
-    envelope = "blackman" if config.rise > 0 else "rectangular"
-    specs = (
-        (config.control, config.omega_control, config.dphi),
-        (config.target, config.omega_target, 0.0),
-    )
-    return [
-        DriveTone(
-            target=label,
-            amplitude=amplitude,
-            phase=phase,
-            envelope=envelope,
-            rise=config.rise,
-            duration=max(1.0, 4e-3 * config.rise),
-        )
-        for label, amplitude, phase in specs
-    ]
 
 
 def sizzle_zz_predicted(
@@ -193,17 +172,23 @@ def default_widths(rise: float) -> np.ndarray:
 
 def _echo(h0: LatticeOperator, configs: Sequence[SizzleConfig], noise: Optional[NoiseSpec]):
     """The :func:`dynamics.echo_sequence` of every config on the pair of
-    ``h0`` (else ValueError), each config's two tones in the frame of its
-    drive frequency, with pi x pi as the pulse: vectors when ``noise`` is
-    None, else density matrices."""
+    ``h0`` with the rise of the first (else ValueError), each config's
+    control and target tones in the frame of its drive frequency, with
+    pi x pi as the pulse: vectors when ``noise`` is None, else density
+    matrices."""
     for config in configs:
         if tuple(config.pair) != h0.sites:
             raise ValueError(f"config pair {config.pair} is not the pair {h0.sites} of h0")
+        if config.rise != configs[0].rise:
+            raise ValueError(f"config rises {configs[0].rise} and {config.rise} ns differ; "
+                             f"an echo has one rise")
     pi = rotation_gate(math.pi, 0.0, h0.levels)
     return echo_sequence(
         h0,
         [config.freq for config in configs],
-        [_config_tones(config) for config in configs],
+        [(config.omega_control, config.omega_target) for config in configs],
+        [(config.dphi, 0.0) for config in configs],
+        configs[0].rise,
         np.kron(pi, pi),
         noise,
     )

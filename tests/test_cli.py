@@ -178,6 +178,28 @@ def test_dynamics_refuses_a_negative_or_unordered_delay_grid(protocol, delays, c
     assert error["message"].startswith("delays must be"), error["message"]
 
 
+@pytest.mark.parametrize("protocol, delays, message", [
+    ("t1", "0,10,20", "delays must hold at least 4 points for the T1 fit, got 3"),
+    ("echo", "0,10,20", "delays must hold at least 4 points for the echo fit, got 3"),
+    ("ramsey", "0:1:7", "delays must hold at least 8 points for the Ramsey fit, got 7"),
+])
+def test_dynamics_refuses_a_delay_grid_too_short_for_its_fit(protocol, delays, message,
+                                                              capsys, monkeypatch):
+    from transmon_lattice import protocols
+
+    def evolved(*args, **kwargs):
+        raise AssertionError("refused only after evolving")
+
+    for name in ("evolve_open", "echo_sequence"):
+        monkeypatch.setattr(protocols, name, evolved)
+    code, out, err = run_cli(
+        ["dynamics", "--protocol", protocol, "--qubit", "Q2", "--delays", delays, "--seed", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"category": "config", "message": message}
+
+
 def test_physics_error_category(capsys):
     # drive parked on the Q2 carrier violates the pole guard
     code, _, err = run_cli(
@@ -906,27 +928,25 @@ def test_a_number_that_is_not_finite_is_a_config_error_naming_the_option(
 
 
 def test_cli_import_loads_no_scipy():
-    # nothing imports scipy: CLI startup loads none of it, and a pair driven
-    # by a Blackman-ramped tone, in the tone's frame, runs closed and open
-    # with scipy unimportable
+    # nothing imports scipy: CLI startup loads none of it, and an echo of a
+    # pair driven by Blackman-ramped tones, in the tones' frame, runs closed
+    # and open with scipy unimportable
     code = (
         "import sys, transmon_lattice.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
-        "from transmon_lattice.dynamics import DriveTone, NoiseSpec, evolve, evolve_open\n"
+        "from transmon_lattice.dynamics import NoiseSpec, echo_sequence\n"
         "from transmon_lattice.fileio import load_bundled_device\n"
         "from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian\n"
         "device = load_bundled_device()\n"
         "h0 = assemble_hamiltonian(device, SubsetSelection(('Q2', 'Q3'), 2))\n"
-        "tone = DriveTone(target='Q2', amplitude=2.0, envelope='blackman', rise=10.0,\n"
-        "                 duration=0.05)\n"
-        "frame = device.qubit('Q2').omega - 3.0\n"
+        "args = ([device.qubit('Q2').omega - 3.0], [[2.0, 1.0]], [[0.0, 0.3]], 10.0, np.eye(4))\n"
         "psi0 = np.array([0.6, 0.0, 0.8, 0.0], dtype=complex)\n"
-        "t = [0.0, 0.02, 0.05]\n"
-        "states = evolve(h0, [tone], psi0, t, frame=frame)\n"
+        "widths = [0.0, 0.04, 0.1]\n"
+        "states = echo_sequence(h0, *args)(psi0[None], widths)\n"
         "noise = NoiseSpec.from_device(device, ('Q2', 'Q3'))\n"
-        "rhos = evolve_open(h0, [tone], np.outer(psi0, psi0), noise, t, frame=frame)\n"
+        "rhos = echo_sequence(h0, *args, noise)(np.outer(psi0, psi0)[None], widths)\n"
         "print(states.shape, rhos.shape)\n"
     )
     result = subprocess.run(
@@ -934,7 +954,7 @@ def test_cli_import_loads_no_scipy():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "(3, 4) (3, 4, 4)"]
+    assert result.stdout.splitlines() == ["[]", "(1, 3, 1, 4) (1, 3, 1, 4, 4)"]
 
 
 def test_cli_import_and_device_load_need_no_numpy():
@@ -1180,6 +1200,27 @@ def test_run_keeps_openssl_out_and_hashing_works(line):
     # CPython's builtin code
     code, drew, listed, hashlib_module, crypto, digest, same, other = _run_reporting(line)[2:]
     assert (code, drew, listed, hashlib_module, crypto) == (0, True, True, None, False)
+    assert (digest, same, other) == (_TLATTICE_SHA256, True, False)
+
+
+def test_run_keeps_hashlib_where_the_builtin_hashes_are_missing():
+    # a build whose only builtin hash module is _blake2 (which hashlib uses
+    # in any case) needs _hashlib for the others: were it blocked, hashlib
+    # would log a ValueError traceback per missing hash to stderr as
+    # numpy.random loads
+    before = "import sys\n" + "".join(
+        f"sys.modules[{name!r}] = None\n"
+        for name in ("_md5", "_sha1", "_sha256", "_sha512", "_sha2", "_sha3")
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", before + _RUN_WITH_REPORTING_MAIN, *_DRAWING_LINES[0].split()],
+        capture_output=True, text=True, env=_blas_env(), timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    code, drew, listed, hashlib_module, _, digest, same, other = json.loads(
+        result.stdout.splitlines()[-1]
+    )[2:]
+    assert (code, drew, listed, hashlib_module) == (0, True, True, "_hashlib")
     assert (digest, same, other) == (_TLATTICE_SHA256, True, False)
 
 

@@ -7,13 +7,18 @@ from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
 from transmon_lattice.dynamics import (
     DriveTone,
     NoiseSpec,
+    _blackman_rise,
+    _collapse_operators,
+    _frame_static,
+    _propagate_sliced,
+    _raising,
     echo_sequence,
     evolve,
     evolve_open,
     rotation_gate,
     site_populations,
 )
-from transmon_lattice.errors import ContractViolation, ResourceLimitError, UnknownQubitError
+from transmon_lattice.errors import ContractViolation, ResourceLimitError
 from transmon_lattice.fitting import fit_damped_cos, fit_exp_decay
 from transmon_lattice.operators import (
     LatticeOperator, SubsetSelection, assemble_hamiltonian, basis_occupations,
@@ -47,19 +52,15 @@ def _pair(delta=12.0, j=0.654, omega=4800.0, alpha=-200.0):
 def test_drive_tone_validation():
     with pytest.raises(ValueError):
         DriveTone(target="A", amplitude=-1.0)
-    with pytest.raises(ValueError):
-        DriveTone(target="A", amplitude=1.0, duration=0.0)
-    with pytest.raises(ValueError):
-        DriveTone(target="A", amplitude=1.0, envelope="blackman")
+    assert DriveTone.__slots__ == ("target", "amplitude", "phase")
 
 
 def test_blackman_envelope_shape():
-    tone = DriveTone(target="A", amplitude=1.0, envelope="blackman", rise=100.0, duration=1.0)
-    assert tone.envelope_value(-0.01) == 0.0
-    assert tone.envelope_value(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert tone.envelope_value(0.5) == 1.0
-    assert tone.envelope_value(0.05) == pytest.approx(tone.envelope_value(0.95), abs=1e-12)
-    assert 0.0 < tone.envelope_value(0.03) < 1.0
+    # the echo's ramps: 0 where the tone starts, 1 at the flat top, rising between
+    assert _blackman_rise(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert _blackman_rise(1.0) == pytest.approx(1.0, abs=1e-12)
+    values = [_blackman_rise(x) for x in np.linspace(0.0, 1.0, 101)]
+    assert np.all(np.diff(values) > 0.0)
 
 
 def test_noise_spec_rejects_negative_rates():
@@ -93,7 +94,7 @@ def test_resonant_rabi_oracle():
     subset = SubsetSelection(("A",), 2)
     h0 = assemble_hamiltonian(dev, subset)
     t = np.linspace(0.0, 1.0, 101)
-    tone = DriveTone(target="A", amplitude=1.0, duration=1.0)
+    tone = DriveTone(target="A", amplitude=1.0)
     states = evolve(h0, [tone], np.array([1.0, 0.0]), t, frame=4800.0)
     p0 = np.abs(states[:, 0]) ** 2
     assert p0 == pytest.approx(np.cos(np.pi * t) ** 2, abs=1e-8)
@@ -110,9 +111,9 @@ def _sigma_x_pair():
 
 
 def test_a_term_that_rotates_in_the_frame_is_refused():
-    # the engine steps only frames where every term is static but for its
-    # envelope: a term that changes the excitation number by one rotates
-    # at the frame frequency, in any frame but frame 0
+    # the engine steps only frames where every term is static: a term that
+    # changes the excitation number by one rotates at the frame frequency,
+    # in any frame but frame 0
     h0 = _sigma_x_pair()
     psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     rho0 = np.outer(psi0, psi0)
@@ -190,26 +191,16 @@ def test_open_rejects_bad_density_matrix():
             evolve_open(h0, [], rho0, noise, grid, frame=4800.0)
 
 
-def _counting_magnus(monkeypatch):
-    """Record the (left, right) of every time-dependent segment, all of
-    which take Magnus slices."""
-    from transmon_lattice import dynamics
-
-    calls = []
-    edges = dynamics._magnus_edges
-
-    def counted(*args):
-        calls.append(args[:2])
-        return edges(*args)
-
-    monkeypatch.setattr(dynamics, "_magnus_edges", counted)
-    return calls
+def _drive(h0, tone):
+    """The (e^{-i phase}, (Omega/2) a^dag) pair of ``tone`` that
+    _propagate_sliced takes."""
+    adag = _raising(h0.sites.index(tone.target), len(h0.sites), h0.levels)
+    return [(np.exp(-1j * tone.phase), 0.5 * tone.amplitude * adag)]
 
 
-def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
+def test_open_integrator_without_noise_is_the_closed_state():
     # in a common frame the exchange term is static, so both evolutions
     # diagonalize one generator (eig of the Liouvillian, eigh of H)
-    calls = _counting_magnus(monkeypatch)
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
@@ -217,27 +208,36 @@ def test_open_integrator_without_noise_is_the_closed_state(monkeypatch):
     kwargs = dict(frame=4801.0)
     states = evolve(h0, [], psi0, t, **kwargs)
     rhos = evolve_open(h0, [], np.outer(psi0, psi0.conj()), NoiseSpec(), t, **kwargs)
-    assert calls == []
     expected = np.einsum("ti,tj->tij", states, states.conj())
     assert np.max(np.abs(rhos - expected)) <= 1e-8
 
 
-def test_open_ramp_takes_the_sliced_path(monkeypatch):
-    # a Blackman tone in the frame at the qubit frequency varies only its envelope,
-    # on its two ramps: at zero rates the open evolution must equal the
-    # closed one
-    calls = _counting_magnus(monkeypatch)
+def test_a_grid_at_t_zero_returns_the_initial_state_exactly():
+    h0 = assemble_hamiltonian(_pair(), SubsetSelection(("A", "B"), 2))
+    psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
+    tone = DriveTone(target="A", amplitude=3.0, phase=0.4)
+    states = evolve(h0, [tone], psi0, [0.0, 0.0], frame=4794.0)
+    assert np.array_equal(states, [psi0, psi0])
+    rho0 = np.outer(psi0, psi0.conj())
+    noise = NoiseSpec(relaxation={"A": 0.5})
+    assert np.array_equal(evolve_open(h0, [tone], rho0, noise, [0.0], frame=4794.0), [rho0])
+
+
+def test_open_ramp_takes_the_sliced_path():
+    # a Blackman ramp of a tone in the frame at the qubit frequency, up and
+    # down: at zero rates the open slices must give the closed state
     dev = _single()
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A",), 3))
-    tone = DriveTone(target="A", amplitude=2.0, envelope="blackman", rise=100.0, duration=0.5)
-    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    t = np.array([0.0, 0.03, 0.1, 0.25, 0.45, 0.5])
-    states = evolve(h0, [tone], psi0, t, frame=4800.0)
-    rhos = evolve_open(h0, [tone], np.outer(psi0, psi0.conj()), NoiseSpec(), t, frame=4800.0)
-    assert calls == [(0.0, 0.1), (0.4, 0.5)] * 2  # evolve, then evolve_open
-    expected = np.einsum("ti,tj->tij", states, states.conj())
-    assert np.max(np.abs(rhos - expected)) <= 1e-11
-    assert abs(states[-1, 0]) ** 2 < 0.9  # the tone did drive the qubit
+    static = _frame_static(h0, 4800.0)
+    drive = _drive(h0, DriveTone(target="A", amplitude=2.0))
+    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    rho = np.outer(psi, psi.conj()).reshape(-1)
+    for left, envelope in ((0.0, lambda t: _blackman_rise(t / 0.1)),
+                           (0.4, lambda t: _blackman_rise((0.5 - t) / 0.1))):
+        psi = _propagate_sliced(static, drive, envelope, None, psi, left, left + 0.1)
+        rho = _propagate_sliced(static, drive, envelope, [], rho, left, left + 0.1)
+        assert np.max(np.abs(rho.reshape(3, 3) - np.outer(psi, psi.conj()))) <= 1e-11
+    assert abs(psi[0]) ** 2 < 0.9  # the tone did drive the qubit
 
 
 # DOP853 (rtol 1e-10, atol 1e-12) values of the driven open pair below, at
@@ -261,20 +261,45 @@ DRIVEN_OPEN_COHERENCE = np.array([
 ])
 
 
-def _driven_open_pair(frame):
-    # the Blackman tone is 6 MHz below qubit A and 8 MHz below B; in its
-    # frame the exchange term and the tone are static, and only the tone's
-    # envelope varies
+def _driven_open_pair(monkeypatch, frame, slices):
+    # a 4 MHz tone 6 MHz below qubit A and 8 MHz below B, on from 0.1 to
+    # 0.7 us with 100 ns Blackman ramps: idle, ramp up, flat top, ramp down
+    # and idle again, each ramp split at the recorded time inside it.  In
+    # the tone's frame the exchange term and the tone are static, so
+    # evolve_open takes the idle and flat segments and _propagate_sliced
+    # the ramps.  The split falls at each ramp's midpoint, and each half
+    # takes half the ramp's slices: a ramp steps the edges it has in the echo
+    from transmon_lattice import dynamics
+
+    monkeypatch.setattr(dynamics, "ENVELOPE_SLICES", slices // 2)
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
-    tone = DriveTone(
-        target="A", amplitude=4.0, envelope="blackman", rise=100.0, start=0.1, duration=0.6,
-    )
+    tone = DriveTone(target="A", amplitude=4.0)
     noise = NoiseSpec(relaxation={"A": 1 / 2.0, "B": 1 / 3.0}, dephasing={"B": 1 / 5.0})
+    collapse = _collapse_operators(h0.sites, h0.levels, noise)
+    static, drive = _frame_static(h0, frame), _drive(h0, tone)
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
-    rhos = evolve_open(
-        h0, [tone], np.outer(psi0, psi0.conj()), noise, DRIVEN_OPEN_TIMES, frame=frame
-    )
+    rho = np.outer(psi0, psi0.conj())
+
+    def ramp(rho, envelope, left, right):
+        moved = _propagate_sliced(static, drive, envelope, collapse, rho.reshape(-1), left, right)
+        return moved.reshape(rho.shape)
+
+    def up(t):
+        return _blackman_rise((t - 0.1) / 0.1)
+
+    def down(t):
+        return _blackman_rise((0.7 - t) / 0.1)
+
+    *rhos, rho = evolve_open(h0, [], rho, noise, [0.0, 0.05, 0.1], frame=frame)
+    rhos.append(ramp(rho, up, 0.1, 0.15))
+    rho = ramp(rhos[-1], up, 0.15, 0.2)
+    rhos.append(evolve_open(h0, [tone], rho, noise, [0.2], frame=frame)[0])
+    rho = evolve_open(h0, [tone], rhos[-1], noise, [0.2], frame=frame)[0]
+    rhos.append(ramp(rho, down, 0.6, 0.65))
+    rho = ramp(rhos[-1], down, 0.65, 0.7)
+    rhos.extend(evolve_open(h0, [], rho, noise, [0.2, 0.5], frame=frame))
+    rhos = np.array(rhos)
     return np.concatenate(
         [np.diagonal(rhos, axis1=1, axis2=2).real, rhos[:, 2:3, 0]], axis=1
     )
@@ -284,39 +309,40 @@ def _driven_open_pair(frame):
 def test_driven_open_pair_matches_recorded_dop853(monkeypatch, frame):
     # 1e-7 on every recorded value; the coherence <1,0|rho|0,0> turns from
     # the qubit frame into the tone's by exp(-2 pi i 6 t)
-    from transmon_lattice import dynamics
+    from transmon_lattice.dynamics import ENVELOPE_SLICES
 
-    calls = _counting_magnus(monkeypatch)
-    values = _driven_open_pair(frame)
-    assert calls == [(0.1, 0.2), (0.6, 0.7)]  # the ramps alone take slices
+    values = _driven_open_pair(monkeypatch, frame, ENVELOPE_SLICES)
     times = np.array(DRIVEN_OPEN_TIMES)
     coherence = DRIVEN_OPEN_COHERENCE * np.exp(-2j * np.pi * 6.0 * times)
     recorded = np.concatenate([DRIVEN_OPEN_POPULATIONS, coherence[:, None]], axis=1)
     assert np.max(np.abs(values - recorded)) <= 1e-7
     # halving every slice moves the result by less than the gate
-    monkeypatch.setattr(dynamics, "ENVELOPE_SLICES", 2 * dynamics.ENVELOPE_SLICES)
-    assert np.max(np.abs(_driven_open_pair(frame) - values)) <= 1e-7
+    halved = _driven_open_pair(monkeypatch, frame, 2 * ENVELOPE_SLICES)
+    assert np.max(np.abs(halved - values)) <= 1e-7
 
 
 def test_weak_drive_beside_a_decaying_site_stays_a_state():
     # a 1e-12 MHz tone on A beside a decaying B makes the Liouvillian
-    # nearly defective, so that its eig modes no longer rebuild it; static
-    # (rectangular) and Magnus (Blackman ramp) segments alike must still
-    # match the undriven evolution
+    # nearly defective, so that its eig modes no longer rebuild it; the
+    # static generator of evolve_open and the Magnus slices of a Blackman
+    # ramp alike must still match the undriven evolution
     dev = _pair(delta=0.0, j=0.0)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     noise = NoiseSpec(relaxation={"B": 1.0})
     psi0 = np.array([0.5, 0.5, 0.5j, 0.5])
     rho0 = np.outer(psi0, psi0.conj())
     t = np.linspace(0.0, 0.3, 4)
+    tone = DriveTone(target="A", amplitude=1e-12)
     undriven = evolve_open(h0, [], rho0, noise, t, frame=4800.0)
-    for envelope, rise in (("rectangular", 0.0), ("blackman", 50.0)):
-        tone = DriveTone(
-            target="A", amplitude=1e-12, envelope=envelope, rise=rise,
-            start=0.05, duration=0.15,
-        )
-        driven = evolve_open(h0, [tone], rho0, noise, t, frame=4800.0)
-        assert np.max(np.abs(driven - undriven)) <= 1e-10
+    driven = evolve_open(h0, [tone], rho0, noise, t, frame=4800.0)
+    assert np.max(np.abs(driven - undriven)) <= 1e-10
+    collapse = _collapse_operators(h0.sites, h0.levels, noise)
+    ramped = _propagate_sliced(
+        _frame_static(h0, 4800.0), _drive(h0, tone), lambda t: _blackman_rise(t / 0.05),
+        collapse, rho0.reshape(-1), 0.0, 0.05,
+    )
+    undriven = evolve_open(h0, [], rho0, noise, [0.05], frame=4800.0)[0]
+    assert np.max(np.abs(ramped.reshape(4, 4) - undriven)) <= 1e-10
 
 
 def test_evolve_open_caps_the_density_matrix_side():
@@ -449,15 +475,13 @@ def test_echo_decomposes_one_liouvillian(device, monkeypatch):
 
 
 def test_echo_sequence_refuses_tones_it_cannot_play(device):
+    # one amplitude and one phase per set and site
     h0 = assemble_hamiltonian(device, SubsetSelection(("Q2", "Q7"), 3))
     pulse = np.eye(h0.dim)
-    with pytest.raises(ValueError, match="one site"):
-        echo_sequence(h0, [5028.5], [[DriveTone("Q2", 5.0), DriveTone("Q2", 3.0)]], pulse)
-    with pytest.raises(UnknownQubitError):
-        echo_sequence(h0, [5028.5], [[DriveTone("Q3", 5.0)]], pulse)
-    ramped = DriveTone("Q7", 5.0, envelope="blackman", rise=20.0)
-    with pytest.raises(ValueError, match="rise"):
-        echo_sequence(h0, [5028.5, 5028.5], [[DriveTone("Q2", 5.0)], [ramped]], pulse)
+    for amplitudes, phases in (([[5.0]], [[0.0]]), ([[5.0, 3.0]], [[0.0, 0.0]] * 2),
+                               ([[5.0, 3.0]] * 2, [[0.0, 0.0]] * 2)):
+        with pytest.raises(ValueError, match=r"shape \(sets, sites\) = \(1, 2\)"):
+            echo_sequence(h0, [5028.5], amplitudes, phases, 0.0, pulse)
 
 
 def test_frequency_stability_statistics():
@@ -686,8 +710,6 @@ def _frame_static_loop(h_abs, labels, frame_freqs):
 def test_split_by_frame_matches_elementwise_loop(device, sites, levels, frame):
     # the frame static part is H - diag(f.n) where no element rotates;
     # a frame where one does is refused
-    from transmon_lattice.dynamics import _frame_static
-
     if sites is None:
         h0 = _sigma_x_pair()
     else:

@@ -101,3 +101,26 @@ def test_every_unreached_name_is_listed_with_its_reason():
     assert not new, f"no other line of src/ names {new}; delete them or list them with a reason"
     stale = sorted(set(listed) - unreached)
     assert not stale, f"{stale} are deleted or now reached from src/; drop them from UNREACHED"
+
+
+# Names that other lines of src/ named, so the census above passed them,
+# yet that no command ran: the time-dependent half of dynamics.evolve
+# (timed and enveloped tones, the segment loop).  Ramps live only in
+# dynamics.echo_sequence; these names stay out of src/.
+RETIRED = (
+    "ENVELOPES", "_DriveTerm", "_frame_terms", "_segment_edges", "breakpoints",
+    "envelope_value", "is_static_on",
+)
+
+
+def test_the_retired_time_dependent_engine_stays_out_of_src():
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                used.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert not used & set(RETIRED), sorted(used & set(RETIRED))

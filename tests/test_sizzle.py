@@ -8,11 +8,17 @@ from transmon_lattice.device import zz_exact
 from transmon_lattice.dynamics import (
     DriveTone,
     NoiseSpec,
+    _blackman_rise,
+    _frame_static,
+    _propagate_sliced,
+    _raising,
     evolve,
     rotation_gate,
     site_coherence,
 )
-from transmon_lattice.errors import AliasingError, NearPoleError, UncalibratableError
+from transmon_lattice.errors import (
+    AliasingError, NearPoleError, ResourceLimitError, UncalibratableError,
+)
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.sizzle import (
     SizzleConfig,
@@ -208,8 +214,7 @@ def test_calibrate_cz_builds_one_hamiltonian(device, monkeypatch):
 @pytest.mark.parametrize("rise", [0.0, 50.0, 21.0])
 def test_calibrate_cz_builds_one_echo(device, monkeypatch, rise):
     # the tomography and the repeated-gate check share one echo: one eigh
-    # of the flat top, and two for each Magnus slice of the two ramps (at
-    # 21 ns, 48 / 0.021 * 0.021 rounds above 48)
+    # of the flat top, and two for each Magnus slice of the two ramps
     from transmon_lattice import dynamics
 
     calls = []
@@ -374,30 +379,39 @@ def _echo_maps(h0, configs, widths):
 
 
 def _reference_echo(device, config, psi, width, levels):
-    """[Stark(w/2), pi x pi, Stark(w/2), pi x pi] from two evolve() calls
-    per sequence, with the tones built here from the config."""
+    """[Stark(w/2), pi x pi, Stark(w/2), pi x pi] with the tones built here
+    from the config: each Stark pulse is its flat top from evolve()
+    between its Blackman ramps from _propagate_sliced, at the pulse's own
+    times."""
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
     pi = rotation_gate(math.pi, 0.0, levels)
     pi_pi = np.kron(pi, pi)
-    envelope = "blackman" if config.rise > 0 else "rectangular"
     tones = [
-        DriveTone(
-            target=label,
-            amplitude=amplitude,
-            phase=phase,
-            envelope=envelope,
-            rise=config.rise,
-            duration=width / 2.0,
-        )
-        for label, amplitude, phase in (
-            (config.control, config.omega_control, config.dphi),
-            (config.target, config.omega_target, 0.0),
-        )
-    ] if width > 0 else []
+        DriveTone(config.control, config.omega_control, config.dphi),
+        DriveTone(config.target, config.omega_target, 0.0),
+    ]
+    static = _frame_static(h0, config.freq)
+    drive = [
+        (np.exp(-1j * tone.phase), 0.5 * tone.amplitude * _raising(site, 2, levels))
+        for site, tone in enumerate(tones)
+    ]
+    half, rise = width / 2.0, config.rise * 1e-3
+
+    def stark(psi):
+        if rise > 0:
+            psi = _propagate_sliced(
+                static, drive, lambda t: _blackman_rise(t / rise), None, psi, 0.0, rise
+            )
+        psi = evolve(h0, tones, psi, [max(half - 2.0 * rise, 0.0)], frame=config.freq)[0]
+        if rise > 0:
+            psi = _propagate_sliced(
+                static, drive, lambda t: _blackman_rise((half - t) / rise), None, psi,
+                half - rise, half,
+            )
+        return psi
+
     for _ in range(2):
-        if width > 0:
-            psi = evolve(h0, tones, psi, [width / 2.0], frame=config.freq)[0]
-        psi = pi_pi @ psi
+        psi = pi_pi @ (stark(psi) if width > 0 else psi)
     return psi
 
 
@@ -430,6 +444,9 @@ def test_echo_maps_stack_configs(device):
         for config, maps in zip(configs, stacked):
             single = _echo_maps(h0, [config], [0.5, 1.5])[0]
             assert np.max(np.abs(maps - single)) <= 1e-13
+    # the configs of one echo share its rise
+    with pytest.raises(ValueError, match="an echo has one rise"):
+        _echo(h0, [_config(rise=0.0), _config(rise=50.0)], None)
 
 
 def test_echo_maps_reject_bad_widths(device):
@@ -498,6 +515,24 @@ def test_lindblad_ramped_tomography_matches_integrator(device):
         noise=NoiseSpec.from_device(device), levels=3,
     )
     assert nu == pytest.approx(13.571089474121758, rel=1e-7)
+
+
+def test_open_echo_refuses_a_side_over_the_lindblad_cap(device, monkeypatch):
+    # at levels 6 the pair's density matrix has side 36, whose Liouvillian
+    # eig (1296 x 1296) evolve_open refuses too; the closed echo still runs
+    config, widths = _config(amplitude=10.0, rise=0.0), np.linspace(0.0, 1.5, 4)
+    nu, _ = hamiltonian_tomography_pulsewidth(device, config, widths, levels=6)
+    assert math.isfinite(nu)
+
+    def decomposed(*args, **kwargs):
+        raise AssertionError("refused only after a decomposition")
+
+    monkeypatch.setattr(np.linalg, "eig", decomposed)
+    monkeypatch.setattr(np.linalg, "eigh", decomposed)
+    with pytest.raises(ResourceLimitError, match="side 36 > 32"):
+        hamiltonian_tomography_pulsewidth(
+            device, config, widths, noise=NoiseSpec.from_device(device), levels=6
+        )
 
 
 def test_repeated_gate_phases_under_lindblad(device):

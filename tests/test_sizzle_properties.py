@@ -1,7 +1,8 @@
 """Property tests of the siZZle echo: every echo unitary
 E(w) = PiPi U(w/2) PiPi U(w/2) is unitary for any off-pole drive
 frequency, amplitude, relative phase and Blackman rise, the Lindblad
-echo maps density matrices to density matrices, and the drive landscape,
+echo maps density matrices to density matrices and is completely
+positive and trace preserving at any rates, and the drive landscape,
 which evaluates every cell in one echo, equals its rows evaluated one by
 one."""
 import math
@@ -94,6 +95,43 @@ def test_open_echo_maps_states_to_states(freq, amplitude, ratio, dphi, width, ra
     maps = _echo_maps(H0, [config], widths)[0]
     for out, echo in zip(_echo(H0, [config], NoiseSpec())(rho[None], widths)[0, :, 0], maps):
         assert np.max(np.abs(out - echo @ rho @ echo.conj().T)) <= 1e-11
+
+
+RATES = st.floats(0.0, 2.0)
+
+
+# a ramped example takes ~2 s: 192 Liouvillian eig calls on its ramps
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    freq=st.floats(4500.0, 5400.0),
+    amplitude=st.floats(0.0, 30.0),
+    dphi=st.floats(-math.pi, math.pi),
+    rise=st.one_of(st.just(0.0), st.floats(5.0, 80.0)),
+    extra=st.floats(0.0, 1.5),
+    relaxation=st.tuples(RATES, RATES),
+    dephasing=st.tuples(RATES, RATES),
+)
+def test_open_echo_is_completely_positive_and_trace_preserving(
+    freq, amplitude, dphi, rise, extra, relaxation, dephasing
+):
+    # the echo's channel on the levels-3 pair, from the 81 matrix units
+    # |i><j| it maps; 1e-9 leaves room for the 7.5e-11 that the eig route
+    # moves states by under device noise
+    assume(not landscape_flags(DEVICE, PAIR, freq))
+    config = SizzleConfig(pair=PAIR, freq=freq, omega_target=amplitude, dphi=dphi, rise=rise)
+    noise = NoiseSpec(
+        relaxation=dict(zip(PAIR, relaxation)), dephasing=dict(zip(PAIR, dephasing))
+    )
+    dim = H0.dim
+    units = np.eye(dim**2).reshape(dim**2, dim, dim)  # |i><j| at index dim i + j
+    width = 4.0 * rise * 1e-3 + extra
+    mapped = _echo(H0, [config], noise)(units, [width])[0, 0].reshape((dim,) * 4)
+    # the Choi matrix sum_ij |i><j| (x) E(|i><j|), indexed [(i, a), (j, b)]
+    choi = mapped.transpose(0, 2, 1, 3).reshape(dim**2, dim**2)
+    assert np.max(np.abs(choi - choi.conj().T)) <= 1e-9
+    assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min() >= -1e-9
+    # tracing the output out leaves the identity: Tr E(|i><j|) = delta_ij
+    assert np.max(np.abs(np.einsum("iaja->ij", mapped.transpose(0, 2, 1, 3)) - np.eye(dim))) <= 1e-9
 
 
 def _landscape_by_rows(device, pair, freqs, amplitudes, width, ratio, noise, levels):

@@ -15,7 +15,7 @@ from transmon_lattice.cliffords import CliffordElement
 from transmon_lattice.device import (
     CouplingGraph, DeviceSpec, ResonatorParams, TransmonParams, ZZReport,
 )
-from transmon_lattice.dynamics import DriveTone, NoiseSpec, _DriveTerm
+from transmon_lattice.dynamics import DriveTone, NoiseSpec
 from transmon_lattice.errors import ContractViolation, DimensionError, ResourceLimitError
 from transmon_lattice.fileio import StatsReport
 from transmon_lattice.fitting import FitResult
@@ -48,10 +48,7 @@ RECORD = dict(
     protocol="t1", axes=(AxisSpec(**AXIS),), data={"signal": ARRAY}, shots=10, seed=1,
     device_ref="A", config={"qubit": "A"}, metadata={},
 )
-TONE = dict(
-    target="A", amplitude=10.0, phase=0.5, envelope="blackman", rise=50.0,
-    start=0.1, duration=2.0,
-)
+TONE = dict(target="A", amplitude=10.0, phase=0.5)
 
 # class, field values in field order, and one field with a different value
 SAMPLES = [
@@ -67,8 +64,6 @@ SAMPLES = [
     (DriveTone, TONE, ("phase", 0.0)),
     (NoiseSpec, dict(relaxation={"A": 0.01}, dephasing={"A": 0.02}, jitter_khz={}),
      ("jitter_khz", {"A": 5.0})),
-    (_DriveTerm, dict(matrix=UNITARY, tone=DriveTone(**TONE)),
-     ("tone", DriveTone(**{**TONE, "phase": 0.0}))),
     (NoiseChannel, dict(depolarizing=0.01, granularity="gate", over_rotation=0.001,
                         zz_phase_per_clifford={("A", "B"): 0.02}), ("over_rotation", 0.0)),
     (RbOutcome, dict(qubit="A", lengths=(1, 2), survivals=ARRAY, per_sequence=ARRAY,
@@ -168,7 +163,7 @@ def test_frozen_types_refuse_assignment(cls, fields, change):
             delattr(value, name)
         assert getattr(value, name) is fields[name]
     else:
-        assert cls in (ExperimentRecord, DressedSpectrum, RbOutcome, _DriveTerm)
+        assert cls in (ExperimentRecord, DressedSpectrum, RbOutcome)
         setattr(value, name, new)
         assert getattr(value, name) is new
     with pytest.raises(AttributeError):
@@ -218,11 +213,11 @@ def test_default_device_couplings_are_empty():
         (SubsetSelection, dict(qubits=("A", "B")), {"levels": 1}, DimensionError, "2 levels"),
         (SubsetSelection, dict(qubits=("A", "B"), levels=3), {"dimension_cap": 8},
          ResourceLimitError, "exceeds cap 8"),
-        (DriveTone, TONE, {"duration": 0.0}, ValueError, "duration must be positive"),
+        (NoiseSpec, {}, {"relaxation": {"A": -0.1}}, ContractViolation, r"relaxation\[A\]"),
         (DriveTone, TONE, {"amplitude": -1.0}, ValueError, "amplitude must be non-negative"),
-        (DriveTone, TONE, {"envelope": "gauss"}, ValueError, "unknown envelope"),
-        (DriveTone, TONE, {"rise": 0.0}, ValueError, "needs a positive rise"),
-        (DriveTone, TONE, {"rise": 1500.0}, ValueError, "do not fit"),
+        (NoiseSpec, {}, {"jitter_khz": {"A": -1.0}}, ContractViolation, r"jitter_khz\[A\]"),
+        (SizzleConfig, SIZZLE, {"rise": -1.0}, ValueError, "rise -1.0 ns"),
+        (NoiseChannel, {}, {"depolarizing": -0.1}, ContractViolation, "outside"),
         (NoiseSpec, {}, {"dephasing": {"A": -0.1}}, ContractViolation, "negative"),
         (NoiseChannel, {}, {"depolarizing": 1.5}, ContractViolation, "outside"),
         (NoiseChannel, {}, {"granularity": "shot"}, ValueError, "granularity"),
