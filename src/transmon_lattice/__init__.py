@@ -22,7 +22,7 @@ _EXPORTS = {
         "detuning", "ej_from_omega", "omega_from_ej_ec", "straddling_check", "zz_exact",
         "zz_perturbative",
     ),
-    "dynamics": ("DriveTone", "NoiseSpec"),
+    "dynamics": ("NoiseSpec",),
     "records": ("ExperimentRecord",),
     "fitting": ("FitResult",),
     "fileio": ("load_bundled_device", "load_device", "save_device", "stats"),

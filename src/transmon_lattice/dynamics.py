@@ -10,11 +10,12 @@ the Hamiltonian must be static: a term that changes the excitation number
 rotates in any nonzero frame and raises ValueError naming the rate.
 Drives enter in the rotating-wave approximation.
 
-:func:`evolve` and :func:`evolve_open` propagate one static generator
-(the frame Hamiltonian plus constant tones) by exact diagonalization.
-The only time dependence is the Blackman ramps of :func:`echo_sequence`,
-stepped in the 4th-order commutator-free Magnus slices of
-:func:`_propagate_sliced` and folded into the echo's flat-top modes.
+:func:`evolve` propagates a state vector, or a density matrix under
+Lindblad terms, by exact diagonalization of one static generator (the
+frame Hamiltonian plus constant tones).  The only time dependence is
+the Blackman ramps of :func:`echo_sequence`, stepped in the 4th-order
+commutator-free Magnus slices of :func:`_propagate_sliced` and folded
+into the echo's flat-top modes.
 
 Conventions: matrices carry cyclic frequencies in MHz, times are us, so
 a propagator is exp(-2*pi*i*H*t).  A resonant tone of amplitude Omega
@@ -29,26 +30,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .device import DeviceSpec
-from .errors import ContractViolation, ResourceLimitError, UnknownQubitError
+from .errors import ContractViolation, ResourceLimitError
 from .operators import LatticeOperator, basis_occupations, destroy, number, _embed
 from .values import FrozenValue
 
 LINDBLAD_MAX_DIM = 32  # density-matrix side; its Liouvillian is 1024 x 1024
-
-
-# --------------------------------------------------------------------- tones
-
-class DriveTone(FrozenValue):
-    """One constant microwave tone on a single qubit, playing at the
-    frequency of the frame it is evolved in:
-    (Omega/2)(a^dag e^{-i phase} + h.c.) with Omega = ``amplitude`` MHz."""
-
-    __slots__ = ("target", "amplitude", "phase")
-
-    def __init__(self, target: str, amplitude: float, phase: float = 0.0):
-        self._assign(target, amplitude, phase)
-        if self.amplitude < 0:
-            raise ValueError("drive amplitude must be non-negative")
 
 
 # --------------------------------------------------------------------- noise
@@ -111,11 +97,14 @@ class NoiseSpec(FrozenValue):
     def rate(self, table: str, label: str) -> float:
         return getattr(self, table).get(label, 0.0)
 
-    def has_lindblad(self, labels: Iterable[str]) -> bool:
-        return any(
-            self.rate("relaxation", q) > 0 or self.rate("dephasing", q) > 0
-            for q in labels
-        )
+
+def lindblad_noise(sites: Sequence[str], noise: Optional[NoiseSpec]) -> Optional[NoiseSpec]:
+    """``noise`` if it has a relaxation or dephasing rate on one of
+    ``sites``, else None: protocols evolve a density matrix only there."""
+    lindblad = noise is not None and any(
+        noise.rate(table, q) > 0 for table in ("relaxation", "dephasing") for q in sites
+    )
+    return noise if lindblad else None
 
 
 # ------------------------------------------------------------ static generator
@@ -144,23 +133,25 @@ def _raising(site: int, n_sites: int, levels: int) -> np.ndarray:
     return _embed(destroy(levels), site, n_sites, levels).conj().T
 
 
-def _static_hamiltonian(h0, drives, frame, extra_static) -> np.ndarray:
-    """The Hamiltonian of ``h0`` in the frame rotating at ``frame`` MHz,
-    plus ``extra_static``, plus each tone's D + D^dag with
-    D = e^{-i phase} (Omega/2) a^dag."""
-    h = _frame_static(h0, frame)
-    if extra_static is not None:
-        h = h + extra_static
-    for tone in drives:
-        if tone.target not in h0.sites:
-            raise UnknownQubitError(tone.target, h0.sites)
-        site = h0.sites.index(tone.target)
-        block = np.exp(-1j * tone.phase) * (
-            0.5 * tone.amplitude * _raising(site, len(h0.sites), h0.levels)
-        )
-        h += block
-        h += block.conj().T
-    return h
+def _drive_terms(amplitudes: np.ndarray, phases: np.ndarray, levels: int) -> np.ndarray:
+    """D + D^dag of each tone set s as a stack (sets, dim, dim), with D
+    the sum over sites k of e^{-i phases[s, k]} (amplitudes[s, k] / 2)
+    a_k^dag; an amplitude that is negative or not finite raises
+    ValueError."""
+    bad = amplitudes[~np.isfinite(amplitudes) | (amplitudes < 0)]
+    if bad.size:
+        raise ValueError(f"drive amplitude {bad[0]} MHz must be finite and non-negative")
+    sets, n_sites = amplitudes.shape
+    turns = np.exp(-1j * phases)
+    terms = np.zeros((sets, levels**n_sites, levels**n_sites), dtype=complex)
+    for site in range(n_sites):
+        # each site's drive and its adjoint fill disjoint elements
+        adag = _raising(site, n_sites, levels)
+        rows, cols = np.nonzero(adag)
+        drive = turns[:, site, None] * (0.5 * amplitudes[:, site, None] * adag[rows, cols])
+        terms[:, rows, cols] = drive
+        terms[:, cols, rows] = drive.conj()
+    return terms
 
 
 def _collapse_operators(
@@ -264,30 +255,19 @@ def _blackman_rise(x: float) -> float:
     return 0.42 - 0.5 * math.cos(math.pi * x) + 0.08 * math.cos(2 * math.pi * x)
 
 
-def _propagate_sliced(static, drives, envelope, collapse, psi, left, right) -> np.ndarray:
+def _propagate_sliced(static, drive, envelope, collapse, psi, left, right) -> np.ndarray:
     """``psi`` carried from ``left`` to ``right`` under the Hamiltonian
-    static + envelope(t) (D + D^dag): ``static`` is the frame Hamiltonian,
-    ``envelope`` a function of time, and D the sum of e^{-i phi} M over
-    ``drives``, one (e^{-i phi}, M) pair per site with M = (Omega/2) a^dag.
-    The time runs in ENVELOPE_SLICES 4th-order commutator-free Magnus
-    slices, each two static exponentials of Hamiltonians mixed from its
-    Gauss nodes.  ``psi`` and ``collapse`` are as in
-    :func:`_propagate_static` (the identity as ``psi`` gives the
-    propagator)."""
-
-    def hamiltonian(t):
-        h = static.copy()
-        env = envelope(t)
-        for turn, matrix in drives:
-            block = env * turn * matrix
-            h += block
-            h += block.conj().T
-        return h
-
+    static + envelope(t) drive: ``static`` is the frame Hamiltonian,
+    ``drive`` the tones' D + D^dag of :func:`_drive_terms` and
+    ``envelope`` a function of time.  The time runs in ENVELOPE_SLICES
+    4th-order commutator-free Magnus slices, each two static
+    exponentials of Hamiltonians mixed from its Gauss nodes.  ``psi`` and
+    ``collapse`` are as in :func:`_propagate_static` (the identity as
+    ``psi`` gives the propagator)."""
     edges = np.linspace(left, right, ENVELOPE_SLICES + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         # the weights sum to 1/2: each factor holds 2 (A h1 + B h2) for half the slice
-        h1, h2 = (hamiltonian(a + x * (b - a)) for x in _GAUSS_NODES)
+        h1, h2 = (static + envelope(a + x * (b - a)) * drive for x in _GAUSS_NODES)
         for h in (_MAGNUS_A * h1 + _MAGNUS_B * h2, _MAGNUS_B * h1 + _MAGNUS_A * h2):
             psi = _propagate_static(2.0 * h, collapse, psi, np.array([0.5 * (b - a)]))[0]
     return psi
@@ -295,6 +275,8 @@ def _propagate_sliced(static, drives, envelope, collapse, psi, left, right) -> n
 
 def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"t_grid times must be finite, got {t_grid[~np.isfinite(t_grid)][0]}")
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be a non-empty ascending sequence")
     if t_grid[0] < 0:
@@ -304,63 +286,52 @@ def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
 
 def evolve(
     h0: LatticeOperator,
-    drives: Sequence[DriveTone],
-    psi0: np.ndarray,
+    state: np.ndarray,
     t_grid: Sequence[float],
     frame: float,
+    amplitudes: Optional[Sequence[float]] = None,
+    noise: Optional[NoiseSpec] = None,
     extra_static: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Closed-system trajectory from time 0; returns states of shape
-    (len(t), dim).
-
-    ``h0`` is the absolute-frequency subset Hamiltonian and ``frame`` the
-    frequency (MHz) of the frame, at which every tone in ``drives`` plays;
-    the frame transform and the constant drives are applied internally,
-    and a term of ``h0`` that would rotate in the frame raises ValueError.
-    ``extra_static`` (a matrix in the frame, e.g. a jitter term) is added
-    verbatim.  The one static generator propagates by exact
-    diagonalization.
-    """
-    t_grid = _checked_grid(t_grid)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (h0.dim,):
-        raise ValueError(f"psi0 must have shape ({h0.dim},)")
-    h = _static_hamiltonian(h0, drives, frame, extra_static)
-    return _propagate_static(h, None, psi0, t_grid)
-
-
-def evolve_open(
-    h0: LatticeOperator,
-    drives: Sequence[DriveTone],
-    rho0: np.ndarray,
-    noise: NoiseSpec,
-    t_grid: Sequence[float],
-    frame: float,
-    extra_static: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Lindblad trajectory from time 0; returns density matrices
+    """Trajectory of ``state`` from time 0: a state vector, giving
+    (len(t), dim), when ``noise`` is None, else a density matrix under
+    the Lindblad terms of ``noise`` (even when it has none), giving
     (len(t), dim, dim).
 
-    Relaxation enters through lowering operators, pure dephasing through
-    number operators at twice the dephasing rate.  Quasi-static jitter
-    is not sampled here; protocols add it as ``extra_static`` terms.
-    The generator is that of :func:`evolve`, propagated by an ``eig`` of
-    its Liouvillian in place of ``eigh``, so a side above
-    ``LINDBLAD_MAX_DIM`` raises :class:`ResourceLimitError`.
+    ``h0`` is the absolute-frequency subset Hamiltonian and ``frame`` the
+    frequency (MHz) of the frame, at which site k is driven at phase 0
+    with amplitude ``amplitudes[k]`` MHz (None drives no site); a term of
+    ``h0`` that would rotate in the frame raises ValueError.
+    ``extra_static`` (a matrix in the frame, e.g. a jitter term) is added
+    verbatim.  Relaxation enters through lowering operators, pure
+    dephasing through number operators at twice its rate.  The generator
+    propagates by ``eigh``, or by ``eig`` of its Liouvillian, so that a
+    density matrix side above ``LINDBLAD_MAX_DIM`` raises
+    :class:`ResourceLimitError`.
     """
     t_grid = _checked_grid(t_grid)
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (h0.dim, h0.dim):
-        raise ValueError(f"rho0 must have shape ({h0.dim}, {h0.dim})")
-    collapse = _collapse_operators(h0.sites, h0.levels, noise)
-    if abs(np.trace(rho0) - 1.0) > 1e-9:
-        raise ContractViolation("rho0 must have unit trace")
-    eigmin = float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min())
-    if eigmin < -1e-9:
-        raise ContractViolation(f"rho0 is not positive semidefinite ({eigmin:.2e})")
-    h = _static_hamiltonian(h0, drives, frame, extra_static)
-    out = _propagate_static(h, collapse, rho0.reshape(-1), t_grid)
-    return out.reshape(len(t_grid), h0.dim, h0.dim)
+    state = np.asarray(state, dtype=complex)
+    shape = (h0.dim,) if noise is None else (h0.dim, h0.dim)
+    if state.shape != shape:
+        raise ValueError(f"state must have shape {shape}")
+    collapse = None
+    if noise is not None:
+        collapse = _collapse_operators(h0.sites, h0.levels, noise)
+        if abs(np.trace(state) - 1.0) > 1e-9:
+            raise ContractViolation("rho must have unit trace")
+        eigmin = float(np.linalg.eigvalsh(0.5 * (state + state.conj().T)).min())
+        if eigmin < -1e-9:
+            raise ContractViolation(f"rho is not positive semidefinite ({eigmin:.2e})")
+    h = _frame_static(h0, frame)
+    if extra_static is not None:
+        h = h + extra_static
+    if amplitudes is not None:
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        if amplitudes.shape != (len(h0.sites),):
+            raise ValueError(f"amplitudes {amplitudes.shape} must hold one per site of {h0.sites}")
+        h = h + _drive_terms(amplitudes[None], np.zeros((1, len(h0.sites))), h0.levels)[0]
+    out = _propagate_static(h, collapse, state.reshape(-1), t_grid)
+    return out.reshape(len(t_grid), *shape)
 
 
 # ------------------------------------------------------------- echo sequence
@@ -399,7 +370,8 @@ def echo_sequence(
     Set s plays in the frame rotating at ``frames[s]`` MHz and drives
     site k of ``h0`` with the tone of amplitude ``amplitudes[s, k]`` MHz
     and phase ``phases[s, k]`` (arrays of shape (sets, sites), else
-    ValueError; an undriven site has amplitude 0).  A drive of width w/2
+    ValueError; an undriven site has amplitude 0, and a negative or
+    non-finite amplitude raises ValueError).  A drive of width w/2
     is a Blackman ramp of ``rise`` ns up, a flat top and a ramp down, or
     a rectangle at rise 0; widths shorter than four ramps, or negative or
     not finite, raise ValueError.  All flat tops are decomposed in one
@@ -419,20 +391,12 @@ def echo_sequence(
         )
     rise_us = rise * 1e-3
     collapse = None if noise is None else _collapse_operators(h0.sites, h0.levels, noise)
-    # one frame Hamiltonian per frequency, one raising operator per site,
-    # and each flat top adds its drive D + D^dag to its frame's, with
-    # D = (Omega/2) e^{-i phi} a^dag per site
+    # one frame Hamiltonian per frequency; each set's drive D + D^dag
+    # joins it in the flat top and, under the envelope, in the ramps
     statics = {frame: _frame_static(h0, frame) for frame in set(frames)}
-    raising = [_raising(k, n_sites, h0.levels) for k in range(n_sites)]
-    halves, turns = 0.5 * amplitudes, np.exp(-1j * phases)
+    drives = _drive_terms(amplitudes, phases, h0.levels)
     flat = np.array([statics[frame] for frame in frames])
-    for site, adag in enumerate(raising):
-        # the static part, each site's drive and its adjoint fill disjoint
-        # elements, so every element holds a single term, added exactly
-        rows, cols = np.nonzero(adag)
-        drive = turns[:, site, None] * (halves[:, site, None] * adag[rows, cols])
-        flat[:, rows, cols] += drive
-        flat[:, cols, rows] += drive.conj()
+    flat += drives
     rates, right, left, _ = _modes(flat, collapse)
     if rise_us > 0:
         eye = np.eye(h0.dim if collapse is None else h0.dim**2, dtype=complex)
@@ -446,9 +410,7 @@ def echo_sequence(
         folded = np.array([
             [
                 _propagate_sliced(
-                    statics[frame],
-                    [(turns[s, k], halves[s, k] * adag) for k, adag in enumerate(raising)],
-                    envelope, collapse, eye, a, a + rise_us,
+                    statics[frame], drives[s], envelope, collapse, eye, a, a + rise_us
                 )
                 for a, envelope in ramps
             ]

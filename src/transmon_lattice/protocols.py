@@ -13,7 +13,7 @@ import numpy as np
 
 from .device import DeviceSpec, TransmonParams, pair_key
 from .dynamics import (
-    DriveTone, NoiseSpec, echo_sequence, evolve, evolve_open, rotation_gate, site_coherence,
+    NoiseSpec, echo_sequence, evolve, lindblad_noise, rotation_gate, site_coherence,
 )
 from .errors import AliasingError, ContractViolation
 from .fitting import fit_anticrossing, fit_damped_cos
@@ -159,7 +159,7 @@ def protocol_t1(
     h0 = _single_qubit_h0(device, qubit, levels)
     rho0 = np.zeros((levels, levels), dtype=complex)
     rho0[1, 1] = 1.0
-    rhos = evolve_open(h0, [], rho0, noise, delays, frame=device.qubit(qubit).omega)
+    rhos = evolve(h0, rho0, delays, frame=device.qubit(qubit).omega, noise=noise)
     p1 = np.real(rhos[:, 1, 1])
     if shots > 0:
         p1 = sample_binary(p1, shots, _rng_for(seed, 0), assignment_error)
@@ -189,7 +189,7 @@ def _ramsey_coherence(
     extra = _jitter_term((qubit,), levels, {qubit: jitter_offset})
     psi = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
     rho0 = np.outer(psi, psi.conj())
-    rhos = evolve_open(h0, [], rho0, noise, delays, frame=frame, extra_static=extra)
+    rhos = evolve(h0, rho0, delays, frame=frame, noise=noise, extra_static=extra)
     return rhos[:, 0, 1]
 
 
@@ -334,22 +334,19 @@ def protocol_swap(
     h0 = assemble_hamiltonian(device, subset, j_overrides=overrides)
     drive_freq = device.qubit(shifted).omega + drive_detuning
     shifts = stark_shift_curve(device.qubit(shifted), drive_freq, amplitudes, levels)
-    open_system = noise is not None and noise.has_lindblad(pair)
+    noise = lindblad_noise(pair, noise)
 
     psi0 = np.zeros(levels**2, dtype=complex)
     psi0[levels] = 1.0  # |1, 0> in little-endian subset order
+    state0 = psi0 if noise is None else np.outer(psi0, psi0.conj())
     p_shift = np.empty((len(amplitudes), len(durations)))
     p_partner = np.empty_like(p_shift)
     for i, amp in enumerate(amplitudes):
-        tones = [DriveTone(target=shifted, amplitude=float(amp))] if amp > 0 else []
-        if open_system:
-            rhos = evolve_open(
-                h0, tones, np.outer(psi0, psi0.conj()), noise, durations, frame=drive_freq
-            )
-            probs = np.real(np.diagonal(rhos, axis1=1, axis2=2))
-        else:
-            states = evolve(h0, tones, psi0, durations, frame=drive_freq)
+        states = evolve(h0, state0, durations, drive_freq, (amp, 0.0), noise)
+        if noise is None:
             probs = np.abs(states) ** 2
+        else:
+            probs = np.real(np.diagonal(states, axis1=1, axis2=2))
         # probs[k, n_shifted, n_partner] at duration k; a site's level-1
         # population sums the other site's levels
         probs = probs.reshape(len(durations), levels, levels)
@@ -432,23 +429,17 @@ def protocol_acstark_ramsey(
     partner_shift = stark_shift_curve(device.qubit(shifted), drive_freq, amplitudes, levels)
     sigma_mhz = noise.rate("jitter_khz", measured) * 1e-3
     rng = _rng_for(seed, 3) if sigma_mhz > 0 else None
-    use_lindblad = noise.has_lindblad((measured, shifted))
+    lindblad = lindblad_noise(pair, noise)
 
     psi_meas = rotation_gate(math.pi / 2.0, math.pi / 2.0, levels)[:, 0]
     ground = np.zeros(levels, dtype=complex)
     ground[0] = 1.0
     psi0 = np.kron(psi_meas, ground)
-    rho0 = np.outer(psi0, psi0.conj())
+    state0 = psi0 if lindblad is None else np.outer(psi0, psi0.conj())
 
     def fitted_frequency(amp: float, offset: float) -> float:
         extra = _jitter_term((measured, shifted), levels, {measured: offset})
-        tones = [DriveTone(target=shifted, amplitude=amp)] if amp > 0 else []
-        if use_lindblad:
-            states = evolve_open(
-                h0, tones, rho0, noise, delays, frame=drive_freq, extra_static=extra
-            )
-        else:
-            states = evolve(h0, tones, psi0, delays, frame=drive_freq, extra_static=extra)
+        states = evolve(h0, state0, delays, drive_freq, (0.0, amp), lindblad, extra)
         coh = np.array(
             [site_coherence(s, 0, 2, levels) for s in states]
         )

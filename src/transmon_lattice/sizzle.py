@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .device import DeviceSpec, zz_exact
-from .dynamics import NoiseSpec, echo_sequence, rotation_gate
+from .dynamics import NoiseSpec, echo_sequence, lindblad_noise, rotation_gate
 from .errors import AliasingError, NearPoleError, UncalibratableError
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 from .records import AxisSpec, ExperimentRecord
@@ -194,13 +194,6 @@ def _echo(h0: LatticeOperator, configs: Sequence[SizzleConfig], noise: Optional[
     )
 
 
-def _lindblad_noise(h0: LatticeOperator, noise: Optional[NoiseSpec]) -> Optional[NoiseSpec]:
-    """``noise`` when it has Lindblad terms on the pair, else None."""
-    if noise is None or not noise.has_lindblad(h0.sites):
-        return None
-    return noise
-
-
 def _prepared_states(levels: int, noise: Optional[NoiseSpec]) -> np.ndarray:
     """The target on the equator with the control in |0> and in |1>:
     vectors when ``noise`` is None, else density matrices."""
@@ -276,7 +269,7 @@ def hamiltonian_tomography_pulsewidth(
     the differential phase.
     """
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    noise = _lindblad_noise(h0, noise)
+    noise = lindblad_noise(h0.sites, noise)
     (nu_tilde_khz,), (coh,), (unwrapped,) = _tomography(
         device, [config], widths, _echo(h0, [config], noise), levels, noise
     )
@@ -329,7 +322,7 @@ def sweep_relative_phase(
         for dphi in dphis
     ]
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-    noise = _lindblad_noise(h0, noise)
+    noise = lindblad_noise(h0.sites, noise)
     echo = _echo(h0, configs, noise)
     rates, _, _ = _tomography(device, configs, widths, echo, levels, noise)
     return ExperimentRecord(
@@ -416,7 +409,7 @@ def sweep_drive_landscape(
     diff_phase = np.full(shape, np.nan)
     control_response = np.full(shape, np.nan)
     h0 = assemble_hamiltonian(device, SubsetSelection(pair, levels))
-    noise = _lindblad_noise(h0, noise)
+    noise = lindblad_noise(h0.sites, noise)
     row_flags = np.array([landscape_flags(device, pair, float(f), guard) for f in freqs], bool)
     rows = np.flatnonzero(~row_flags)
     # every unflagged cell in one echo: one stacked decomposition
@@ -545,7 +538,7 @@ def calibrate_cz(
         # one pair Hamiltonian and one echo for the tomography and the
         # repeated-gate check
         h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
-        noise = _lindblad_noise(h0, noise)
+        noise = lindblad_noise(h0.sites, noise)
         echo = _echo(h0, [config], noise)
         if widths is None:
             widths = default_widths(config.rise)

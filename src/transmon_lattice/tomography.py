@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .device import T2_TOLERANCE
-from .dynamics import NoiseSpec, evolve_open
+from .dynamics import NoiseSpec, evolve
 from .errors import ContractViolation
 from .operators import LatticeOperator
 
@@ -226,7 +226,7 @@ def _noisy_cz(
             h[basis, basis] = -nu_mhz
     # h is already the frame Hamiltonian: a zero common frame keeps it
     h0 = LatticeOperator(h, tuple(labels), 2)
-    return evolve_open(h0, [], rho, noise, [tau_g], frame=0.0)[0]
+    return evolve(h0, rho, [tau_g], frame=0.0, noise=noise)[0]
 
 
 def _gate_noise(tau_g: float, t1: float, t2: float, labels: Sequence[str]) -> NoiseSpec:

@@ -190,7 +190,7 @@ def test_dynamics_refuses_a_delay_grid_too_short_for_its_fit(protocol, delays, m
     def evolved(*args, **kwargs):
         raise AssertionError("refused only after evolving")
 
-    for name in ("evolve_open", "echo_sequence"):
+    for name in ("evolve", "echo_sequence"):
         monkeypatch.setattr(protocols, name, evolved)
     code, out, err = run_cli(
         ["dynamics", "--protocol", protocol, "--qubit", "Q2", "--delays", delays, "--seed", "1"],
@@ -816,6 +816,23 @@ def test_sweep_acstark_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "acstark.json").read_text())
     assert "extraction" in payload
+
+
+@pytest.mark.parametrize("kind", ["swap", "acstark"])
+def test_sweep_refuses_a_negative_amplitude(kind, capsys):
+    # a negative amplitude plays no tone, so its row would be the undriven
+    # one recorded beside the Stark shift of the amplitude
+    code, out, err = run_cli(
+        ["sweep", "--kind", kind, "--pair", "Q2,Q3", "--amplitudes=-30,0,30",
+         "--durations", "0:2:9", "--levels", "2", "--seed", "7"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == {
+        "category": "config",
+        "message": "drive amplitude -30.0 MHz must be finite and non-negative",
+    }
 
 
 def test_sizzle_landscape_command(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
 from transmon_lattice.dynamics import (
-    DriveTone,
     NoiseSpec,
     _blackman_rise,
     _collapse_operators,
@@ -14,7 +13,6 @@ from transmon_lattice.dynamics import (
     _raising,
     echo_sequence,
     evolve,
-    evolve_open,
     rotation_gate,
     site_populations,
 )
@@ -50,9 +48,18 @@ def _pair(delta=12.0, j=0.654, omega=4800.0, alpha=-200.0):
 
 
 def test_drive_tone_validation():
-    with pytest.raises(ValueError):
-        DriveTone(target="A", amplitude=-1.0)
-    assert DriveTone.__slots__ == ("target", "amplitude", "phase")
+    # evolve and the echo take their drives from one helper, which
+    # refuses an amplitude that is negative or not finite
+    h0 = assemble_hamiltonian(_pair(), SubsetSelection(("A", "B"), 2))
+    psi0 = np.array([1.0, 0.0, 0.0, 0.0])
+    for amplitude in (-1.0, math.nan, math.inf):
+        message = f"drive amplitude {amplitude} MHz must be finite and non-negative"
+        with pytest.raises(ValueError, match=message):
+            evolve(h0, psi0, [0.0, 1.0], frame=4800.0, amplitudes=[amplitude, 0.0])
+        with pytest.raises(ValueError, match=message):
+            echo_sequence(h0, [4800.0], [[0.0, amplitude]], [[0.0, 0.0]], 0.0, np.eye(4))
+    with pytest.raises(ValueError, match=r"amplitudes \(1,\) must hold one per site"):
+        evolve(h0, psi0, [0.0, 1.0], frame=4800.0, amplitudes=[1.0])
 
 
 def test_blackman_envelope_shape():
@@ -84,7 +91,7 @@ def test_eigenstate_is_stationary():
     _, vecs = np.linalg.eigh(h0.to_dense())
     psi0 = vecs[:, 4]
     times = np.linspace(0.0, 2.0, 21)
-    states = evolve(h0, [], psi0, times, frame=4800.0)
+    states = evolve(h0, psi0, times, frame=4800.0)
     pops = np.abs(states) ** 2
     assert np.max(np.abs(pops - pops[0])) < 1e-10
 
@@ -94,8 +101,7 @@ def test_resonant_rabi_oracle():
     subset = SubsetSelection(("A",), 2)
     h0 = assemble_hamiltonian(dev, subset)
     t = np.linspace(0.0, 1.0, 101)
-    tone = DriveTone(target="A", amplitude=1.0)
-    states = evolve(h0, [tone], np.array([1.0, 0.0]), t, frame=4800.0)
+    states = evolve(h0, np.array([1.0, 0.0]), t, frame=4800.0, amplitudes=[1.0])
     p0 = np.abs(states[:, 0]) ** 2
     assert p0 == pytest.approx(np.cos(np.pi * t) ** 2, abs=1e-8)
     assert p0[50] < 1e-12  # full flip at 0.5 us for Omega = 1 MHz
@@ -120,18 +126,18 @@ def test_a_term_that_rotates_in_the_frame_is_refused():
     t = np.linspace(0.0, 1.0, 11)
     message = "changes the excitation number rotates at 4800 MHz"
     with pytest.raises(ValueError, match=message):
-        evolve(h0, [], psi0, t, frame=4800.0)
+        evolve(h0, psi0, t, frame=4800.0)
     with pytest.raises(ValueError, match=message):
-        evolve_open(h0, [], rho0, NoiseSpec(), t, frame=4800.0)
+        evolve(h0, rho0, t, frame=4800.0, noise=NoiseSpec())
     # in frame 0 (the lab frame) it is static: the states are those of the
     # absolute Hamiltonian, exp(-2 pi i H t) psi0
     energies, vectors = np.linalg.eigh(h0.matrix)
     expected = np.array(
         [vectors @ (np.exp(-2j * np.pi * energies * x) * (vectors.conj().T @ psi0)) for x in t]
     )
-    states = evolve(h0, [], psi0, t, frame=0.0)
+    states = evolve(h0, psi0, t, frame=0.0)
     assert np.max(np.abs(states - expected)) <= 1e-9
-    rhos = evolve_open(h0, [], rho0, NoiseSpec(), t, frame=0.0)
+    rhos = evolve(h0, rho0, t, frame=0.0, noise=NoiseSpec())
     assert np.max(np.abs(rhos - np.einsum("ti,tj->tij", expected, expected.conj()))) <= 1e-9
 
 
@@ -141,7 +147,7 @@ def test_excitation_number_conserved_without_drives():
     h0 = assemble_hamiltonian(dev, subset)
     psi0 = np.zeros(9, dtype=complex)
     psi0[3] = 1.0  # single excitation
-    states = evolve(h0, [], psi0, np.linspace(0, 1.5, 16), frame=4806.0)
+    states = evolve(h0, psi0, np.linspace(0, 1.5, 16), frame=4806.0)
     totals = basis_occupations(len(h0.sites), h0.levels).sum(axis=1)
     for state in states:
         weight_outside = np.sum(np.abs(state[totals != 1]) ** 2)
@@ -155,7 +161,7 @@ def test_open_t1_decay_closed_form():
     noise = NoiseSpec(relaxation={"A": 1.0 / 50.0})
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     t = np.linspace(0.0, 120.0, 25)
-    rhos = evolve_open(h0, [], rho0, noise, t, frame=4800.0)
+    rhos = evolve(h0, rho0, t, frame=4800.0, noise=noise)
     p1 = np.real(rhos[:, 1, 1])
     assert p1 == pytest.approx(np.exp(-t / 50.0), abs=1e-9)
     traces = np.real(np.trace(rhos, axis1=1, axis2=2))
@@ -170,7 +176,7 @@ def test_open_pure_dephasing_closed_form():
     noise = NoiseSpec(dephasing={"A": 1.0 / tphi})
     rho0 = np.full((2, 2), 0.5, dtype=complex)
     t = np.linspace(0.0, 60.0, 13)
-    rhos = evolve_open(h0, [], rho0, noise, t, frame=4800.0)
+    rhos = evolve(h0, rho0, t, frame=4800.0, noise=noise)
     coherence = np.abs(rhos[:, 0, 1])
     assert coherence == pytest.approx(0.5 * np.exp(-t / tphi), abs=1e-9)
 
@@ -180,22 +186,31 @@ def test_open_rejects_bad_density_matrix():
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A",), 2))
     noise = NoiseSpec()
     with pytest.raises(ContractViolation):
-        evolve_open(h0, [], np.diag([0.7, 0.7]).astype(complex), noise, [0.0, 1.0],
-                    frame=4800.0)
+        evolve(h0, np.diag([0.7, 0.7]).astype(complex), [0.0, 1.0], frame=4800.0, noise=noise)
     with pytest.raises(ContractViolation):
         bad = np.array([[1.2, 0], [0, -0.2]], dtype=complex)
-        evolve_open(h0, [], bad, noise, [0.0, 1.0], frame=4800.0)
+        evolve(h0, bad, [0.0, 1.0], frame=4800.0, noise=noise)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     for grid in ([], [1.0, 0.5]):
         with pytest.raises(ValueError, match="t_grid"):
-            evolve_open(h0, [], rho0, noise, grid, frame=4800.0)
+            evolve(h0, rho0, grid, frame=4800.0, noise=noise)
 
 
-def _drive(h0, tone):
-    """The (e^{-i phase}, (Omega/2) a^dag) pair of ``tone`` that
-    _propagate_sliced takes."""
-    adag = _raising(h0.sites.index(tone.target), len(h0.sites), h0.levels)
-    return [(np.exp(-1j * tone.phase), 0.5 * tone.amplitude * adag)]
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("noise", [None, NoiseSpec()], ids=["closed", "open"])
+def test_evolve_refuses_a_time_that_is_not_finite(bad, noise):
+    h0 = assemble_hamiltonian(_single(), SubsetSelection(("A",), 2))
+    state = np.array([1.0, 0.0]) if noise is None else np.diag([1.0, 0.0])
+    for grid in ([0.0, bad, 1.0], [0.0, 1.0, bad], [bad]):
+        with pytest.raises(ValueError, match=f"t_grid times must be finite, got {bad}"):
+            evolve(h0, state, grid, frame=4800.0, noise=noise)
+
+
+def _drive(h0, amplitude):
+    """D + D^dag of a tone of ``amplitude`` MHz at phase 0 on site A, with
+    D = (Omega/2) a^dag: the drive _propagate_sliced takes."""
+    half = 0.5 * amplitude * _raising(h0.sites.index("A"), len(h0.sites), h0.levels)
+    return half + half.conj().T
 
 
 def test_open_integrator_without_noise_is_the_closed_state():
@@ -206,8 +221,8 @@ def test_open_integrator_without_noise_is_the_closed_state():
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
     t = np.linspace(0.0, 0.5, 6)
     kwargs = dict(frame=4801.0)
-    states = evolve(h0, [], psi0, t, **kwargs)
-    rhos = evolve_open(h0, [], np.outer(psi0, psi0.conj()), NoiseSpec(), t, **kwargs)
+    states = evolve(h0, psi0, t, **kwargs)
+    rhos = evolve(h0, np.outer(psi0, psi0.conj()), t, noise=NoiseSpec(), **kwargs)
     expected = np.einsum("ti,tj->tij", states, states.conj())
     assert np.max(np.abs(rhos - expected)) <= 1e-8
 
@@ -215,12 +230,28 @@ def test_open_integrator_without_noise_is_the_closed_state():
 def test_a_grid_at_t_zero_returns_the_initial_state_exactly():
     h0 = assemble_hamiltonian(_pair(), SubsetSelection(("A", "B"), 2))
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
-    tone = DriveTone(target="A", amplitude=3.0, phase=0.4)
-    states = evolve(h0, [tone], psi0, [0.0, 0.0], frame=4794.0)
+    kwargs = dict(frame=4794.0, amplitudes=[3.0, 0.5])
+    states = evolve(h0, psi0, [0.0, 0.0], **kwargs)
     assert np.array_equal(states, [psi0, psi0])
     rho0 = np.outer(psi0, psi0.conj())
     noise = NoiseSpec(relaxation={"A": 0.5})
-    assert np.array_equal(evolve_open(h0, [tone], rho0, noise, [0.0], frame=4794.0), [rho0])
+    assert np.array_equal(evolve(h0, rho0, [0.0], noise=noise, **kwargs), [rho0])
+
+
+@pytest.mark.parametrize(
+    "noise", [None, NoiseSpec(relaxation={"A": 0.5}, dephasing={"B": 0.2})], ids=["closed", "open"]
+)
+def test_zero_amplitudes_evolve_as_no_drive_bit_for_bit(noise):
+    # the amplitude-0 rows of a swap chevron evolve with every tone at 0
+    h0 = assemble_hamiltonian(_pair(delta=2.0), SubsetSelection(("A", "B"), 3))
+    psi0 = np.zeros(9, dtype=complex)
+    psi0[3] = 1.0
+    state = psi0 if noise is None else np.outer(psi0, psi0.conj())
+    t = np.linspace(0.0, 2.0, 21)
+    undriven = evolve(h0, state, t, frame=4790.0, noise=noise)
+    zero = evolve(h0, state, t, frame=4790.0, amplitudes=[0.0, 0.0], noise=noise)
+    assert np.array_equal(zero, undriven)
+    assert zero.tobytes() == undriven.tobytes()
 
 
 def test_open_ramp_takes_the_sliced_path():
@@ -229,7 +260,7 @@ def test_open_ramp_takes_the_sliced_path():
     dev = _single()
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A",), 3))
     static = _frame_static(h0, 4800.0)
-    drive = _drive(h0, DriveTone(target="A", amplitude=2.0))
+    drive = _drive(h0, 2.0)
     psi = np.array([1.0, 0.0, 0.0], dtype=complex)
     rho = np.outer(psi, psi.conj()).reshape(-1)
     for left, envelope in ((0.0, lambda t: _blackman_rise(t / 0.1)),
@@ -266,7 +297,7 @@ def _driven_open_pair(monkeypatch, frame, slices):
     # 0.7 us with 100 ns Blackman ramps: idle, ramp up, flat top, ramp down
     # and idle again, each ramp split at the recorded time inside it.  In
     # the tone's frame the exchange term and the tone are static, so
-    # evolve_open takes the idle and flat segments and _propagate_sliced
+    # evolve takes the idle and flat segments and _propagate_sliced
     # the ramps.  The split falls at each ramp's midpoint, and each half
     # takes half the ramp's slices: a ramp steps the edges it has in the echo
     from transmon_lattice import dynamics
@@ -274,10 +305,9 @@ def _driven_open_pair(monkeypatch, frame, slices):
     monkeypatch.setattr(dynamics, "ENVELOPE_SLICES", slices // 2)
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
-    tone = DriveTone(target="A", amplitude=4.0)
     noise = NoiseSpec(relaxation={"A": 1 / 2.0, "B": 1 / 3.0}, dephasing={"B": 1 / 5.0})
     collapse = _collapse_operators(h0.sites, h0.levels, noise)
-    static, drive = _frame_static(h0, frame), _drive(h0, tone)
+    static, drive = _frame_static(h0, frame), _drive(h0, 4.0)
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
     rho = np.outer(psi0, psi0.conj())
 
@@ -291,14 +321,14 @@ def _driven_open_pair(monkeypatch, frame, slices):
     def down(t):
         return _blackman_rise((0.7 - t) / 0.1)
 
-    *rhos, rho = evolve_open(h0, [], rho, noise, [0.0, 0.05, 0.1], frame=frame)
+    *rhos, rho = evolve(h0, rho, [0.0, 0.05, 0.1], frame, noise=noise)
     rhos.append(ramp(rho, up, 0.1, 0.15))
     rho = ramp(rhos[-1], up, 0.15, 0.2)
-    rhos.append(evolve_open(h0, [tone], rho, noise, [0.2], frame=frame)[0])
-    rho = evolve_open(h0, [tone], rhos[-1], noise, [0.2], frame=frame)[0]
+    rhos.append(evolve(h0, rho, [0.2], frame, [4.0, 0.0], noise)[0])
+    rho = evolve(h0, rhos[-1], [0.2], frame, [4.0, 0.0], noise)[0]
     rhos.append(ramp(rho, down, 0.6, 0.65))
     rho = ramp(rhos[-1], down, 0.65, 0.7)
-    rhos.extend(evolve_open(h0, [], rho, noise, [0.2, 0.5], frame=frame))
+    rhos.extend(evolve(h0, rho, [0.2, 0.5], frame, noise=noise))
     rhos = np.array(rhos)
     return np.concatenate(
         [np.diagonal(rhos, axis1=1, axis2=2).real, rhos[:, 2:3, 0]], axis=1
@@ -324,7 +354,7 @@ def test_driven_open_pair_matches_recorded_dop853(monkeypatch, frame):
 def test_weak_drive_beside_a_decaying_site_stays_a_state():
     # a 1e-12 MHz tone on A beside a decaying B makes the Liouvillian
     # nearly defective, so that its eig modes no longer rebuild it; the
-    # static generator of evolve_open and the Magnus slices of a Blackman
+    # static generator of evolve and the Magnus slices of a Blackman
     # ramp alike must still match the undriven evolution
     dev = _pair(delta=0.0, j=0.0)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
@@ -332,26 +362,25 @@ def test_weak_drive_beside_a_decaying_site_stays_a_state():
     psi0 = np.array([0.5, 0.5, 0.5j, 0.5])
     rho0 = np.outer(psi0, psi0.conj())
     t = np.linspace(0.0, 0.3, 4)
-    tone = DriveTone(target="A", amplitude=1e-12)
-    undriven = evolve_open(h0, [], rho0, noise, t, frame=4800.0)
-    driven = evolve_open(h0, [tone], rho0, noise, t, frame=4800.0)
+    undriven = evolve(h0, rho0, t, frame=4800.0, noise=noise)
+    driven = evolve(h0, rho0, t, frame=4800.0, amplitudes=[1e-12, 0.0], noise=noise)
     assert np.max(np.abs(driven - undriven)) <= 1e-10
     collapse = _collapse_operators(h0.sites, h0.levels, noise)
     ramped = _propagate_sliced(
-        _frame_static(h0, 4800.0), _drive(h0, tone), lambda t: _blackman_rise(t / 0.05),
+        _frame_static(h0, 4800.0), _drive(h0, 1e-12), lambda t: _blackman_rise(t / 0.05),
         collapse, rho0.reshape(-1), 0.0, 0.05,
     )
-    undriven = evolve_open(h0, [], rho0, noise, [0.05], frame=4800.0)[0]
+    undriven = evolve(h0, rho0, [0.05], frame=4800.0, noise=noise)[0]
     assert np.max(np.abs(ramped.reshape(4, 4) - undriven)) <= 1e-10
 
 
-def test_evolve_open_caps_the_density_matrix_side():
+def test_evolve_caps_the_density_matrix_side():
     dev = _pair()
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 6))  # side 36
     rho0 = np.zeros((36, 36), dtype=complex)
     rho0[0, 0] = 1.0
     with pytest.raises(ResourceLimitError, match="36"):
-        evolve_open(h0, [], rho0, NoiseSpec(), [0.0, 1.0], frame=4800.0)
+        evolve(h0, rho0, [0.0, 1.0], frame=4800.0, noise=NoiseSpec())
 
 
 def test_stacked_liouvillian_equals_per_matrix_kron_build():
@@ -433,7 +462,7 @@ def test_echo_cancels_quasistatic_jitter():
 
 
 def _per_delay_echo(device, qubit, delays, noise, levels):
-    """<0|rho|1> of the Hahn echo from two evolve_open calls per delay,
+    """<0|rho|1> of the Hahn echo from two evolve calls per delay,
     with the pi pulse between them and none after."""
     h0 = assemble_hamiltonian(device, SubsetSelection((qubit,), levels))
     frame = device.qubit(qubit).omega
@@ -443,9 +472,9 @@ def _per_delay_echo(device, qubit, delays, noise, levels):
     for tau in delays:
         rho = np.outer(psi, psi.conj())
         if tau > 0:
-            rho = evolve_open(h0, [], rho, noise, [tau / 2.0], frame=frame)[0]
+            rho = evolve(h0, rho, [tau / 2.0], frame, noise=noise)[0]
             rho = pi @ rho @ pi.conj().T
-            rho = evolve_open(h0, [], rho, noise, [tau / 2.0], frame=frame)[0]
+            rho = evolve(h0, rho, [tau / 2.0], frame, noise=noise)[0]
         out.append(rho[0, 1])
     return np.array(out)
 
@@ -460,7 +489,7 @@ def test_echo_equals_two_evolutions_per_delay(device, levels):
 
 
 def test_echo_decomposes_one_liouvillian(device, monkeypatch):
-    # at the command line's 40 default delays, two evolve_open calls per
+    # at the command line's 40 default delays, two evolve calls per
     # delay took 78 eig calls of the same Liouvillian
     calls = []
     eig = np.linalg.eig
@@ -666,11 +695,12 @@ def test_swap_populations_equal_the_per_state_site_populations(levels, noise, mo
     from transmon_lattice import protocols
 
     stacks = []
-    for name in ("evolve", "evolve_open"):
-        def recording(*args, _evolve=getattr(protocols, name), **kwargs):
-            stacks.append(_evolve(*args, **kwargs))
-            return stacks[-1]
-        monkeypatch.setattr(protocols, name, recording)
+
+    def recording(*args, _evolve=protocols.evolve, **kwargs):
+        stacks.append(_evolve(*args, **kwargs))
+        return stacks[-1]
+
+    monkeypatch.setattr(protocols, "evolve", recording)
     record = protocol_swap(_pair(delta=0.5), ("A", "B"), [0.0, 4.0, 8.0],
                            np.linspace(0.0, 2.0, 33), levels=levels, noise=noise)
     assert len(stacks) == 3

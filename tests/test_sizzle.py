@@ -6,7 +6,6 @@ import pytest
 from transmon_lattice.cliffords import cz_unitary
 from transmon_lattice.device import zz_exact
 from transmon_lattice.dynamics import (
-    DriveTone,
     NoiseSpec,
     _blackman_rise,
     _frame_static,
@@ -380,21 +379,20 @@ def _echo_maps(h0, configs, widths):
 
 def _reference_echo(device, config, psi, width, levels):
     """[Stark(w/2), pi x pi, Stark(w/2), pi x pi] with the tones built here
-    from the config: each Stark pulse is its flat top from evolve()
-    between its Blackman ramps from _propagate_sliced, at the pulse's own
-    times."""
+    from the config: each Stark pulse is its flat top from evolve(), its
+    phased drive D + D^dag passed as extra_static, between its Blackman
+    ramps from _propagate_sliced, at the pulse's own times."""
     h0 = assemble_hamiltonian(device, SubsetSelection(config.pair, levels))
     pi = rotation_gate(math.pi, 0.0, levels)
     pi_pi = np.kron(pi, pi)
-    tones = [
-        DriveTone(config.control, config.omega_control, config.dphi),
-        DriveTone(config.target, config.omega_target, 0.0),
-    ]
+    tones = [(config.omega_control, config.dphi), (config.omega_target, 0.0)]
     static = _frame_static(h0, config.freq)
-    drive = [
-        (np.exp(-1j * tone.phase), 0.5 * tone.amplitude * _raising(site, 2, levels))
-        for site, tone in enumerate(tones)
-    ]
+    # D = sum over sites of e^{-i phase} (amplitude / 2) a^dag
+    d = sum(
+        np.exp(-1j * phase) * (0.5 * amplitude * _raising(site, 2, levels))
+        for site, (amplitude, phase) in enumerate(tones)
+    )
+    drive = d + d.conj().T
     half, rise = width / 2.0, config.rise * 1e-3
 
     def stark(psi):
@@ -402,7 +400,8 @@ def _reference_echo(device, config, psi, width, levels):
             psi = _propagate_sliced(
                 static, drive, lambda t: _blackman_rise(t / rise), None, psi, 0.0, rise
             )
-        psi = evolve(h0, tones, psi, [max(half - 2.0 * rise, 0.0)], frame=config.freq)[0]
+        psi = evolve(h0, psi, [max(half - 2.0 * rise, 0.0)], frame=config.freq,
+                     extra_static=drive)[0]
         if rise > 0:
             psi = _propagate_sliced(
                 static, drive, lambda t: _blackman_rise((half - t) / rise), None, psi,

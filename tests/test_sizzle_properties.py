@@ -13,13 +13,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from transmon_lattice.dynamics import NoiseSpec
+from transmon_lattice.dynamics import NoiseSpec, lindblad_noise
 from transmon_lattice.fileio import load_bundled_device
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
 from transmon_lattice.sizzle import (
     SizzleConfig,
     _echo,
-    _lindblad_noise,
     _prepared_states,
     _readout,
     landscape_flags,
@@ -141,7 +140,7 @@ def _landscape_by_rows(device, pair, freqs, amplitudes, width, ratio, noise, lev
     diff_phase, response = np.full(shape, np.nan), np.full(shape, np.nan)
     flagged = np.zeros(shape, dtype=bool)
     h0 = assemble_hamiltonian(device, SubsetSelection(pair, levels))
-    noise = _lindblad_noise(h0, noise)
+    noise = lindblad_noise(h0.sites, noise)
     for i, freq in enumerate(freqs):
         if landscape_flags(device, pair, freq):
             flagged[i] = True

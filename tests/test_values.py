@@ -15,7 +15,7 @@ from transmon_lattice.cliffords import CliffordElement
 from transmon_lattice.device import (
     CouplingGraph, DeviceSpec, ResonatorParams, TransmonParams, ZZReport,
 )
-from transmon_lattice.dynamics import DriveTone, NoiseSpec
+from transmon_lattice.dynamics import NoiseSpec
 from transmon_lattice.errors import ContractViolation, DimensionError, ResourceLimitError
 from transmon_lattice.fileio import StatsReport
 from transmon_lattice.fitting import FitResult
@@ -48,7 +48,6 @@ RECORD = dict(
     protocol="t1", axes=(AxisSpec(**AXIS),), data={"signal": ARRAY}, shots=10, seed=1,
     device_ref="A", config={"qubit": "A"}, metadata={},
 )
-TONE = dict(target="A", amplitude=10.0, phase=0.5)
 
 # class, field values in field order, and one field with a different value
 SAMPLES = [
@@ -61,7 +60,6 @@ SAMPLES = [
     (SubsetSelection, dict(qubits=("A", "B"), levels=3, dimension_cap=64), ("levels", 2)),
     (LatticeOperator, dict(matrix=np.eye(4, dtype=complex), sites=("A", "B"), levels=2),
      ("levels", 3)),
-    (DriveTone, TONE, ("phase", 0.0)),
     (NoiseSpec, dict(relaxation={"A": 0.01}, dephasing={"A": 0.02}, jitter_khz={}),
      ("jitter_khz", {"A": 5.0})),
     (NoiseChannel, dict(depolarizing=0.01, granularity="gate", over_rotation=0.001,
@@ -214,7 +212,7 @@ def test_default_device_couplings_are_empty():
         (SubsetSelection, dict(qubits=("A", "B"), levels=3), {"dimension_cap": 8},
          ResourceLimitError, "exceeds cap 8"),
         (NoiseSpec, {}, {"relaxation": {"A": -0.1}}, ContractViolation, r"relaxation\[A\]"),
-        (DriveTone, TONE, {"amplitude": -1.0}, ValueError, "amplitude must be non-negative"),
+        (SizzleConfig, SIZZLE, {"ratio": -1.0}, ValueError, "ratio must be positive"),
         (NoiseSpec, {}, {"jitter_khz": {"A": -1.0}}, ContractViolation, r"jitter_khz\[A\]"),
         (SizzleConfig, SIZZLE, {"rise": -1.0}, ValueError, "rise -1.0 ns"),
         (NoiseChannel, {}, {"depolarizing": -0.1}, ContractViolation, "outside"),
