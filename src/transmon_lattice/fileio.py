@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -208,7 +207,9 @@ def load_device(path: Union[str, Path]) -> DeviceSpec:
 
 
 def bundled_device_path() -> Path:
-    return Path(resources.files("transmon_lattice.data") / BUNDLED_DEVICE)
+    # beside this file: importing importlib.resources loads zipfile,
+    # tempfile and shutil (~20 ms) in every command
+    return Path(__file__).parent / "data" / BUNDLED_DEVICE
 
 
 def load_bundled_device() -> DeviceSpec:

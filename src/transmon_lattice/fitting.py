@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AliasingError, NearResonanceError
+from .linefit import fit_line
 from .values import FrozenValue
 
 MAX_ITERATIONS = 200
@@ -211,7 +212,7 @@ def fit_exp_decay(t: np.ndarray, y: np.ndarray) -> FitResult:
     z = sign * detrended
     mask = z > 0.05 * max(z.max(), 1e-12)
     if mask.sum() >= 2:
-        slope, intercept = np.polyfit(t[mask], np.log(z[mask]), 1)
+        slope, intercept = fit_line(t[mask], np.log(z[mask]))
         tau0 = -1.0 / slope if slope < 0 else (t[-1] - t[0])
         b0 = sign * math.exp(intercept)
     else:
@@ -257,8 +258,6 @@ def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
     z = y - y.mean()
     spec = np.abs(np.fft.rfft(z))
     freqs = np.fft.rfftfreq(len(z), d=dt)
-    if len(spec) < 2:
-        return 0.0
     peak = 1 + int(np.argmax(spec[1:]))
     return float(freqs[peak])
 
@@ -353,10 +352,13 @@ def fit_anticrossing(
             f"detunings within {guard} MHz of resonance are outside the "
             "dispersive regime"
         )
-    # model is linear in (J^2, C); solve directly, then polish with LM
+    # model is a line in 1/delta with slope J^2; seed from it, then polish
+    # with LM.  One detuning fixes no slope, so J starts at zero there
     x = 1.0 / delta
-    design = np.column_stack([x, np.ones_like(x)])
-    (slope, c0), *_ = np.linalg.lstsq(design, dfac, rcond=None)
+    if np.any(x != x[:1]):
+        slope, c0 = fit_line(x, dfac)
+    else:  # C alone, and 0 from no point at all
+        slope, c0 = 0.0, float(dfac.sum()) / max(len(dfac), 1)
     j0 = math.sqrt(max(float(slope), 0.0))
     p0 = np.array([j0, float(c0)])
     lower = np.array([0.0, -np.inf])

@@ -25,6 +25,7 @@ import numpy as np
 from .device import DeviceSpec, zz_exact
 from .dynamics import NoiseSpec, echo_sequence, lindblad_noise, rotation_gate
 from .errors import AliasingError, NearPoleError, UncalibratableError
+from .linefit import fit_line
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 from .records import AxisSpec, ExperimentRecord
 from .values import FrozenValue
@@ -248,7 +249,7 @@ def _tomography(
             "densify the width grid"
         )
     unwrapped = np.concatenate([diff[:, :1], diff[:, :1] + np.cumsum(wrapped, axis=-1)], axis=-1)
-    slopes = np.array([np.polyfit(widths, phase, 1)[0] for phase in unwrapped])
+    slopes, _ = fit_line(widths, unwrapped)
     return slopes / (2.0 * math.pi) * 1e3, coh, unwrapped
 
 
@@ -343,10 +344,10 @@ def sweep_relative_phase(
 
 
 def fit_phase_modulation(dphis: np.ndarray, rates: np.ndarray) -> dict:
-    """Linear fit of rate = A cos(dphi) + A_s sin(dphi) + B; returns the
-    cosine amplitude, offset, and R^2."""
+    """Linear fit of rate = A cos(dphi) + A_s sin(dphi) + B, by its
+    normal equations; returns the cosine amplitude, offset, and R^2."""
     design = np.column_stack([np.cos(dphis), np.sin(dphis), np.ones_like(dphis)])
-    coef, *_ = np.linalg.lstsq(design, rates, rcond=None)
+    coef = np.linalg.solve(design.T @ design, design.T @ rates)
     predicted = design @ coef
     ss_res = float(np.sum((rates - predicted) ** 2))
     ss_tot = float(np.sum((rates - rates.mean()) ** 2))
@@ -565,7 +566,7 @@ def calibrate_cz(
             for n, p in zip(counts, phases)
         ]
     )
-    slope, _ = np.polyfit(counts, unwrapped, 1)
+    slope, _ = fit_line(counts, unwrapped)
     per_gate = float(slope)
     residual = abs(abs(per_gate) - target_phase) / target_phase
     if residual > 0.01:

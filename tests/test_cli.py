@@ -1052,6 +1052,12 @@ _LOADED_MODULES = (
             "calibrate-cz --pair Q2,Q7 --freq 5028.5 --amplitude 10 --rise 50 --seed 1",
             ("protocols", "rb", "cliffords", "tomography", "spectrum", "numpy.ma"),
         ),
+        # the landscape fits nothing; sizzle's line fits come from linefit
+        (
+            "sizzle --mode landscape --pair Q2,Q7 --freqs 4700:5100:5 --amplitudes 2,6 "
+            "--levels 3 --seed 1",
+            ("protocols", "rb", "cliffords", "tomography", "spectrum", "fitting"),
+        ),
     ],
 )
 def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):
@@ -1073,6 +1079,34 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, line, absent):
     under = tuple(f"{name}." for name in forbidden)
     names = [m.removeprefix("transmon_lattice.") for m in loaded]
     assert not [m for m in names if m in forbidden or m.startswith(under)], loaded
+
+
+def test_bundled_device_is_found_without_importlib_resources():
+    # importlib.resources loads zipfile, tempfile, shutil, bz2 and lzma
+    # (~20 ms) where site has not imported it already; under -S it has not
+    line = ["zz", "--pair", "Q2,Q3"]
+    report = (
+        "import json, sys\n"
+        "from transmon_lattice.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "    if m in ('importlib.resources', 'zipfile', 'tempfile'))]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", report, *line], capture_output=True, text=True,
+        env=_src_env(), timeout=120, check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
+    printed = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "transmon_lattice.cli", *line], capture_output=True,
+            env=_src_env(), timeout=120,
+        )
+        for flags in (["-S"], [])
+    ]
+    assert printed[0].returncode == printed[1].returncode == 0, printed[0].stderr
+    assert printed[0].stdout == printed[1].stdout
+    assert printed[0].stderr == printed[1].stderr == b""
 
 
 def test_package_import_loads_no_submodule():

@@ -138,6 +138,18 @@ def test_anticrossing_flat_data():
     assert fit.params["C"] == pytest.approx(0.12, abs=1e-9)
 
 
+@pytest.mark.parametrize("delta", [[], [30.0], [-12.0, -12.0, -12.0]])
+def test_anticrossing_at_one_detuning_pins_the_coupling_at_zero(delta):
+    # J^2/delta + C is one number at one detuning (an AC-Stark sweep of one
+    # amplitude): no slope is seen, so J stays at zero and C takes the mean
+    delta = np.array(delta)
+    y = np.linspace(0.1, 0.2, len(delta))
+    fit = fit_anticrossing(delta, y)
+    assert fit.params["J"] == 0.0
+    assert fit.params["C"] == (float(np.mean(y)) if len(y) else 0.0)
+    assert "coupling_at_zero" in fit.flags and fit.converged
+
+
 def test_anticrossing_guard_violation():
     delta = np.linspace(-5.0, 5.0, 21)  # crosses zero
     with pytest.raises(NearResonanceError):

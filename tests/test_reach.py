@@ -116,7 +116,9 @@ RETIRED = (
 )
 
 
-def test_the_retired_time_dependent_engine_stays_out_of_src():
+def _names_in_src() -> set[str]:
+    """Every function and class defined, and every name, attribute and
+    imported name used, on any line of src/."""
     used = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -126,4 +128,22 @@ def test_the_retired_time_dependent_engine_stays_out_of_src():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_the_retired_time_dependent_engine_stays_out_of_src():
+    used = _names_in_src()
     assert not used & set(RETIRED), sorted(used & set(RETIRED))
+
+
+# Linear fits are closed-form (linefit.fit_line, and the normal equations of
+# the phase modulation): these numpy routes map LAPACK's SVD least-squares
+# routine (dgelsd), about 0.3 MiB resident, to fit two or three parameters.
+LAPACK_LEAST_SQUARES = ("polyfit", "lstsq")
+
+
+def test_no_linear_fit_maps_a_lapack_least_squares_routine():
+    used = _names_in_src()
+    assert not used & set(LAPACK_LEAST_SQUARES), sorted(used & set(LAPACK_LEAST_SQUARES))

@@ -138,6 +138,22 @@ def test_phase_sweep_cosine_modulation(device):
     assert fit["offset"] == pytest.approx(zeta, rel=0.15)
 
 
+@pytest.mark.parametrize("n_phases", [3, 5, 16, 40])
+def test_phase_modulation_matches_the_svd_least_squares_reference(n_phases):
+    # the normal equations against the SVD route the fit took before
+    rng = np.random.default_rng(n_phases)
+    dphis = np.sort(rng.uniform(0.0, 2 * math.pi, n_phases))
+    rates = 1.5 * np.cos(dphis) + 0.2 * np.sin(dphis) + 13.0 + rng.normal(0.0, 0.05, n_phases)
+    fit = fit_phase_modulation(dphis, rates)
+    design = np.column_stack([np.cos(dphis), np.sin(dphis), np.ones_like(dphis)])
+    reference, *_ = np.linalg.lstsq(design, rates, rcond=None)
+    got = [fit["amplitude"], fit["quadrature"], fit["offset"]]
+    assert got == pytest.approx(list(reference), rel=1e-12, abs=1e-12 * np.max(np.abs(rates)))
+    ss_res = np.sum((rates - design @ reference) ** 2)
+    ss_tot = np.sum((rates - rates.mean()) ** 2)
+    assert fit["r_squared"] == pytest.approx(1.0 - ss_res / ss_tot, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "rise, noisy, dphis, widths",
     [
