@@ -507,27 +507,10 @@ def _cmd_rb(args) -> dict:
 def _cmd_tomography(args) -> dict:
     import numpy as np
 
-    from .tomography import (
-        BELL_TARGET, bell_state, bell_state_noisy, fidelity, ghz_state, ghz_state_noisy,
-        state_tomography,
-    )
+    from .tomography import BELL_TARGET, GHZ_TARGET, fidelity, prepare_state, state_tomography
 
-    if args.state == "bell":
-        target = BELL_TARGET
-        n = 2
-        state = (
-            bell_state()
-            if args.tau_g == 0
-            else bell_state_noisy(args.tau_g, args.t1, args.t2)
-        )
-    else:
-        target = ghz_state()
-        n = 3
-        state = (
-            ghz_state()
-            if args.tau_g == 0
-            else ghz_state_noisy(args.tau_g, args.t1, args.t2)
-        )
+    n, target = {"bell": (2, BELL_TARGET), "ghz": (3, GHZ_TARGET)}[args.state]
+    state = prepare_state(n, args.tau_g, args.t1, args.t2)
     rho = state_tomography(state, n, shots=args.shots, seed=args.seed)
     return {
         "command": "tomography",

@@ -18,7 +18,7 @@ from .dynamics import (
 from .errors import AliasingError, ContractViolation
 from .fitting import fit_anticrossing, fit_damped_cos
 from .operators import (
-    LatticeOperator, SubsetSelection, assemble_hamiltonian, destroy, number, _embed,
+    LatticeOperator, SubsetSelection, assemble_hamiltonian, basis_occupations, destroy,
 )
 from .records import AxisSpec, ExperimentRecord
 
@@ -133,13 +133,11 @@ def _jitter_term(
     levels: int,
     offsets_mhz: Mapping[str, float],
 ) -> np.ndarray:
-    dim = levels ** len(sites)
-    term = np.zeros((dim, dim), dtype=complex)
-    for k, label in enumerate(sites):
-        df = offsets_mhz.get(label, 0.0)
-        if df:
-            term += df * _embed(number(levels), k, len(sites), levels)
-    return term
+    """Static frequency offsets (MHz) by site: the diagonal sum of
+    offset times occupation."""
+    occ = basis_occupations(len(sites), levels)
+    offsets = np.array([offsets_mhz.get(label, 0.0) for label in sites])
+    return np.diag((occ @ offsets).astype(complex))
 
 
 def protocol_t1(

@@ -1,17 +1,28 @@
 """Pauli-basis state tomography and entangled-state preparation.
 
-Reconstruction is linear inversion over the full Pauli basis followed
-by eigenvalue clipping and trace renormalization (the nearest physical
-state for small violations).  Preparation circuits use ideal
-instantaneous single-qubit gates; the conditional-phase gate can be
-ideal or realized as a ZZ generator evolved under Lindblad noise for
-its calibrated duration.
+Preparation is one circuit: H on qubit 0, then on each next qubit H, a
+conditional phase with the previous qubit, and H again, which makes the
+Bell pair on two qubits and the GHZ state on three.  Ideal gates act on
+a state vector.  A noisy conditional phase is a ZZ generator evolved by
+``dynamics.evolve`` under T1/T2 Lindblad noise for its calibrated
+duration, on a density matrix.  The ideal GHZ state is kept as the exact
+``GHZ_TARGET`` vector: the circuit leaves ~4e-17 imaginary residues in
+it, and those change the sampled counts.
+
+Reconstruction measures every qubit along X, Y or Z, in all 3^n
+settings.  A setting with rotation R and outcome distribution p
+measures the state R^dag diag(p) R.  Averaged over the settings, that
+is the true state with every non-identity Pauli factor scaled by 1/3, a
+depolarizing map on each qubit; undoing it site by site,
+A -> 3A - tr_k(A) (x) I, is linear inversion over the full Pauli basis
+with each Pauli expectation averaged over the settings that measure it.
+Eigenvalue clipping and trace renormalization then give the nearest
+physical state for small violations.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,19 +30,15 @@ import numpy as np
 from .device import T2_TOLERANCE
 from .dynamics import NoiseSpec, evolve
 from .errors import ContractViolation
-from .operators import LatticeOperator
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from .operators import LatticeOperator, _embed, basis_occupations
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _SDG = np.diag([1.0, -1j]).astype(complex)
-# rotations bringing each Pauli onto Z for measurement
-_BASIS_ROTATION = {"X": HADAMARD, "Y": HADAMARD @ _SDG, "Z": np.eye(2, dtype=complex)}
+# rotations bringing X, Y and Z onto Z for measurement
+_BASIS_ROTATIONS = (HADAMARD, HADAMARD @ _SDG, np.eye(2, dtype=complex))
+
+BELL_TARGET = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+GHZ_TARGET = np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 MIN_SHOTS_PER_SETTING = 50
 
@@ -43,39 +50,24 @@ def _as_density(state: np.ndarray) -> np.ndarray:
     return state
 
 
-def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
+def _setting_rotations(n_qubits: int) -> np.ndarray:
+    """(3^n, 2^n, 2^n) stack of every setting's rotation, the first
+    qubit's axis (X, Y, Z) varying slowest."""
+    rotations = [np.eye(2**n_qubits, dtype=complex)]
+    for k in range(n_qubits):
+        site = [_embed(r, k, n_qubits, 2) for r in _BASIS_ROTATIONS]
+        rotations = [s @ r for r in rotations for s in site]
+    return np.array(rotations)
 
 
-def pauli_string(letters: str) -> np.ndarray:
-    return _kron_all([PAULI[c] for c in letters])
-
-
-def measurement_settings(n_qubits: int) -> list[str]:
-    return ["".join(s) for s in product("XYZ", repeat=n_qubits)]
-
-
-def _expectations_from_counts(
-    setting: str, probabilities: np.ndarray, n_qubits: int
-) -> dict[str, float]:
-    """<P> for every Pauli string supported on this setting's axes."""
-    out = {}
-    bits = np.arange(2**n_qubits)
-    for support in product((0, 1), repeat=n_qubits):
-        if not any(support):
-            continue
-        letters = "".join(
-            setting[k] if support[k] else "I" for k in range(n_qubits)
-        )
-        signs = np.ones(2**n_qubits)
-        for k in range(n_qubits):
-            if support[k]:
-                signs *= 1.0 - 2.0 * ((bits >> (n_qubits - 1 - k)) & 1)
-        out[letters] = float(signs @ probabilities)
-    return out
+def _undo_depolarizing(a: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Invert A -> (A + tr_k(A) (x) I) / 3 on every qubit k."""
+    t = a.reshape((2,) * (2 * n_qubits))
+    for k in range(n_qubits):
+        axes = (k, n_qubits + k)
+        identity = np.eye(2).reshape([2 if ax in axes else 1 for ax in range(t.ndim)])
+        t = 3.0 * t - np.expand_dims(np.trace(t, axis1=k, axis2=n_qubits + k), axes) * identity
+    return t.reshape(a.shape)
 
 
 def state_tomography(
@@ -105,34 +97,17 @@ def state_tomography(
             RuntimeWarning,
             stacklevel=2,
         )
+    rotations = _setting_rotations(n_qubits)
+    rotated = rotations @ rho @ rotations.conj().transpose(0, 2, 1)
+    probabilities = np.clip(np.real(np.diagonal(rotated, axis1=1, axis2=2)), 0.0, None)
+    probabilities = probabilities / probabilities.sum(axis=1, keepdims=True)
     if shots > 0:
         rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else seed, 404]))
-
-    sums: dict[str, float] = {}
-    counts_per_pauli: dict[str, int] = {}
-    for setting in measurement_settings(n_qubits):
-        rotation = _kron_all([_BASIS_ROTATION[c] for c in setting])
-        rotated = rotation @ rho @ rotation.conj().T
-        probabilities = np.clip(np.real(np.diag(rotated)), 0.0, None)
-        probabilities = probabilities / probabilities.sum()
-        if shots > 0:
-            counts = rng.multinomial(shots, probabilities)
-            probabilities = counts / shots
-        for letters, value in _expectations_from_counts(
-            setting, probabilities, n_qubits
-        ).items():
-            # Pauli strings with identity slots appear in several
-            # settings; average every estimate equally
-            sums[letters] = sums.get(letters, 0.0) + value
-            counts_per_pauli[letters] = counts_per_pauli.get(letters, 0) + 1
-
-    expectations = {k: sums[k] / counts_per_pauli[k] for k in sums}
-    expectations["I" * n_qubits] = 1.0
-    estimate = np.zeros((dim, dim), dtype=complex)
-    for letters, value in expectations.items():
-        estimate += value * pauli_string(letters)
-    estimate /= dim
-    projected, _ = project_to_physical(estimate)
+        probabilities = rng.multinomial(shots, probabilities) / shots
+    measured = np.einsum(
+        "sji,sj,sjk->ik", rotations.conj(), probabilities, rotations
+    ) / len(rotations)
+    projected, _ = project_to_physical(_undo_depolarizing(measured, n_qubits))
     return projected
 
 
@@ -167,42 +142,10 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
 
 # ------------------------------------------------------------ preparation
 
-def _gate_on(psi_or_rho, gate: np.ndarray, site: int, n_qubits: int):
-    full = _kron_all(
-        [gate if k == site else np.eye(2, dtype=complex) for k in range(n_qubits)]
-    )
-    if psi_or_rho.ndim == 1:
-        return full @ psi_or_rho
-    return full @ psi_or_rho @ full.conj().T
-
-
-def _cz_on(state, phase: float, a: int, b: int, n_qubits: int):
-    dim = 2**n_qubits
-    diag = np.ones(dim, dtype=complex)
-    for basis in range(dim):
-        if (basis >> (n_qubits - 1 - a)) & 1 and (basis >> (n_qubits - 1 - b)) & 1:
-            diag[basis] = np.exp(1j * phase)
-    if state.ndim == 1:
-        return diag * state
-    return (diag[:, None] * state) * diag.conj()[None, :]
-
-
-def bell_state(cz_phase: float = math.pi) -> np.ndarray:
-    """Bell pair from H x H, conditional phase, H on the target."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0
-    psi = _gate_on(psi, HADAMARD, 0, 2)
-    psi = _gate_on(psi, HADAMARD, 1, 2)
-    psi = _cz_on(psi, cz_phase, 0, 1, 2)
-    psi = _gate_on(psi, HADAMARD, 1, 2)
-    return psi
-
-
-def ghz_state() -> np.ndarray:
-    return np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0], dtype=complex) / math.sqrt(2.0)
-
-
-BELL_TARGET = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+def _both_excited(a: int, b: int, n_qubits: int) -> np.ndarray:
+    """Mask of the basis states with qubits a and b both in |1>."""
+    occ = basis_occupations(n_qubits, 2)
+    return (occ[:, a] & occ[:, b]).astype(bool)
 
 
 def _noisy_cz(
@@ -217,71 +160,63 @@ def _noisy_cz(
 ) -> np.ndarray:
     """Conditional-phase gate realized as a ZZ generator evolved under
     the Lindblad rates of ``noise`` for its calibrated duration."""
-    dim = 2**n_qubits
     nu_mhz = conditional_phase / (2.0 * math.pi * tau_g)
-    h = np.zeros((dim, dim), dtype=complex)
-    for basis in range(dim):
-        if (basis >> (n_qubits - 1 - a)) & 1 and (basis >> (n_qubits - 1 - b)) & 1:
-            # sign: exp(-2 pi i H t) must impart +conditional_phase
-            h[basis, basis] = -nu_mhz
+    # sign: exp(-2 pi i H t) must impart +conditional_phase
+    h = np.diag(np.where(_both_excited(a, b, n_qubits), -nu_mhz, 0.0).astype(complex))
     # h is already the frame Hamiltonian: a zero common frame keeps it
     h0 = LatticeOperator(h, tuple(labels), 2)
     return evolve(h0, rho, [tau_g], frame=0.0, noise=noise)[0]
 
 
-def _gate_noise(tau_g: float, t1: float, t2: float, labels: Sequence[str]) -> NoiseSpec:
-    """Lindblad relaxation and pure dephasing of T1 and T2 on every label;
-    the gate duration, T1 and T2 must be finite and positive, and T2 at
-    most 2 T1 (as in device files)."""
-    for name, value in (("tau_g", tau_g), ("T1", t1), ("T2", t2)):
+def prepare_state(
+    n_qubits: int,
+    tau_g: float = 0.0,
+    t1: float = 71.0,
+    t2: float = 51.0,
+    conditional_phase: float = math.pi,
+) -> np.ndarray:
+    """The Bell (n_qubits = 2) or GHZ (3) preparation circuit.
+
+    ``tau_g`` = 0 makes every gate ideal and returns a state vector.
+    Otherwise each conditional phase takes ``tau_g`` (us) under T1/T2
+    Lindblad noise on every qubit, and a density matrix comes back.
+    Raises ValueError unless ``tau_g`` is finite and non-negative, T1
+    and T2 are finite and positive, and T2 is at most 2 T1 (as in
+    device files).
+    """
+    if not (math.isfinite(tau_g) and tau_g >= 0):
+        raise ValueError(f"tau_g = {tau_g} us must be finite and non-negative")
+    for name, value in (("T1", t1), ("T2", t2)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} = {value} us must be finite and positive")
     if t2 > 2.0 * t1 + T2_TOLERANCE:
         raise ValueError(f"T2 = {t2} us exceeds 2 T1 = {2.0 * t1} us")
-    return NoiseSpec(
-        relaxation={q: 1.0 / t1 for q in labels},
-        dephasing={q: max(1.0 / t2 - 0.5 / t1, 0.0) for q in labels},
-    )
+    if tau_g == 0 and n_qubits == 3 and conditional_phase == math.pi:
+        # the circuit's ~4e-17 imaginary residues would change sampled counts
+        return GHZ_TARGET.copy()
 
+    labels = tuple(chr(ord("a") + k) for k in range(n_qubits))
+    noise = None
+    state = np.zeros(2**n_qubits, dtype=complex)
+    state[0] = 1.0
+    if tau_g > 0:
+        noise = NoiseSpec(
+            relaxation={q: 1.0 / t1 for q in labels},
+            dephasing={q: max(1.0 / t2 - 0.5 / t1, 0.0) for q in labels},
+        )
+        state = np.outer(state, state)
+    hadamards = [_embed(HADAMARD, k, n_qubits, 2) for k in range(n_qubits)]
 
-def bell_state_noisy(
-    tau_g: float,
-    t1: float,
-    t2: float,
-    conditional_phase: float = math.pi,
-) -> np.ndarray:
-    """Bell preparation where the conditional-phase gate takes ``tau_g``
-    (us) under T1/T2 Lindblad noise on both qubits; raises ValueError
-    unless ``tau_g``, ``t1`` and ``t2`` are finite and positive and
-    ``t2`` is at most 2 ``t1``."""
-    labels = ("a", "b")
-    noise = _gate_noise(tau_g, t1, t2, labels)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    rho = _gate_on(rho, HADAMARD, 0, 2)
-    rho = _gate_on(rho, HADAMARD, 1, 2)
-    rho = _noisy_cz(rho, 0, 1, 2, tau_g, noise, labels, conditional_phase)
-    rho = _gate_on(rho, HADAMARD, 1, 2)
-    return rho
+    def gate(u, state):
+        return u @ state if state.ndim == 1 else u @ state @ u.conj().T
 
-
-def ghz_state_noisy(
-    tau_g: float,
-    t1: float,
-    t2: float,
-    conditional_phase: float = math.pi,
-) -> np.ndarray:
-    """GHZ preparation via two noisy conditional-phase gates, with the
-    inputs of :func:`bell_state_noisy`."""
-    labels = ("a", "b", "c")
-    noise = _gate_noise(tau_g, t1, t2, labels)
-    rho = np.zeros((8, 8), dtype=complex)
-    rho[0, 0] = 1.0
-    rho = _gate_on(rho, HADAMARD, 0, 3)
-    rho = _gate_on(rho, HADAMARD, 1, 3)
-    rho = _noisy_cz(rho, 0, 1, 3, tau_g, noise, labels, conditional_phase)
-    rho = _gate_on(rho, HADAMARD, 1, 3)
-    rho = _gate_on(rho, HADAMARD, 2, 3)
-    rho = _noisy_cz(rho, 1, 2, 3, tau_g, noise, labels, conditional_phase)
-    rho = _gate_on(rho, HADAMARD, 2, 3)
-    return rho
+    phase = np.exp(1j * conditional_phase)
+    state = gate(hadamards[0], state)
+    for k in range(1, n_qubits):
+        state = gate(hadamards[k], state)
+        if noise is None:
+            state = np.where(_both_excited(k - 1, k, n_qubits), phase, 1.0) * state
+        else:
+            state = _noisy_cz(state, k - 1, k, n_qubits, tau_g, noise, labels, conditional_phase)
+        state = gate(hadamards[k], state)
+    return state

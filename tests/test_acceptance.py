@@ -39,9 +39,8 @@ from transmon_lattice.sizzle import (
 from transmon_lattice.spectrum import j_from_zz
 from transmon_lattice.tomography import (
     BELL_TARGET,
-    bell_state,
-    bell_state_noisy,
     fidelity,
+    prepare_state,
 )
 
 # Published two-qubit characterization: pair, detuning (MHz), static ZZ
@@ -208,14 +207,14 @@ def test_criterion_5_cz_pipeline(device):
     assert measured.residual <= 0.01
 
     # ideal calibrated CZ -> Bell fidelity at shot-free evaluation
-    bell = bell_state(supplied.conditional_phase())
+    bell = prepare_state(2, conditional_phase=supplied.conditional_phase())
     bell_fidelity = abs(np.vdot(BELL_TARGET, bell)) ** 2
     assert bell_fidelity >= 1.0 - 1e-6
 
     # hardware fidelities are device-specific; the simulator asserts the
     # monotonic degradation of noisy Bell fidelity with gate duration
     fids = [
-        fidelity(bell_state_noisy(tau, 71.0, 51.0), BELL_TARGET)
+        fidelity(prepare_state(2, tau, 71.0, 51.0), BELL_TARGET)
         for tau in (1.0, 2.5, 5.0)
     ]
     assert fids[0] > fids[1] > fids[2]

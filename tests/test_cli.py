@@ -98,6 +98,23 @@ def test_replay_determinism(tmp_path, capsys):
             ("fidelity",),
             0.8762558562673263,
         ),
+        # the ideal GHZ state is the exact target vector, while the ideal
+        # Bell pair is the circuit's: each choice moves these draws
+        (
+            "tomography --state ghz --tau-g 0 --seed 7 --shots 100",
+            ("fidelity",),
+            0.7793622430008013,
+        ),
+        (
+            "tomography --state ghz --tau-g 3.3 --seed 7 --shots 100",
+            ("fidelity",),
+            0.7362861697486441,
+        ),
+        (
+            "tomography --state bell --tau-g 0 --seed 7 --shots 100",
+            ("fidelity",),
+            0.9764690842167256,
+        ),
         (
             "sweep --kind acstark --pair Q2,Q3 --amplitudes 5:30:6 --jitter-khz 20 --seed 7",
             ("data", "freq_shift"),
@@ -105,7 +122,8 @@ def test_replay_determinism(tmp_path, capsys):
              -0.009804858512309833, 0.008642452006252688, 0.028645325299397673],
         ),
     ],
-    ids=["ramsey", "tomography", "acstark"],
+    ids=["ramsey", "tomography", "tomography-ghz-ideal", "tomography-ghz", "tomography-bell-ideal",
+         "acstark"],
 )
 def test_commands_that_draw_print_their_frozen_values(line, path, frozen, capsys):
     code, out, err = run_cli(line.split(), capsys)
@@ -760,6 +778,11 @@ def test_tomography_rejects_unphysical_noise_inputs(capsys):
         ("tomography --state bell --tau-g 3.3 --t1 0 --seed 7", "T1"),
         ("tomography --state ghz --tau-g 3.3 --t2 -5 --seed 7", "T2"),
         ("tomography --state bell --tau-g 3.3 --seed 7 --t1 50 --t2 200", "T2"),
+        # ideal gates use neither T1 nor T2, yet the preparation checks both
+        ("tomography --state bell --seed 1 --t1 -5", "T1"),
+        ("tomography --state bell --seed 1 --t2 0", "T2"),
+        ("tomography --state bell --seed 1 --t1 50 --t2 200", "T2"),
+        ("tomography --state ghz --seed 1 --t1 -5", "T1"),
     ):
         code, out, err = run_cli(line.split(), capsys)
         assert code == 2, line

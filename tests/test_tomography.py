@@ -6,42 +6,39 @@ import pytest
 from transmon_lattice.errors import ContractViolation
 from transmon_lattice.tomography import (
     BELL_TARGET,
-    bell_state,
-    bell_state_noisy,
+    GHZ_TARGET,
     fidelity,
-    ghz_state,
-    ghz_state_noisy,
-    pauli_string,
+    prepare_state,
     project_to_physical,
     state_tomography,
 )
 
 
 def test_bell_circuit_is_bell():
-    psi = bell_state(math.pi)
+    psi = prepare_state(2)
     assert abs(abs(psi.conj() @ BELL_TARGET) ** 2 - 1.0) <= 1e-12
 
 
 def test_bell_circuit_partial_phase_is_not_bell():
-    psi = bell_state(math.pi / 2)
+    psi = prepare_state(2, conditional_phase=math.pi / 2)
     assert abs(psi.conj() @ BELL_TARGET) ** 2 < 0.9
 
 
 def test_tomography_exact_on_pure_state():
-    psi = bell_state(math.pi)
+    psi = prepare_state(2)
     rho = state_tomography(psi, 2, shots=0)
     target = np.outer(psi, psi.conj())
     assert np.max(np.abs(rho - target)) < 1e-6
 
 
 def test_tomography_three_qubits_exact():
-    psi = ghz_state()
+    psi = GHZ_TARGET
     rho = state_tomography(psi, 3, shots=0)
     assert fidelity(rho, psi) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tomography_with_shots_deterministic_and_physical():
-    psi = bell_state(math.pi)
+    psi = prepare_state(2)
     rho1 = state_tomography(psi, 2, shots=2000, seed=5)
     rho2 = state_tomography(psi, 2, shots=2000, seed=5)
     assert np.array_equal(rho1, rho2)
@@ -52,13 +49,13 @@ def test_tomography_with_shots_deterministic_and_physical():
 
 
 def test_tomography_shot_warning():
-    psi = bell_state(math.pi)
+    psi = prepare_state(2)
     with pytest.warns(RuntimeWarning):
         state_tomography(psi, 2, shots=10, seed=1)
 
 
 def test_projection_preserves_trace_and_bounds_fidelity_change():
-    psi = bell_state(math.pi)
+    psi = prepare_state(2)
     rng = np.random.default_rng(2)
     noise = rng.normal(0, 0.02, (4, 4)) + 1j * rng.normal(0, 0.02, (4, 4))
     raw = np.outer(psi, psi.conj()) + 0.5 * (noise + noise.conj().T)
@@ -71,7 +68,7 @@ def test_projection_preserves_trace_and_bounds_fidelity_change():
 
 
 def test_fidelity_pure_state_is_one():
-    psi = ghz_state()
+    psi = GHZ_TARGET
     assert fidelity(np.outer(psi, psi.conj()), psi) == pytest.approx(1.0)
 
 
@@ -87,9 +84,9 @@ def test_fidelity_one_qubit_depolarizing_oracle():
     rho = np.outer(BELL_TARGET, BELL_TARGET.conj())
     kraus = [
         math.sqrt(1 - 3 * p / 4) * np.eye(2),
-        math.sqrt(p / 4) * pauli_string("X"),
-        math.sqrt(p / 4) * pauli_string("Y"),
-        math.sqrt(p / 4) * pauli_string("Z"),
+        math.sqrt(p / 4) * np.array([[0, 1], [1, 0]]),
+        math.sqrt(p / 4) * np.array([[0, -1j], [1j, 0]]),
+        math.sqrt(p / 4) * np.array([[1, 0], [0, -1]]),
     ]
     out = np.zeros_like(rho)
     for k in kraus:
@@ -108,7 +105,7 @@ def test_fidelity_rejects_non_psd():
 
 def test_noisy_bell_fidelity_decreases_with_duration():
     fids = [
-        fidelity(bell_state_noisy(tau, 71.0, 51.0), BELL_TARGET)
+        fidelity(prepare_state(2, tau, 71.0, 51.0), BELL_TARGET)
         for tau in (1.0, 2.5, 5.0)
     ]
     assert 1.0 > fids[0] > fids[1] > fids[2]
@@ -116,21 +113,39 @@ def test_noisy_bell_fidelity_decreases_with_duration():
 
 def test_noisy_ghz_below_noisy_bell():
     tau, t1, t2 = 3.0, 71.0, 51.0
-    bell_fid = fidelity(bell_state_noisy(tau, t1, t2), BELL_TARGET)
-    ghz_fid = fidelity(ghz_state_noisy(tau, t1, t2), ghz_state())
+    bell_fid = fidelity(prepare_state(2, tau, t1, t2), BELL_TARGET)
+    ghz_fid = fidelity(prepare_state(3, tau, t1, t2), GHZ_TARGET)
     assert ghz_fid < bell_fid
 
 
 def test_noisy_state_tomography_pipeline():
-    rho = bell_state_noisy(2.0, 71.0, 51.0)
+    rho = prepare_state(2, 2.0, 71.0, 51.0)
     reconstructed = state_tomography(rho, 2, shots=0)
     assert np.max(np.abs(reconstructed - rho)) < 1e-8
 
 
-@pytest.mark.parametrize("prepare", [bell_state_noisy, ghz_state_noisy])
-def test_noisy_preparation_rejects_t2_beyond_twice_t1(prepare):
+@pytest.mark.parametrize("n_qubits", [2, 3], ids=["bell", "ghz"])
+def test_noisy_preparation_rejects_t2_beyond_twice_t1(n_qubits):
     with pytest.raises(ValueError, match="T2"):
-        prepare(3.3, 50.0, 100.1)
+        prepare_state(n_qubits, 3.3, 50.0, 100.1)
     # T2 = 2 T1 is the relaxation limit: no pure dephasing, still accepted
-    rho = prepare(3.3, 50.0, 100.0)
+    rho = prepare_state(n_qubits, 3.3, 50.0, 100.0)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3], ids=["bell", "ghz"])
+@pytest.mark.parametrize(
+    "tau_g, t1, t2, name",
+    [(-1.0, 71.0, 51.0, "tau_g"), (math.inf, 71.0, 51.0, "tau_g"), (0.0, -5.0, 51.0, "T1"),
+     (0.0, 71.0, 0.0, "T2"), (0.0, 50.0, 200.0, "T2")],
+)
+def test_preparation_checks_its_inputs_with_ideal_gates_too(n_qubits, tau_g, t1, t2, name):
+    with pytest.raises(ValueError, match=name):
+        prepare_state(n_qubits, tau_g, t1, t2)
+
+
+def test_ideal_ghz_is_the_exact_target_and_the_circuit_agrees():
+    assert np.array_equal(prepare_state(3), GHZ_TARGET)
+    # the circuit itself, at a phase a rounding away from pi
+    circuit = prepare_state(3, conditional_phase=np.nextafter(math.pi, 0.0))
+    assert np.max(np.abs(circuit - GHZ_TARGET)) <= 1e-15
