@@ -1,11 +1,14 @@
-"""Damped nonlinear least squares for every measurement model used here.
+"""Least squares for every measurement model used here.
 
-All fits run a Levenberg-Marquardt loop with analytic Jacobians and a
-monotone-improvement guarantee: the returned residual never exceeds the
-residual at the initialization point.  Non-convergence is reported via
-``FitResult.converged`` and ``flags``; it never raises.  Uncertainties
-come from the inverse of the Gauss-Newton Hessian at the optimum scaled
-by the residual variance.
+The exponential and RB decays are a line in exp(-t/T) once T is fixed,
+so T is searched alone and the line solved in closed form (variable
+projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)); the
+anticrossing is a line in 1/Delta outright.  Only the damped cosine runs
+a Levenberg-Marquardt loop, with analytic Jacobians, which never returns
+a residual above that of its initialization.  Non-convergence is
+reported via ``FitResult.converged`` and ``flags``; it never raises.
+Uncertainties come from the inverse of the Gauss-Newton Hessian at the
+optimum scaled by the residual variance.
 """
 from __future__ import annotations
 
@@ -20,6 +23,10 @@ from .values import FrozenValue
 
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10
+# the decay search: a log-T grid of this step, then its best bracket refined
+# until it is this narrow in log T
+GRID_STEP = 0.2
+REFINE_TOL = 1e-9
 ANTICROSSING_GUARD = 1.0  # MHz window around zero detuning
 
 
@@ -183,49 +190,75 @@ def exp_decay_jacobian(t: np.ndarray, p: np.ndarray) -> np.ndarray:
 FEWEST_POINTS = {"exp_decay": 4, "damped_cos": 8}
 
 
+def _projected(tau: np.ndarray, dy: np.ndarray, log_t):
+    """(b, x, residuals, g) of the least-squares line through the centred
+    data ``dy`` in x = exp(-tau/T), at each log T of ``log_t`` (a scalar or
+    an array).  g = -b sum(r x tau) has the sign of d rss/dT at the line's
+    (a, b), which for the line's optimum is that of the projected rss."""
+    x = np.exp(np.multiply.outer(-np.exp(-log_t), tau))
+    dx = x - x.sum(axis=-1, keepdims=True) / len(tau)
+    b = (dx @ dy) / (dx * dx).sum(axis=-1)
+    r = dy - b[..., None] * dx
+    return b, x, r, -b * ((r * x) @ tau)
+
+
+def _decay_fit(t: np.ndarray, y: np.ndarray) -> FitResult:
+    """Fit a + b exp(-t/T) by variable projection; constant y is flagged
+    unidentifiable with a = mean.
+
+    The rss of the best line at each T and its slope in T are evaluated
+    on a grid of log T over [first step e^-7, span e^7]; then the grid
+    step beside the best point where the slope changes sign is refined
+    (Illinois regula falsi).  A best point at either end of the grid is
+    flagged ``parameter_at_bound``.  T stays above |t0|/100, where b, the
+    height at t = 0, would be e^100 times that at the first point t0."""
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("t must be strictly ascending")
+    if float(y.max() - y.min()) < 1e-12 * max(1.0, abs(float(y.mean()))):
+        return _result("exp_decay", ("a", "b", "T"), [y.mean(), 0.0, t[-1] - t[0]],
+                       np.diag([0.0, np.nan, np.nan]), np.sum((y - y.mean()) ** 2),
+                       False, 0, ["unidentifiable"])
+    tau, dy = t - t[0], y - y.mean()  # x keeps its first point at 1 for every T
+    lo = math.log(max(tau[1] * math.exp(-7.0), abs(t[0]) / 100.0))
+    hi = max(math.log(tau[-1]) + 7.0, lo)
+    grid = np.linspace(lo, hi, 1 + math.ceil((hi - lo) / GRID_STEP))
+    _, _, r, slopes = _projected(tau, dy, grid)
+    k = int(np.argmin((r * r).sum(axis=-1)))
+    u, iterations, flags = grid[k], 0, ["parameter_at_bound"]
+    if 0 < k < len(grid) - 1:
+        j = k if slopes[k] < 0.0 else k - 1  # the step [j, j + 1] should hold the minimum
+        lo, hi, g_lo, g_hi = grid[j], grid[j + 1], slopes[j], slopes[j + 1]
+        u, flags = (hi, []) if g_lo < 0.0 <= g_hi else (u, ["stalled"])
+        side = 0  # which end the last step moved: halve the other's value on a repeat
+        while not flags and hi - lo > REFINE_TOL and g_hi != 0.0:
+            if iterations == MAX_ITERATIONS:
+                flags.append("max_iterations")
+                break
+            iterations += 1
+            u = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            g = _projected(tau, dy, u)[3]
+            if g < 0.0:
+                lo, g_lo, g_hi = u, g, g_hi / 2.0 if side < 0 else g_hi
+                side = -1
+            else:
+                hi, g_hi, g_lo = u, g, g_lo / 2.0 if side > 0 else g_lo
+                side = 1
+    b, x, r, _ = _projected(tau, dy, u)
+    a, T = y.mean() - b * x.mean(), math.exp(u)
+    rss = float(r @ r)
+    p = np.array([a, b * math.exp(t[0] / T), T])
+    cov = _covariance(exp_decay_jacobian(t, p), rss, len(t))
+    return _result("exp_decay", ("a", "b", "T"), p, cov, rss, not flags, iterations, flags)
+
+
 def fit_exp_decay(t: np.ndarray, y: np.ndarray) -> FitResult:
-    """Fit a + b exp(-t/T).  Initialization is a log-linear regression
-    on the detrended data; constant input is flagged unidentifiable with
-    a = mean."""
+    """Fit a + b exp(-t/T) by a projected search over T; constant input
+    is flagged unidentifiable with a = mean."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(t) < FEWEST_POINTS["exp_decay"]:
         raise ValueError(f"need at least {FEWEST_POINTS['exp_decay']} points")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t must be strictly ascending")
-
-    span = float(y.max() - y.min())
-    if span < 1e-12 * max(1.0, abs(float(y.mean()))):
-        return FitResult(
-            model="exp_decay",
-            params={"a": float(y.mean()), "b": 0.0, "T": float(t[-1] - t[0])},
-            uncertainties={"a": 0.0, "b": float("nan"), "T": float("nan")},
-            rss=float(np.sum((y - y.mean()) ** 2)),
-            converged=False,
-            iterations=0,
-            flags=("unidentifiable",),
-        )
-
-    a0 = float(y[-1])
-    detrended = y - a0
-    sign = 1.0 if detrended[0] >= 0 else -1.0
-    z = sign * detrended
-    mask = z > 0.05 * max(z.max(), 1e-12)
-    if mask.sum() >= 2:
-        slope, intercept = fit_line(t[mask], np.log(z[mask]))
-        tau0 = -1.0 / slope if slope < 0 else (t[-1] - t[0])
-        b0 = sign * math.exp(intercept)
-    else:
-        tau0 = (t[-1] - t[0]) / 2.0
-        b0 = float(detrended[0])
-    tau0 = min(max(tau0, (t[1] - t[0]) * 1e-3), (t[-1] - t[0]) * 1e3)
-
-    p0 = np.array([a0, b0, tau0])
-    lower = np.array([-np.inf, -np.inf, (t[1] - t[0]) * 1e-6])
-    p, cov, rss, converged, it, flags = levenberg_marquardt(
-        exp_decay_model, exp_decay_jacobian, t, y, p0, lower=lower
-    )
-    return _result("exp_decay", ("a", "b", "T"), p, cov, rss, converged, it, flags)
+    return _decay_fit(t, y)
 
 
 # -------------------------------------------------------------- damped cosine
@@ -352,65 +385,34 @@ def fit_anticrossing(
             f"detunings within {guard} MHz of resonance are outside the "
             "dispersive regime"
         )
-    # model is a line in 1/delta with slope J^2; seed from it, then polish
-    # with LM.  One detuning fixes no slope, so J starts at zero there
+    # the model is a line in 1/delta with slope J^2.  Where the slope is not
+    # positive (flat data, or one detuning, which fixes no slope), J = 0 and
+    # C is the mean
     x = 1.0 / delta
-    if np.any(x != x[:1]):
-        slope, c0 = fit_line(x, dfac)
-    else:  # C alone, and 0 from no point at all
-        slope, c0 = 0.0, float(dfac.sum()) / max(len(dfac), 1)
-    j0 = math.sqrt(max(float(slope), 0.0))
-    p0 = np.array([j0, float(c0)])
-    lower = np.array([0.0, -np.inf])
-    p, cov, rss, converged, it, flags = levenberg_marquardt(
-        anticrossing_model, anticrossing_jacobian, delta, dfac, p0, lower=lower
-    )
-    flags = list(flags)
-    if p[0] == 0.0 and "parameter_at_bound" in flags:
-        # flat data pins J at zero; that is the answer, not a failure
-        flags.remove("parameter_at_bound")
-        flags.append("coupling_at_zero")
-        converged = True
-    result = _result(
-        "anticrossing", ("J", "C"), p, cov, rss, converged, it, flags
-    )
-    params = dict(result.params)
-    params["A"] = 1.0
-    params["B"] = 1.0
-    uncertainties = dict(result.uncertainties)
-    uncertainties["A"] = 0.0
-    uncertainties["B"] = 0.0
-    return FitResult(
-        model=result.model,
-        params=params,
-        uncertainties=uncertainties,
-        rss=result.rss,
-        converged=result.converged,
-        iterations=result.iterations,
-        flags=result.flags + ("A_B_fixed",),
-    )
+    slope, c = fit_line(x, dfac) if np.any(x != x[:1]) else (0.0, 0.0)
+    flags = []
+    if slope <= 0.0:
+        slope, c, flags = 0.0, float(dfac.sum()) / max(len(dfac), 1), ["coupling_at_zero"]
+    p = np.array([math.sqrt(slope), c])
+    rss = float(np.sum((anticrossing_model(delta, p) - dfac) ** 2))
+    cov = np.zeros((4, 4))  # A and B are held
+    cov[:2, :2] = _covariance(anticrossing_jacobian(delta, p), rss, len(delta))
+    return _result("anticrossing", ("J", "C", "A", "B"), np.r_[p, 1.0, 1.0], cov, rss,
+                   True, 0, flags + ["A_B_fixed"])
 
 
 # ------------------------------------------------------------------ RB decay
 
-def rb_decay_model(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    a, decay, b = p
-    return a * np.power(decay, m) + b
-
-
-def rb_decay_jacobian(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    a, decay, b = p
-    powm = np.power(decay, m)
-    return np.column_stack([powm, a * m * np.power(decay, m - 1), np.ones_like(powm)])
-
-
 def fit_rb_decay(
     m: np.ndarray, s: np.ndarray, asymptote: float = 0.5
 ) -> FitResult:
-    """Fit the survival decay A p^m + B with p constrained to (0, 1].
+    """Fit the survival decay A p^m + B: the exponential decay a + b
+    exp(-m/T) with A = b, p = exp(-1/T) and B = a, so p lies in (0, 1).
 
-    ``asymptote`` seeds B (1/2 for single-qubit, 1/4 for two-qubit
-    sequences).  A fit pinned at the p = 1 bound is flagged.
+    Constant survivals show no decay.  They give p = 1 flagged
+    ``parameter_at_bound``, B = ``asymptote`` (1/2 for single-qubit, 1/4
+    for two-qubit sequences) and A = mean - asymptote, with the
+    uncertainties of A and p at B held there.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -418,31 +420,28 @@ def fit_rb_decay(
         raise ValueError("need at least 3 sequence lengths")
     if np.any((s < -1e-9) | (s > 1 + 1e-9)):
         raise ValueError("survival probabilities must lie in [0, 1]")
-
-    b0 = asymptote
-    z = np.clip(s - b0, 1e-12, None)
-    if z[0] > z[-1] and z[-1] > 0:
-        p_seed = (z[-1] / z[0]) ** (1.0 / max(m[-1] - m[0], 1.0))
-        p_seed = min(max(p_seed, 0.5), 1.0)
-    else:
-        p_seed = 1.0 - 1e-6
-    p0 = np.array([max(float(s[0] - b0), 1e-6), p_seed, b0])
-    lower = np.array([0.0, 1e-9, 0.0])
-    upper = np.array([1.0, 1.0, 1.0])
-    p, cov, rss, converged, it, flags = levenberg_marquardt(
-        rb_decay_model, rb_decay_jacobian, m, s, p0, lower=lower, upper=upper
+    fit = _decay_fit(m, s)
+    if "unidentifiable" in fit.flags:
+        a = float(s.mean()) - asymptote
+        rss = float(np.sum((s - s.mean()) ** 2))
+        # at p = 1 the model's derivatives in (A, p) are 1 and A m
+        cov = np.zeros((3, 3))  # B is held
+        cov[:2, :2] = _covariance(np.column_stack([np.ones_like(m), a * m]), rss, len(m))
+        return _result("rb_decay", ("A", "p", "B"), np.array([a, 1.0, asymptote]), cov, rss,
+                       True, 0, ["parameter_at_bound"])
+    a, b, T = fit.params.values()
+    p, sigma = math.exp(-1.0 / T), fit.uncertainties
+    return FitResult(  # the Gauss-Newton covariance maps through dp/dT = p/T^2
+        "rb_decay", {"A": b, "p": p, "B": a},
+        {"A": sigma["b"], "p": sigma["T"] * p / T**2, "B": sigma["a"]},
+        fit.rss, fit.converged, fit.iterations, fit.flags,
     )
-    flags = list(flags)
-    if abs(p[1] - 1.0) < 1e-12 and "parameter_at_bound" not in flags:
-        flags.append("parameter_at_bound")
-    return _result("rb_decay", ("A", "p", "B"), p, cov, rss, converged, it, flags)
 
 
 MODELS = {
     "exp_decay": (exp_decay_model, exp_decay_jacobian, 3),
     "damped_cos": (damped_cos_model, damped_cos_jacobian, 5),
     "anticrossing": (anticrossing_model, anticrossing_jacobian, 2),
-    "rb_decay": (rb_decay_model, rb_decay_jacobian, 3),
 }
 
 FIT_FUNCTIONS = {

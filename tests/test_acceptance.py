@@ -314,7 +314,6 @@ def test_criterion_8_fit_suite():
         "exp_decay": (t_exp, np.array([0.1, 0.9, 71.0])),
         "damped_cos": (t_cos, np.array([0.5, 0.4, 1.0, 0.3, 51.0])),
         "anticrossing": (delta, np.array([0.654, 0.1])),
-        "rb_decay": (m_rb, np.array([0.5, 0.9988, 0.5])),
     }
     for name, (x, p0) in cases.items():
         model, jacobian, n_params = MODELS[name]

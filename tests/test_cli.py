@@ -273,6 +273,23 @@ def test_fit_command(tmp_path, capsys):
     assert payload["result"]["params"]["T"] == pytest.approx(71.0, rel=1e-4)
 
 
+def test_fit_finds_the_decay_on_a_coarse_noisy_grid(tmp_path, capsys):
+    # a log-linear seed from the last point walked T to its lower bound on
+    # these 11 points, where b exp(-t/T) is a spike at t = 0 (rss 0.03206),
+    # and called that converged; the minimum is at T = 47.62 us
+    csv = tmp_path / "coarse.csv"
+    csv.write_text(
+        "t,y\n0.0,0.377\n6.6,0.312\n13.1,0.287\n19.7,0.388\n26.2,0.337\n32.8,0.207\n"
+        "39.3,0.246\n45.9,0.284\n52.5,0.267\n59.0,0.183\n65.6,0.28\n"
+    )
+    code, out, _ = run_cli(["fit", "--model", "exp_decay", "--input", str(csv)], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["converged"] is True and result["flags"] == []
+    assert result["params"]["T"] == pytest.approx(47.6242, rel=1e-6)
+    assert result["rss"] < 0.02319
+
+
 @pytest.mark.parametrize("text", ["delay_us,p_excited\n", "delay_us\n1\n2\n3\n4\n5\n"])
 def test_fit_input_without_two_columns_is_a_config_error(text, tmp_path, capsys):
     csv = tmp_path / "short.csv"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from transmon_lattice.errors import AliasingError, NearResonanceError
 from transmon_lattice.fitting import (
     MODELS,
     _covariance,
+    anticrossing_jacobian,
+    anticrossing_model,
     exp_decay_jacobian,
     exp_decay_model,
     fit_anticrossing,
@@ -15,6 +18,7 @@ from transmon_lattice.fitting import (
     fit_rb_decay,
     levenberg_marquardt,
 )
+from transmon_lattice.linefit import fit_line
 
 
 # parameter points where every model is well defined and non-degenerate
@@ -27,10 +31,6 @@ GRADIENT_CASES = {
     "anticrossing": (
         np.concatenate([np.linspace(-20, -2, 10), np.linspace(2, 20, 10)]),
         [(0.654, 0.1), (0.3, -0.2)],
-    ),
-    "rb_decay": (
-        np.array([2.0, 25.0, 50.0, 100.0, 250.0, 500.0, 750.0, 1000.0]),
-        [(0.5, 0.9988, 0.5), (0.45, 0.95, 0.5)],
     ),
 }
 
@@ -150,6 +150,31 @@ def test_anticrossing_at_one_detuning_pins_the_coupling_at_zero(delta):
     assert "coupling_at_zero" in fit.flags and fit.converged
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_anticrossing_is_the_line_in_one_over_delta(seed):
+    # J^2/delta + C is a line in 1/delta: J is the root of its slope, C its
+    # intercept, bit for bit, and the uncertainties those of the Jacobian there
+    delta = np.concatenate([np.linspace(-25, -2, 12), np.linspace(2, 25, 12)])
+    y = 0.654**2 / delta + 0.05 + np.random.default_rng(seed).normal(0.0, 0.004, len(delta))
+    slope, intercept = fit_line(1.0 / delta, y)
+    fit = fit_anticrossing(delta, y)
+    assert fit.params == {"J": math.sqrt(slope), "C": intercept, "A": 1.0, "B": 1.0}
+    p = np.array([math.sqrt(slope), intercept])
+    cov = _covariance(anticrossing_jacobian(delta, p), fit.rss, len(delta))
+    assert [fit.uncertainties[k] for k in ("J", "C")] == np.sqrt(np.diag(cov)).tolist()
+    assert fit.rss == float(np.sum((anticrossing_model(delta, p) - y) ** 2))
+    assert fit.converged and fit.flags == ("A_B_fixed",)
+
+
+def test_anticrossing_with_a_negative_slope_pins_the_coupling_at_zero():
+    delta = np.concatenate([np.linspace(-25, -2, 12), np.linspace(2, 25, 12)])
+    y = -(0.3**2) / delta + 0.05
+    assert fit_line(1.0 / delta, y)[0] < 0.0
+    fit = fit_anticrossing(delta, y)
+    assert fit.params == {"J": 0.0, "C": float(np.mean(y)), "A": 1.0, "B": 1.0}
+    assert fit.converged and fit.flags == ("coupling_at_zero", "A_B_fixed")
+
+
 def test_anticrossing_guard_violation():
     delta = np.linspace(-5.0, 5.0, 21)  # crosses zero
     with pytest.raises(NearResonanceError):
@@ -160,6 +185,36 @@ def test_rb_decay_perfect_survivals():
     m = np.array([2.0, 25.0, 100.0, 500.0, 1000.0])
     fit = fit_rb_decay(m, np.ones_like(m))
     assert fit.params["p"] >= 1.0 - 1e-9
+    # constant survivals show no decay: p sits at 1, B at the asymptote and A
+    # takes the rest; a finite p uncertainty (zero without residual) keeps
+    # interleaved RB's error propagation finite
+    assert fit.params == {"A": 0.5, "p": 1.0, "B": 0.5}
+    assert fit.uncertainties["p"] == 0.0 and fit.rss == 0.0
+    assert fit.converged and fit.flags == ("parameter_at_bound",)
+    level = 0.9 + 1e-14 * np.array([0.0, 1.0, -1.0, 0.0, 1.0])  # constant to rounding
+    fit = fit_rb_decay(m, level, asymptote=0.25)
+    assert fit.params["p"] == 1.0 and fit.params["B"] == 0.25
+    assert fit.params["A"] == pytest.approx(0.65, abs=1e-13)
+    assert 0.0 < fit.uncertainties["p"] < 1e-15
+    assert fit.converged and fit.flags == ("parameter_at_bound",)
+
+
+@pytest.mark.parametrize("start", [2.0, -2.0])
+def test_decay_that_drops_at_once_is_flagged_at_the_bound(start):
+    # every point past the first sits at the asymptote: the best T is the
+    # search's lower edge, |t0|/100 here, where b = b' exp(t0/T) and the
+    # Jacobian at t0 are still finite; reported, not called converged
+    t = start + np.array([0.0, 2.0, 6.0, 14.0, 30.0, 62.0])
+    y = np.array([0.9, 0.25, 0.26, 0.24, 0.25, 0.25])
+    fit = fit_exp_decay(t, y)
+    assert not fit.converged and fit.flags == ("parameter_at_bound",)
+    assert fit.params["T"] == pytest.approx(0.02, rel=1e-12)
+    assert fit.params["a"] == pytest.approx(0.25, abs=0.01)
+    assert all(math.isfinite(v) for v in fit.params.values())
+    if start > 0:
+        rb = fit_rb_decay(t, y, asymptote=0.25)
+        assert rb.params["p"] == math.exp(-1.0 / fit.params["T"])
+        assert not rb.converged and rb.flags == ("parameter_at_bound",)
 
 
 def test_rb_decay_exact_recovery():
@@ -170,7 +225,7 @@ def test_rb_decay_exact_recovery():
 
 
 def test_rb_decay_stalled_fit_serializes():
-    # all-NaN survivals stall the fit in its gradient-stop branch
+    # all-NaN survivals leave no best point inside the search interval
     m = np.array([2.0, 25.0, 50.0, 100.0])
     fit = fit_rb_decay(m, np.full(len(m), np.nan))
     assert fit.converged is False

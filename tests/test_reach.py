@@ -118,7 +118,7 @@ RETIRED = (
     "envelope_value", "is_static_on", "DriveTone", "evolve_open", "_static_hamiltonian",
     "PAULI", "pauli_string", "measurement_settings", "_expectations_from_counts", "_kron_all",
     "_gate_on", "_cz_on", "_gate_noise", "bell_state", "ghz_state", "bell_state_noisy",
-    "ghz_state_noisy",
+    "ghz_state_noisy", "rb_decay_model", "rb_decay_jacobian",
 )
 
 
