@@ -15,6 +15,9 @@ b is a + 4**n [s < 0] where U P_b U^dagger = s P_a.  Up to phase, U is
 fixed by its images of X and Z on each site, so those entries, 5 bits
 each, form its key.  A group is held as its codes in index order and
 their sorted keys; a code finds its index by binary search of its key.
+No unitary is formed: a gate list is the product of its pulses' real 4x4
+rotations on (I, X, Y, Z), a conditional phase a product of Z-string
+rotations, and codes are read from these transfer matrices.
 
 The 11520-element two-qubit group is (C1 x C1) followed by one of 20
 mixers built from CZ and fixed single-qubit corrections (identity, 9
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,32 +40,38 @@ MEAN_GATES_PER_CLIFFORD = 1.825
 GateSpec = tuple[str, float]  # ("i", 0) | ("x", angle) | ("vz", angle)
 
 
-def _rx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * theta / 2.0), np.exp(1j * theta / 2.0)])
-
-
-def gate_unitary(spec: GateSpec) -> np.ndarray:
-    kind, angle = spec
+def _rotation(kind: str, angle: float) -> np.ndarray:
+    """Real 4x4 transfer matrix of one pulse on (I, X, Y, Z): R_x(angle)
+    turns Y into Z, the virtual R_z(angle) turns X into Y."""
+    r = np.eye(4)
     if kind == "i":
-        return np.eye(2, dtype=complex)
-    if kind == "x":
-        return _rx(angle)
-    if kind == "vz":
-        return _rz(angle)
-    raise ValueError(f"unknown gate kind {kind!r}")
+        return r
+    turned = {"x": slice(2, 4), "vz": slice(1, 3)}.get(kind)
+    if turned is None:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    c, s = math.cos(angle), math.sin(angle)
+    r[turned, turned] = ((c, -s), (s, c))
+    return r
 
 
-def compose_gates(gates: Sequence[GateSpec]) -> np.ndarray:
-    """Unitary of a time-ordered gate list (first gate acts first)."""
-    u = np.eye(2, dtype=complex)
-    for spec in gates:
-        u = gate_unitary(spec) @ u
-    return u
+def compose_transfers(
+    gate_lists: Sequence[Sequence[GateSpec]], x_scale: float = 1.0
+) -> np.ndarray:
+    """(k, 4, 4) transfer matrices of k time-ordered gate lists (the first
+    gate acts first) with every X pulse's angle scaled by ``x_scale``
+    (1 + over-rotation): one stacked product of real rotations per gate
+    position, the shorter lists padded with the idle gate."""
+    gates = list(dict.fromkeys([("i", 0.0)] + [g for gl in gate_lists for g in gl]))
+    rotations = np.array([
+        _rotation(kind, angle * x_scale if kind == "x" else angle) for kind, angle in gates
+    ])
+    position = {g: i for i, g in enumerate(gates)}
+    depth = max(1, *map(len, gate_lists))
+    played = rotations[[[position[g] for g in gl] + [0] * (depth - len(gl)) for gl in gate_lists]]
+    r = played[:, 0]
+    for k in range(1, depth):
+        r = played[:, k] @ r
+    return r
 
 
 def _x_gates(exponent: float) -> list[GateSpec]:
@@ -79,10 +88,10 @@ def _y_gates(exponent: float) -> list[GateSpec]:
 
 
 class CliffordElement(FrozenValue):
-    __slots__ = ("index", "gates", "unitary")
+    __slots__ = ("index", "gates")
 
-    def __init__(self, index: int, gates: tuple[GateSpec, ...], unitary: np.ndarray):
-        self._assign(index, gates, unitary)
+    def __init__(self, index: int, gates: tuple[GateSpec, ...]):
+        self._assign(index, gates)
 
     @property
     def physical_gate_count(self) -> int:
@@ -103,42 +112,20 @@ def _xy_decompositions() -> list[list[GateSpec]]:
     return table
 
 
-@lru_cache(maxsize=1)
-def _decomposition_steps() -> tuple[tuple[GateSpec, ...], np.ndarray]:
-    """The distinct gates of the 24 decompositions, and the (24, depth)
-    indices of each decomposition's gates into them, padded at the end
-    with the idle gate (index 0)."""
-    decompositions = _xy_decompositions()
-    gates = tuple(dict.fromkeys([("i", 0.0)] + [g for d in decompositions for g in d]))
-    position = {g: i for i, g in enumerate(gates)}
-    depth = max(len(d) for d in decompositions)
-    steps = np.array([[position[g] for g in d] + [0] * (depth - len(d)) for d in decompositions])
-    return gates, steps
-
-
 @lru_cache(maxsize=8)
-def clifford_unitaries(x_scale: float) -> np.ndarray:
-    """Read-only (24, 2, 2) unitaries of the table's decompositions with
-    every X pulse's angle scaled by ``x_scale`` (1 + over-rotation),
-    built as one stacked product per gate position."""
-    gates, steps = _decomposition_steps()
-    played = np.array([
-        gate_unitary((kind, angle * x_scale if kind == "x" else angle)) for kind, angle in gates
-    ])[steps]
-    u = played[:, 0]
-    for k in range(1, steps.shape[1]):
-        u = played[:, k] @ u
-    u.flags.writeable = False
-    return u
+def clifford_transfers(x_scale: float) -> np.ndarray:
+    """Read-only (24, 4, 4) transfer matrices of the table's
+    decompositions with every X pulse's angle scaled by ``x_scale``."""
+    r = compose_transfers(_xy_decompositions(), x_scale)
+    r.flags.writeable = False
+    return r
 
 
 @lru_cache(maxsize=1)
 def clifford_table() -> tuple[CliffordElement, ...]:
     """The 24 single-qubit Cliffords with hardware decompositions."""
-    unitaries = clifford_unitaries(1.0)
     return tuple(
-        CliffordElement(index, tuple(gates), unitaries[index])
-        for index, gates in enumerate(_xy_decompositions())
+        CliffordElement(index, tuple(gates)) for index, gates in enumerate(_xy_decompositions())
     )
 
 
@@ -147,31 +134,45 @@ def mean_physical_gates() -> float:
     return sum(e.physical_gate_count for e in table) / len(table)
 
 
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+def phase_transfer(phases: Mapping[tuple[int, int], float], n_sites: int) -> np.ndarray:
+    """(4**n, 4**n) transfer matrix R[a, b] = tr(P_a V P_b V^dagger) / 2**n
+    of the conditional phases V = prod exp(i phi n_i n_j) over the
+    ``phases`` {(i, j): phi} between sites of an n-site register (site 0
+    the leading Pauli digit).
+
+    Up to a global phase, exp(i phi n_i n_j) is R_z(phi/2) on sites i and j
+    times exp(i phi Z_i Z_j / 4).  Each of these commuting factors,
+    exp(-i theta G / 2) with G a Z-string, keeps the Pauli strings that
+    commute with G and turns each other string P into cos theta P +
+    sin theta i P G.  Its partner i P G is the same string with ``d ^ 3``
+    on each digit of G's support, signed -1 where the X or Y digit it
+    turns is Y.  The factors are applied to the identity as row operations
+    found by index and bit arithmetic alone."""
+    size = 4**n_sites
+    a = np.arange(size)
+    shifts = 2 * np.arange(n_sites - 1, -1, -1)
+    digits = (a[:, None] >> shifts) & 3
+    turns = np.zeros(n_sites)
+    for (i, j), phi in phases.items():
+        turns[[i, j]] += phi / 2.0
+    factors = [((k,), theta) for k, theta in enumerate(turns) if theta]
+    factors += [((i, j), -phi / 2.0) for (i, j), phi in phases.items()]
+    r = np.eye(size)
+    for support, theta in factors:
+        support = list(support)
+        on = digits[:, support]
+        rows = a[((on ^ (on >> 1)) & 1).sum(axis=1) % 2 == 1]  # odd count of X, Y: anticommute
+        partners = rows ^ np.bitwise_or.reduce(3 << shifts[support])
+        # row a of the factor: cos theta at a and, at its partner, -sin theta
+        # where a's turned digit is X, +sin theta where it is Y
+        sine = np.where((on[rows] == 2).any(axis=1), math.sin(theta), -math.sin(theta))
+        r[rows] = math.cos(theta) * r[rows] + sine[:, None] * r[partners]
+    return r
 
 
-def _pauli_strings(n_sites: int) -> np.ndarray:
-    """(4**n, 2**n, 2**n) Pauli strings, site 0 the most significant digit."""
-    strings = np.ones((1, 1, 1))
-    for _ in range(n_sites):
-        strings = np.einsum("aij,bkl->abikjl", strings, _PAULIS).reshape(
-            4 * len(strings), 2 * len(strings[0]), -1
-        )
-    return strings
-
-
-def _transfers(u: np.ndarray) -> np.ndarray:
-    """Transfer matrices R[c, a, b] = tr(P_a U_c P_b U_c^dagger) / 2**n
-    of a (k, 2**n, 2**n) stack of n-site unitaries."""
-    dim = u.shape[-1]
-    strings = _pauli_strings(dim.bit_length() - 1)
-    return np.einsum("aij,cjk,bkl,cil->cab", strings, u, strings, u.conj()).real / dim
-
-
-def _codes(u: np.ndarray) -> np.ndarray:
-    """(k, 4**n) codes of a (k, 2**n, 2**n) stack of n-site Cliffords,
-    whose transfer matrices hold one entry of magnitude 1 per column."""
-    transfers = _transfers(u)
+def _codes(transfers: np.ndarray) -> np.ndarray:
+    """(k, 4**n) codes of a (k, 4**n, 4**n) stack of n-site Clifford
+    transfer matrices, which hold one entry of magnitude 1 per column."""
     size = transfers.shape[-1]
     images = np.abs(transfers).argmax(axis=1)
     peaks = np.take_along_axis(transfers, images[:, None], axis=1)[:, 0]
@@ -205,7 +206,7 @@ def _group(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only codes of the n-site group in index order, the indices
     in key order, and the sorted keys."""
     if n_sites == 1:
-        codes = _codes(clifford_unitaries(1.0))
+        codes = _codes(clifford_transfers(1.0))
     else:
         c0, c1, mixer = split_two_qubit_index(np.arange(TWO_QUBIT_GROUP_SIZE))
         codes = _compose(_site_pairs(_group(1)[0][c0], _group(1)[0][c1]), _mixer_codes()[mixer])
@@ -282,11 +283,10 @@ def sequence_inverses(ids: np.ndarray) -> np.ndarray:
 TWO_QUBIT_GROUP_SIZE = 11520
 
 
-def cz_unitary(target_phase: float = math.pi) -> np.ndarray:
-    """Ideal conditional-phase unitary on two 2-level qubits."""
-    u = np.eye(4, dtype=complex)
-    u[3, 3] = np.exp(1j * target_phase)
-    return u
+@lru_cache(maxsize=1)
+def _cz_code() -> np.ndarray:
+    """Code of the CZ, the conditional phase pi."""
+    return _codes(phase_transfer({(0, 1): math.pi}, 2)[None])[0]
 
 
 @lru_cache(maxsize=1)
@@ -294,10 +294,10 @@ def _mixer_codes() -> np.ndarray:
     """Read-only codes of the 20 mixers (0 none, 1 SWAP-like, 2-10 CNOT-like, 11-19
     iSWAP-like): CZs and site corrections in the single-qubit table's gates."""
     x, y = _x_gates, _y_gates
-    cz = _codes(cz_unitary()[None])[0]
+    cz = _cz_code()
 
     def sites(gates0, gates1):
-        return _site_pairs(*_codes(np.array([compose_gates(gates0), compose_gates(gates1)])))
+        return _site_pairs(*_codes(compose_transfers([gates0, gates1])))
 
     s1 = ([], y(0.5) + x(0.5), x(-0.5) + y(-0.5))
     s1_x = (x(0.5), x(0.5) + y(0.5) + x(0.5), y(-0.5))
@@ -328,13 +328,13 @@ def split_two_qubit_index(idx):
 def two_qubit_inverses(ids: np.ndarray, lengths: np.ndarray, gate=None) -> np.ndarray:
     """Index of the Clifford that inverts each row j of the (B, m) two-qubit
     ``ids``: its first ``lengths[j]`` Cliffords (the first acts first), each
-    followed by the 4x4 Clifford unitary ``gate`` when one is given.  Their
+    followed by the Clifford whose code is ``gate`` when one is given.  Their
     codes are padded with the identity to a power-of-two length and
     composed pairwise, halving them each round."""
     width = 1 << max(ids.shape[-1] - 1, 0).bit_length()
     codes = _group(2)[0][ids]
     if gate is not None:
-        codes = _compose(codes, _codes(gate[None])[0])
+        codes = _compose(codes, gate)
     x = np.tile(np.arange(16, dtype=np.uint8), (len(ids), width, 1))
     played = np.arange(ids.shape[-1]) < lengths[:, None]
     x[:, : ids.shape[-1]][played] = codes[played]

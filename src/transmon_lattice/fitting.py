@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AliasingError, NearResonanceError
-from .linefit import fit_line
+from .linefit import fit_line, solve
 from .values import FrozenValue
 
 MAX_ITERATIONS = 200
@@ -27,6 +27,7 @@ GRADIENT_TOL = 1e-10
 # until it is this narrow in log T
 GRID_STEP = 0.2
 REFINE_TOL = 1e-9
+EPS = np.finfo(float).eps
 ANTICROSSING_GUARD = 1.0  # MHz window around zero detuning
 
 
@@ -62,12 +63,8 @@ class FitResult(FrozenValue):
 def _covariance(jac: np.ndarray, rss: float, n_points: int) -> np.ndarray:
     k = jac.shape[1]
     dof = max(n_points - k, 1)
-    hess = jac.T @ jac
-    try:
-        cov = np.linalg.inv(hess) * (rss / dof)
-    except np.linalg.LinAlgError:
-        cov = np.full((k, k), np.nan)
-    return cov
+    inverse = solve(jac.T @ jac, np.eye(k))
+    return np.full((k, k), np.nan) if inverse is None else inverse * (rss / dof)
 
 
 def levenberg_marquardt(
@@ -113,9 +110,8 @@ def levenberg_marquardt(
         diag[diag <= 0] = 1.0
         accepted = False
         for _ in range(50):
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
+            step = solve(hess + lam * np.diag(diag), -grad)
+            if step is None:
                 lam *= 10.0
                 continue
             trial = np.clip(p + step, lower, upper)
@@ -207,11 +203,14 @@ def _decay_fit(t: np.ndarray, y: np.ndarray) -> FitResult:
     unidentifiable with a = mean.
 
     The rss of the best line at each T and its slope in T are evaluated
-    on a grid of log T over [first step e^-7, span e^7]; then the grid
-    step beside the best point where the slope changes sign is refined
-    (Illinois regula falsi).  A best point at either end of the grid is
-    flagged ``parameter_at_bound``.  T stays above |t0|/100, where b, the
-    height at t = 0, would be e^100 times that at the first point t0."""
+    on a grid of log T over [first step e^-7, span e^7].  The rss has a
+    local minimum in each grid step where the slope turns from negative
+    (beyond its rounding) to non-negative, and at an end of the grid that
+    it rises from; the lowest
+    of these is taken, and a step is refined (Illinois regula falsi).  An
+    end of the grid, as where the slope is never negative, is flagged
+    ``parameter_at_bound``.  T stays above |t0|/100, where b, the height
+    at t = 0, would be e^100 times that at the first point t0."""
     if np.any(np.diff(t) <= 0):
         raise ValueError("t must be strictly ascending")
     if float(y.max() - y.min()) < 1e-12 * max(1.0, abs(float(y.mean()))):
@@ -222,15 +221,27 @@ def _decay_fit(t: np.ndarray, y: np.ndarray) -> FitResult:
     lo = math.log(max(tau[1] * math.exp(-7.0), abs(t[0]) / 100.0))
     hi = max(math.log(tau[-1]) + 7.0, lo)
     grid = np.linspace(lo, hi, 1 + math.ceil((hi - lo) / GRID_STEP))
-    _, _, r, slopes = _projected(tau, dy, grid)
-    k = int(np.argmin((r * r).sum(axis=-1)))
-    u, iterations, flags = grid[k], 0, ["parameter_at_bound"]
-    if 0 < k < len(grid) - 1:
-        j = k if slopes[k] < 0.0 else k - 1  # the step [j, j + 1] should hold the minimum
-        lo, hi, g_lo, g_hi = grid[j], grid[j + 1], slopes[j], slopes[j + 1]
-        u, flags = (hi, []) if g_lo < 0.0 <= g_hi else (u, ["stalled"])
+    b, x, r, slopes = _projected(tau, dy, grid)
+    # the rounding of r alone moves g by up to about this much; where x underflows
+    # at small T the rss is flat, and g is that rounding noise, of either sign
+    dx = x - x.mean(axis=-1, keepdims=True)
+    noise = len(tau) * EPS * abs(b) * (((abs(dy) + abs(b[:, None] * dx)) * x) @ tau)
+    rss, falling, last = (r * r).sum(axis=-1), slopes < -noise, len(grid) - 1
+    # (rss, first, last grid index) of each local minimum, an end as a one-point step
+    minima = [(min(rss[j], rss[j + 1]), j, j + 1)
+              for j in np.flatnonzero(falling[:-1] & ~falling[1:])]
+    if not falling[0]:
+        minima.append((rss[0], 0, 0))
+    if falling[last]:
+        minima.append((rss[last], last, last))
+    _, j, k = min(minima)
+    u, iterations, flags = grid[j], 0, ["parameter_at_bound"]
+    if j < k:
+        # a slope within its noise at the step's upper end reads as flat there
+        lo, hi, g_lo, g_hi = grid[j], grid[k], slopes[j], max(slopes[k], 0.0)
+        u, flags = hi, []
         side = 0  # which end the last step moved: halve the other's value on a repeat
-        while not flags and hi - lo > REFINE_TOL and g_hi != 0.0:
+        while hi - lo > REFINE_TOL and g_hi != 0.0:
             if iterations == MAX_ITERATIONS:
                 flags.append("max_iterations")
                 break

@@ -17,13 +17,12 @@ import numpy as np
 from .cliffords import (
     MEAN_GATES_PER_CLIFFORD,
     TWO_QUBIT_GROUP_SIZE,
+    _cz_code,
     _mixer_codes,
-    _pauli_strings,
-    _transfers,
     clifford_identity,
     clifford_table,
-    clifford_unitaries,
-    cz_unitary,
+    clifford_transfers,
+    phase_transfer,
     sequence_inverses,
     split_two_qubit_index,
     two_qubit_inverses,
@@ -40,9 +39,10 @@ DEFAULT_LENGTHS = (2, 25, 50, 100, 250, 500, 750, 1000)
 DEFAULT_LENGTHS_2Q = (2, 4, 8, 16, 32, 64)
 DEFAULT_GATE_TIME_NS = 60.0
 # a simultaneous register of n qubits steps Pauli vectors of length 4^n through
-# a dense (4^n)^2 ZZ transfer matrix built from ~64^n multiply-adds: at 5
-# qubits the matrix alone takes ~3 s and the process ~90 MiB; at 6 it would
-# take ~64 times the work and ~0.7 GB of stacks
+# a dense (4^n)^2 ZZ transfer matrix in every slot.  At 5 qubits the matrix
+# builds in ~30 ms, yet `rb --simultaneous` takes ~1.7 s and ~55 MiB (2-core
+# x86-64), nearly all of it those per-slot products; at 6 each product is 16
+# times the work and the matrix alone 128 MiB
 SIMULTANEOUS_MAX_QUBITS = 5
 # how far a given gate transfer matrix's first row may stray from e0
 TRACE_TOL = 1e-9
@@ -386,7 +386,7 @@ def _slot_transfers(channel: NoiseChannel) -> np.ndarray:
     ``channel`` plays it, every X pulse over-rotated.  A slot's
     depolarizing comes right after its ZZ, so it can ride with the next
     slot's Clifford unchanged."""
-    rotations = _transfers(clifford_unitaries(1.0 + channel.over_rotation))
+    rotations = clifford_transfers(1.0 + channel.over_rotation)
     keep = np.ones((25, 4))
     keep[:24, 1:] = (1.0 - _slot_depolarizing(channel))[:, None]
     return rotations[None] * keep[:, None, None, :]
@@ -394,18 +394,13 @@ def _slot_transfers(channel: NoiseChannel) -> np.ndarray:
 
 def _zz_transfer(phases: Mapping[tuple[int, int], float], n_sites: int) -> Optional[np.ndarray]:
     """Transposed (4**n, 4**n) transfer matrix of the slot ZZ evolution
-    V on n-site Pauli vectors (site 0 is the most significant bit and
-    Pauli digit), or None without ZZ: entry [b, a] is
-    tr(P_a V P_b V^dagger) / 2**n.  Built with einsum, which calls no
-    BLAS (a threaded GEMM here would wake a second thread)."""
+    V = prod exp(-i phi n_i n_j) on n-site Pauli vectors (site 0 is the
+    most significant bit and Pauli digit), or None without ZZ: entry
+    [b, a] is tr(P_a V P_b V^dagger) / 2**n, which is the transfer matrix
+    of V^dagger, the conditional phases +phi."""
     if not phases:
         return None
-    dim = 2**n_sites
-    bits = (np.arange(dim)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-    v = np.exp(-1j * sum(phi * bits[:, i] * bits[:, j] for (i, j), phi in phases.items()))
-    strings = _pauli_strings(n_sites)
-    conjugated = v[:, None] * strings * v.conj()  # V P_b V^dagger
-    return np.einsum("bij,aji->ba", conjugated, strings).real / dim
+    return phase_transfer(phases, n_sites)
 
 
 def _slot_step(x: np.ndarray, transfers: np.ndarray, register: Optional[np.ndarray]) -> np.ndarray:
@@ -528,7 +523,7 @@ def run_interleaved_rb_cz(
         return np.r_[1.0, np.full(15, 1.0 - q)][:, None] * transfer
 
     if gate_transfer is None:
-        gate_transfer = depolarized(_transfers(cz_unitary(phase)[None])[0], q_gate)
+        gate_transfer = depolarized(phase_transfer({(0, 1): phase}, 2), q_gate)
     else:
         gate_transfer = _checked_gate_transfer(gate_transfer)
     codes = _mixer_codes()  # exact signed permutations: mixer c sends P_b to +-P_(c[b] % 16)
@@ -544,7 +539,7 @@ def run_interleaved_rb_cz(
         for j, (rng, m) in enumerate(zip(rngs, job_lengths)):
             ids[j, :m] = rng.integers(0, TWO_QUBIT_GROUP_SIZE, m)
         ids[np.arange(len(ids)), job_lengths] = two_qubit_inverses(  # assuming the ideal CZ
-            ids[:, :-1], job_lengths, cz_unitary(math.pi) if interleave else None)
+            ids[:, :-1], job_lengths, _cz_code() if interleave else None)
         c0, c1, mixer = split_two_qubit_index(ids)
         slots = np.stack([c0, c1], axis=1).astype(np.int8)
         mixer_ids = mixer + 20 * (interleave & (np.arange(ids.shape[1]) < job_lengths[:, None]))

@@ -25,7 +25,7 @@ import numpy as np
 from .device import DeviceSpec, zz_exact
 from .dynamics import NoiseSpec, echo_sequence, lindblad_noise, rotation_gate
 from .errors import AliasingError, NearPoleError, UncalibratableError
-from .linefit import fit_line
+from .linefit import fit_line, solve
 from .operators import LatticeOperator, SubsetSelection, assemble_hamiltonian
 from .records import AxisSpec, ExperimentRecord
 from .values import FrozenValue
@@ -347,7 +347,9 @@ def fit_phase_modulation(dphis: np.ndarray, rates: np.ndarray) -> dict:
     """Linear fit of rate = A cos(dphi) + A_s sin(dphi) + B, by its
     normal equations; returns the cosine amplitude, offset, and R^2."""
     design = np.column_stack([np.cos(dphis), np.sin(dphis), np.ones_like(dphis)])
-    coef = np.linalg.solve(design.T @ design, design.T @ rates)
+    coef = solve(design.T @ design, design.T @ rates)
+    if coef is None:
+        raise ValueError("the phases fix no cosine modulation: singular normal equations")
     predicted = design @ coef
     ss_res = float(np.sum((rates - predicted) ** 2))
     ss_tot = float(np.sum((rates - rates.mean()) ** 2))

@@ -11,18 +11,17 @@ from transmon_lattice.cliffords import (
     _codes,
     _group,
     _mixer_codes,
-    _pauli_strings,
     clifford_identity,
     clifford_inverses,
     clifford_products,
     clifford_table,
-    clifford_unitaries,
-    compose_gates,
+    clifford_transfers,
     mean_physical_gates,
     sequence_inverses,
     split_two_qubit_index,
     two_qubit_inverses,
 )
+from unitaries import _pauli_strings, _transfers, clifford_unitaries, compose_gates
 
 # ------------------------------------------------------ unitary references
 #
@@ -108,7 +107,7 @@ def _codes_by_conjugation(u: np.ndarray) -> np.ndarray:
 def test_table_has_24_distinct_elements():
     table = clifford_table()
     assert len(table) == 24
-    codes = _codes(np.array([e.unitary for e in table]))
+    codes = _codes(_transfers(np.array([compose_gates(e.gates) for e in table])))
     assert len(np.unique(codes, axis=0)) == 24
     assert np.array_equal(codes, _group(1)[0])
 
@@ -117,14 +116,17 @@ def test_identity_element_decomposition():
     table = clifford_table()
     identities = [e for e in table if e.gates == (("i", 0.0),)]
     assert len(identities) == 1
-    assert np.allclose(identities[0].unitary, np.eye(2))
+    assert np.allclose(compose_gates(identities[0].gates), np.eye(2))
+    assert np.allclose(clifford_transfers(1.0)[identities[0].index], np.eye(4))
     assert table[clifford_identity()] is identities[0]
 
 
 def test_decomposition_unitaries_match_elements():
+    # the real rotations' product against the transfer matrix of each
+    # element's unitary
     for element in clifford_table():
-        rebuilt = compose_gates(element.gates)
-        assert np.max(np.abs(rebuilt - element.unitary)) < 1e-12
+        rebuilt = _transfers(compose_gates(element.gates)[None])[0]
+        assert np.max(np.abs(rebuilt - clifford_transfers(1.0)[element.index])) < 1e-12
 
 
 def test_group_closure():
@@ -133,9 +135,9 @@ def test_group_closure():
     products = clifford_products()
     for a in table:
         for b in table:
-            product = b.unitary @ a.unitary
+            product = mats[b.index] @ mats[a.index]
             assert products[b.index, a.index] == trace_inverse_index(product.conj().T, mats)
-        assert clifford_inverses()[a.index] == trace_inverse_index(a.unitary, mats)
+        assert clifford_inverses()[a.index] == trace_inverse_index(mats[a.index], mats)
 
 
 def test_physical_gate_accounting():
@@ -151,15 +153,14 @@ def test_physical_gate_accounting():
 
 
 def test_sequences_invert_to_identity():
-    table = clifford_table()
+    mats = clifford_unitaries(1.0)
     rng = np.random.default_rng(11)
     for trial in range(160):  # 16 sequences x 10 seeds
         ids = rng.integers(0, 24, rng.integers(5, 40))
         u = np.eye(2, dtype=complex)
         for idx in ids:
-            u = table[idx].unitary @ u
-        inverse = table[sequence_inverses(ids)]
-        product = inverse.unitary @ u
+            u = mats[idx] @ u
+        product = mats[sequence_inverses(ids)] @ u
         assert abs(abs(np.trace(product)) - 2.0) < 1e-10
 
 
@@ -170,7 +171,7 @@ def test_two_qubit_group_complete_and_distinct():
 
 
 def test_mixer_codes_match_the_mixer_unitaries():
-    assert np.array_equal(_mixer_codes(), _codes(mixer_unitaries()))
+    assert np.array_equal(_mixer_codes(), _codes(_transfers(mixer_unitaries())))
 
 
 def test_two_qubit_table_is_the_elementwise_product():

@@ -217,6 +217,21 @@ def test_decay_that_drops_at_once_is_flagged_at_the_bound(start):
         assert not rb.converged and rb.flags == ("parameter_at_bound",)
 
 
+@pytest.mark.parametrize("start", [0.0, -10.0])
+def test_decay_on_the_flat_small_t_plateau_is_flagged_at_the_bound(start):
+    # a spike at the first point over a flat rest: below T ~ 1 the rss is
+    # flat to rounding and its slope in T is rounding noise of either sign,
+    # which no longer passes for a minimum; the best T is the lower edge
+    t = start + np.array([0.0, 10.0, 20.0, 30.0, 40.0])
+    y = np.array([0.9, 0.2, 0.21, 0.19, 0.2])
+    fit = fit_exp_decay(t, y)
+    assert not fit.converged and fit.flags == ("parameter_at_bound",)
+    assert fit.iterations == 0
+    assert fit.params["T"] == pytest.approx(max(10.0 * math.exp(-7.0), abs(start) / 100.0),
+                                            rel=1e-12)
+    assert fit.params["a"] == pytest.approx(0.2, abs=1e-12)
+
+
 def test_rb_decay_exact_recovery():
     m = np.array([2.0, 25.0, 50.0, 100.0, 250.0, 500.0, 750.0, 1000.0])
     s = 0.5 * 0.9988**m + 0.5

@@ -1,5 +1,6 @@
 """The closed-form line fit against numpy's least-squares polynomial fit,
-on exact lines, and on stacks of rows."""
+on exact lines, and on stacks of rows; the small elimination against
+numpy's LAPACK solver."""
 import numpy as np
 import pytest
 
@@ -7,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from transmon_lattice import fitting
-from transmon_lattice.linefit import fit_line
+from transmon_lattice.linefit import fit_line, solve
 
 # derandomized: the examples are the same on every run
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -82,3 +83,18 @@ def test_exp_decay_seeds_without_the_line_when_one_point_clears_the_mask():
     old_seed_rss = float(np.sum((fitting.exp_decay_model(t, old_seed) - y) ** 2))
     assert fit.rss <= old_seed_rss
     assert all(np.isfinite(list(fit.params.values())))
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_solve_matches_lapack_on_small_systems(k, columns, seed):
+    # columns 0 is a vector right-hand side; the matrices are well conditioned
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, k)) + k * np.eye(k)
+    b = rng.normal(size=(k, columns) if columns else k)
+    np.testing.assert_allclose(solve(a, b), np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
+
+
+def test_solve_returns_none_on_an_exactly_singular_matrix():
+    assert solve(np.zeros((3, 3)), np.ones(3)) is None
+    assert solve([[1.0, 2.0], [2.0, 4.0]], np.eye(2)) is None

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from test_cliffords import mixer_unitaries, trace_inverse_index, two_qubit_unitaries
-from transmon_lattice.cliffords import (
-    _PAULIS,
-    clifford_table,
-    clifford_unitaries,
-    compose_gates,
-    cz_unitary,
-)
+from transmon_lattice.cliffords import clifford_table
 from transmon_lattice.dynamics import NoiseSpec
 from transmon_lattice.errors import ContractViolation, ResourceLimitError
 from transmon_lattice.rb import (
@@ -19,13 +13,13 @@ from transmon_lattice.rb import (
     NoiseChannel,
     _sample_survival,
     _slot_transfers,
-    _transfers,
     clg,
     epc_to_epg,
     run_interleaved_rb_cz,
     run_rb,
 )
 from transmon_lattice.tomography import _noisy_cz
+from unitaries import _PAULIS, _transfers, clifford_unitaries, compose_gates, cz_unitary
 
 
 def test_clg_zero_and_monotone():
@@ -375,7 +369,6 @@ def test_device_derived_channel(device):
 
 
 def test_sequence_gate_list_replays_to_identity():
-    from transmon_lattice.cliffords import compose_gates
     from transmon_lattice.rb import sequence_gate_list
 
     gates = sequence_gate_list(seed=2, qubit_position=0, sequence=3,
@@ -459,7 +452,7 @@ def _reference_ground(ids, channels, zz_phases):
     totals = [np.eye(2, dtype=complex) for _ in range(n)]
     for k in range(n):
         for idx in ids[k]:
-            totals[k] = table[idx].unitary @ totals[k]
+            totals[k] = compose_gates(table[idx].gates) @ totals[k]
     inverse = np.array([[trace_inverse_index(u, clifford_unitaries(1.0))] for u in totals])
     bits = [[(basis >> (n - 1 - k)) & 1 for k in range(n)] for basis in range(dim)]
     zz = np.array([

@@ -1,8 +1,9 @@
 """Property tests of the randomized-benchmarking engine: every slot
 transfer matrix is a CPTP map for any ids, depolarizing probabilities,
-over-rotations and ZZ phases, the lockstep engine agrees with a
-one-density-matrix reference stepper, and simultaneous RB is a function
-of its seed."""
+over-rotations and ZZ phases, the ZZ matrix built from real rotations
+equals the one conjugated from the complex evolution, the lockstep
+engine agrees with a one-density-matrix reference stepper, and
+simultaneous RB is a function of its seed."""
 from functools import reduce
 
 import numpy as np
@@ -12,8 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from test_rb import _reference_ground
-from transmon_lattice.cliffords import _PAULIS
 from transmon_lattice.rb import (
+    DEFAULT_GATE_TIME_NS,
     NoiseChannel,
     _closed_sequences,
     _lockstep,
@@ -21,9 +22,12 @@ from transmon_lattice.rb import (
     _slot_depolarizing,
     _slot_step,
     _slot_transfers,
+    _resolve_channels,
+    _zz_pairs_for,
     _zz_transfer,
     run_rb,
 )
+from unitaries import _PAULIS
 
 # derandomized: the examples are the same on every run
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
@@ -119,6 +123,38 @@ def test_slot_transfer_is_cptp(inputs):
     assert np.max(np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)) < 1e-12
     assert np.max(np.abs(out - out.conj().transpose(0, 2, 1))) < 1e-12
     assert np.min(np.linalg.eigvalsh(out)) > -1e-12
+
+
+def _zz_reference(phases, n_sites: int) -> np.ndarray:
+    """Transposed transfer matrix tr(P_a V P_b V^dagger) / 2**n of the
+    slot evolution V = prod exp(-i phi n_i n_j), conjugated as complex
+    matrices."""
+    dim = 2**n_sites
+    bits = (np.arange(dim)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+    v = np.exp(-1j * sum((phi * bits[:, i] * bits[:, j] for (i, j), phi in phases.items()),
+                         np.zeros(dim)))
+    strings = _pauli_strings(n_sites)
+    conjugated = v[:, None] * strings * v.conj()
+    return np.einsum("bij,aji->ba", conjugated, strings).real / dim
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), zz_phases(n))))
+def test_zz_transfer_matches_the_complex_reference(case):
+    n_sites, phases = case
+    zz = _zz_transfer(phases, n_sites)
+    reference = _zz_reference(phases, n_sites)
+    if not phases:
+        assert zz is None and np.array_equal(reference, np.eye(4**n_sites))
+    else:
+        assert np.max(np.abs(zz - reference)) < 1e-12
+
+
+def test_zz_transfer_of_a_device_plaquette_matches_the_complex_reference(device):
+    register = ("Q2", "Q3", "Q6", "Q7")
+    phases = _zz_pairs_for(_resolve_channels(device, register, DEFAULT_GATE_TIME_NS), register)
+    assert len(phases) == 4  # the plaquette's four couplings
+    assert np.max(np.abs(_zz_transfer(phases, 4) - _zz_reference(phases, 4))) < 1e-12
 
 
 @st.composite

@@ -119,14 +119,21 @@ RETIRED = (
     "PAULI", "pauli_string", "measurement_settings", "_expectations_from_counts", "_kron_all",
     "_gate_on", "_cz_on", "_gate_noise", "bell_state", "ghz_state", "bell_state_noisy",
     "ghz_state_noisy", "rb_decay_model", "rb_decay_jacobian",
+    # Clifford unitaries: the Clifford and ZZ transfer matrices are built from
+    # real rotations, and these complex references live in tests/unitaries.py
+    "_PAULIS", "_pauli_strings", "_transfers", "gate_unitary", "compose_gates", "_rx", "_rz",
+    "clifford_unitaries", "cz_unitary",
 )
 
 
-def _names_in_src() -> set[str]:
+def _names_in_src(modules=None) -> set[str]:
     """Every function and class defined, and every name, attribute and
-    imported name used, on any line of src/."""
+    imported name used, on any line of src/ (or of the named modules)."""
     used = set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    paths = sorted(PACKAGE.glob("*.py")) if modules is None else [
+        PACKAGE / f"{module}.py" for module in modules
+    ]
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 used.add(node.name)
@@ -153,3 +160,28 @@ LAPACK_LEAST_SQUARES = ("polyfit", "lstsq")
 def test_no_linear_fit_maps_a_lapack_least_squares_routine():
     used = _names_in_src()
     assert not used & set(LAPACK_LEAST_SQUARES), sorted(used & set(LAPACK_LEAST_SQUARES))
+
+
+# Randomized benchmarking and the fits are real arithmetic on at most
+# 4**n-long Pauli vectors and five-parameter systems.  Their small solves
+# go through linefit.solve, so no RB or fit process faults in LAPACK's
+# solver code (np.linalg), nor complex GEMM or einsum code for the
+# Clifford and ZZ transfer matrices.
+NO_LINALG = ("cliffords", "rb", "fitting", "linefit", "sizzle")
+REAL_ONLY = ("cliffords", "rb")
+
+
+def test_rb_and_the_fits_name_no_linalg():
+    assert "linalg" not in _names_in_src(NO_LINALG)
+
+
+def test_rb_forms_no_complex_number_and_calls_no_einsum():
+    used = _names_in_src(REAL_ONLY)
+    assert "einsum" not in used
+    assert not [name for name in used if "complex" in name], sorted(used)
+    constants = [
+        node.value for module in REAL_ONLY
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex)
+    ]
+    assert not constants, constants

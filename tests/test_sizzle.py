@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from transmon_lattice.cliffords import cz_unitary
 from transmon_lattice.device import zz_exact
 from transmon_lattice.dynamics import (
     NoiseSpec,
@@ -19,6 +18,7 @@ from transmon_lattice.errors import (
     AliasingError, NearPoleError, ResourceLimitError, UncalibratableError,
 )
 from transmon_lattice.operators import SubsetSelection, assemble_hamiltonian
+from transmon_lattice.cliffords import phase_transfer
 from transmon_lattice.sizzle import (
     SizzleConfig,
     _echo,
@@ -34,6 +34,7 @@ from transmon_lattice.sizzle import (
     sweep_drive_landscape,
     sweep_relative_phase,
 )
+from unitaries import _transfers, cz_unitary
 
 CZ_PAIR = ("Q2", "Q7")  # control, target
 DRIVE_FREQ = 5028.5  # 100 MHz above the upper qubit
@@ -152,6 +153,13 @@ def test_phase_modulation_matches_the_svd_least_squares_reference(n_phases):
     ss_res = np.sum((rates - design @ reference) ** 2)
     ss_tot = np.sum((rates - rates.mean()) ** 2)
     assert fit["r_squared"] == pytest.approx(1.0 - ss_res / ss_tot, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3])
+def test_phase_modulation_of_one_repeated_phase_is_refused(phase):
+    # one phase fixes no cosine and sine apart: the normal equations are singular
+    with pytest.raises(ValueError, match="singular normal equations"):
+        fit_phase_modulation(np.full(5, phase), np.arange(5.0))
 
 
 @pytest.mark.parametrize(
@@ -382,6 +390,10 @@ def test_cz_unitary():
     assert np.allclose(u, np.diag([1, 1, 1, -1]))
     half = cz_unitary(math.pi / 2)
     assert half[3, 3] == pytest.approx(1j)
+    # the package builds the conditional phase as its transfer matrix
+    for phase in (math.pi, math.pi / 2):
+        reference = _transfers(cz_unitary(phase)[None])[0]
+        assert np.max(np.abs(phase_transfer({(0, 1): phase}, 2) - reference)) < 1e-12
 
 
 # ------------------------------------------- echo maps against evolve()

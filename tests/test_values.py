@@ -79,7 +79,7 @@ SAMPLES = [
      ("residual", 0.002)),
     (StatsReport, dict(column="alpha", n=16, minimum=-210.0, maximum=-180.0, mean=-196.4,
                        std=7.0, stderr=1.75, spread=30.0), ("n", 15)),
-    (CliffordElement, dict(index=3, gates=(("x", math.pi),), unitary=UNITARY), ("index", 4)),
+    (CliffordElement, dict(index=3, gates=(("x", math.pi),)), ("index", 4)),
 ]
 IDS = [cls.__qualname__ for cls, _, _ in SAMPLES]
 
