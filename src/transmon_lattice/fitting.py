@@ -1,19 +1,21 @@
 """Least squares for every measurement model used here.
 
-The exponential and RB decays are a line in exp(-t/T) once T is fixed,
-so T is searched alone and the line solved in closed form (variable
-projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)); the
-anticrossing is a line in 1/Delta outright.  Only the damped cosine runs
-a Levenberg-Marquardt loop, with analytic Jacobians, which never returns
-a residual above that of its initialization.  Non-convergence is
+Every model is linear in all but at most two parameters, which are
+searched while the linear ones are solved in closed form at each point
+(variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973)).  The exponential and RB decays are a line in exp(-t/T) once T
+is fixed; the damped cosine is linear in its offset and its two
+quadratures once f and T are, and f is searched with T searched at each
+f; the anticrossing is a line in 1/Delta outright.  One search serves
+each nonlinear parameter (:func:`_search`).  Non-convergence is
 reported via ``FitResult.converged`` and ``flags``; it never raises.
 Uncertainties come from the inverse of the Gauss-Newton Hessian at the
-optimum scaled by the residual variance.
+optimum, with analytic Jacobians, scaled by the residual variance.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +24,8 @@ from .linefit import fit_line, solve
 from .values import FrozenValue
 
 MAX_ITERATIONS = 200
-GRADIENT_TOL = 1e-10
-# the decay search: a log-T grid of this step, then its best bracket refined
-# until it is this narrow in log T
+# every search: a grid (log T of this step, or the spectrum's bins for f),
+# then its best bracket refined until it is this narrow
 GRID_STEP = 0.2
 REFINE_TOL = 1e-9
 EPS = np.finfo(float).eps
@@ -65,86 +66,6 @@ def _covariance(jac: np.ndarray, rss: float, n_points: int) -> np.ndarray:
     dof = max(n_points - k, 1)
     inverse = solve(jac.T @ jac, np.eye(k))
     return np.full((k, k), np.nan) if inverse is None else inverse * (rss / dof)
-
-
-def levenberg_marquardt(
-    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-    p0: np.ndarray,
-    lower: Optional[np.ndarray] = None,
-    upper: Optional[np.ndarray] = None,
-    max_iterations: int = MAX_ITERATIONS,
-    gradient_tol: float = GRADIENT_TOL,
-) -> tuple[np.ndarray, np.ndarray, float, bool, int, list[str]]:
-    """Minimize ||model(x, p) - y||^2 with adaptive damping.
-
-    Returns (params, covariance, rss, converged, iterations, flags).
-    Steps that would increase the residual are rejected, so the result
-    is never worse than the initialization.
-    """
-    p = np.array(p0, dtype=float)
-    if lower is None:
-        lower = np.full_like(p, -np.inf)
-    if upper is None:
-        upper = np.full_like(p, np.inf)
-    p = np.clip(p, lower, upper)
-
-    residual = model(x, p) - y
-    cost = float(residual @ residual)
-    lam = 1e-3
-    converged = False
-    flags: list[str] = []
-    iterations = 0
-
-    for iterations in range(1, max_iterations + 1):
-        jac = jacobian(x, p)
-        grad = jac.T @ residual
-        scale = max(1.0, cost)
-        if np.max(np.abs(grad)) <= gradient_tol * scale:
-            converged = True
-            break
-        hess = jac.T @ jac
-        diag = np.diag(hess).copy()
-        diag[diag <= 0] = 1.0
-        accepted = False
-        for _ in range(50):
-            step = solve(hess + lam * np.diag(diag), -grad)
-            if step is None:
-                lam *= 10.0
-                continue
-            trial = np.clip(p + step, lower, upper)
-            trial_residual = model(x, trial) - y
-            trial_cost = float(trial_residual @ trial_residual)
-            if trial_cost <= cost:
-                improvement = cost - trial_cost
-                p, residual, cost = trial, trial_residual, trial_cost
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                if improvement <= 1e-15 * scale:
-                    converged = True
-                break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        if not accepted:
-            converged = bool(np.max(np.abs(grad)) <= 1e4 * gradient_tol * scale)
-            if not converged:
-                flags.append("stalled")
-            break
-        if converged:
-            break
-    else:
-        flags.append("max_iterations")
-
-    at_bound = (p <= lower + 1e-300) | (p >= upper - 1e-300)
-    finite_bound = np.isfinite(lower) | np.isfinite(upper)
-    if np.any(at_bound & finite_bound):
-        flags.append("parameter_at_bound")
-    # the loop can end on an accepted step: evaluate at the returned point
-    cov = _covariance(jacobian(x, p), cost, len(y))
-    return p, cov, cost, converged, iterations, flags
 
 
 def _result(
@@ -198,35 +119,18 @@ def _projected(tau: np.ndarray, dy: np.ndarray, log_t):
     return b, x, r, -b * ((r * x) @ tau)
 
 
-def _decay_fit(t: np.ndarray, y: np.ndarray) -> FitResult:
-    """Fit a + b exp(-t/T) by variable projection; constant y is flagged
-    unidentifiable with a = mean.
+def _search(grid, rss, slopes, noise, slope) -> tuple[float, int, list[str]]:
+    """Minimize a function of one variable, given its values ``rss`` and
+    slopes ``slopes`` on the ascending ``grid`` and its slope at any point,
+    ``slope(u)``.  (u, iterations, flags) of the minimum.
 
-    The rss of the best line at each T and its slope in T are evaluated
-    on a grid of log T over [first step e^-7, span e^7].  The rss has a
-    local minimum in each grid step where the slope turns from negative
-    (beyond its rounding) to non-negative, and at an end of the grid that
-    it rises from; the lowest
-    of these is taken, and a step is refined (Illinois regula falsi).  An
-    end of the grid, as where the slope is never negative, is flagged
-    ``parameter_at_bound``.  T stays above |t0|/100, where b, the height
-    at t = 0, would be e^100 times that at the first point t0."""
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t must be strictly ascending")
-    if float(y.max() - y.min()) < 1e-12 * max(1.0, abs(float(y.mean()))):
-        return _result("exp_decay", ("a", "b", "T"), [y.mean(), 0.0, t[-1] - t[0]],
-                       np.diag([0.0, np.nan, np.nan]), np.sum((y - y.mean()) ** 2),
-                       False, 0, ["unidentifiable"])
-    tau, dy = t - t[0], y - y.mean()  # x keeps its first point at 1 for every T
-    lo = math.log(max(tau[1] * math.exp(-7.0), abs(t[0]) / 100.0))
-    hi = max(math.log(tau[-1]) + 7.0, lo)
-    grid = np.linspace(lo, hi, 1 + math.ceil((hi - lo) / GRID_STEP))
-    b, x, r, slopes = _projected(tau, dy, grid)
-    # the rounding of r alone moves g by up to about this much; where x underflows
-    # at small T the rss is flat, and g is that rounding noise, of either sign
-    dx = x - x.mean(axis=-1, keepdims=True)
-    noise = len(tau) * EPS * abs(b) * (((abs(dy) + abs(b[:, None] * dx)) * x) @ tau)
-    rss, falling, last = (r * r).sum(axis=-1), slopes < -noise, len(grid) - 1
+    The function has a local minimum in each grid step where the slope
+    turns from negative beyond its rounding (``noise``) to non-negative,
+    and at an end of the grid that it rises from; the lowest of these is
+    taken, and a step is refined by Illinois regula falsi on the slope's
+    sign until it is ``REFINE_TOL`` narrow.  An end of the grid is flagged
+    ``parameter_at_bound``."""
+    falling, last = slopes < -noise, len(grid) - 1
     # (rss, first, last grid index) of each local minimum, an end as a one-point step
     minima = [(min(rss[j], rss[j + 1]), j, j + 1)
               for j in np.flatnonzero(falling[:-1] & ~falling[1:])]
@@ -247,13 +151,48 @@ def _decay_fit(t: np.ndarray, y: np.ndarray) -> FitResult:
                 break
             iterations += 1
             u = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            g = _projected(tau, dy, u)[3]
+            g = slope(u)
             if g < 0.0:
                 lo, g_lo, g_hi = u, g, g_hi / 2.0 if side < 0 else g_hi
                 side = -1
             else:
                 hi, g_hi, g_lo = u, g, g_lo / 2.0 if side > 0 else g_lo
                 side = 1
+    return u, iterations, flags
+
+
+def _log_t_grid(t: np.ndarray, below: float) -> np.ndarray:
+    """The grid of log T over [first step e^-below, span e^7], above
+    |t0|/100, where a height at t = 0 would be e^100 times that at the
+    first point t0."""
+    lo = math.log(max((t[1] - t[0]) * math.exp(-below), abs(t[0]) / 100.0))
+    hi = max(math.log(t[-1] - t[0]) + 7.0, lo)
+    return np.linspace(lo, hi, 1 + math.ceil((hi - lo) / GRID_STEP))
+
+
+def _decay_fit(t: np.ndarray, y: np.ndarray) -> FitResult:
+    """Fit a + b exp(-t/T) by variable projection; constant y is flagged
+    unidentifiable with a = mean.
+
+    The rss of the best line at each T and its slope in T are evaluated
+    on a grid of log T over [first step e^-7, span e^7] and searched
+    (:func:`_search`).  Where x underflows at small T the rss is flat, and
+    its slope is rounding noise of either sign, which ``noise`` keeps from
+    reading as a minimum."""
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("t must be strictly ascending")
+    if float(y.max() - y.min()) < 1e-12 * max(1.0, abs(float(y.mean()))):
+        return _result("exp_decay", ("a", "b", "T"), [y.mean(), 0.0, t[-1] - t[0]],
+                       np.diag([0.0, np.nan, np.nan]), np.sum((y - y.mean()) ** 2),
+                       False, 0, ["unidentifiable"])
+    tau, dy = t - t[0], y - y.mean()  # x keeps its first point at 1 for every T
+    grid = _log_t_grid(t, 7.0)
+    b, x, r, slopes = _projected(tau, dy, grid)
+    # the rounding of r alone moves g by up to about this much
+    dx = x - x.mean(axis=-1, keepdims=True)
+    noise = len(tau) * EPS * abs(b) * (((abs(dy) + abs(b[:, None] * dx)) * x) @ tau)
+    u, iterations, flags = _search(grid, (r * r).sum(axis=-1), slopes, noise,
+                                   lambda u: _projected(tau, dy, u)[3])
     b, x, r, _ = _projected(tau, dy, u)
     a, T = y.mean() - b * x.mean(), math.exp(u)
     rss = float(r @ r)
@@ -295,21 +234,52 @@ def damped_cos_jacobian(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     )
 
 
-def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
-    """Dominant nonzero frequency of a (possibly unevenly used) grid via
-    the discrete spectrum of the detrended signal."""
-    dt = float(np.mean(np.diff(t)))
+def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> tuple[int, float]:
+    """Index and width of the highest of the bins 1 .. n/2 of the detrended
+    signal's periodogram, taken at its times t; the bins are spaced by
+    1/(n mean step), so that on an even grid they are the DFT's."""
+    width = 1.0 / (len(t) * float(np.mean(np.diff(t))))
+    phase = np.multiply.outer(2.0 * math.pi * width * np.arange(1, len(t) // 2 + 1), t - t[0])
     z = y - y.mean()
-    spec = np.abs(np.fft.rfft(z))
-    freqs = np.fft.rfftfreq(len(z), d=dt)
-    peak = 1 + int(np.argmax(spec[1:]))
-    return float(freqs[peak])
+    return 1 + int(np.argmax((np.cos(phase) @ z) ** 2 + (np.sin(phase) @ z) ** 2)), width
+
+
+def _oscillation(tau: np.ndarray, dy: np.ndarray, wave, x: np.ndarray):
+    """(c, s, r, m, g) of the least-squares m = c C + s S through the
+    centred data ``dy``, with C = x cos(w tau) and S = x sin(w tau), at each
+    row of x = exp(-tau/T) (one row or a stack), with its residuals r.
+    ``wave`` holds cos(w tau), sin(w tau) and the columns whose products
+    with x and x^2 sum the normal equations: (cos, sin, cos dy, sin dy) and
+    (cos^2, sin^2, cos sin).  g = -sum(r m tau) has the sign of d rss/dT at
+    (c, s), which for their optimum is that of the projected rss."""
+    cos, sin, linear, square = wave
+    n = len(tau)
+    mc, ms, cy, sy = (x @ linear).T
+    cc, ss, cs = ((x * x) @ square).T
+    mc, ms = mc / n, ms / n  # the means of C and S: centre the sums
+    cc, ss, cs = cc - n * mc * mc, ss - n * ms * ms, cs - n * mc * ms
+    det = cc * ss - cs * cs
+    c, s = (ss * cy - cs * sy) / det, (cc * sy - cs * cy) / det
+    m = x * (np.multiply.outer(c, cos) + np.multiply.outer(s, sin))
+    r = dy + (c * mc + s * ms)[..., None] - m
+    return c, s, r, m, -(r * m) @ tau
 
 
 def fit_damped_cos(t: np.ndarray, y: np.ndarray) -> FitResult:
-    """Fit a + b cos(2 pi f t + phi) exp(-t/T), seeding f from the
-    spectrum's dominant peak.  Raises :class:`AliasingError` when the
-    grid cannot resolve a full oscillation below Nyquist."""
+    """Fit a + b cos(2 pi f t + phi) exp(-t/T) by variable projection, with
+    b >= 0 and phi wrapped into (-pi, pi].  Raises :class:`AliasingError`
+    when the grid cannot resolve a full oscillation below Nyquist.
+
+    At each (f, T) the model is linear in a, c = b cos(phi) and
+    s = -b sin(phi), which are solved in closed form.  At each f, T is
+    searched (:func:`_search`) on a grid of log T over [first step,
+    span e^7] and at span e^20; f is searched the same way over the bins
+    within two of the periodogram's peak, on the slope of the rss in f at
+    the inner optimum, which by the envelope theorem is that of the rss
+    profiled over T, a, c and s.  A T or f that ends on its bound is
+    flagged ``parameter_at_bound`` and not converged: T of an undamped
+    trace (a Ramsey or AC-Stark trace under ``NoiseSpec()``) ends at
+    span e^20.  ``iterations`` counts the refine steps of f."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(t) < FEWEST_POINTS["damped_cos"]:
@@ -317,8 +287,7 @@ def fit_damped_cos(t: np.ndarray, y: np.ndarray) -> FitResult:
     if np.any(np.diff(t) <= 0):
         raise ValueError("t must be strictly ascending")
 
-    amp0 = float(y.max() - y.min()) / 2.0
-    if amp0 < 1e-12 * max(1.0, abs(float(y.mean()))):
+    if float(y.max() - y.min()) < 2e-12 * max(1.0, abs(float(y.mean()))):
         return FitResult(
             model="damped_cos",
             params={
@@ -335,11 +304,11 @@ def fit_damped_cos(t: np.ndarray, y: np.ndarray) -> FitResult:
             flags=("unidentifiable_frequency",),
         )
 
-    f0 = _dominant_frequency(t, y)
-    dt = float(np.mean(np.diff(t)))
-    nyquist = 0.5 / dt
+    peak, width = _dominant_frequency(t, y)
+    f0 = peak * width
+    nyquist = 0.5 * len(t) * width
     span = float(t[-1] - t[0])
-    if f0 <= 0 or f0 * span < 1.0:
+    if f0 * span < 1.0:
         raise AliasingError(
             f"no resolvable oscillation: dominant peak {f0:.4g} over span {span:.4g}"
         )
@@ -348,23 +317,40 @@ def fit_damped_cos(t: np.ndarray, y: np.ndarray) -> FitResult:
             f"dominant frequency {f0:.4g} sits at the Nyquist edge {nyquist:.4g}"
         )
 
-    a0 = float(y.mean())
-    # phase from quadrature projections at the seeded frequency
-    c = np.cos(2 * np.pi * f0 * t)
-    s = np.sin(2 * np.pi * f0 * t)
-    z = y - a0
-    phi0 = math.atan2(-float(z @ s), float(z @ c))
-    p0 = np.array([a0, amp0, f0, phi0, span])
-    lower = np.array([-np.inf, -np.inf, f0 * 0.2, -np.inf, dt * 1e-3])
-    upper = np.array([np.inf, np.inf, nyquist, np.inf, np.inf])
-    p, cov, rss, converged, it, flags = levenberg_marquardt(
-        damped_cos_model, damped_cos_jacobian, t, y, p0, lower=lower, upper=upper
-    )
-    # report phase wrapped into (-pi, pi]
-    p[3] = math.remainder(p[3], 2 * math.pi)
-    return _result(
-        "damped_cos", ("a", "b", "f", "phi", "T"), p, cov, rss, converged, it, flags
-    )
+    tau, dy = t - t[0], y - y.mean()
+    # and T = span e^20, where an undamped trace ends: its envelope falls by
+    # a fraction e^-20 over the span there, which moves f by about 1e-10
+    grid = np.append(_log_t_grid(t, 0.0), math.log(span) + 20.0)
+    x = np.exp(np.multiply.outer(-np.exp(-grid), tau))
+
+    def at(v):
+        """(rss, its slope in f, log T, T's flags, (c, s, m)) at f = v width,
+        T searched."""
+        w = 2.0 * math.pi * v * width
+        cos, sin = np.cos(w * tau), np.sin(w * tau)
+        wave = cos, sin, np.array([cos, sin, cos * dy, sin * dy]).T, np.array(
+            [cos * cos, sin * sin, cos * sin]).T
+        _, _, r, _, slopes = _oscillation(tau, dy, wave, x)
+        u, _, flags = _search(grid, (r * r).sum(axis=-1), slopes, 0.0, lambda u: _oscillation(
+            tau, dy, wave, np.exp(-tau / math.exp(u)))[4])
+        x_u = np.exp(-tau / math.exp(u))
+        c, s, r, m, _ = _oscillation(tau, dy, wave, x_u)
+        slope = -(r * x_u * (s * cos - c * sin)) @ tau  # d rss/dw at (c, s, T)
+        return float(r @ r), float(slope), u, flags, (float(c), float(s), m)
+
+    # the bins beside the peak, from one cycle over the grid to the Nyquist
+    # edge, short of Nyquist itself, where sin(w tau) vanishes on an even grid
+    bins = np.unique(np.clip(peak + np.arange(-2.0, 3.0), 1.0, 0.95 * 0.5 * len(t)))
+    rss, slopes = np.array([at(v)[:2] for v in bins]).T
+    v, iterations, flags = _search(bins, rss, slopes, 0.0, lambda v: at(v)[1])
+    rss, _, u, t_flags, (c, s, m) = at(v)
+    flags += [flag for flag in t_flags if flag not in flags]
+    f, T = v * width, math.exp(u)
+    p = np.array([y.mean() - m.mean(), math.hypot(c, s) * math.exp(t[0] / T), f,
+                  math.remainder(math.atan2(-s, c) - 2.0 * math.pi * f * t[0], 2.0 * math.pi), T])
+    cov = _covariance(damped_cos_jacobian(t, p), rss, len(t))
+    return _result("damped_cos", ("a", "b", "f", "phi", "T"), p, cov, rss, not flags,
+                   iterations, flags)
 
 
 # -------------------------------------------------------------- anticrossing

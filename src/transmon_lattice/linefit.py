@@ -4,10 +4,10 @@ Every linear fit of the package is a line or, for the siZZle phase
 modulation, a three-column solve of its normal equations.  Neither needs
 LAPACK's SVD least-squares routine (dgelsd), which ``np.polyfit`` and
 ``np.linalg.lstsq`` fault in (about 0.3 MiB resident) to fit two or
-three parameters.  The other systems of the fits, covariances and
-Levenberg-Marquardt steps, have at most five unknowns, and one
-elimination in Python solves them all without ``np.linalg``, whose
-LAPACK solver code a process would otherwise fault in (about 0.4 MiB).
+three parameters.  The other systems of the fits, their covariances,
+have at most five unknowns, and one elimination in Python solves them
+all without ``np.linalg``, whose LAPACK solver code a process would
+otherwise fault in (about 0.4 MiB).
 """
 from __future__ import annotations
 

@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from transmon_lattice.fitting import fit_exp_decay, fit_rb_decay
+from transmon_lattice.fitting import fit_damped_cos, fit_exp_decay, fit_rb_decay
 
 # derandomized: the examples are the same on every run
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -70,3 +70,57 @@ def test_rb_decay_is_the_exp_decay_with_p_from_t(decay):
     )
     assert (rb.rss, rb.converged, rb.iterations, rb.flags) == (
         exp.rss, exp.converged, exp.iterations, exp.flags)
+
+
+@st.composite
+def _damped_cosines(draw):
+    """(t, y): a + b cos(2 pi f t + phi) exp(-t/T) on an even grid from 0,
+    with Gaussian noise; 3 cycles or more over the span, below 0.35 of a
+    cycle per point, and T from a tenth of the span, where the decay hides
+    most of the cycles, to three spans."""
+    n = draw(st.integers(16, 80))
+    span = draw(st.floats(5.0, 50.0))
+    t = np.linspace(0.0, span, n)
+    f = draw(st.floats(3.0, 0.35 * n)) / span
+    tau = span * draw(st.floats(0.1, 3.0))
+    phi = draw(st.floats(-math.pi, math.pi))
+    a = draw(st.floats(0.3, 0.7))
+    b = draw(st.floats(0.2, 0.5))
+    sigma = math.exp(draw(st.floats(math.log(1e-4), math.log(0.03))))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, sigma, n)
+    return t, a + b * np.cos(2 * np.pi * f * t + phi) * np.exp(-t / tau) + noise
+
+
+def _scan_cos_rss(t, y, freqs, log_t):
+    """The least rss of a + x (c cos + s sin)(2 pi f t), x = exp(-t/T), over
+    a grid of f and log T, one f at a time."""
+    x = np.exp(-t / np.exp(log_t)[:, None])
+    dy = y - y.mean()
+    best = np.inf
+    for f in freqs:
+        cols = [x * np.cos(2 * np.pi * f * t), x * np.sin(2 * np.pi * f * t)]
+        dc, ds = (col - col.mean(axis=1, keepdims=True) for col in cols)
+        cc, ss, cs = (dc * dc).sum(1), (ds * ds).sum(1), (dc * ds).sum(1)
+        cy, sy = dc @ dy, ds @ dy
+        det = cc * ss - cs * cs
+        c, s = (ss * cy - cs * sy) / det, (cc * sy - cs * cy) / det
+        residual = dy - c[:, None] * dc - s[:, None] * ds
+        best = min(best, float(np.einsum("ij,ij->i", residual, residual).min()))
+    return best
+
+
+@PROPERTY
+@given(trace=_damped_cosines())
+def test_damped_cos_reaches_the_minimum_of_a_dense_scan_of_f_and_t(trace):
+    # the fit's window: f within two bins of the spectrum's peak (from one
+    # cycle over n steps to 0.95 of Nyquist), T from the first step to span e^20
+    t, y = trace
+    n, span = len(t), t[-1] - t[0]
+    fit = fit_damped_cos(t, y)
+    width = 1.0 / (n * (span / (n - 1)))
+    peak = 1 + int(np.argmax(np.abs(np.fft.rfft(y - y.mean()))[1:]))
+    freqs = np.linspace(max(peak - 2, 1), min(peak + 2, 0.95 * n / 2), 101) * width
+    log_t = np.linspace(math.log(t[1] - t[0]), math.log(span) + 20.0, 401)
+    best = _scan_cos_rss(t, y, freqs, log_t)
+    assert fit.rss <= best * (1.0 + 1e-12), (fit.params, fit.flags, fit.rss, best)
+    assert all(math.isfinite(v) for v in fit.params.values())

@@ -112,7 +112,9 @@ def test_every_unreached_name_is_listed_with_its_reason():
 # the echo's helper.  Then tomography's own operator algebra: its Pauli
 # table and per-string reconstruction, kron chains and one preparation
 # function per state, where one circuit on the operators module's
-# embedding now prepares both.  These names stay out of src/.
+# embedding now prepares both.  Then the Levenberg-Marquardt loop, whose
+# last caller, the damped cosine, now searches f and T by variable
+# projection as the decays search T.  These names stay out of src/.
 RETIRED = (
     "ENVELOPES", "_DriveTerm", "_frame_terms", "_segment_edges", "breakpoints",
     "envelope_value", "is_static_on", "DriveTone", "evolve_open", "_static_hamiltonian",
@@ -123,6 +125,7 @@ RETIRED = (
     # real rotations, and these complex references live in tests/unitaries.py
     "_PAULIS", "_pauli_strings", "_transfers", "gate_unitary", "compose_gates", "_rx", "_rz",
     "clifford_unitaries", "cz_unitary",
+    "levenberg_marquardt",
 )
 
 
