@@ -309,10 +309,11 @@ def test_monotone_improvement_from_bad_start():
     assert fit.rss <= float(np.sum((y - y.mean()) ** 2))
 
 
-def test_covariance_is_taken_at_the_returned_parameters():
+@pytest.mark.parametrize("seed", [3, 200])
+def test_covariance_is_taken_at_the_returned_parameters(seed):
     # the uncertainties belong to the point returned: the Gauss-Newton
     # covariance of the model's Jacobian there, bit for bit
-    t, y, _ = _short_decay_cosine(0)
+    t, y, _ = _short_decay_cosine(seed)
     fit = fit_damped_cos(t, y)
     p = np.array([fit.params[k] for k in ("a", "b", "f", "phi", "T")])
     cov = _covariance(damped_cos_jacobian(t, p), fit.rss, len(t))
