@@ -10,12 +10,12 @@ the Hamiltonian must be static: a term that changes the excitation number
 rotates in any nonzero frame and raises ValueError naming the rate.
 Drives enter in the rotating-wave approximation.
 
-:func:`evolve` propagates a state vector, or a density matrix under
-Lindblad terms, by exact diagonalization of one static generator (the
-frame Hamiltonian plus constant tones).  The only time dependence is
-the Blackman ramps of :func:`echo_sequence`, stepped in the 4th-order
-commutator-free Magnus slices of :func:`_propagate_sliced` and folded
-into the echo's flat-top modes.
+:func:`evolve` and the flat tops of :func:`echo_sequence` propagate on
+one engine, :func:`_static_run`: a stack of static generators decomposed
+once (``eigh``, or ``eig`` of the Liouvillian under Lindblad terms) and
+carried to any times.  The only time dependence is the echo's Blackman
+ramps, stepped in the 4th-order commutator-free Magnus slices of
+:func:`_propagate_sliced`, each slice one run of the whole stack.
 
 Conventions: matrices carry cyclic frequencies in MHz, times are us, so
 a propagator is exp(-2*pi*i*H*t).  A resonant tone of amplitude Omega
@@ -154,38 +154,36 @@ def _drive_terms(amplitudes: np.ndarray, phases: np.ndarray, levels: int) -> np.
     return terms
 
 
-def _collapse_operators(
-    sites: Sequence[str], levels: int, noise: NoiseSpec
-) -> list[tuple[float, np.ndarray]]:
-    """The Lindblad terms (rate, operator) of ``noise`` on ``sites``.  A
-    density matrix side above ``LINDBLAD_MAX_DIM``, whose Liouvillian
+def _dissipators(sites: Sequence[str], levels: int, noise: NoiseSpec) -> list[np.ndarray]:
+    """The Lindblad terms of ``noise`` on ``sites``, site by site a lowering
+    operator L at the relaxation rate r, then a number operator at twice
+    the dephasing rate, each as its superoperator on row-major vectorized
+    density matrices, r (L (x) L* - (L^dag L (x) 1) / 2 - (1 (x) (L^dag L)^T) / 2).
+    A density matrix side above ``LINDBLAD_MAX_DIM``, whose Liouvillian
     ``eig`` would be too large, raises :class:`ResourceLimitError`."""
     n_sites = len(sites)
     if levels**n_sites > LINDBLAD_MAX_DIM:
         raise ResourceLimitError(f"density matrix side {levels**n_sites} > {LINDBLAD_MAX_DIM}")
-    ops = []
+    eye, terms = np.eye(levels**n_sites), []
     for k, label in enumerate(sites):
-        g1 = noise.rate("relaxation", label)
-        if g1 > 0:
-            ops.append((g1, _embed(destroy(levels), k, n_sites, levels)))
-        gphi = noise.rate("dephasing", label)
-        if gphi > 0:
-            ops.append((2.0 * gphi, _embed(number(levels), k, n_sites, levels)))
-    return ops
+        for rate, op in ((noise.rate("relaxation", label), destroy(levels)),
+                         (2.0 * noise.rate("dephasing", label), number(levels))):
+            if rate > 0:
+                op = _embed(op, k, n_sites, levels)
+                decay = op.conj().T @ op
+                terms.append(rate * (np.kron(op, op.conj()) - 0.5 * np.kron(decay, eye)
+                                     - 0.5 * np.kron(eye, decay.T)))
+    return terms
 
 
-def _liouvillian(h: np.ndarray, collapse: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
+def _liouvillian(h: np.ndarray, collapse: Sequence[np.ndarray]) -> np.ndarray:
     """Lindblad generator acting on row-major vectorized density matrices,
-    of one Hamiltonian or of each in a stack (..., dim, dim)."""
+    of one Hamiltonian or of each in a stack (..., dim, dim), with the
+    superoperators ``collapse`` of :func:`_dissipators` added in order."""
     eye = np.eye(h.shape[-1])
     lv = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, np.swapaxes(h, -1, -2)))
-    for rate, op in collapse:
-        decay = op.conj().T @ op
-        lv += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(decay, eye)
-            - 0.5 * np.kron(eye, decay.T)
-        )
+    for term in collapse:
+        lv += term
     return lv
 
 
@@ -195,52 +193,60 @@ def _modes(h: np.ndarray, collapse) -> tuple:
 
     With ``collapse`` None the generator is -2 pi i H, from ``eigh``, so
     left = right^dag and ``miss`` is 0.  Otherwise it is the Liouvillian
-    of H and the Lindblad terms ``collapse``, from ``eig``, and ``miss``
-    is the relative error of rebuilding the Liouvillian from its modes,
-    which is large where they nearly coincide (a nearly defective
-    Liouvillian, such as a weak drive beside a decaying site)."""
+    of H and ``collapse``, from ``eig``, and ``miss`` is, per generator,
+    the relative error of rebuilding it from its modes, which is large
+    where they nearly coincide (a weak drive beside a decaying site)."""
     if collapse is None:
         energies, right = np.linalg.eigh(h)
-        return -2j * np.pi * energies, right, np.swapaxes(right.conj(), -1, -2), 0.0
+        left = np.swapaxes(right.conj(), -1, -2)
+        return -2j * np.pi * energies, right, left, np.zeros(h.shape[:-2])
     lv = _liouvillian(h, collapse)
     rates, right = np.linalg.eig(lv)
     left = np.linalg.inv(right)
-    scale = np.abs(lv).max()
-    miss = np.abs((right * rates[..., None, :]) @ left - lv).max() / scale if scale else 0.0
-    return rates, right, left, miss
+    scale = np.abs(lv).max(axis=(-2, -1))
+    error = np.abs((right * rates[..., None, :]) @ left - lv).max(axis=(-2, -1))
+    return rates, right, left, error / np.where(scale > 0, scale, 1.0)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of any square matrix, defective ones included: a degree-18
-    Taylor series of a / 2^s with ||a / 2^s||_1 <= 1/2, squared s times."""
+    """exp(a) of any square matrix, defective ones included: x = exp(a / 2^s) - 1
+    from a degree-18 Taylor series, with ||a / 2^s||_1 <= 1/2, squared s
+    times as x -> 2x + x^2, so that rounding scales with x, not with 1."""
     norm = np.linalg.norm(a, 1)
     squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
-    term = result = np.eye(len(a), dtype=complex)
-    for k in range(1, 19):
-        term = term @ a / (k * 2.0**squarings)
-        result = result + term
+    a = a / 2.0**squarings
+    term = x = a
+    for k in range(2, 19):
+        term = term @ a / k
+        x = x + term
     for _ in range(squarings):
-        result = result @ result
-    return result
+        x = 2.0 * x + x @ x
+    return x + np.eye(len(a))
 
 
-def _propagate_static(h, collapse, psi, times) -> np.ndarray:
-    """``psi`` carried by the static generator of :func:`_modes` to every
-    time in ``times``: state vectors when ``collapse`` is None, otherwise
-    row-major vectorized density matrices.  Times all 0 give ``psi``
-    itself, exactly.  Where the modes miss the Liouvillian by over 1e-12
-    relative, :func:`_expm` takes each time instead.  ``psi`` is one
-    vector or a matrix whose columns are vectors; the result has a
-    leading time axis."""
-    if not np.any(times):
-        return np.repeat(psi[None], len(times), axis=0)
+def _static_run(h: np.ndarray, collapse):
+    """The generator of ``h``, or of each in a stack (sets, dim, dim), as
+    ``run(rows, times)``: row vectors (state vectors, or with ``collapse``
+    row-major density matrices) broadcast against (sets, times, k, n), or
+    (times, k, n) for one generator, carried to each time from the modes
+    of one :func:`_modes`.  A time of 0 gives the rows exactly; a generator
+    whose modes miss its Liouvillian by over 1e-12 takes :func:`_expm`."""
     rates, right, left, miss = _modes(h, collapse)
-    if miss > 1e-12:
-        lv = _liouvillian(h, collapse)
-        return np.array([_expm(lv * t) @ psi for t in times])
-    coeffs = (left @ psi).reshape(len(rates), -1)
-    moved = right @ (np.exp(times[:, None, None] * rates[:, None]) * coeffs)
-    return moved.reshape(len(times), *psi.shape)
+    # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T
+    left, right = (np.swapaxes(m, -1, -2)[..., None, :, :] for m in (left, right))
+    fallback = [tuple(s) for s in np.argwhere(miss > 1e-12)]
+    lv = _liouvillian(h, collapse) if fallback else None
+
+    def run(rows, times):
+        at = np.asarray(times, dtype=float)[:, None, None]
+        moved = (rows @ left * np.exp(rates[..., None, None, :] * at)) @ right
+        for s in fallback:
+            given = np.broadcast_to(rows, moved.shape)[s]
+            for i, t in enumerate(at.flat):
+                moved[s + (i,)] = given[i] @ _expm(lv[s] * t).T
+        return np.where(at == 0, rows, moved)
+
+    return run
 
 
 ENVELOPE_SLICES = 48  # Magnus slices of a ramp
@@ -256,21 +262,22 @@ def _blackman_rise(x: float) -> float:
 
 
 def _propagate_sliced(static, drive, envelope, collapse, psi, left, right) -> np.ndarray:
-    """``psi`` carried from ``left`` to ``right`` under the Hamiltonian
-    static + envelope(t) drive: ``static`` is the frame Hamiltonian,
-    ``drive`` the tones' D + D^dag of :func:`_drive_terms` and
-    ``envelope`` a function of time.  The time runs in ENVELOPE_SLICES
-    4th-order commutator-free Magnus slices, each two static
-    exponentials of Hamiltonians mixed from its Gauss nodes.  ``psi`` and
-    ``collapse`` are as in :func:`_propagate_static` (the identity as
-    ``psi`` gives the propagator)."""
+    """The rows ``psi`` carried from ``left`` to ``right`` under static +
+    envelope(t) drive, or under each in a stack (sets, dim, dim), with
+    ``static`` the frame Hamiltonian, ``drive`` the tones' D + D^dag of
+    :func:`_drive_terms` and ``collapse`` as in :func:`_static_run`.  Each of
+    ENVELOPE_SLICES 4th-order commutator-free Magnus slices is two runs of
+    the stack's Hamiltonians mixed from its Gauss nodes.  ``psi`` is (k, n)
+    or one row for one Hamiltonian, (sets, k, n) for a stack, and keeps its
+    shape; the identity's rows give the transposed propagator."""
+    rows = psi.reshape(*static.shape[:-2], 1, -1, psi.shape[-1])
     edges = np.linspace(left, right, ENVELOPE_SLICES + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         # the weights sum to 1/2: each factor holds 2 (A h1 + B h2) for half the slice
         h1, h2 = (static + envelope(a + x * (b - a)) * drive for x in _GAUSS_NODES)
         for h in (_MAGNUS_A * h1 + _MAGNUS_B * h2, _MAGNUS_B * h1 + _MAGNUS_A * h2):
-            psi = _propagate_static(2.0 * h, collapse, psi, np.array([0.5 * (b - a)]))[0]
-    return psi
+            rows = _static_run(2.0 * h, collapse)(rows, [0.5 * (b - a)])
+    return rows.reshape(psi.shape)
 
 
 def _checked_grid(t_grid: Sequence[float]) -> np.ndarray:
@@ -305,9 +312,9 @@ def evolve(
     ``extra_static`` (a matrix in the frame, e.g. a jitter term) is added
     verbatim.  Relaxation enters through lowering operators, pure
     dephasing through number operators at twice its rate.  The generator
-    propagates by ``eigh``, or by ``eig`` of its Liouvillian, so that a
-    density matrix side above ``LINDBLAD_MAX_DIM`` raises
-    :class:`ResourceLimitError`.
+    propagates by :func:`_static_run`: ``eigh``, or ``eig`` of its
+    Liouvillian, so that a density matrix side above ``LINDBLAD_MAX_DIM``
+    raises :class:`ResourceLimitError`.
     """
     t_grid = _checked_grid(t_grid)
     state = np.asarray(state, dtype=complex)
@@ -316,7 +323,7 @@ def evolve(
         raise ValueError(f"state must have shape {shape}")
     collapse = None
     if noise is not None:
-        collapse = _collapse_operators(h0.sites, h0.levels, noise)
+        collapse = _dissipators(h0.sites, h0.levels, noise)
         if abs(np.trace(state) - 1.0) > 1e-9:
             raise ContractViolation("rho must have unit trace")
         eigmin = float(np.linalg.eigvalsh(0.5 * (state + state.conj().T)).min())
@@ -330,7 +337,7 @@ def evolve(
         if amplitudes.shape != (len(h0.sites),):
             raise ValueError(f"amplitudes {amplitudes.shape} must hold one per site of {h0.sites}")
         h = h + _drive_terms(amplitudes[None], np.zeros((1, len(h0.sites))), h0.levels)[0]
-    out = _propagate_static(h, collapse, state.reshape(-1), t_grid)
+    out = _static_run(h, collapse)(state.reshape(1, -1), t_grid)
     return out.reshape(len(t_grid), *shape)
 
 
@@ -374,11 +381,11 @@ def echo_sequence(
     non-finite amplitude raises ValueError).  A drive of width w/2
     is a Blackman ramp of ``rise`` ns up, a flat top and a ramp down, or
     a rectangle at rise 0; widths shorter than four ramps, or negative or
-    not finite, raise ValueError.  All flat tops are decomposed in one
-    stacked call of :func:`_modes`, and the ramps, stepped in the Magnus
-    slices of :func:`_propagate_sliced`, fold into their modes, so every
-    call, at any widths, reuses them.  On the identity's rows, the vector
-    echo gives the transposed unitaries E(w)^T, where
+    not finite, raise ValueError.  All flat tops run on one stacked
+    :func:`_static_run`, and each ramp, stepped for all sets at once by
+    :func:`_propagate_sliced`, is one propagator applied before or after
+    them, so every call, at any widths, reuses both.  On the identity's
+    rows, the vector echo gives the transposed unitaries E(w)^T, where
     E(w) = P U(w/2) P U(w/2).
     """
     n_sites = len(h0.sites)
@@ -390,46 +397,38 @@ def echo_sequence(
             f"shape (sets, sites) = {(len(frames), n_sites)}"
         )
     rise_us = rise * 1e-3
-    collapse = None if noise is None else _collapse_operators(h0.sites, h0.levels, noise)
+    collapse = None if noise is None else _dissipators(h0.sites, h0.levels, noise)
     # one frame Hamiltonian per frequency; each set's drive D + D^dag
-    # joins it in the flat top and, under the envelope, in the ramps
+    # joins it under the envelope in the ramps, then in the flat top
     statics = {frame: _frame_static(h0, frame) for frame in set(frames)}
+    static = np.array([statics[frame] for frame in frames])
     drives = _drive_terms(amplitudes, phases, h0.levels)
-    flat = np.array([statics[frame] for frame in frames])
-    flat += drives
-    rates, right, left, _ = _modes(flat, collapse)
-    if rise_us > 0:
-        eye = np.eye(h0.dim if collapse is None else h0.dim**2, dtype=complex)
-        # the ramps of the half-pulse [0, stop]: up on [0, rise], down on
-        # [stop - rise, stop]
-        stop = 4.0 * rise_us
-        ramps = (
-            (0.0, lambda t: _blackman_rise(t / rise_us)),
-            (stop - rise_us, lambda t: _blackman_rise((stop - t) / rise_us)),
-        )
-        folded = np.array([
-            [
-                _propagate_sliced(
-                    statics[frame], drives[s], envelope, collapse, eye, a, a + rise_us
-                )
-                for a, envelope in ramps
-            ]
-            for s, frame in enumerate(frames)
-        ])
-        left, right = left @ folded[:, 0], folded[:, 1] @ right
-    # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T
-    left, right = (np.swapaxes(m, -1, -2)[:, None] for m in (left, right))
     shape = (h0.dim,) if collapse is None else (h0.dim, h0.dim)
+    if rise_us > 0:
+        # the ramps of the half-pulse [0, stop], up on [0, rise] and down
+        # on [stop - rise, stop], as row propagators (sets, 1, n, n)
+        stop, n = 4.0 * rise_us, math.prod(shape)
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (len(frames), n, n))
+        up, down = (
+            _propagate_sliced(static, drives, envelope, collapse, eye, a, a + rise_us)[:, None]
+            for a, envelope in (
+                (0.0, lambda t: _blackman_rise(t / rise_us)),
+                (stop - rise_us, lambda t: _blackman_rise((stop - t) / rise_us)),
+            )
+        )
+    static += drives
+    flat = _static_run(static, collapse)
 
     def run(states, widths):
         widths = _checked_widths(widths, rise)
-        flat_times = 0.5 * widths - 2.0 * rise_us
-        growth = np.exp(rates[:, None, None, :] * flat_times[:, None, None])
-        idle = (widths == 0.0).reshape(-1, 1, *(1 for _ in shape))
+        # a width of 0 plays no drive, ramps included
+        idle = widths == 0.0
+        flat_times = np.where(idle, 0.0, 0.5 * widths - 2.0 * rise_us)
+        idle = idle.reshape(-1, 1, *(1 for _ in shape))
         for _ in range(2):
             rows = states.reshape(*states.shape[: states.ndim - len(shape)], -1)
-            moved = (rows @ left * growth) @ right
-            states = np.where(idle, states, moved.reshape(*moved.shape[:-1], *shape))
+            rows = flat(rows @ up, flat_times) @ down if rise_us > 0 else flat(rows, flat_times)
+            states = np.where(idle, states, rows.reshape(*rows.shape[:-1], *shape))
             if collapse is None:
                 states = states @ pulse.T
             else:

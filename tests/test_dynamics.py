@@ -7,7 +7,7 @@ from transmon_lattice.device import CouplingGraph, DeviceSpec, TransmonParams
 from transmon_lattice.dynamics import (
     NoiseSpec,
     _blackman_rise,
-    _collapse_operators,
+    _dissipators,
     _frame_static,
     _propagate_sliced,
     _raising,
@@ -236,6 +236,9 @@ def test_a_grid_at_t_zero_returns_the_initial_state_exactly():
     rho0 = np.outer(psi0, psi0.conj())
     noise = NoiseSpec(relaxation={"A": 0.5})
     assert np.array_equal(evolve(h0, rho0, [0.0], noise=noise, **kwargs), [rho0])
+    # beside later times too, a time of 0 is the state itself
+    assert np.array_equal(evolve(h0, psi0, [0.0, 0.4], **kwargs)[0], psi0)
+    assert np.array_equal(evolve(h0, rho0, [0.0, 0.4], noise=noise, **kwargs)[0], rho0)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +309,7 @@ def _driven_open_pair(monkeypatch, frame, slices):
     dev = _pair(delta=2.0, j=0.654)
     h0 = assemble_hamiltonian(dev, SubsetSelection(("A", "B"), 2))
     noise = NoiseSpec(relaxation={"A": 1 / 2.0, "B": 1 / 3.0}, dephasing={"B": 1 / 5.0})
-    collapse = _collapse_operators(h0.sites, h0.levels, noise)
+    collapse = _dissipators(h0.sites, h0.levels, noise)
     static, drive = _frame_static(h0, frame), _drive(h0, 4.0)
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
     rho = np.outer(psi0, psi0.conj())
@@ -365,7 +368,7 @@ def test_weak_drive_beside_a_decaying_site_stays_a_state():
     undriven = evolve(h0, rho0, t, frame=4800.0, noise=noise)
     driven = evolve(h0, rho0, t, frame=4800.0, amplitudes=[1e-12, 0.0], noise=noise)
     assert np.max(np.abs(driven - undriven)) <= 1e-10
-    collapse = _collapse_operators(h0.sites, h0.levels, noise)
+    collapse = _dissipators(h0.sites, h0.levels, noise)
     ramped = _propagate_sliced(
         _frame_static(h0, 4800.0), _drive(h0, 1e-12), lambda t: _blackman_rise(t / 0.05),
         collapse, rho0.reshape(-1), 0.0, 0.05,
@@ -384,7 +387,8 @@ def test_evolve_caps_the_density_matrix_side():
 
 
 def test_stacked_liouvillian_equals_per_matrix_kron_build():
-    from transmon_lattice.dynamics import _collapse_operators, _liouvillian
+    from transmon_lattice.dynamics import _dissipators, _liouvillian
+    from transmon_lattice.operators import _embed, destroy, number
 
     def per_matrix(h, collapse):
         eye = np.eye(len(h))
@@ -398,15 +402,25 @@ def test_stacked_liouvillian_equals_per_matrix_kron_build():
             )
         return lv
 
-    collapse = _collapse_operators(("A", "B"), 3, NoiseSpec.from_device(_pair()))
+    # relaxation through the lowering operator, then dephasing through the
+    # number operator at twice its rate, site by site
+    noise = NoiseSpec.from_device(_pair())
+    collapse = [
+        (rate, _embed(op, k, 2, 3))
+        for k, label in enumerate(("A", "B"))
+        for rate, op in ((noise.relaxation[label], destroy(3)),
+                         (2.0 * noise.dephasing[label], number(3)))
+    ]
+    dissipators = _dissipators(("A", "B"), 3, noise)
+    assert len(dissipators) == len(collapse) == 4
     rng = np.random.default_rng(11)
     hs = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
     hs = hs + np.swapaxes(hs.conj(), -1, -2)
-    stacked = _liouvillian(hs, collapse)
+    stacked = _liouvillian(hs, dissipators)
     assert stacked.shape == (3, 81, 81)
     for h, lv in zip(hs, stacked):
         assert np.array_equal(lv, per_matrix(h, collapse))
-    assert np.array_equal(_liouvillian(hs[0], collapse), per_matrix(hs[0], collapse))
+    assert np.array_equal(_liouvillian(hs[0], dissipators), per_matrix(hs[0], collapse))
 
 
 def test_ramsey_envelope_t2_from_rates():

@@ -114,7 +114,9 @@ def test_every_unreached_name_is_listed_with_its_reason():
 # function per state, where one circuit on the operators module's
 # embedding now prepares both.  Then the Levenberg-Marquardt loop, whose
 # last caller, the damped cosine, now searches f and T by variable
-# projection as the decays search T.  These names stay out of src/.
+# projection as the decays search T.  Then the static propagation of
+# evolve alone: evolve, the echo's flat tops and every ramp slice share one
+# stacked runner, dynamics._static_run.  These names stay out of src/.
 RETIRED = (
     "ENVELOPES", "_DriveTerm", "_frame_terms", "_segment_edges", "breakpoints",
     "envelope_value", "is_static_on", "DriveTone", "evolve_open", "_static_hamiltonian",
@@ -125,7 +127,7 @@ RETIRED = (
     # real rotations, and these complex references live in tests/unitaries.py
     "_PAULIS", "_pauli_strings", "_transfers", "gate_unitary", "compose_gates", "_rx", "_rz",
     "clifford_unitaries", "cz_unitary",
-    "levenberg_marquardt",
+    "levenberg_marquardt", "_propagate_static",
 )
 
 

@@ -202,7 +202,9 @@ def test_tomography_needs_three_distinct_widths(device, widths):
 
 
 def test_phase_sweep_builds_one_hamiltonian_and_one_decomposition(device, monkeypatch):
-    from transmon_lattice import sizzle
+    # one eigh of the 16 stacked flat tops, and with ramps one more for
+    # each stacked Magnus exponential of the two ramps, at any config count
+    from transmon_lattice import dynamics, sizzle
 
     calls = {"assemble": 0, "eigh": 0}
 
@@ -215,8 +217,11 @@ def test_phase_sweep_builds_one_hamiltonian_and_one_decomposition(device, monkey
     monkeypatch.setattr(sizzle, "assemble_hamiltonian", counted("assemble", assemble_hamiltonian))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     dphis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
-    sweep_relative_phase(device, _config(rise=0.0), dphis, np.linspace(0.0, 3.0, 7), levels=4)
-    assert calls == {"assemble": 1, "eigh": 1}
+    for rise in (0.0, 50.0):
+        calls.update(assemble=0, eigh=0)
+        sweep_relative_phase(device, _config(rise=rise), dphis, np.linspace(0.0, 3.0, 7), levels=4)
+        slices = 2 * 2 * dynamics.ENVELOPE_SLICES if rise else 0
+        assert calls == {"assemble": 1, "eigh": 1 + slices}
 
 
 def test_calibrate_cz_builds_one_hamiltonian(device, monkeypatch):
@@ -542,6 +547,37 @@ def test_lindblad_ramped_tomography_matches_integrator(device):
         noise=NoiseSpec.from_device(device), levels=3,
     )
     assert nu == pytest.approx(13.571089474121758, rel=1e-7)
+
+
+@pytest.mark.parametrize("amplitude", [1e-12, 3.5e-13])
+def test_open_echo_of_a_vanishing_drive_keeps_states(device, amplitude):
+    # a drive this weak beside the device's decay leaves the Liouvillian
+    # nearly defective: its eig modes rebuild it only to ~3e-11, and states
+    # carried by them drift from Hermiticity and unit trace by up to 8e-11,
+    # so such a flat top must take _expm
+    levels, noise = 3, NoiseSpec.from_device(device)
+    h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
+    rng = np.random.default_rng(4)
+    vecs = rng.normal(size=(h0.dim, 3)) + 1j * rng.normal(size=(h0.dim, 3))
+    mixed = vecs @ vecs.conj().T
+    states = np.concatenate([_prepared_states(levels, noise), (mixed / np.trace(mixed))[None]])
+    widths = np.linspace(0.0, 3.0, 13)
+    out = _echo(h0, [_config(amplitude=amplitude, rise=0.0)], noise)(states, widths)[0]
+    assert np.max(np.abs(out - np.swapaxes(out.conj(), -1, -2))) <= 1e-12
+    assert np.max(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0)) <= 1e-12
+
+
+def test_stacked_open_echo_equals_each_config_alone(device):
+    # the rebuild check is per config: in a stack the 10 MHz flat top keeps
+    # its eig modes while the 1e-12 MHz one beside it takes _expm
+    levels, noise = 3, NoiseSpec.from_device(device)
+    h0 = assemble_hamiltonian(device, SubsetSelection(CZ_PAIR, levels))
+    configs = [_config(amplitude=amplitude, rise=0.0) for amplitude in (10.0, 1e-12)]
+    states, widths = _prepared_states(levels, noise), np.linspace(0.0, 3.0, 7)
+    stacked = _echo(h0, configs, noise)(states, widths)
+    for config, out in zip(configs, stacked):
+        alone = _echo(h0, [config], noise)(states, widths)[0]
+        assert out.tobytes() == alone.tobytes()
 
 
 def test_open_echo_refuses_a_side_over_the_lindblad_cap(device, monkeypatch):
