@@ -25,7 +25,7 @@ from .values import FrozenValue
 T2_TOLERANCE = 1e-6
 
 # Closest approach (MHz) of a perturbative-ZZ denominator to its pole.
-DEFAULT_POLE_GUARD = 1.0
+POLE_GUARD = 1.0
 
 # Smallest squared overlap of a bare state with the eigenstate it labels.
 DEFAULT_LABEL_THRESHOLD = 0.7
@@ -65,22 +65,21 @@ def zz_perturbative(
     delta: float,
     alpha_i: float,
     alpha_j: float,
-    pole_guard: float = DEFAULT_POLE_GUARD,
 ) -> float:
     """Second-order ZZ shift -2 J^2 (a_i + a_j) / ((D + a_i)(a_j - D)),
     returned in kHz for inputs in MHz.
 
     Raises :class:`NearPoleError` when either denominator is within
-    ``pole_guard`` of zero (proximity to a higher-level resonance).
+    ``POLE_GUARD`` of zero (proximity to a higher-level resonance).
     """
     if delta == 0:
         raise ValueError("detuning must be nonzero")
     den_i = delta + alpha_i
     den_j = alpha_j - delta
     for name, den in (("delta + alpha_i", den_i), ("alpha_j - delta", den_j)):
-        if abs(den) < pole_guard:
+        if abs(den) < POLE_GUARD:
             raise NearPoleError(
-                f"|{name}| = {abs(den):.3f} MHz is inside the {pole_guard} MHz "
+                f"|{name}| = {abs(den):.3f} MHz is inside the {POLE_GUARD} MHz "
                 "pole guard"
             )
     zeta_mhz = -2.0 * j * j * (alpha_i + alpha_j) / (den_i * den_j)

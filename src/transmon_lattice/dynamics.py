@@ -34,7 +34,9 @@ from .errors import ContractViolation, ResourceLimitError
 from .operators import LatticeOperator, basis_occupations, destroy, number, _embed
 from .values import FrozenValue
 
-LINDBLAD_MAX_DIM = 32  # density-matrix side; its Liouvillian is 1024 x 1024
+# density-matrix side; its Liouvillian is 1024 x 1024 complex, 16 MiB, and
+# its decomposition holds three such (48 MiB) per generator at its peak
+LINDBLAD_MAX_DIM = 32
 
 
 # --------------------------------------------------------------------- noise
@@ -181,7 +183,9 @@ def _liouvillian(h: np.ndarray, collapse: Sequence[np.ndarray]) -> np.ndarray:
     of one Hamiltonian or of each in a stack (..., dim, dim), with the
     superoperators ``collapse`` of :func:`_dissipators` added in order."""
     eye = np.eye(h.shape[-1])
-    lv = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, np.swapaxes(h, -1, -2)))
+    lv = np.kron(h, eye)
+    lv -= np.kron(eye, np.swapaxes(h, -1, -2))
+    lv *= -2j * np.pi
     for term in collapse:
         lv += term
     return lv
@@ -191,21 +195,27 @@ def _modes(h: np.ndarray, collapse) -> tuple:
     """The static generator of ``h`` (or of each in a stack) as
     right diag(rates) left: (rates, right, left, miss).
 
-    With ``collapse`` None the generator is -2 pi i H, from ``eigh``, so
-    left = right^dag and ``miss`` is 0.  Otherwise it is the Liouvillian
-    of H and ``collapse``, from ``eig``, and ``miss`` is, per generator,
-    the relative error of rebuilding it from its modes, which is large
-    where they nearly coincide (a weak drive beside a decaying site)."""
+    With ``collapse`` None the generator is -2 pi i H, from ``eigh``; left
+    is right^dag, returned as None so that only ``right`` is held, and
+    ``miss`` is 0.  Otherwise it is the Liouvillian of H and ``collapse``,
+    from ``eig``, and ``miss`` is, per generator, the relative error of
+    rebuilding it from its modes, which is large where they nearly
+    coincide (a weak drive beside a decaying site).  At its peak it holds,
+    beside ``h``, one stack of eigenvectors (closed), or the Liouvillians,
+    right and left: three Liouvillian stacks."""
     if collapse is None:
         energies, right = np.linalg.eigh(h)
-        left = np.swapaxes(right.conj(), -1, -2)
-        return -2j * np.pi * energies, right, left, np.zeros(h.shape[:-2])
+        return -2j * np.pi * energies, right, None, np.zeros(h.shape[:-2])
     lv = _liouvillian(h, collapse)
     rates, right = np.linalg.eig(lv)
     left = np.linalg.inv(right)
-    scale = np.abs(lv).max(axis=(-2, -1))
-    error = np.abs((right * rates[..., None, :]) @ left - lv).max(axis=(-2, -1))
-    return rates, right, left, error / np.where(scale > 0, scale, 1.0)
+    miss = np.empty(h.shape[:-2])
+    for s in np.ndindex(miss.shape):
+        # one generator at a time, so the rebuild adds no stack
+        scale = np.abs(lv[s]).max()
+        error = np.abs((right[s] * rates[s]) @ left[s] - lv[s]).max()
+        miss[s] = error / (scale if scale > 0 else 1.0)
+    return rates, right, left, miss
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -230,20 +240,31 @@ def _static_run(h: np.ndarray, collapse):
     row-major density matrices) broadcast against (sets, times, k, n), or
     (times, k, n) for one generator, carried to each time from the modes
     of one :func:`_modes`.  A time of 0 gives the rows exactly; a generator
-    whose modes miss its Liouvillian by over 1e-12 takes :func:`_expm`."""
+    whose modes miss its Liouvillian by over 1e-12 takes :func:`_expm`.
+    Past :func:`_modes` it keeps one stack of eigenvectors (closed), or
+    right and left (open) and the Liouvillian of each generator that takes
+    :func:`_expm`, no other."""
     rates, right, left, miss = _modes(h, collapse)
-    # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T
-    left, right = (np.swapaxes(m, -1, -2)[..., None, :, :] for m in (left, right))
-    fallback = [tuple(s) for s in np.argwhere(miss > 1e-12)]
-    lv = _liouvillian(h, collapse) if fallback else None
+    fallback = {tuple(s): _liouvillian(h[tuple(s)], collapse) for s in np.argwhere(miss > 1e-12)}
+    # on row vectors x: x -> ((x left^T) * exp(rates t)) right^T, where a
+    # closed generator's left^T = conj(right) is applied as conj(conj(x) right)
+    basis = right[..., None, :, :]
+    right = np.swapaxes(basis, -1, -2)
+    if left is not None:
+        left = np.swapaxes(left, -1, -2)[..., None, :, :]
 
     def run(rows, times):
         at = np.asarray(times, dtype=float)[:, None, None]
-        moved = (rows @ left * np.exp(rates[..., None, None, :] * at)) @ right
-        for s in fallback:
+        if left is None:
+            turned = np.conj(rows) @ basis
+            np.conjugate(turned, out=turned)
+        else:
+            turned = rows @ left
+        moved = (turned * np.exp(rates[..., None, None, :] * at)) @ right
+        for s, lv in fallback.items():
             given = np.broadcast_to(rows, moved.shape)[s]
             for i, t in enumerate(at.flat):
-                moved[s + (i,)] = given[i] @ _expm(lv[s] * t).T
+                moved[s + (i,)] = given[i] @ _expm(lv * t).T
         return np.where(at == 0, rows, moved)
 
     return run
@@ -386,7 +407,10 @@ def echo_sequence(
     :func:`_propagate_sliced`, is one propagator applied before or after
     them, so every call, at any widths, reuses both.  On the identity's
     rows, the vector echo gives the transposed unitaries E(w)^T, where
-    E(w) = P U(w/2) P U(w/2).
+    E(w) = P U(w/2) P U(w/2).  At the flat tops' decomposition it holds
+    their stack and what :func:`_modes` holds beside it (the drive stack is
+    dropped once added in), and afterwards the modes :func:`_static_run`
+    keeps and, with ramps, two (sets, n, n) row propagators.
     """
     n_sites = len(h0.sites)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -402,6 +426,7 @@ def echo_sequence(
     # joins it under the envelope in the ramps, then in the flat top
     statics = {frame: _frame_static(h0, frame) for frame in set(frames)}
     static = np.array([statics[frame] for frame in frames])
+    del statics
     drives = _drive_terms(amplitudes, phases, h0.levels)
     shape = (h0.dim,) if collapse is None else (h0.dim, h0.dim)
     if rise_us > 0:
@@ -417,6 +442,7 @@ def echo_sequence(
             )
         )
     static += drives
+    del drives  # the flat tops' decomposition holds only their own stack
     flat = _static_run(static, collapse)
 
     def run(states, widths):

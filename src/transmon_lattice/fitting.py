@@ -339,8 +339,11 @@ def fit_damped_cos(t: np.ndarray, y: np.ndarray) -> FitResult:
         return float(r @ r), float(slope), u, flags, (float(c), float(s), m)
 
     # the bins beside the peak, from one cycle over the grid to the Nyquist
-    # edge, short of Nyquist itself, where sin(w tau) vanishes on an even grid
-    bins = np.unique(np.clip(peak + np.arange(-2.0, 3.0), 1.0, 0.95 * 0.5 * len(t)))
+    # edge, short of Nyquist itself, where sin(w tau) vanishes on an even grid;
+    # clipped, they ascend, so the first of each run of equal bins is kept
+    # (np.unique would import numpy.ma)
+    bins = np.clip(peak + np.arange(-2.0, 3.0), 1.0, 0.95 * 0.5 * len(t))
+    bins = bins[np.r_[True, bins[1:] > bins[:-1]]]
     rss, slopes = np.array([at(v)[:2] for v in bins]).T
     v, iterations, flags = _search(bins, rss, slopes, 0.0, lambda v: at(v)[1])
     rss, _, u, t_flags, (c, s, m) = at(v)

@@ -25,6 +25,9 @@ from .records import AxisSpec, ExperimentRecord
 
 # --------------------------------------------------- Stark-shift calibration
 
+STARK_MAX_AMPLITUDE = 80.0  # MHz, the upper end of the amplitude bisection
+
+
 def stark_shift(
     params: TransmonParams, drive_freq: float, amplitude: float, levels: int = 4
 ) -> float:
@@ -63,17 +66,16 @@ def stark_amplitude_for_shift(
     drive_freq: float,
     target_shift: float,
     levels: int = 4,
-    max_amplitude: float = 80.0,
 ) -> float:
     """Amplitude whose calibrated Stark shift equals ``target_shift``,
     by bisection on the numerically computed curve."""
-    lo, hi = 0.0, max_amplitude
+    lo, hi = 0.0, STARK_MAX_AMPLITUDE
     s_lo = 0.0
     s_hi = stark_shift(params, drive_freq, hi, levels)
     if (target_shift - s_lo) * (target_shift - s_hi) > 0:
         raise ValueError(
             f"target shift {target_shift} MHz not reachable below "
-            f"{max_amplitude} MHz amplitude (range {s_lo}..{s_hi})"
+            f"{STARK_MAX_AMPLITUDE} MHz amplitude (range {s_lo}..{s_hi})"
         )
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -300,6 +302,7 @@ def protocol_echo(
 
 
 DEFAULT_STARK_DETUNING = -60.0  # MHz below the shifted qubit
+SOFTWARE_DETUNING = 2.0  # MHz added to the Ramsey signal, so that it oscillates at any shift
 
 
 def protocol_swap(
@@ -396,7 +399,6 @@ def protocol_acstark_ramsey(
     amplitudes: Sequence[float],
     drive_detuning: float = DEFAULT_STARK_DETUNING,
     delays: Optional[Sequence[float]] = None,
-    software_detuning: float = 2.0,
     noise: Optional[NoiseSpec] = None,
     seed: Optional[int] = None,
     levels: int = 3,
@@ -445,10 +447,10 @@ def protocol_acstark_ramsey(
         # frame, so the fit sees only the repulsion shift plus jitter
         demod = np.exp(-2j * np.pi * (omega_meas - drive_freq) * delays)
         signal = 0.5 + np.real(
-            coh * demod * np.exp(2j * np.pi * software_detuning * delays)
+            coh * demod * np.exp(2j * np.pi * SOFTWARE_DETUNING * delays)
         )
         fit = fit_damped_cos(delays, signal)
-        return float(fit.params["f"]) - software_detuning
+        return float(fit.params["f"]) - SOFTWARE_DETUNING
 
     reference = fitted_frequency(0.0, 0.0)
     freq_shift = np.empty(len(amplitudes))
@@ -477,7 +479,7 @@ def protocol_acstark_ramsey(
         config={
             "pair": list(pair),
             "drive_detuning": drive_detuning,
-            "software_detuning": software_detuning,
+            "software_detuning": SOFTWARE_DETUNING,
             "levels": levels,
             "jitter_khz": sigma_mhz * 1e3,
         },

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 DEFAULT_LENGTHS = (2, 25, 50, 100, 250, 500, 750, 1000)
 DEFAULT_LENGTHS_2Q = (2, 4, 8, 16, 32, 64)
-DEFAULT_GATE_TIME_NS = 60.0
+GATE_TIME_NS = 60.0
 # a simultaneous register of n qubits steps Pauli vectors of length 4^n through
 # a dense (4^n)^2 ZZ transfer matrix in every slot.  At 5 qubits the matrix
 # builds in ~30 ms, yet `rb --simultaneous` takes ~1.7 s and ~55 MiB (2-core
@@ -110,15 +110,13 @@ class NoiseChannel(FrozenValue):
         return cls(depolarizing=2.0 * epc, granularity="clifford")
 
     @classmethod
-    def from_device(
-        cls, device: DeviceSpec, qubit: str, gate_time_ns: float = DEFAULT_GATE_TIME_NS
-    ) -> "NoiseChannel":
+    def from_device(cls, device: DeviceSpec, qubit: str) -> "NoiseChannel":
         """Coherence-limited depolarizing per physical gate, with the
         neighbor ZZ phases implied by the device couplings."""
         q = device.qubit(qubit)
-        error = clg(gate_time_ns, q.t1, q.t2e)
+        error = clg(GATE_TIME_NS, q.t1, q.t2e)
         zz = {}
-        slot_us = gate_time_ns * 1e-3 * MEAN_GATES_PER_CLIFFORD
+        slot_us = GATE_TIME_NS * 1e-3 * MEAN_GATES_PER_CLIFFORD
         for a, b in device.nn_pairs():
             if qubit not in (a, b):
                 continue
@@ -235,7 +233,6 @@ def run_rb(
     shots: int = 0,
     seed: int = 0,
     simultaneous: bool = False,
-    gate_time_ns: float = DEFAULT_GATE_TIME_NS,
 ) -> dict[str, RbOutcome]:
     """Single-qubit randomized benchmarking.
 
@@ -257,7 +254,7 @@ def run_rb(
             f"simultaneous register of {len(qubits)} qubits (Pauli dimension "
             f"{4 ** len(qubits)}) exceeds cap {SIMULTANEOUS_MAX_QUBITS}"
         )
-    channels = _resolve_channels(model, qubits, gate_time_ns)
+    channels = _resolve_channels(model, qubits)
     if simultaneous and len(qubits) > 1:
         registers = [(qubits, (seed, 202))]
     else:
@@ -287,9 +284,9 @@ def _checked_runs(n_sequences: int, lengths: Sequence[int], shots: int) -> tuple
     return lengths
 
 
-def _resolve_channels(model, qubits, gate_time_ns) -> dict[str, NoiseChannel]:
+def _resolve_channels(model, qubits) -> dict[str, NoiseChannel]:
     if isinstance(model, DeviceSpec):
-        return {q: NoiseChannel.from_device(model, q, gate_time_ns) for q in qubits}
+        return {q: NoiseChannel.from_device(model, q) for q in qubits}
     if isinstance(model, NoiseChannel):
         return {q: model for q in qubits}
     missing = [q for q in qubits if q not in model]

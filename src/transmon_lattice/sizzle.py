@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .device import DeviceSpec, zz_exact
+from .device import POLE_GUARD, DeviceSpec, zz_exact
 from .dynamics import NoiseSpec, echo_sequence, lindblad_noise, rotation_gate
 from .errors import AliasingError, NearPoleError, UncalibratableError
 from .linefit import fit_line, solve
@@ -31,7 +31,8 @@ from .records import AxisSpec, ExperimentRecord
 from .values import FrozenValue
 
 DRIVE_POLE_GUARD = 5.0  # MHz, validity guard on drive detunings
-NU_TILDE_FLOOR_KHZ = 5.0
+NU_TILDE_FLOOR_KHZ = 5.0  # a calibration below this driven ZZ rate is refused
+VERIFY_COUNTS = (1, 2, 3, 4, 6, 8)  # gate counts of the repeated-gate check
 
 
 class SizzleConfig(FrozenValue):
@@ -100,7 +101,6 @@ def sizzle_zz_predicted(
     phi0: float,
     phi1: float,
     zeta_static_khz: float,
-    pole_guard: float = 1.0,
 ) -> float:
     """Perturbative modified ZZ rate in kHz.
 
@@ -113,9 +113,9 @@ def sizzle_zz_predicted(
         ("delta0d + alpha0", delta0d + alpha0),
         ("delta1d + alpha1", delta1d + alpha1),
     ):
-        if abs(den) < pole_guard:
+        if abs(den) < POLE_GUARD:
             raise NearPoleError(
-                f"|{name}| = {abs(den):.3f} MHz inside the {pole_guard} MHz guard"
+                f"|{name}| = {abs(den):.3f} MHz inside the {POLE_GUARD} MHz guard"
             )
     drive_mhz = (
         2.0
@@ -404,7 +404,9 @@ def sweep_drive_landscape(
     worst-case population error as a stability indicator.  Cells inside
     instability bands are flagged and not evaluated; the others share one
     :func:`_echo`, whose stacked decomposition holds every cell (with
-    ``noise``, cells x dim^4 complex numbers per Liouvillian stack).
+    ``noise``, cells x dim^4 complex numbers per Liouvillian stack, of
+    which it holds three at the decomposition: the Liouvillians and their
+    right and left eigenvectors).
     """
     freqs = np.asarray(freqs, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -519,8 +521,6 @@ def calibrate_cz(
     levels: int = 3,
     widths: Optional[Sequence[float]] = None,
     nu_tilde_khz: Optional[float] = None,
-    verify_counts: Sequence[int] = (1, 2, 3, 4, 6, 8),
-    floor_khz: float = NU_TILDE_FLOOR_KHZ,
 ) -> CzCalibration:
     """Tune a conditional-phase gate from the measured driven ZZ rate.
 
@@ -546,13 +546,13 @@ def calibrate_cz(
         if widths is None:
             widths = default_widths(config.rise)
         (measured,), _, _ = _tomography(device, [config], widths, echo, levels, noise)
-    if abs(measured) < floor_khz:
+    if abs(measured) < NU_TILDE_FLOOR_KHZ:
         raise UncalibratableError(
-            f"driven ZZ rate {measured:.2f} kHz is below the {floor_khz} kHz floor"
+            f"driven ZZ rate {measured:.2f} kHz is below the {NU_TILDE_FLOOR_KHZ} kHz floor"
         )
     tau_g = gate_duration(target_phase, measured)
 
-    counts = tuple(int(n) for n in verify_counts)
+    counts = VERIFY_COUNTS
     signed_target = math.copysign(target_phase, measured)
     if nu_tilde_khz is None:
         phases = _repeated_gate_phases(echo, tau_g, counts, levels, noise)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .device import DEFAULT_LABEL_THRESHOLD, DEFAULT_POLE_GUARD
+from .device import DEFAULT_LABEL_THRESHOLD, POLE_GUARD
 from .errors import ContractViolation, InconsistentSignError, LabelingError, NearPoleError
 from .operators import LatticeOperator
 from .values import Value
@@ -116,7 +116,6 @@ def j_from_zz(
     delta: float,
     alpha_i: float,
     alpha_j: float,
-    pole_guard: float = DEFAULT_POLE_GUARD,
 ) -> float:
     """Positive exchange coupling implied by a measured ZZ shift (kHz),
     inverting the perturbative relation.  Round-trips through
@@ -126,9 +125,9 @@ def j_from_zz(
     den_i = delta + alpha_i
     den_j = alpha_j - delta
     for name, den in (("delta + alpha_i", den_i), ("alpha_j - delta", den_j)):
-        if abs(den) < pole_guard:
+        if abs(den) < POLE_GUARD:
             raise NearPoleError(
-                f"|{name}| = {abs(den):.3f} MHz is inside the {pole_guard} MHz "
+                f"|{name}| = {abs(den):.3f} MHz is inside the {POLE_GUARD} MHz "
                 "pole guard"
             )
     radicand = (zeta_khz * 1e-3) * den_i * den_j / (-2.0 * (alpha_i + alpha_j))

@@ -1078,14 +1078,16 @@ _LOADED_MODULES = (
             "rb --qubits Q1,Q2 --simultaneous --sequences 2 --lengths 2,25,50 --seed 1",
             ("dynamics", "protocols", "sizzle", "tomography", "spectrum", "operators"),
         ),
+        # the damped-cosine fit drops duplicate frequency bins without
+        # np.unique, which imports numpy.ma
         (
             "dynamics --protocol ramsey --qubit Q2 --delays 0:20:161 --seed 1",
-            ("sizzle", "rb", "cliffords", "tomography", "numpy.random"),
+            ("sizzle", "rb", "cliffords", "tomography", "numpy.random", "numpy.ma"),
         ),
         # nor at zero jitter, the default
         (
             "sweep --kind acstark --pair Q2,Q3 --amplitudes 5:30:6 --seed 1",
-            ("sizzle", "rb", "cliffords", "tomography", "numpy.random"),
+            ("sizzle", "rb", "cliffords", "tomography", "numpy.random", "numpy.ma"),
         ),
         # a ramped calibration cuts its Magnus slices without numpy.ma
         (
@@ -1097,6 +1099,10 @@ _LOADED_MODULES = (
             "sizzle --mode landscape --pair Q2,Q7 --freqs 4700:5100:5 --amplitudes 2,6 "
             "--levels 3 --seed 1",
             ("protocols", "rb", "cliffords", "tomography", "spectrum", "fitting"),
+        ),
+        (
+            "sweep --kind swap --pair Q2,Q3 --amplitudes 25:35:11 --seed 1",
+            ("sizzle", "rb", "cliffords", "tomography", "numpy.random", "numpy.ma"),
         ),
     ],
 )

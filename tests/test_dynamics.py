@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from transmon_lattice.dynamics import (
     NoiseSpec,
     _blackman_rise,
     _dissipators,
+    _drive_terms,
     _frame_static,
+    _modes,
     _propagate_sliced,
     _raising,
+    _static_run,
     echo_sequence,
     evolve,
     rotation_gate,
@@ -515,6 +519,78 @@ def test_echo_decomposes_one_liouvillian(device, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counted)
     protocol_echo(device, "Q2", np.linspace(0.0, 150.0, 40))
     assert len(calls) == 1
+
+
+def _traced(call):
+    """call()'s result, then the peak of the memory allocated during it and
+    the memory still held after it, in bytes above the start, by tracemalloc
+    (which traces numpy's arrays)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak - start, held - start
+
+
+def _drive_stack(device, levels, sets):
+    """Q2,Q7 at ``levels`` and its frame Hamiltonian at 5028.5 MHz plus
+    each of ``sets`` two-tone drives, as a stack (sets, dim, dim)."""
+    h0 = assemble_hamiltonian(device, SubsetSelection(("Q2", "Q7"), levels))
+    amplitudes = np.column_stack([np.linspace(2.0, 20.0, sets), np.linspace(1.0, 10.0, sets)])
+    return h0, amplitudes, _frame_static(h0, 5028.5) + _drive_terms(
+        amplitudes, np.zeros((sets, 2)), levels)
+
+
+# The memory guards count in stacks, the size of the (sets, n, n) complex
+# array in question, so that they hold at any allocator.  Each held one more
+# stack (or more) before the decompositions kept each stack once.
+
+def test_closed_static_run_holds_one_eigenbasis(device):
+    _, _, h = _drive_stack(device, 4, 32)
+    stack, rows = h.nbytes, np.eye(h.shape[-1], dtype=complex)[:1]
+    _, peak, _ = _traced(lambda: _static_run(h, None)(rows, [0.5]))
+    assert peak <= 1.5 * stack
+
+
+def test_open_static_run_holds_three_liouvillian_stacks(device):
+    h0, _, h = _drive_stack(device, 3, 8)
+    collapse = _dissipators(h0.sites, 3, NoiseSpec.from_device(device))
+    stack, rows = len(h) * h0.dim**4 * 16, np.eye(h0.dim**2, dtype=complex)[:1]
+    _, peak, _ = _traced(lambda: _static_run(h, collapse)(rows, [0.5]))
+    assert peak <= 3.5 * stack
+
+
+def test_closed_echo_holds_its_flat_tops_and_their_eigenbasis(device):
+    h0, amplitudes, h = _drive_stack(device, 4, 32)
+    stack, frames = h.nbytes, np.linspace(4950.0, 5100.0, len(h))
+    states = np.eye(h0.dim, dtype=complex)[:2]
+    _, peak, _ = _traced(lambda: echo_sequence(
+        h0, frames, amplitudes, np.zeros_like(amplitudes), 0.0, np.eye(h0.dim))(states, [1.0]))
+    assert peak <= 3.0 * stack
+
+
+def test_open_static_run_keeps_the_liouvillian_of_its_fallback_only(device):
+    h0, amplitudes, _ = _drive_stack(device, 3, 8)
+    amplitudes[3] = (1e-12, 0.0)
+    h = _frame_static(h0, 5028.5) + _drive_terms(amplitudes, np.zeros((8, 2)), 3)
+    collapse = _dissipators(h0.sites, 3, NoiseSpec.from_device(device))
+    # the weak drive's modes alone miss its Liouvillian by over 1e-12
+    assert np.flatnonzero(_modes(h, collapse)[3] > 1e-12).tolist() == [3]
+    liouvillian = h0.dim**4 * 16
+    run, _, held = _traced(lambda: _static_run(h, collapse))
+    # right and left of every generator, and one Liouvillian
+    assert held <= 2 * len(h) * liouvillian + 1.5 * liouvillian
+    rho = np.zeros((1, h0.dim**2), dtype=complex)
+    rho[0, 0] = 1.0
+    moved = run(rho, [0.5])[3, 0, 0].reshape(h0.dim, h0.dim)
+    assert abs(np.trace(moved) - 1.0) <= 1e-12
 
 
 def test_echo_sequence_refuses_tones_it_cannot_play(device):

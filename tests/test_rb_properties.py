@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from test_rb import _reference_ground
 from transmon_lattice.rb import (
-    DEFAULT_GATE_TIME_NS,
     NoiseChannel,
     _closed_sequences,
     _lockstep,
@@ -152,7 +151,7 @@ def test_zz_transfer_matches_the_complex_reference(case):
 
 def test_zz_transfer_of_a_device_plaquette_matches_the_complex_reference(device):
     register = ("Q2", "Q3", "Q6", "Q7")
-    phases = _zz_pairs_for(_resolve_channels(device, register, DEFAULT_GATE_TIME_NS), register)
+    phases = _zz_pairs_for(_resolve_channels(device, register), register)
     assert len(phases) == 4  # the plaquette's four couplings
     assert np.max(np.abs(_zz_transfer(phases, 4) - _zz_reference(phases, 4))) < 1e-12
 
