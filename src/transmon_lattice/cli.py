@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every stochastic subcommand requires --seed; results are written as
-self-describing JSON records (config + seed + schema version embedded)
-so that re-running the embedded config reproduces the payload exactly.
+Every stochastic subcommand requires --seed, a non-negative integer;
+results are written as self-describing JSON records (config + seed +
+schema version embedded) so that re-running the embedded config
+reproduces the payload exactly.
 Each handler imports the modules it runs, so a command loads only those;
 numpy too is imported only where arrays are built, so zz, stats, report,
 --help, --version and the config errors found before a handler runs
@@ -120,6 +121,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """The value of --seed: a non-negative integer, as every random
+    stream takes, so a negative seed is a parse error naming --seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative; a seed is a non-negative integer")
+    return value
+
+
 def _grid(name: str, spec: str) -> np.ndarray:
     """The values of the grid option ``--name``: start:stop:count or
     comma-separated values; a malformed, empty or non-finite grid is a
@@ -167,7 +180,7 @@ _SHARED = {
     "plot": dict(help="also write an SVG plot to this path"),
     "format": dict(choices=("structured", "table"), default="structured",
                    help="result format: JSON record or CSV table"),
-    "seed": dict(type=int, required=True),
+    "seed": dict(type=_seed, required=True),
     "shots": dict(type=int, default=0),
 }
 
@@ -680,7 +693,10 @@ def run() -> NoReturn:
     CPython's builtin hash modules are missing (:func:`_has_builtin_hashes`).
     ``numpy.random`` imports ``secrets``, which imports ``hmac`` and so
     ``_hashlib``, and that maps OpenSSL's libcrypto: 3.4 MiB resident in
-    every command that draws random numbers, though nothing here hashes.
+    every command that loads it, though nothing here hashes.  A command
+    loads it only to draw with ``--shots`` above 0 or AC-Stark jitter; RB
+    draws its Clifford ids from the package's PCG64 stream
+    (:class:`~transmon_lattice.pcg64.Stream`), which loads neither.
     Without it, ``hmac`` and ``hashlib`` fall back to the builtin code,
     which imports in about half the ~4 ms that ``_hashlib`` takes, and
     ``SeedSequence`` mixes its entropy in its own code, so every random

@@ -30,6 +30,7 @@ from .cliffords import (
 from .device import DeviceSpec, pair_key, zz_perturbative
 from .errors import ContractViolation, ResourceLimitError
 from .fitting import FitResult, fit_rb_decay
+from .pcg64 import Stream
 from .values import FrozenValue, Value
 
 if TYPE_CHECKING:
@@ -218,10 +219,8 @@ def sequence_gate_list(
     position of ``length`` in the lengths grid.
     """
     table = clifford_table()
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, 101, qubit_position, sequence, length_position])
-    )
-    slots = _closed_sequences([rng], [length], 1)
+    stream = Stream([seed, 101, qubit_position, sequence, length_position])
+    slots = _closed_sequences([stream], [length], 1)
     return [gate for idx in slots[0, 0, : length + 1] for gate in table[idx].gates]
 
 
@@ -318,18 +317,26 @@ def _zz_pairs_for(
 # still running at slot t are a contiguous suffix of the stack.
 
 def _jobs(entropy: tuple[int, ...], n_sequences: int, lengths: Sequence[int]):
-    """Each (s, li) job's generator and its length, ordered by length.
+    """Each (s, li) job's stream and its length, ordered by length.
     The job draws its Clifford ids, then its shot counts, from
-    ``SeedSequence([*entropy, s, li])``."""
+    ``default_rng(SeedSequence([*entropy, s, li]))``: the ids from the
+    package's :class:`~transmon_lattice.pcg64.Stream`, the same bits as
+    ``Generator.integers``, and the shot counts, only at ``shots`` above
+    0, from the numpy generator that continues it."""
     return [
-        np.random.default_rng(np.random.SeedSequence([*entropy, s, li]))
-        for li in range(len(lengths)) for s in range(n_sequences)
+        Stream([*entropy, s, li]) for li in range(len(lengths)) for s in range(n_sequences)
     ], np.repeat(lengths, n_sequences)
+
+
+def _generators(streams: Sequence[Stream], shots: int) -> list:
+    """Each job's numpy generator for its shot counts, continuing its
+    stream after the Clifford ids, or None at 0 shots, which draw nothing."""
+    return [stream.generator() if shots else None for stream in streams]
 
 
 def _sampled(survivals, rngs, shots: int, n_sequences: int) -> np.ndarray:
     """(n_sequences, n_lengths) table of the jobs' survivals, each
-    sampled at ``shots`` from its generator, after its Clifford ids."""
+    sampled at ``shots`` from its generator."""
     sampled = [_sample_survival(p, shots, rng) for p, rng in zip(survivals, rngs)]
     return np.array(sampled).reshape(-1, n_sequences).T.copy()
 
@@ -340,29 +347,30 @@ def _run_register(
 ) -> dict[str, np.ndarray]:
     """Per-sequence survivals of every qubit of one register (one qubit
     for individual RB, all of them for simultaneous RB)."""
-    rngs, job_lengths = _jobs(entropy, n_sequences, lengths)
-    slots = _closed_sequences(rngs, job_lengths, len(register))
+    streams, job_lengths = _jobs(entropy, n_sequences, lengths)
+    slots = _closed_sequences(streams, job_lengths, len(register))
     transfers = np.array([_slot_transfers(channels[q]) for q in register])
     zz = _zz_transfer(_zz_pairs_for(channels, register), len(register))
     depolarizing = np.array([_slot_depolarizing(channels[q]) for q in register])
     x = _lockstep(slots, job_lengths, transfers, zz)
     ground = _site_ground(x, slots, job_lengths, depolarizing)
+    rngs = _generators(streams, shots)
     return {q: _sampled(ground[:, k], rngs, shots, n_sequences) for k, q in enumerate(register)}
 
 
 def _closed_sequences(
-    rngs: Sequence[np.random.Generator], lengths: Sequence[int], n_sites: int
+    streams: Sequence[Stream], lengths: Sequence[int], n_sites: int
 ) -> np.ndarray:
-    """Draw job j's (n_sites, lengths[j]) Clifford ids from rngs[j] into
-    int8 slots of shape (B, n_sites, max length + 1).  Each sequence is
-    followed by the Clifford that inverts it; later slots hold the
-    identity."""
+    """Draw job j's (n_sites, lengths[j]) Clifford ids from streams[j],
+    site by site, into int8 slots of shape (B, n_sites, max length + 1).
+    Each sequence is followed by the Clifford that inverts it; later
+    slots hold the identity."""
     lengths = np.asarray(lengths)
-    slots = np.full((len(rngs), n_sites, max(lengths) + 1), clifford_identity(), np.int8)
-    for j, (rng, m) in enumerate(zip(rngs, lengths)):
-        slots[j, :, :m] = rng.integers(0, 24, (n_sites, m))
+    slots = np.full((len(streams), n_sites, max(lengths) + 1), clifford_identity(), np.int8)
+    for j, (stream, m) in enumerate(zip(streams, lengths)):
+        slots[j, :, :m] = np.reshape(stream.integers(24, n_sites * m), (n_sites, m))
     # slots past a sequence hold the identity, so every product runs to the max length
-    slots[np.arange(len(rngs)), :, lengths] = sequence_inverses(slots[:, :, :-1])
+    slots[np.arange(len(streams)), :, lengths] = sequence_inverses(slots[:, :, :-1])
     return slots
 
 
@@ -531,10 +539,10 @@ def run_interleaved_rb_cz(
     site_transfers = np.array([_slot_transfers(NoiseChannel())] * 2)
 
     def run(interleave: bool) -> np.ndarray:
-        rngs, job_lengths = _jobs((seed, 303), n_sequences, lengths)
-        ids = np.zeros((len(rngs), lengths[-1] + 1), int)
-        for j, (rng, m) in enumerate(zip(rngs, job_lengths)):
-            ids[j, :m] = rng.integers(0, TWO_QUBIT_GROUP_SIZE, m)
+        streams, job_lengths = _jobs((seed, 303), n_sequences, lengths)
+        ids = np.zeros((len(streams), lengths[-1] + 1), int)
+        for j, (stream, m) in enumerate(zip(streams, job_lengths)):
+            ids[j, :m] = stream.integers(TWO_QUBIT_GROUP_SIZE, m)
         ids[np.arange(len(ids)), job_lengths] = two_qubit_inverses(  # assuming the ideal CZ
             ids[:, :-1], job_lengths, _cz_code() if interleave else None)
         c0, c1, mixer = split_two_qubit_index(ids)
@@ -542,7 +550,7 @@ def run_interleaved_rb_cz(
         mixer_ids = mixer + 20 * (interleave & (np.arange(ids.shape[1]) < job_lengths[:, None]))
         x = _lockstep(slots, job_lengths, site_transfers, register, mixer_ids)
         survival = x[:, [0, 3, 12, 15]].sum(axis=1) / 4.0  # <00|rho|00> = (II + IZ + ZI + ZZ) / 4
-        return _sampled(survival, rngs, shots, n_sequences)
+        return _sampled(survival, _generators(streams, shots), shots, n_sequences)
 
     reference = _fit_outcome("pair:ref", lengths, run(False), n_qubits=2)
     interleaved = _fit_outcome("pair:int", lengths, run(True), n_qubits=2)

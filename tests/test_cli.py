@@ -827,6 +827,36 @@ def test_negative_shots_is_a_config_error_naming_shots(line, capsys):
     assert "shots" in error["message"]
 
 
+# one line of each command that takes --seed, each valid but for its seed
+_NEGATIVE_SEED_LINES = (
+    "dynamics --protocol t1 --qubit Q2 --seed -1",
+    "sweep --kind swap --pair Q2,Q3 --amplitudes 25:35:11 --seed -1",
+    "sizzle --mode tomography --pair Q2,Q7 --seed -1",
+    "calibrate-cz --pair Q2,Q7 --freq 5028.5 --seed -1",
+    "rb --qubits Q1 --epc 1e-3 --seed -1",
+    "tomography --state bell --tau-g 3.3 --seed -1",
+    "tomography --state bell --tau-g 3.3 --seed -1 --shots 100",
+)
+
+
+def test_negative_seed_lines_cover_every_seeded_command():
+    from transmon_lattice.cli import _COMMANDS
+
+    seeded = {name for name, (_, shared, _) in _COMMANDS.items() if "seed" in shared.split()}
+    assert {line.split()[0] for line in _NEGATIVE_SEED_LINES} == seeded
+
+
+@pytest.mark.parametrize("line", _NEGATIVE_SEED_LINES)
+def test_negative_seed_is_a_parse_error_naming_seed(line, capsys):
+    # no random stream takes a negative seed; without --shots the tomography
+    # line draws nothing, so only the parser can refuse it
+    code, out, err = run_cli(line.split(), capsys)
+    assert (code, out) == (2, ""), line
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert "--seed" in error["message"] and "-1" in error["message"]
+
+
 def test_sweep_swap_command(tmp_path, capsys):
     code, _, _ = run_cli(
         [
@@ -1053,10 +1083,11 @@ _LOADED_MODULES = (
         ("report", (*_HEAVY_MODULES, "numpy")),
         ("spectrum --qubits Q2,Q3 --levels 2", _HEAVY_MODULES),
         ("fit --model exp_decay --input trace.csv", _HEAVY_MODULES),
-        # rb loads neither spectrum nor operators
+        # rb loads neither spectrum nor operators, and at the default
+        # --shots 0 it draws its Clifford ids from the package's own stream
         (
             "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --seed 1",
-            ("dynamics", "sizzle", "tomography", "spectrum", "operators"),
+            ("dynamics", "sizzle", "tomography", "spectrum", "operators", "numpy.random"),
         ),
         # spectrum loads only for the closed-form rate prediction
         (
@@ -1076,7 +1107,8 @@ _LOADED_MODULES = (
         # nor with device noise, whose ZZ is device.zz_perturbative
         (
             "rb --qubits Q1,Q2 --simultaneous --sequences 2 --lengths 2,25,50 --seed 1",
-            ("dynamics", "protocols", "sizzle", "tomography", "spectrum", "operators"),
+            ("dynamics", "protocols", "sizzle", "tomography", "spectrum", "operators",
+             "numpy.random"),
         ),
         # the damped-cosine fit drops duplicate frequency bins without
         # np.unique, which imports numpy.ma
@@ -1259,9 +1291,9 @@ _RUN_WITH_REPORTING_MAIN = (
     "cli.run()\n"
 )
 _TLATTICE_SHA256 = "badd300aa032c639faf7c4c50609437a8805d2c4aa76efb392473a51da37e05e"
-# the two commands that draw random numbers, so load numpy.random
+# two commands that draw shot counts, so load numpy.random
 _DRAWING_LINES = (
-    "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --seed 1",
+    "rb --qubits Q1 --epc 1e-3 --sequences 2 --lengths 2,25,50 --shots 100 --seed 1",
     "dynamics --protocol ramsey --qubit Q2 --delays 0:20:161 --shots 100 --seed 1",
 )
 

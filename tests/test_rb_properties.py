@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from test_rb import _reference_ground
+from transmon_lattice.pcg64 import Stream
 from transmon_lattice.rb import (
     NoiseChannel,
     _closed_sequences,
@@ -169,9 +170,9 @@ def engine_inputs(draw):
 def test_lockstep_matches_reference_stepper(inputs):
     channels, phases, lengths, seed = inputs
     n_sites = len(channels)
-    rngs = [np.random.default_rng([seed, j]) for j in range(len(lengths))]
+    streams = [Stream([seed, j]) for j in range(len(lengths))]
     lengths = np.array(lengths)
-    slots = _closed_sequences(rngs, lengths, n_sites)
+    slots = _closed_sequences(streams, lengths, n_sites)
     x = _lockstep(
         slots,
         lengths,
